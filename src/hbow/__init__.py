@@ -68,7 +68,6 @@ from .vocabulary import (
     Strategy,
     TrainConfig,
     TrainResult,
-    VocabNode,
     Vocabulary,
     assign_word_ids,
     compute_idf,
@@ -94,7 +93,7 @@ __all__ = [
     "synth_sequence", "write_rows_csv", "write_rows_json",
     "load_vocabulary", "read_descriptors", "read_vocab_json", "read_vocab_text",
     "save_vocabulary", "write_descriptors", "write_vocab_json", "write_vocab_text",
-    "Strategy", "TrainConfig", "TrainResult", "VocabNode", "Vocabulary",
+    "Strategy", "TrainConfig", "TrainResult", "Vocabulary",
     "assign_word_ids", "compute_idf", "lookup_word", "lookup_words",
     "train", "train_result", "validate_structure",
     "__version__",

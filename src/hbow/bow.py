@@ -70,7 +70,7 @@ def transform(vocab: Vocabulary, descriptors) -> BowVector:
     word_ids, _ = lookup_words(vocab, codes)
     words, counts = np.unique(word_ids, return_counts=True)
     tf = counts / counts.sum()
-    weighted = tf * vocab.word_weight_array()[words]
+    weighted = tf * vocab.word_weight[words]
     keep = weighted > 0.0
     return normalize_l1(BowVector({int(w): float(x) for w, x in zip(words[keep], weighted[keep])}))
 

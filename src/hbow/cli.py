@@ -32,7 +32,8 @@ from .evaluation import (
     write_rows_json,
 )
 from .clustering import ClusterConfig
-from .io import load_vocabulary, read_descriptors, save_vocabulary, write_descriptors
+from .io import _atomic_write_bytes, load_vocabulary, read_descriptors, save_vocabulary, \
+    write_descriptors
 from .vocabulary import Strategy, TrainConfig, train
 
 _STRATEGY_NAMES = [s.value for s in Strategy]
@@ -110,8 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(payload, out_path) -> None:
     text = json.dumps(payload, indent=1)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        _atomic_write_bytes(out_path, (text + "\n").encode())
     else:
         print(text)
 
@@ -187,12 +187,10 @@ def _cmd_synth(args) -> int:
     if args.train_out:
         write_descriptors(args.train_out, seq.training)
     if args.gt:
-        with open(args.gt, "w") as fh:
-            json.dump({
-                "pairs": sorted(list(p) for p in seq.gt_pairs),
-                "frame_places": seq.frame_places,
-            }, fh, indent=1)
-            fh.write("\n")
+        _emit({
+            "pairs": sorted(list(p) for p in seq.gt_pairs),
+            "frame_places": seq.frame_places,
+        }, args.gt)
     print(f"wrote {len(seq.frames)} frames over {cfg.num_places} places to {args.out}",
           file=sys.stderr)
     return 0

@@ -21,12 +21,14 @@ import csv
 import json
 import time
 from dataclasses import dataclass, replace
+from io import StringIO
 
 import numpy as np
 
 from .bow import RetrievalDatabase, transform
 from .descriptors import DescriptorSet, hamming_rows
 from .errors import ConfigError
+from .io import _atomic_write_bytes
 from .vocabulary import Strategy, TrainConfig, Vocabulary, lookup_words, train
 from .clustering import ClusterConfig
 
@@ -160,10 +162,7 @@ def quantization_report(vocab: Vocabulary, descriptors) -> QuantReport:
     if codes.shape[0] == 0:
         raise ValueError("quantization_report needs at least one descriptor")
     word_ids, leaf_ids = lookup_words(vocab, codes)
-    cent_matrix = np.zeros((len(vocab.nodes), vocab.descriptor_bits // 8), dtype=np.uint8)
-    for node in vocab.nodes[1:]:
-        cent_matrix[node.node_id] = node.centroid
-    qe = hamming_rows(codes, cent_matrix[leaf_ids])
+    qe = hamming_rows(codes, vocab.centroids[leaf_ids])
     _, counts = np.unique(word_ids, return_counts=True)
     probs = counts / counts.sum()
     entropy = float(-(probs * np.log2(probs)).sum())
@@ -283,13 +282,12 @@ def compare_strategies(synth_cfg: SynthConfig, strategies, seeds, k: int = 10, L
 
 
 def write_rows_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=EVAL_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    buf = StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=EVAL_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    _atomic_write_bytes(path, buf.getvalue().encode())
 
 
 def write_rows_json(path, rows) -> None:
-    with open(path, "w") as fh:
-        json.dump(list(rows), fh, indent=2)
-        fh.write("\n")
+    _atomic_write_bytes(path, (json.dumps(list(rows), indent=2) + "\n").encode())

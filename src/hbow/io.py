@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -38,15 +39,7 @@ import numpy as np
 
 from .descriptors import DescriptorSet
 from .errors import DescriptorFileError, InternalInvariantError, VocabularyFileError
-from .vocabulary import (
-    SCORING_L1,
-    WEIGHTING_TFIDF,
-    Strategy,
-    VocabNode,
-    Vocabulary,
-    assign_word_ids,
-    validate_structure,
-)
+from .vocabulary import Strategy, Vocabulary, validate_structure
 
 DESCRIPTOR_MAGIC = b"HBDC"
 DESCRIPTOR_VERSION = 1
@@ -54,12 +47,19 @@ _HEADER = struct.Struct("<4sIIQQ")
 
 VOCAB_JSON_FORMAT = "hbow-vocabulary"
 VOCAB_JSON_VERSION = 1
+SCORING_L1 = "L1"
+WEIGHTING_TFIDF = "tf-idf"
 
 
 def _atomic_write_bytes(path, data: bytes) -> None:
     """Write via a sibling temp file and os.replace, so readers never see a
-    half-written file."""
+    half-written file. A path that exists but is no regular file, such as a
+    pipe or /dev/null, is written in place: replacing it would put a regular
+    file where the device or pipe was."""
     path = Path(path)
+    if path.exists() and not path.is_file():
+        path.write_bytes(data)
+        return
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -114,36 +114,37 @@ def read_descriptors(path) -> DescriptorSet:
     return DescriptorSet(codes, ends)
 
 
-def _format_weight(w: float) -> str:
-    return repr(float(w))
+def _node_rows(vocab: Vocabulary):
+    """(parent, is_leaf, centroid octets, weight) of every node but the root,
+    in stored order, as Python values."""
+    return zip(vocab.parent[1:].tolist(), (vocab.word_of_node[1:] >= 0).tolist(),
+               vocab.centroids[1:].tolist(), vocab.weight[1:].tolist())
 
 
 def write_vocab_text(path, vocab: Vocabulary) -> None:
     lines = [f"{vocab.k} {vocab.L} 0 0"]
-    for node in vocab.nodes[1:]:
-        octets = " ".join(str(int(b)) for b in node.centroid)
-        lines.append(f"{node.parent_id} {int(node.is_leaf)} {octets} {_format_weight(node.weight)}")
+    for parent, is_leaf, cent, weight in _node_rows(vocab):
+        lines.append(f"{parent} {int(is_leaf)} {' '.join(map(str, cent))} {weight!r}")
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _assemble(k: int, L: int, strategy: Strategy | None,
               rows: list[tuple[int, bool, list[int], float]], octets: int) -> Vocabulary:
-    """Shared tail of the text and JSON loaders: build nodes, renumber words
-    depth-first, validate."""
-    nodes = [VocabNode(0, -1)]
-    for i, (parent, is_leaf, cent, weight) in enumerate(rows):
-        nid = i + 1
-        nodes.append(VocabNode(nid, parent, centroid=np.array(cent, dtype=np.uint8), weight=weight))
-        nodes[parent].children.append(nid)
-    for i, (parent, is_leaf, cent, weight) in enumerate(rows):
-        nid = i + 1
-        if is_leaf and nodes[nid].children:
-            raise VocabularyFileError(f"node {nid} is marked leaf but has children")
-        if not is_leaf and not nodes[nid].children:
-            raise VocabularyFileError(f"node {nid} is marked internal but has no children")
-    vocab = Vocabulary(k, L, strategy, octets * 8, nodes)
-    assign_word_ids(vocab)
+    """Shared tail of the text and JSON loaders: check the leaf flags against
+    the parent links, build the vocabulary, validate."""
+    parent, is_leaf, centroids, weight = zip(*rows)
+    n = len(rows) + 1
+    has_children = np.bincount(parent, minlength=n)[1:] > 0
+    flagged = np.array(is_leaf, dtype=bool)
+    bad = np.flatnonzero(flagged == has_children)
+    if bad.size:
+        i = int(bad[0])
+        state = "leaf but has children" if flagged[i] else "internal but has no children"
+        raise VocabularyFileError(f"node {i + 1} is marked {state}")
+    cents = np.zeros((n, octets), dtype=np.uint8)
+    cents[1:] = centroids
     try:
+        vocab = Vocabulary(k, L, strategy, octets * 8, [-1, *parent], cents, [0.0, *weight])
         validate_structure(vocab)
     except InternalInvariantError as exc:
         raise VocabularyFileError(f"invalid vocabulary structure: {exc}") from None
@@ -151,7 +152,12 @@ def _assemble(k: int, L: int, strategy: Strategy | None,
 
 
 def read_vocab_text(path) -> Vocabulary:
-    text = Path(path).read_text(encoding="ascii")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise VocabularyFileError(f"line {lineno}: non-ASCII byte") from None
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise VocabularyFileError("line 1: missing header")
@@ -196,10 +202,10 @@ def read_vocab_text(path) -> Vocabulary:
         if parent > 0 and rows[parent - 1][1]:
             raise VocabularyFileError(f"line {lineno}: parent {parent} is a leaf")
         try:
-            cent = [int(x) for x in parts[2:-1]]
+            cent = list(map(int, parts[2:-1]))
         except ValueError:
             raise VocabularyFileError(f"line {lineno}: centroid octets must be integers") from None
-        if any(not 0 <= b <= 255 for b in cent):
+        if min(cent) < 0 or max(cent) > 255:
             raise VocabularyFileError(f"line {lineno}: centroid octets must lie in [0, 255]")
         try:
             weight = float(parts[-1])
@@ -224,38 +230,44 @@ def write_vocab_json(path, vocab: Vocabulary) -> None:
         "scoring": SCORING_L1,
         "weighting": WEIGHTING_TFIDF,
         "nodes": [
-            {
-                "parent": node.parent_id,
-                "leaf": node.is_leaf,
-                "centroid": [int(b) for b in node.centroid],
-                "weight": float(node.weight),
-            }
-            for node in vocab.nodes[1:]
+            {"parent": parent, "leaf": is_leaf, "centroid": cent, "weight": weight}
+            for parent, is_leaf, cent, weight in _node_rows(vocab)
         ],
     }
     _atomic_write_bytes(path, (json.dumps(obj, indent=1) + "\n").encode("ascii"))
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; bools and floats such as 3.0 are rejected."""
+    if type(value) is not int:
+        raise VocabularyFileError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def read_vocab_json(path) -> Vocabulary:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise VocabularyFileError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or obj.get("format") != VOCAB_JSON_FORMAT:
         raise VocabularyFileError(f"missing or wrong format tag, expected {VOCAB_JSON_FORMAT!r}")
-    if obj.get("version") != VOCAB_JSON_VERSION:
-        raise VocabularyFileError(f"unsupported version {obj.get('version')!r}")
+    version = obj.get("version")
+    if type(version) is not int or version != VOCAB_JSON_VERSION:
+        raise VocabularyFileError(f"unsupported version {version!r}")
     try:
-        k = int(obj["k"])
-        L = int(obj["L"])
-        bits = int(obj["descriptor_bits"])
+        k = _json_int(obj["k"], "k")
+        L = _json_int(obj["L"], "L")
+        bits = _json_int(obj["descriptor_bits"], "descriptor_bits")
         node_objs = obj["nodes"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise VocabularyFileError(f"bad vocabulary fields: {exc}") from None
+    except KeyError as exc:
+        raise VocabularyFileError(f"missing vocabulary field {exc}") from None
     if k < 1 or L < 1:
         raise VocabularyFileError(f"k and L must be >= 1, got k={k} L={L}")
     if bits < 8 or bits % 8 != 0:
         raise VocabularyFileError(f"descriptor_bits must be a positive multiple of 8, got {bits}")
+    for key, want in (("scoring", SCORING_L1), ("weighting", WEIGHTING_TFIDF)):
+        if key in obj and obj[key] != want:
+            raise VocabularyFileError(f"unsupported {key} {obj[key]!r}, only {want!r}")
     strategy_tag = obj.get("strategy")
     strategy = None
     if strategy_tag is not None:
@@ -267,22 +279,24 @@ def read_vocab_json(path) -> Vocabulary:
         raise VocabularyFileError("vocabulary defines no nodes")
     rows: list[tuple[int, bool, list[int], float]] = []
     octets = bits // 8
-    for i, entry in enumerate(node_objs):
-        nid = i + 1
+    for nid, entry in enumerate(node_objs, start=1):
         try:
-            parent = int(entry["parent"])
-            is_leaf = bool(entry["leaf"])
-            cent = [int(b) for b in entry["centroid"]]
-            weight = float(entry["weight"])
-        except (KeyError, TypeError, ValueError) as exc:
+            parent, is_leaf, cent, weight = (entry[key] for key in
+                                             ("parent", "leaf", "centroid", "weight"))
+        except (KeyError, TypeError) as exc:
             raise VocabularyFileError(f"node {nid}: bad fields: {exc}") from None
-        if not 0 <= parent < nid:
+        if not 0 <= _json_int(parent, f"node {nid}: parent") < nid:
             raise VocabularyFileError(f"node {nid}: parent {parent} is not an already-defined node")
-        if len(cent) != octets or any(not 0 <= b <= 255 for b in cent):
+        if not isinstance(is_leaf, bool):
+            raise VocabularyFileError(f"node {nid}: leaf must be true or false, got {is_leaf!r}")
+        if not isinstance(cent, list) or len(cent) != octets or any(
+                _json_int(b, f"node {nid}: centroid octet") not in range(256) for b in cent):
             raise VocabularyFileError(f"node {nid}: centroid must be {octets} octets in [0, 255]")
-        if not np.isfinite(weight) or weight < 0.0:
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise VocabularyFileError(f"node {nid}: weight must be a JSON number, got {weight!r}")
+        if not 0.0 <= weight <= sys.float_info.max:
             raise VocabularyFileError(f"node {nid}: weight must be finite and >= 0")
-        rows.append((parent, is_leaf, cent, weight))
+        rows.append((parent, is_leaf, cent, float(weight)))
     return _assemble(k, L, strategy, rows, octets)
 
 

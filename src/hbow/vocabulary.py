@@ -1,8 +1,9 @@
 """Hierarchical binary vocabularies: training, structure, and word lookup.
 
-A vocabulary is a k-ary tree of packed binary centroids. The root holds no
-centroid; every other node holds one. Leaves carry word ids (assigned
-depth-first, children in stored order) and idf weights. Looking up a
+A vocabulary is a k-ary tree of packed binary centroids, stored as flat
+read-only arrays (see `Vocabulary`). The root's centroid is unused; every
+other node holds one. Leaves carry word ids (assigned depth-first, children
+in stored order) and idf weights. Looking up a
 descriptor walks greedily from the root, at each internal node moving to the
 child with the smallest Hamming distance (ties to the lowest-index child),
 and returns the reached leaf's word.
@@ -41,13 +42,10 @@ from time import perf_counter
 import numpy as np
 
 from .clustering import ClusterConfig, brb_kmeans, kmajority, lloyd_real
-from .descriptors import DescriptorSet, _as_code, _as_codes, hamming_cdist, hamming_to_all, \
+from .descriptors import _CDIST_BLOCK_BYTES, _POPCOUNT, DescriptorSet, _as_code, _as_codes, \
     majority_centroid, realize_matrix
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError, \
     InternalInvariantError
-
-SCORING_L1 = "L1"
-WEIGHTING_TFIDF = "tf-idf"
 
 
 class Strategy(str, Enum):
@@ -56,73 +54,86 @@ class Strategy(str, Enum):
     GLOBAL_HBRB = "hbrb"
 
 
-@dataclass
-class VocabNode:
-    node_id: int
-    parent_id: int
-    children: list[int] = field(default_factory=list)
-    centroid: np.ndarray | None = None
-    word_id: int | None = None
-    weight: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.node_id != 0 and not self.children
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Vocabulary:
+    """A vocabulary tree as read-only flat arrays with one row per node.
+
+    Node 0 is the root and every other node's parent is an earlier node.
+    Training numbers nodes breadth-first; the loaders keep file order.
+    Given at construction:
+
+    * `parent`    (nodes,) int64, -1 for the root;
+    * `centroids` (nodes, descriptor_bits/8) uint8, row 0 (the root) unused;
+    * `weight`    (nodes,) float64, the idf weight of each leaf.
+
+    Derived once at construction:
+
+    * `children`     (nodes, widest fan-out) int64, child ids ascending,
+                     padded with -1;
+    * `word_of_node` (nodes,) int64, word id of each leaf, -1 elsewhere;
+    * `word_weight`  (word_count,) float64, the weight of each word.
+
+    Construction copies the given arrays. No array can be written; derive a
+    changed vocabulary with `dataclasses.replace`.
+    """
+
     k: int
     L: int
     strategy: Strategy | None
     descriptor_bits: int
-    nodes: list[VocabNode]
-    word_count: int = 0
-    scoring: str = SCORING_L1
-    weighting: str = WEIGHTING_TFIDF
-    _tables: dict | None = field(default=None, init=False, repr=False, compare=False)
+    parent: np.ndarray = field(repr=False)
+    centroids: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
+    children: np.ndarray = field(init=False, repr=False)
+    word_of_node: np.ndarray = field(init=False, repr=False)
+    word_weight: np.ndarray = field(init=False, repr=False)
+    word_count: int = field(init=False)
 
-    @property
-    def root(self) -> VocabNode:
-        return self.nodes[0]
+    def __post_init__(self) -> None:
+        parent = np.array(self.parent, dtype=np.int64)
+        centroids = np.array(self.centroids, dtype=np.uint8)
+        weight = np.array(self.weight, dtype=np.float64)
+        n = parent.size
+        if parent.shape != (n,) or n < 1 or parent[0] != -1:
+            raise InternalInvariantError("parent must be 1-d with the root (-1) at node 0")
+        if np.any(parent[1:] < 0) or np.any(parent[1:] >= np.arange(1, n)):
+            raise InternalInvariantError("every node's parent must be an earlier node")
+        if centroids.ndim != 2 or centroids.shape[0] != n \
+                or centroids.shape[1] * 8 != self.descriptor_bits or weight.shape != (n,):
+            raise InternalInvariantError(
+                f"centroids {centroids.shape} and weights {weight.shape} do not fit {n} nodes "
+                f"of {self.descriptor_bits} bits"
+            )
+        children = _child_table(parent)
+        word_of_node = assign_word_ids(children)
+        leaves = np.flatnonzero(word_of_node >= 0)
+        word_weight = np.zeros(leaves.size, dtype=np.float64)
+        word_weight[word_of_node[leaves]] = weight[leaves]
+        arrays = {"parent": parent, "centroids": centroids, "weight": weight,
+                  "children": children, "word_of_node": word_of_node,
+                  "word_weight": word_weight}
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "word_count", int(leaves.size))
 
-    def leaf_nodes(self) -> list[VocabNode]:
-        return [n for n in self.nodes if n.is_leaf]
+    def __reduce__(self):
+        # Deep copies and pickles go through the constructor; numpy would
+        # otherwise restore the arrays writable.
+        return Vocabulary, (self.k, self.L, self.strategy, self.descriptor_bits,
+                            self.parent, self.centroids, self.weight)
 
-    def invalidate_cache(self) -> None:
-        self._tables = None
 
-    def _descent_tables(self) -> dict:
-        """Per-internal-node child id arrays and stacked centroid matrices,
-        plus flat word weight / leaf id arrays, built once and cached."""
-        if self._tables is None:
-            child_ids: dict[int, np.ndarray] = {}
-            child_codes: dict[int, np.ndarray] = {}
-            for node in self.nodes:
-                if node.children:
-                    child_ids[node.node_id] = np.asarray(node.children, dtype=np.int64)
-                    child_codes[node.node_id] = np.vstack(
-                        [self.nodes[c].centroid for c in node.children]
-                    )
-            word_weight = np.zeros(self.word_count, dtype=np.float64)
-            word_leaf = np.full(self.word_count, -1, dtype=np.int64)
-            for node in self.nodes:
-                if node.is_leaf and node.word_id is not None:
-                    word_weight[node.word_id] = node.weight
-                    word_leaf[node.word_id] = node.node_id
-            self._tables = {
-                "child_ids": child_ids,
-                "child_codes": child_codes,
-                "word_weight": word_weight,
-                "word_leaf": word_leaf,
-            }
-        return self._tables
-
-    def word_weight_array(self) -> np.ndarray:
-        return self._descent_tables()["word_weight"]
-
-    def word_leaf_array(self) -> np.ndarray:
-        return self._descent_tables()["word_leaf"]
+def _child_table(parent: np.ndarray) -> np.ndarray:
+    """(nodes, widest fan-out) child ids, each row ascending, padded with -1."""
+    n = parent.size
+    counts = np.bincount(parent[1:], minlength=n)
+    table = np.full((n, max(1, int(counts.max()))), -1, dtype=np.int64)
+    order = np.argsort(parent[1:], kind="stable")
+    owner = parent[1:][order]
+    first = np.cumsum(counts) - counts
+    table[owner, np.arange(n - 1) - first[owner]] = order + 1
+    return table
 
 
 @dataclass(frozen=True)
@@ -245,47 +256,62 @@ def _flatten(root_build: _BuildNode, cfg: TrainConfig,
              bits: int) -> tuple[Vocabulary, list[tuple[int, np.ndarray]]]:
     """Number nodes in breadth-first creation order (root = 0) and collect
     (leaf node id, member index array) pairs from the build tree."""
-    nodes = [VocabNode(0, -1)]
+    parent = [-1]
+    centroids = [np.zeros(bits // 8, dtype=np.uint8)]
     leaf_members: list[tuple[int, np.ndarray]] = []
     queue = deque([(root_build, 0)])
     while queue:
         bnode, nid = queue.popleft()
         for child in bnode.children:
-            cid = len(nodes)
-            nodes.append(VocabNode(cid, nid, centroid=child.centroid))
-            nodes[nid].children.append(cid)
+            cid = len(parent)
+            parent.append(nid)
+            centroids.append(child.centroid)
             queue.append((child, cid))
             if not child.children:
                 leaf_members.append((cid, child.member_idx))
-    vocab = Vocabulary(cfg.k, cfg.L, cfg.strategy, bits, nodes)
+    vocab = Vocabulary(cfg.k, cfg.L, cfg.strategy, bits, parent, np.vstack(centroids),
+                       np.zeros(len(parent)))
     return vocab, leaf_members
 
 
-def assign_word_ids(vocab: Vocabulary) -> Vocabulary:
-    """Number leaves 0..W-1 depth-first, children in stored order, and set
-    `word_count`. Refuses to renumber a vocabulary that already has word ids."""
-    for node in vocab.nodes:
-        if node.word_id is not None:
-            raise InternalInvariantError(f"node {node.node_id} already carries a word id")
-    w = 0
-    stack = [0]
-    while stack:
-        nid = stack.pop()
-        node = vocab.nodes[nid]
-        if node.is_leaf:
-            node.word_id = w
-            w += 1
-        else:
-            stack.extend(reversed(node.children))
-    vocab.word_count = w
-    vocab.invalidate_cache()
-    return vocab
+def assign_word_ids(children: np.ndarray) -> np.ndarray:
+    """Word id of every node given the child table: leaves numbered 0..W-1
+    depth-first, children in ascending id order; -1 for the root and every
+    internal node.
+
+    A leaf's word id is the number of leaves under its ancestors' earlier
+    siblings, so the numbering takes one bottom-up and one top-down pass per
+    tree level.
+    """
+    is_leaf = children[:, 0] < 0
+    is_leaf[0] = False
+    levels = [np.zeros(1, dtype=np.int64)]  # internal nodes, one array per depth
+    while True:
+        kids = children[levels[-1]]
+        kids = kids[kids >= 0]
+        inner = kids[~is_leaf[kids]]
+        if not inner.size:
+            break
+        levels.append(inner)
+    leaves_under = is_leaf.astype(np.int64)
+    for nodes in reversed(levels):
+        kids = children[nodes]
+        leaves_under[nodes] = np.where(kids >= 0, leaves_under[kids], 0).sum(axis=1)
+    first_word = np.zeros(children.shape[0], dtype=np.int64)
+    for nodes in levels:
+        kids = children[nodes]
+        valid = kids >= 0
+        below = np.where(valid, leaves_under[kids], 0)
+        start = first_word[nodes, None] + np.cumsum(below, axis=1) - below
+        first_word[kids[valid]] = start[valid]
+    return np.where(is_leaf, first_word, -1)
 
 
 def compute_idf(vocab: Vocabulary, corpus: DescriptorSet) -> Vocabulary:
-    """Set each leaf's weight to ln(N / N_i): N = corpus group count, N_i =
-    number of groups containing word i (by greedy lookup). Words absent from
-    the corpus get weight 0. Internal nodes keep weight 0."""
+    """Return a copy of `vocab` whose leaf weights are ln(N / N_i): N = corpus
+    group count, N_i = number of groups containing word i (by greedy lookup).
+    Words absent from the corpus get weight 0; internal nodes keep theirs.
+    `vocab` itself is unchanged."""
     if corpus.group_count < 1:
         raise ValueError("idf needs a corpus with at least one group")
     if corpus.bits != vocab.descriptor_bits:
@@ -301,12 +327,11 @@ def compute_idf(vocab: Vocabulary, corpus: DescriptorSet) -> Vocabulary:
         if end > start:
             doc_count[np.unique(word_ids[start:end])] += 1
     n_groups = float(corpus.group_count)
-    weights = np.where(doc_count > 0, np.log(n_groups / np.maximum(doc_count, 1)), 0.0)
-    for node in vocab.nodes:
-        if node.is_leaf:
-            node.weight = float(weights[node.word_id])
-    vocab.invalidate_cache()
-    return vocab
+    idf = np.where(doc_count > 0, np.log(n_groups / np.maximum(doc_count, 1)), 0.0)
+    weight = vocab.weight.copy()
+    leaves = vocab.word_of_node >= 0
+    weight[leaves] = idf[vocab.word_of_node[leaves]]
+    return replace(vocab, weight=weight)
 
 
 def lookup_word(vocab: Vocabulary, code) -> tuple[int, float, int]:
@@ -315,30 +340,19 @@ def lookup_word(vocab: Vocabulary, code) -> tuple[int, float, int]:
     Returns (word_id, weight, leaf_node_id). Ties at each level go to the
     lowest-index child.
     """
-    code = _as_code(code)
-    if code.shape[0] * 8 != vocab.descriptor_bits:
-        raise CorpusConsistencyError(
-            f"descriptor width {code.shape[0] * 8} does not match vocabulary width "
-            f"{vocab.descriptor_bits}"
-        )
-    if vocab.word_count < 1:
-        raise ValueError("vocabulary has no words")
-    tables = vocab._descent_tables()
-    child_ids = tables["child_ids"]
-    child_codes = tables["child_codes"]
-    nid = 0
-    while nid in child_ids:
-        d = hamming_to_all(code, child_codes[nid])
-        nid = int(child_ids[nid][int(d.argmin())])
-    leaf = vocab.nodes[nid]
-    return leaf.word_id, leaf.weight, nid
+    word_ids, leaf_ids = lookup_words(vocab, _as_code(code)[None, :])
+    leaf = int(leaf_ids[0])
+    return int(word_ids[0]), float(vocab.weight[leaf]), leaf
 
 
 def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized descent for a whole code matrix.
+    """Greedy root-to-leaf descent for every row of a code matrix.
 
-    Returns (word_ids, leaf_node_ids), both int64 of length n, identical to
-    running `lookup_word` row by row.
+    All rows descend together one tree level at a time: each row still at an
+    internal node moves to the child with the smallest Hamming distance, ties
+    to the lowest-index child. Rows go in blocks that keep the per-level
+    (rows, children, octets) XOR tensor within `_CDIST_BLOCK_BYTES`.
+    Returns (word_ids, leaf_node_ids), both int64 of length n.
     """
     codes = _as_codes(codes)
     if codes.shape[1] * 8 != vocab.descriptor_bits:
@@ -348,87 +362,46 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
         )
     if vocab.word_count < 1:
         raise ValueError("vocabulary has no words")
-    tables = vocab._descent_tables()
-    child_ids = tables["child_ids"]
-    child_codes = tables["child_codes"]
+    children, centroids = vocab.children, vocab.centroids
     n = codes.shape[0]
-    word_ids = np.empty(n, dtype=np.int64)
-    leaf_ids = np.empty(n, dtype=np.int64)
-    stack: list[tuple[int, np.ndarray]] = [(0, np.arange(n, dtype=np.int64))]
-    while stack:
-        nid, idx = stack.pop()
-        ids = child_ids.get(nid)
-        if ids is None:
-            leaf = vocab.nodes[nid]
-            word_ids[idx] = leaf.word_id
-            leaf_ids[idx] = nid
-            continue
-        am = hamming_cdist(codes[idx], child_codes[nid]).argmin(axis=1)
-        for j in range(ids.size):
-            sub = idx[am == j]
-            if sub.size:
-                stack.append((int(ids[j]), sub))
-    return word_ids, leaf_ids
+    node = np.zeros(n, dtype=np.int64)
+    step = max(1, _CDIST_BLOCK_BYTES // (children.shape[1] * codes.shape[1]))
+    for start in range(0, n, step):
+        active = np.arange(start, min(n, start + step))
+        while active.size:
+            kids = children[node[active]]
+            kids = kids[:, (kids >= 0).any(axis=0)]
+            dist = _POPCOUNT[codes[active, None, :] ^ centroids[kids]].sum(axis=2, dtype=np.int64)
+            dist[kids < 0] = vocab.descriptor_bits + 1
+            node[active] = kids[np.arange(active.size), dist.argmin(axis=1)]
+            active = active[children[node[active], 0] >= 0]
+    return vocab.word_of_node[node], node
 
 
 def validate_structure(vocab: Vocabulary) -> None:
-    """Check the full tree contract; raises InternalInvariantError on breach.
+    """Check the training contract; raises InternalInvariantError on breach.
 
-    Verified: single root (id 0, parent -1, no centroid), node ids equal to
-    positions, parent/child mutual consistency, every node reachable from the
-    root exactly once, leaf depth <= L, internal fanout within [1, k], word
-    ids a bijection onto 0..W-1 over leaves, centroid widths equal to
-    `descriptor_bits`, weights finite and non-negative.
+    Construction already guarantees a tree rooted at node 0 with parents
+    before children, centroid rows of `descriptor_bits`, and word ids that
+    are a bijection onto the leaves. Checked here: no node has more than k
+    children, no node sits below depth L, and every weight is finite and
+    non-negative.
     """
-    nodes = vocab.nodes
-    if not nodes:
-        raise InternalInvariantError("vocabulary has no nodes")
-    octets = vocab.descriptor_bits // 8
-    root = nodes[0]
-    if root.node_id != 0 or root.parent_id != -1 or root.centroid is not None:
-        raise InternalInvariantError("node 0 is not a proper root")
-    for pos, node in enumerate(nodes):
-        if node.node_id != pos:
-            raise InternalInvariantError(f"node at position {pos} carries id {node.node_id}")
-        for c in node.children:
-            if not 0 < c < len(nodes):
-                raise InternalInvariantError(f"node {pos} references missing child {c}")
-            if nodes[c].parent_id != pos:
-                raise InternalInvariantError(f"child {c} does not point back to parent {pos}")
-        if pos != 0:
-            if node.centroid is None or node.centroid.shape != (octets,):
-                raise InternalInvariantError(f"node {pos} centroid has wrong width")
-            if not np.isfinite(node.weight) or node.weight < 0.0:
-                raise InternalInvariantError(f"node {pos} has invalid weight {node.weight}")
-    seen = np.zeros(len(nodes), dtype=bool)
-    seen[0] = True
-    depth = {0: 0}
-    queue = deque([0])
-    while queue:
-        nid = queue.popleft()
-        node = nodes[nid]
-        if node.children and not 1 <= len(node.children) <= vocab.k:
-            raise InternalInvariantError(
-                f"node {nid} has {len(node.children)} children, outside [1, {vocab.k}]"
-            )
-        for c in node.children:
-            if seen[c]:
-                raise InternalInvariantError(f"node {c} reached twice")
-            seen[c] = True
-            depth[c] = depth[nid] + 1
-            if depth[c] > vocab.L:
-                raise InternalInvariantError(f"node {c} sits below depth {vocab.L}")
-            queue.append(c)
-    if not seen.all():
-        raise InternalInvariantError("tree contains unreachable nodes")
-    leaves = vocab.leaf_nodes()
-    word_ids = sorted(n.word_id for n in leaves if n.word_id is not None)
-    if len(word_ids) != len(leaves) or word_ids != list(range(len(leaves))):
-        raise InternalInvariantError("leaf word ids are not a bijection onto 0..W-1")
-    if vocab.word_count != len(leaves):
-        raise InternalInvariantError(
-            f"word_count {vocab.word_count} does not match {len(leaves)} leaves"
-        )
+    fanout = (vocab.children >= 0).sum(axis=1)
+    wide = np.flatnonzero(fanout > vocab.k)
+    if wide.size:
+        nid = int(wide[0])
+        raise InternalInvariantError(f"node {nid} has {fanout[nid]} children, more than {vocab.k}")
+    level, depth = np.zeros(1, dtype=np.int64), 0
+    while level.size:
+        if depth > vocab.L:
+            raise InternalInvariantError(f"node {int(level[0])} sits below depth {vocab.L}")
+        kids = vocab.children[level]
+        level, depth = kids[kids >= 0], depth + 1
+    bad = np.flatnonzero(~np.isfinite(vocab.weight) | (vocab.weight < 0.0))
+    if bad.size:
+        nid = int(bad[0])
+        raise InternalInvariantError(f"node {nid} has invalid weight {vocab.weight[nid]}")
 
 
 def train_result(corpus: DescriptorSet, cfg: TrainConfig, *,
@@ -446,13 +419,12 @@ def train_result(corpus: DescriptorSet, cfg: TrainConfig, *,
     builder = _TreeBuilder(codes, real, cfg)
     root_build = builder.build_root(_resolve_threads(threads))
     vocab, leaf_members = _flatten(root_build, cfg, corpus.bits)
-    assign_word_ids(vocab)
     member_word_ids = np.full(len(corpus), -1, dtype=np.int64)
     for nid, members in leaf_members:
-        member_word_ids[members] = vocab.nodes[nid].word_id
+        member_word_ids[members] = vocab.word_of_node[nid]
     if (member_word_ids < 0).any():
         raise InternalInvariantError("some descriptors fell outside every leaf")
-    compute_idf(vocab, corpus)
+    vocab = compute_idf(vocab, corpus)
     validate_structure(vocab)
     return TrainResult(vocab, member_word_ids, perf_counter() - t0)
 

@@ -157,12 +157,12 @@ def test_global_flow_leaf_majority(capsys):
     words = result.member_word_ids
     empty = 0
     bad = 0
-    leaves = vocab.leaf_nodes()
+    leaves = np.flatnonzero(vocab.word_of_node >= 0)
     for leaf in leaves:
-        members = corpus.codes[words == leaf.word_id]
+        members = corpus.codes[words == vocab.word_of_node[leaf]]
         if members.shape[0] == 0:
             empty += 1
-        elif not np.array_equal(majority_centroid(members), leaf.centroid):
+        elif not np.array_equal(majority_centroid(members), vocab.centroids[leaf]):
             bad += 1
     elapsed = time.perf_counter() - t0
     passed = bad == 0 and empty == 0
@@ -335,17 +335,9 @@ def test_format_round_trips(tmp_path, capsys):
     write_vocab_text(vpath2, loaded)
     struct_ok = (loaded.k == vocab.k and loaded.L == vocab.L
                  and loaded.word_count == vocab.word_count
-                 and len(loaded.nodes) == len(vocab.nodes)
                  and vpath.read_bytes() == vpath2.read_bytes())
-    for a, b in zip(vocab.nodes, loaded.nodes):
-        struct_ok = struct_ok and (
-            a.node_id == b.node_id and a.parent_id == b.parent_id
-            and list(a.children) == list(b.children)
-            and a.word_id == b.word_id and a.weight == b.weight)
-        if a.centroid is None:
-            struct_ok = struct_ok and b.centroid is None
-        else:
-            struct_ok = struct_ok and np.array_equal(a.centroid, b.centroid)
+    for name in ("parent", "children", "centroids", "weight", "word_of_node", "word_weight"):
+        struct_ok = struct_ok and np.array_equal(getattr(vocab, name), getattr(loaded, name))
     probes = rng.integers(0, 256, size=(10_000, 32), dtype=np.uint8)
     words_a, leaves_a = lookup_words(vocab, probes)
     words_b, leaves_b = lookup_words(loaded, probes)

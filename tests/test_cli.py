@@ -98,6 +98,8 @@ def test_synth_train_eval_pipeline(tmp_path, capsys):
     gt = tmp_path / "gt.json"
     vocab_path = tmp_path / "vocab.txt"
     csv_path = tmp_path / "rows.csv"
+    json_path = tmp_path / "rows.json"
+    bow_path = tmp_path / "bow.json"
 
     assert main(["synth", "--places", "8", "--per-place", "20", "--revisit", "0.3",
                  "--flip", "0.05", "--bits", "64", "--seed", "1",
@@ -110,14 +112,21 @@ def test_synth_train_eval_pipeline(tmp_path, capsys):
     assert summary["word_count"] >= 2
     assert summary["mean_qe"] >= 0.0
 
+    assert main(["transform", "--vocab", str(vocab_path), "--corpus", str(frames),
+                 "--out", str(bow_path)]) == 0
     assert main(["eval", "--places", "8", "--per-place", "20", "--bits", "64",
                  "--k", "3", "--L", "2", "--max-iters", "30",
-                 "--out-csv", str(csv_path)]) == 0
-    capsys.readouterr()
+                 "--out-csv", str(csv_path), "--out-json", str(json_path)]) == 0
+    printed = json.loads(capsys.readouterr().out)
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) >= 2
     assert {row["strategy"] for row in rows} == {"kmajority", "local-brb", "hbrb"}
+    assert json.loads(json_path.read_text()) == printed
+    assert csv_path.read_bytes().count(b"\r\n") == len(rows) + 1
+    # every output went through a temp file and a rename, leaving nothing else
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in (frames, protos, gt, vocab_path, csv_path, json_path, bow_path))
 
     gt_obj = json.loads(gt.read_text())
     assert all(s < q for q, s in gt_obj["pairs"])
@@ -191,6 +200,12 @@ def test_convert_round_trip_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert txt1.read_bytes() == txt2.read_bytes()
     assert load_vocabulary(as_json).word_count == load_vocabulary(txt1).word_count
+
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(as_json.read_text().replace('"leaf": true', '"leaf": "true"', 1))
+    assert main(["convert", "--src", str(tampered), "--dst", str(tmp_path / "out.txt")]) == 2
+    assert "leaf must be true or false" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_train_is_deterministic_across_runs_and_threads(tmp_path, capsys, monkeypatch):

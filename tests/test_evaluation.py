@@ -156,7 +156,7 @@ def test_synth_config_validation():
 
 def test_quantization_zero_on_leaf_centroids():
     vocab = _bundle_vocab()
-    corpus = np.vstack([n.centroid for n in vocab.leaf_nodes()])
+    corpus = vocab.centroids[vocab.word_of_node >= 0]
     report = quantization_report(vocab, corpus)
     assert report.mean_qe == 0.0
     assert report.p50_qe == 0.0 and report.p95_qe == 0.0
@@ -183,15 +183,15 @@ def test_quantization_half_bit_fixture():
 
 def _descend_oracle(vocab, code):
     code_bits = np.unpackbits(np.asarray(code, dtype=np.uint8))
-    node = vocab.nodes[0]
-    while node.children:
+    node = 0
+    while (kids := np.flatnonzero(vocab.parent == node)).size:
         best, best_d = None, None
-        for c in node.children:
-            d = int(np.sum(np.unpackbits(vocab.nodes[c].centroid) != code_bits))
+        for c in kids:
+            d = int(np.sum(np.unpackbits(vocab.centroids[c]) != code_bits))
             if best_d is None or d < best_d:
-                best, best_d = vocab.nodes[c], d
+                best, best_d = c, d
         node = best
-    return node, int(np.sum(np.unpackbits(node.centroid) != code_bits))
+    return node, int(np.sum(np.unpackbits(vocab.centroids[node]) != code_bits))
 
 
 def test_quantization_matches_independent_recomputation():
@@ -205,7 +205,7 @@ def test_quantization_matches_independent_recomputation():
     for code in ds.codes:
         leaf, d = _descend_oracle(vocab, code)
         dists.append(d)
-        words.append(leaf.word_id)
+        words.append(vocab.word_of_node[leaf])
     dists = np.array(dists, dtype=np.float64)
     assert report.mean_qe == pytest.approx(float(dists.mean()), abs=1e-12)
     assert report.p50_qe == pytest.approx(float(np.percentile(dists, 50)), abs=1e-12)

@@ -1,6 +1,8 @@
 import json
 import os
+import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hbow import (
     save_vocabulary,
     train,
     write_descriptors,
+    write_rows_json,
     write_vocab_json,
     write_vocab_text,
 )
@@ -130,6 +133,20 @@ def test_descriptor_write_leaves_no_temp_files(tmp_path):
     assert os.listdir(tmp_path) == ["clean.hbdc"]
 
 
+def test_writes_to_a_pipe_go_in_place(tmp_path):
+    # the pipe stands in for /dev/null or /dev/stdout, which a rename would replace
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    write_rows_json(pipe, [{"seed": 1}])
+    reader.join(timeout=10)
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert got == [b'[\n  {\n    "seed": 1\n  }\n]\n']
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
 # ---------------------------------------------------------------- text format
 
 
@@ -172,13 +189,11 @@ def test_text_round_trip_preserves_structure_and_lookups(tmp_path):
     assert back.k == vocab.k and back.L == vocab.L
     assert back.descriptor_bits == vocab.descriptor_bits
     assert back.word_count == vocab.word_count
-    assert len(back.nodes) == len(vocab.nodes)
-    for orig, loaded in zip(vocab.nodes[1:], back.nodes[1:]):
-        assert loaded.parent_id == orig.parent_id
-        assert loaded.children == orig.children
-        assert bytes(loaded.centroid) == bytes(orig.centroid)
-        assert loaded.word_id == orig.word_id
-        assert loaded.weight == orig.weight
+    assert np.array_equal(back.parent, vocab.parent)
+    assert np.array_equal(back.children, vocab.children)
+    assert np.array_equal(back.centroids, vocab.centroids)
+    assert np.array_equal(back.word_of_node, vocab.word_of_node)
+    assert np.array_equal(back.weight, vocab.weight)
 
     probes = np.random.default_rng(55).integers(0, 256, size=(2000, 8), dtype=np.uint8)
     want_words, want_leaves = lookup_words(vocab, probes)
@@ -253,6 +268,10 @@ def test_text_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(VocabularyFileError, match="marked internal"):
         read_vocab_text(path)
 
+    path.write_bytes("2 2 0 0\n0 1 7 0.0\n0 1 \u00e9 1.0\n".encode("utf-8"))
+    with pytest.raises(VocabularyFileError, match="line 3: non-ASCII"):
+        read_vocab_text(path)
+
 
 def test_text_loader_assigns_word_ids_depth_first(tmp_path):
     # two internal nodes under the root, two leaves each; leaves appear in
@@ -269,9 +288,24 @@ def test_text_loader_assigns_word_ids_depth_first(tmp_path):
     )
     vocab = read_vocab_text(path)
     assert vocab.word_count == 4
-    assert [vocab.nodes[n].word_id for n in (3, 4, 5, 6)] == [0, 1, 2, 3]
+    assert vocab.word_of_node.tolist() == [-1, -1, -1, 0, 1, 2, 3]
     word, _, leaf = lookup_word(vocab, np.array([250], dtype=np.uint8))
     assert (word, leaf) == (2, 5)
+
+    # the same tree stored depth-first: parents still precede children
+    path.write_text(
+        "2 2 0 0\n"
+        "0 0 0 0.0\n"      # node 1, internal
+        "1 1 1 1.0\n"      # node 2, leaf (word 0)
+        "1 1 2 1.0\n"      # node 3, leaf (word 1)
+        "0 0 255 0.0\n"    # node 4, internal
+        "4 1 250 1.0\n"    # node 5, leaf (word 2)
+        "4 1 251 1.0\n"    # node 6, leaf (word 3)
+    )
+    vocab = read_vocab_text(path)
+    assert vocab.word_of_node.tolist() == [-1, -1, 0, 1, -1, 2, 3]
+    assert vocab.children[:, :2].tolist() == [[1, 4], [2, 3], [-1, -1], [-1, -1],
+                                              [5, 6], [-1, -1], [-1, -1]]
 
 
 # ---------------------------------------------------------------- json format
@@ -286,11 +320,10 @@ def test_json_round_trip_preserves_everything(tmp_path):
     assert back.strategy is Strategy.GLOBAL_HBRB
     assert back.k == vocab.k and back.L == vocab.L
     assert back.word_count == vocab.word_count
-    for orig, loaded in zip(vocab.nodes[1:], back.nodes[1:]):
-        assert loaded.parent_id == orig.parent_id
-        assert bytes(loaded.centroid) == bytes(orig.centroid)
-        assert loaded.word_id == orig.word_id
-        assert loaded.weight == orig.weight
+    assert np.array_equal(back.parent, vocab.parent)
+    assert np.array_equal(back.centroids, vocab.centroids)
+    assert np.array_equal(back.word_of_node, vocab.word_of_node)
+    assert np.array_equal(back.weight, vocab.weight)
     write_vocab_json(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -332,6 +365,37 @@ def test_json_parse_errors(tmp_path):
 
     with pytest.raises(VocabularyFileError, match="defines no nodes"):
         read_vocab_json(_dump(path, {**base, "nodes": []}))
+
+    # JSON types are strict: no truthy strings, truncated floats or bools as numbers
+    node = base["nodes"][0]
+    for field, value, message in [
+        ("leaf", "false", "leaf must be true or false"),
+        ("leaf", 0, "leaf must be true or false"),
+        ("centroid", [1.9], "centroid octet must be a JSON integer"),
+        ("centroid", [True], "centroid octet must be a JSON integer"),
+        ("centroid", "7", "centroid must be 1 octets"),
+        ("parent", 0.0, "parent must be a JSON integer"),
+        ("weight", "0.5", "weight must be a JSON number"),
+        ("weight", False, "weight must be a JSON number"),
+        ("weight", 10 ** 400, "weight must be finite"),
+    ]:
+        with pytest.raises(VocabularyFileError, match=f"node 1: {message}"):
+            read_vocab_json(_dump(path, {**base, "nodes": [{**node, field: value}]}))
+    for field, value, message in [
+        ("k", 3.7, "k must be a JSON integer"),
+        ("k", True, "k must be a JSON integer"),
+        ("L", "1", "L must be a JSON integer"),
+        ("descriptor_bits", 8.0, "descriptor_bits must be a JSON integer"),
+        ("version", True, "unsupported version"),
+        ("scoring", "l1", "unsupported scoring"),
+        ("weighting", "bm25", "unsupported weighting"),
+    ]:
+        with pytest.raises(VocabularyFileError, match=message):
+            read_vocab_json(_dump(path, {**base, field: value}))
+    with pytest.raises(VocabularyFileError, match="node 1: bad fields"):
+        read_vocab_json(_dump(path, {**base, "nodes": [[0, True, [7], 0.0]]}))
+    assert read_vocab_json(_dump(path, {**base, "scoring": "L1",
+                                        "weighting": "tf-idf"})).word_count == 1
 
 
 def _dump(path, obj):

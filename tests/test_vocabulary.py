@@ -1,5 +1,7 @@
 import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -15,15 +17,18 @@ from hbow import (
     TrainConfig,
     binarize,
     compute_idf,
+    load_vocabulary,
     lookup_word,
     lookup_words,
     majority_centroid,
     quantization_report,
     real_mean,
     realize_matrix,
+    save_vocabulary,
     synth_clustered,
     train,
     train_result,
+    transform,
     validate_structure,
 )
 
@@ -64,6 +69,17 @@ def _random_corpus(n, octets, seed):
     return DescriptorSet(codes=rng.integers(0, 256, size=(n, octets), dtype=np.uint8))
 
 
+def _kids(vocab, nid):
+    # children found by scanning `parent`, independent of the derived table
+    return np.flatnonzero(vocab.parent == nid)
+
+
+def _leaf_ids(vocab):
+    """Leaf node ids in word order."""
+    leaves = np.flatnonzero(vocab.word_of_node >= 0)
+    return leaves[np.argsort(vocab.word_of_node[leaves])]
+
+
 # ---------------------------------------------------------------- structure
 
 
@@ -73,9 +89,9 @@ def test_flat_separable_bundles_recovered_by_every_strategy():
     for strategy in ALL_STRATEGIES:
         for seed in range(4):
             vocab = train(ds, _cfg(4, 1, strategy, seed=seed))
-            leaves = vocab.leaf_nodes()
+            leaves = _leaf_ids(vocab)
             assert len(leaves) == 4
-            assert {bytes(n.centroid) for n in leaves} == want
+            assert {bytes(vocab.centroids[n]) for n in leaves} == want
             assert vocab.word_count == 4
 
 
@@ -85,7 +101,7 @@ def test_hierarchical_separable_bundles_recovered_by_every_strategy():
     for strategy in ALL_STRATEGIES:
         for seed in range(4):
             vocab = train(ds, _cfg(2, 2, strategy, seed=seed))
-            assert {bytes(n.centroid) for n in vocab.leaf_nodes()} == want
+            assert {bytes(vocab.centroids[n]) for n in _leaf_ids(vocab)} == want
             assert vocab.word_count == 4
 
 
@@ -105,12 +121,11 @@ def test_tree_shape_and_metadata():
         assert vocab.k == 3 and vocab.L == 2
         assert vocab.strategy is strategy
         assert vocab.descriptor_bits == 64
-        assert vocab.root.node_id == 0 and vocab.root.parent_id == -1
-        assert not vocab.root.is_leaf
-        for node in vocab.nodes:
-            for c in node.children:
-                assert vocab.nodes[c].parent_id == node.node_id
-        assert vocab.word_count == len(vocab.leaf_nodes())
+        assert vocab.parent[0] == -1 and vocab.word_of_node[0] == -1
+        assert _kids(vocab, 0).size > 0
+        for nid, row in enumerate(vocab.children):
+            assert row[row >= 0].tolist() == _kids(vocab, nid).tolist()
+        assert vocab.word_count == len(_leaf_ids(vocab)) == vocab.word_weight.size
         validate_structure(vocab)
 
 
@@ -122,10 +137,10 @@ def test_word_ids_follow_depth_first_leaf_order():
         order = []
 
         def walk(nid):
-            node = vocab.nodes[nid]
-            if node.is_leaf:
-                order.append(node.word_id)
-            for c in node.children:
+            kids = _kids(vocab, nid)
+            if nid != 0 and not kids.size:
+                order.append(vocab.word_of_node[nid])
+            for c in kids:
                 walk(c)
 
         walk(0)
@@ -141,9 +156,8 @@ def test_single_descriptor_corpus():
     for strategy in ALL_STRATEGIES:
         vocab = train(ds, _cfg(5, 3, strategy))
         assert vocab.word_count == 1
-        assert len(vocab.root.children) == 1
-        leaf = vocab.leaf_nodes()[0]
-        assert bytes(leaf.centroid) == bytes(code)
+        assert _kids(vocab, 0).size == 1
+        assert bytes(vocab.centroids[_leaf_ids(vocab)[0]]) == bytes(code)
         # any probe lands on the only word
         probe = np.array([0x00, 0x00, 0x00, 0x00], dtype=np.uint8)
         assert lookup_word(vocab, probe)[0] == 0
@@ -155,7 +169,7 @@ def test_identical_corpus_collapses_to_one_leaf():
     for strategy in ALL_STRATEGIES:
         vocab = train(ds, _cfg(10, 4, strategy))
         assert vocab.word_count == 1
-        assert bytes(vocab.leaf_nodes()[0].centroid) == bytes(code)
+        assert bytes(vocab.centroids[_leaf_ids(vocab)[0]]) == bytes(code)
 
 
 def test_fanout_clamps_to_distinct_count():
@@ -163,9 +177,9 @@ def test_fanout_clamps_to_distinct_count():
     ds = _bundle_corpus(vals, n_per=10)
     for strategy in ALL_STRATEGIES:
         vocab = train(ds, _cfg(10, 2, strategy, seed=3))
-        assert len(vocab.root.children) == 3
+        assert _kids(vocab, 0).size == 3
         assert vocab.word_count == 3
-        assert {bytes(n.centroid) for n in vocab.leaf_nodes()} == \
+        assert {bytes(vocab.centroids[n]) for n in _leaf_ids(vocab)} == \
             {bytes(bytearray(v)) for v in vals}
 
 
@@ -174,29 +188,27 @@ def test_depth_cap_limits_tree():
     for strategy in ALL_STRATEGIES:
         vocab = train(ds, _cfg(2, 1, strategy, seed=0))
         assert vocab.word_count == 2
-        for leaf in vocab.leaf_nodes():
-            assert vocab.nodes[leaf.parent_id].node_id == 0
+        assert (vocab.parent[_leaf_ids(vocab)] == 0).all()
 
 
 # ---------------------------------------------------------------- descent
 
 
 def _descend_oracle(vocab, code):
-    # independent greedy walk: unpack to bit arrays, count mismatches, break
-    # ties toward the earliest child in stored order
+    # independent greedy walk: children by scanning `parent`, distances from
+    # unpacked bit arrays, ties toward the earliest child in stored order
     code_bits = np.unpackbits(np.asarray(code, dtype=np.uint8))
     nid = 0
-    node = vocab.nodes[0]
-    while node.children:
+    kids = _kids(vocab, nid)
+    while kids.size:
         best_id, best_d = -1, None
-        for c in node.children:
-            cand = np.unpackbits(vocab.nodes[c].centroid)
-            d = int(np.sum(cand != code_bits))
+        for c in kids:
+            d = int(np.sum(np.unpackbits(vocab.centroids[c]) != code_bits))
             if best_d is None or d < best_d:
-                best_id, best_d = c, d
+                best_id, best_d = int(c), d
         nid = best_id
-        node = vocab.nodes[nid]
-    return node.word_id, nid
+        kids = _kids(vocab, nid)
+    return int(vocab.word_of_node[nid]), nid
 
 
 def test_lookup_matches_independent_descent_oracle():
@@ -212,12 +224,42 @@ def test_lookup_matches_independent_descent_oracle():
             assert batch_words[i] == want_word and batch_leaves[i] == want_leaf
 
 
+def test_round_trips_and_descent_on_generated_corpora(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(n=st.integers(1, 60), octets=st.integers(1, 3), pool=st.integers(1, 30),
+                      k=st.integers(2, 4), L=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+    def check(n, octets, pool, k, L, seed):
+        # drawing from a small pool repeats values, so nodes also stop on a
+        # single distinct value and split into fewer than k clusters
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 256, size=(pool, octets), dtype=np.uint8)
+        codes = values[rng.integers(pool, size=n)]
+        ends = np.union1d(rng.integers(0, n + 1, size=3), [n])
+        probes = np.vstack([codes, rng.integers(0, 256, size=(20, octets), dtype=np.uint8)])
+        for strategy in ALL_STRATEGIES:
+            vocab = train(DescriptorSet(codes, ends), _cfg(k, L, strategy, seed=seed % 7,
+                                                           max_iters=10), threads=1)
+            for suffix in (".txt", ".json"):
+                first, second = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
+                save_vocabulary(first, vocab)
+                save_vocabulary(second, load_vocabulary(first))
+                assert first.read_bytes() == second.read_bytes()
+            words, leaves = lookup_words(vocab, probes)
+            for probe, word, leaf in zip(probes, words, leaves):
+                assert (word, leaf) == _descend_oracle(vocab, probe)
+
+    check()
+
+
 def test_lookup_of_leaf_centroids_on_separable_tree():
     ds = _bundle_corpus(HIER_VALS)
     vocab = train(ds, _cfg(2, 2, Strategy.GLOBAL_HBRB, seed=0))
-    for leaf in vocab.leaf_nodes():
-        word, _, leaf_id = lookup_word(vocab, leaf.centroid)
-        assert word == leaf.word_id and leaf_id == leaf.node_id
+    for leaf in _leaf_ids(vocab):
+        word, _, leaf_id = lookup_word(vocab, vocab.centroids[leaf])
+        assert word == vocab.word_of_node[leaf] and leaf_id == leaf
 
 
 def test_lookup_width_mismatch_raises():
@@ -237,13 +279,12 @@ def test_global_leaf_centroids_are_member_majorities():
     ds = synth_clustered(6, 200, 0.06, bits=128, seed=3)
     result = train_result(ds, _cfg(3, 3, Strategy.GLOBAL_HBRB, seed=7))
     vocab = result.vocabulary
-    leaf_of_word = {n.word_id: n for n in vocab.leaf_nodes()}
-    assert set(leaf_of_word) == set(range(vocab.word_count))
-    for w, leaf in leaf_of_word.items():
+    for w, leaf in enumerate(_leaf_ids(vocab)):
+        assert vocab.word_of_node[leaf] == w
         members = ds.codes[result.member_word_ids == w]
         assert len(members) > 0
         want = majority_centroid(members)
-        assert bytes(leaf.centroid) == bytes(want)
+        assert bytes(vocab.centroids[leaf]) == bytes(want)
         # same thing phrased through the real domain
         assert bytes(binarize(real_mean(realize_matrix(members)))) == bytes(want)
 
@@ -292,8 +333,8 @@ def test_idf_weights_are_finite_and_nonnegative():
     grouped = DescriptorSet(codes=ds.codes, group_ends=[100, 200, 300, 400])
     for strategy in ALL_STRATEGIES:
         vocab = train(grouped, _cfg(3, 2, strategy, seed=0))
-        for leaf in vocab.leaf_nodes():
-            assert math.isfinite(leaf.weight) and leaf.weight >= 0.0
+        for weight in vocab.weight[_leaf_ids(vocab)]:
+            assert math.isfinite(weight) and weight >= 0.0
 
 
 def test_idf_rejects_zero_group_corpus():
@@ -316,12 +357,8 @@ def test_idf_rejects_width_mismatch():
 
 
 def _fingerprint(vocab):
-    return [
-        (n.node_id, n.parent_id, tuple(n.children),
-         None if n.centroid is None else bytes(n.centroid),
-         n.word_id, n.weight)
-        for n in vocab.nodes
-    ]
+    return [vocab.parent.tobytes(), vocab.centroids.tobytes(), vocab.weight.tobytes(),
+            vocab.word_of_node.tobytes()]
 
 
 def test_training_is_deterministic_per_seed():
@@ -364,26 +401,74 @@ def test_thread_env_var_rejects_garbage(monkeypatch):
 # ---------------------------------------------------------------- validation
 
 
+def _with_node(vocab, parent):
+    """`vocab` plus one leaf under `parent`."""
+    return replace(vocab, parent=np.append(vocab.parent, parent),
+                   centroids=np.vstack([vocab.centroids, vocab.centroids[-1]]),
+                   weight=np.append(vocab.weight, 0.0))
+
+
 def test_validate_structure_catches_corruption():
     ds = _random_corpus(300, 8, seed=5)
     vocab = train(ds, _cfg(3, 2, Strategy.KMAJORITY, seed=0))
+    assert _kids(vocab, 0).size == 3 and vocab.word_count == 9
 
-    broken = copy.deepcopy(vocab)
-    leaves = broken.leaf_nodes()
-    leaves[1].word_id = leaves[0].word_id
-    with pytest.raises(InternalInvariantError):
-        validate_structure(broken)
+    # construction refuses arrays that are not a tree rooted at node 0
+    for parent in (np.append(vocab.parent[:-1], vocab.parent.size - 1),  # own parent
+                   np.append(vocab.parent[:-1], vocab.parent.size),     # later node
+                   np.append(vocab.parent[:-1], -1),                    # second root
+                   np.append(0, vocab.parent[1:])):                     # root with a parent
+        with pytest.raises(InternalInvariantError, match="parent"):
+            replace(vocab, parent=parent)
+    with pytest.raises(InternalInvariantError, match="do not fit"):
+        replace(vocab, centroids=vocab.centroids[:, :4])
+    with pytest.raises(InternalInvariantError, match="do not fit"):
+        replace(vocab, weight=vocab.weight[:-1])
 
-    broken = copy.deepcopy(vocab)
-    broken.root.children.append(broken.root.children[0])
-    with pytest.raises(InternalInvariantError):
-        validate_structure(broken)
+    # the training contract: fan-out, depth and weights
+    with pytest.raises(InternalInvariantError, match="more than 3"):
+        validate_structure(_with_node(vocab, 0))
+    with pytest.raises(InternalInvariantError, match="below depth 2"):
+        validate_structure(_with_node(vocab, _leaf_ids(vocab)[0]))
+    for bad in (-1.0, math.nan, math.inf):
+        weight = vocab.weight.copy()
+        weight[_leaf_ids(vocab)[3]] = bad
+        with pytest.raises(InternalInvariantError, match="invalid weight"):
+            validate_structure(replace(vocab, weight=weight))
+    validate_structure(vocab)
 
-    broken = copy.deepcopy(vocab)
-    child = broken.nodes[broken.root.children[0]]
-    child.parent_id = 99
-    with pytest.raises(InternalInvariantError):
-        validate_structure(broken)
+
+def test_vocabulary_is_immutable_and_lookup_agrees_with_transform():
+    ds = DescriptorSet(codes=_random_corpus(400, 8, seed=3).codes,
+                       group_ends=[100, 200, 300, 400])
+    vocab = train(ds, _cfg(3, 2, Strategy.GLOBAL_HBRB, seed=0))
+    for v in (vocab, copy.deepcopy(vocab), pickle.loads(pickle.dumps(vocab))):
+        assert _fingerprint(v) == _fingerprint(vocab)
+        for name in ("parent", "centroids", "weight", "children", "word_of_node", "word_weight"):
+            arr = getattr(v, name)
+            with pytest.raises(ValueError):
+                arr[-1] = 0
+    with pytest.raises(FrozenInstanceError):
+        vocab.weight = np.zeros(vocab.parent.size)
+
+    # compute_idf returns a new vocabulary and leaves its input alone
+    saved = vocab.weight.copy()
+    one_group = compute_idf(vocab, DescriptorSet(codes=ds.codes))
+    assert one_group is not vocab
+    assert np.array_equal(vocab.weight, saved)
+    assert not one_group.weight.any()
+
+    # a leaf reweighted through replace: lookup_word and transform agree for
+    # every word, before and after
+    leaves = _leaf_ids(vocab)
+    weight = one_group.weight.copy()
+    weight[leaves[0]] = 7.0
+    for v in (vocab, one_group, replace(one_group, weight=weight)):
+        for w, leaf in enumerate(leaves):
+            word, word_weight, _ = lookup_word(v, v.centroids[leaf])
+            assert word == w and word_weight == v.word_weight[w] == v.weight[leaf]
+            assert transform(v, v.centroids[leaf]).entries == ({w: 1.0} if word_weight else {})
+    assert lookup_word(replace(one_group, weight=weight), vocab.centroids[leaves[0]])[1] == 7.0
 
 
 def test_config_validation():
