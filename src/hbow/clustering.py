@@ -1,8 +1,9 @@
 """Flat k-clustering primitives for binary and relaxed-real descriptors.
 
-Three clusterers share one loop shape: k-means++ seeding, then alternate
-(update centroids, reassign, repair empty clusters) until the post-repair
-assignment vector reaches a fixpoint or `max_iters` passes run out.
+Both iterative clusterers run one loop, `_lloyd`: k-means++ seeding, then
+alternate (update centroids, reassign, repair empty clusters) until the
+post-repair assignment vector reaches a fixpoint or `max_iters` passes run
+out. They differ only in the assignment and the centroid update they pass:
 
 * `kmajority`: Hamming assignment, per-bit majority-vote centroids.
 * `lloyd_real`: squared-Euclidean assignment, arithmetic-mean centroids.
@@ -33,7 +34,6 @@ class ClusterConfig:
     k: int
     max_iters: int = 100
     seed: int = 0
-    min_relative_improvement: float = 0.0
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -42,10 +42,6 @@ class ClusterConfig:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.min_relative_improvement < 1.0:
-            raise ConfigError(
-                f"min_relative_improvement must lie in [0, 1), got {self.min_relative_improvement}"
-            )
 
 
 @dataclass
@@ -142,6 +138,36 @@ def _repair_empty(points, cents, assign, obj_vec, metric: str) -> None:
         sizes[c] += 1
 
 
+def _lloyd(points, cfg: ClusterConfig, rng, trace, metric: str, assign, update) -> ClusterResult:
+    """The loop every clusterer runs: k-means++ seeding, assignment and repair,
+    then (update, assign, repair) passes until the post-repair assignment
+    repeats or `max_iters` passes have run.
+
+    `assign(cents)` returns (labels, float64 distance per point) and
+    `update(cents, labels)` rewrites the centroids in place. The objective is
+    appended to `trace` after seeding and after every pass.
+    """
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    cents = kmeanspp_seed(points, cfg.k, metric, rng)
+    labels, obj_vec = assign(cents)
+    _repair_empty(points, cents, labels, obj_vec, metric)
+    if trace is not None:
+        trace.append(float(obj_vec.sum()))
+    iterations = 0
+    while iterations < cfg.max_iters:
+        update(cents, labels)
+        prev = labels
+        labels, obj_vec = assign(cents)
+        _repair_empty(points, cents, labels, obj_vec, metric)
+        iterations += 1
+        if trace is not None:
+            trace.append(float(obj_vec.sum()))
+        if np.array_equal(labels, prev):
+            break
+    return ClusterResult(cents, labels, float(obj_vec.sum()), iterations)
+
+
 def kmajority(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = None,
               trace: list | None = None) -> ClusterResult:
     """Cluster packed binary descriptors with Hamming distance and per-bit
@@ -154,36 +180,15 @@ def kmajority(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = No
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise ValueError("kmajority needs at least one descriptor")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    cents = kmeanspp_seed(codes, cfg.k, "hamming", rng)
     bits = np.unpackbits(codes, axis=1)
 
-    assign, obj_vec = _assign_hamming(codes, cents)
-    _repair_empty(codes, cents, assign, obj_vec, "hamming")
-    obj = float(obj_vec.sum())
-    if trace is not None:
-        trace.append(obj)
-
-    iterations = 0
-    for _ in range(cfg.max_iters):
-        for c in range(cfg.k):
-            rows = bits[assign == c]
+    def update(cents, labels):
+        for c in range(cents.shape[0]):
+            rows = bits[labels == c]
             cents[c] = np.packbits(rows.sum(axis=0, dtype=np.int64) * 2 > rows.shape[0])
-        prev = assign
-        assign, obj_vec = _assign_hamming(codes, cents)
-        _repair_empty(codes, cents, assign, obj_vec, "hamming")
-        new_obj = float(obj_vec.sum())
-        iterations += 1
-        if trace is not None:
-            trace.append(new_obj)
-        stop = bool(np.array_equal(assign, prev))
-        if not stop and cfg.min_relative_improvement > 0.0:
-            stop = obj <= 0.0 or (obj - new_obj) < cfg.min_relative_improvement * obj
-        obj = new_obj
-        if stop:
-            break
-    return ClusterResult(cents, assign, obj, iterations)
+
+    return _lloyd(codes, cfg, rng, trace, "hamming",
+                  lambda cents: _assign_hamming(codes, cents), update)
 
 
 def lloyd_real(points, cfg: ClusterConfig, *, rng: np.random.Generator | None = None,
@@ -196,35 +201,13 @@ def lloyd_real(points, cfg: ClusterConfig, *, rng: np.random.Generator | None = 
         x = x.astype(np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"expected a non-empty (n, dim) matrix, got shape {x.shape}")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    cents = kmeanspp_seed(x, cfg.k, "sqeuclidean", rng)
     x2 = np.einsum("ij,ij->i", x, x)
 
-    assign, obj_vec = _assign_sq(x, x2, cents)
-    _repair_empty(x, cents, assign, obj_vec, "sqeuclidean")
-    obj = float(obj_vec.sum())
-    if trace is not None:
-        trace.append(obj)
+    def update(cents, labels):
+        for c in range(cents.shape[0]):
+            cents[c] = x[labels == c].mean(axis=0)
 
-    iterations = 0
-    for _ in range(cfg.max_iters):
-        for c in range(cfg.k):
-            cents[c] = x[assign == c].mean(axis=0)
-        prev = assign
-        assign, obj_vec = _assign_sq(x, x2, cents)
-        _repair_empty(x, cents, assign, obj_vec, "sqeuclidean")
-        new_obj = float(obj_vec.sum())
-        iterations += 1
-        if trace is not None:
-            trace.append(new_obj)
-        stop = bool(np.array_equal(assign, prev))
-        if not stop and cfg.min_relative_improvement > 0.0:
-            stop = obj <= 0.0 or (obj - new_obj) < cfg.min_relative_improvement * obj
-        obj = new_obj
-        if stop:
-            break
-    return ClusterResult(cents, assign, obj, iterations)
+    return _lloyd(x, cfg, rng, trace, "sqeuclidean", lambda cents: _assign_sq(x, x2, cents), update)
 
 
 def brb_kmeans(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = None,

@@ -21,10 +21,6 @@ from .errors import CorpusConsistencyError
 
 DEFAULT_BITS = 256
 
-# Popcount of every octet value; indexing this with a uint8 XOR is the fastest
-# pure-numpy Hamming kernel for packed codes.
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
 # Cap on the temporary (rows x rows x octets) XOR block built by hamming_cdist.
 _CDIST_BLOCK_BYTES = 1 << 26
 
@@ -61,7 +57,7 @@ def hamming(a, b) -> int:
     a = _as_code(a)
     b = _as_code(b)
     _check_same_width(a, b)
-    return int(_POPCOUNT[np.bitwise_xor(a, b)].sum())
+    return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
 
 
 def hamming_to_all(code, codes) -> np.ndarray:
@@ -69,7 +65,7 @@ def hamming_to_all(code, codes) -> np.ndarray:
     code = _as_code(code)
     codes = _as_codes(codes)
     _check_same_width(code, codes)
-    return _POPCOUNT[np.bitwise_xor(codes, code)].sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(np.bitwise_xor(codes, code)).sum(axis=1, dtype=np.int64)
 
 
 def hamming_cdist(a, b) -> np.ndarray:
@@ -87,7 +83,7 @@ def hamming_cdist(a, b) -> np.ndarray:
     for start in range(0, n, step):
         stop = min(n, start + step)
         block = np.bitwise_xor(a[start:stop, None, :], b[None, :, :])
-        out[start:stop] = _POPCOUNT[block].sum(axis=2, dtype=np.int64)
+        out[start:stop] = np.bitwise_count(block, out=block).sum(axis=2, dtype=np.int64)
     return out
 
 
@@ -97,7 +93,7 @@ def hamming_rows(a, b) -> np.ndarray:
     b = _as_codes(b)
     if a.shape != b.shape:
         raise CorpusConsistencyError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return _POPCOUNT[np.bitwise_xor(a, b)].sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(np.bitwise_xor(a, b)).sum(axis=1, dtype=np.int64)
 
 
 def realize(code) -> np.ndarray:

@@ -8,8 +8,8 @@ descriptor walks greedily from the root, at each internal node moving to the
 child with the smallest Hamming distance (ties to the lowest-index child),
 and returns the reached leaf's word.
 
-Three training strategies share the recursive splitter and differ only in
-how one node's points are partitioned into k groups:
+Three training strategies share one level-by-level builder and differ only
+in how one node's points are partitioned into k groups:
 
 * KMAJORITY       - Hamming k-majority at every node.
 * LOCAL_BRB       - binary-real-binary k-means at every node: relax, run
@@ -27,13 +27,13 @@ values splits into exactly `distinct` clusters. The root always splits (into
 one child when the corpus is degenerate).
 
 Per-node randomness derives from (train seed, node path), so results do not
-depend on thread scheduling.
+depend on thread scheduling: the splits of one tree level may run on several
+threads.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -42,7 +42,7 @@ from time import perf_counter
 import numpy as np
 
 from .clustering import ClusterConfig, brb_kmeans, kmajority, lloyd_real
-from .descriptors import _CDIST_BLOCK_BYTES, _POPCOUNT, DescriptorSet, _as_code, _as_codes, \
+from .descriptors import _CDIST_BLOCK_BYTES, DescriptorSet, _as_code, _as_codes, \
     majority_centroid, realize_matrix
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError, \
     InternalInvariantError
@@ -162,15 +162,6 @@ class TrainResult:
     seconds: float
 
 
-class _BuildNode:
-    __slots__ = ("centroid", "children", "member_idx")
-
-    def __init__(self, centroid, member_idx):
-        self.centroid = centroid
-        self.children: list[_BuildNode] = []
-        self.member_idx = member_idx
-
-
 def _resolve_threads(explicit: int | None) -> int:
     if explicit is not None:
         if explicit < 0:
@@ -188,90 +179,62 @@ def _resolve_threads(explicit: int | None) -> int:
     return value or (os.cpu_count() or 1)
 
 
-class _TreeBuilder:
-    def __init__(self, codes: np.ndarray, real: np.ndarray | None, cfg: TrainConfig):
-        self.codes = codes
-        self.real = real
-        self.cfg = cfg
+def _grow(codes: np.ndarray, real: np.ndarray | None, cfg: TrainConfig,
+          threads: int) -> tuple[list[int], list[np.ndarray], list[tuple[int, np.ndarray]]]:
+    """Grow the tree one level at a time, numbering nodes breadth-first
+    (root = 0). Returns the parent list, the centroid rows, and a
+    (leaf node id, member indices) pair per leaf.
 
-    def _node_rng(self, path: tuple[int, ...]) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence([self.cfg.seed, *path]))
-
-    def _distinct(self, idx: np.ndarray) -> int:
-        return int(np.unique(self.codes[idx], axis=0).shape[0])
-
-    def _cluster(self, idx: np.ndarray, kk: int, path: tuple[int, ...]):
-        """Split one node's members into kk groups; returns [(centroid, member_idx)]."""
-        ccfg = replace(self.cfg.cluster, k=kk)
-        rng = self._node_rng(path)
-        strategy = self.cfg.strategy
-        if strategy is Strategy.KMAJORITY:
-            res = kmajority(self.codes[idx], ccfg, rng=rng)
-        elif strategy is Strategy.LOCAL_BRB:
-            res = brb_kmeans(self.codes[idx], ccfg, rng=rng)
+    The splits of one level run on up to `threads` workers. Each node seeds
+    its RNG from (train seed, node path), so the tree does not depend on the
+    thread count.
+    """
+    def split(members: np.ndarray, path: tuple[int, ...]):
+        distinct = int(np.unique(codes[members], axis=0).shape[0])
+        if path and distinct <= 1:
+            return None  # the root always splits, into one child if the corpus is degenerate
+        ccfg = replace(cfg.cluster, k=min(cfg.k, distinct))
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *path]))
+        if cfg.strategy is Strategy.KMAJORITY:
+            res = kmajority(codes[members], ccfg, rng=rng)
+        elif cfg.strategy is Strategy.LOCAL_BRB:
+            res = brb_kmeans(codes[members], ccfg, rng=rng)
         else:
-            res = lloyd_real(self.real[idx], ccfg, rng=rng)
+            res = lloyd_real(real[members], ccfg, rng=rng)
         out = []
-        for j in range(kk):
-            members = idx[res.assignments == j]
-            if members.size == 0:
+        for j in range(ccfg.k):
+            child = members[res.assignments == j]
+            if child.size == 0:
                 raise InternalInvariantError("clustering produced an empty cluster after repair")
-            if strategy is Strategy.GLOBAL_HBRB:
-                centroid = majority_centroid(self.codes[members])
+            if cfg.strategy is Strategy.GLOBAL_HBRB:
+                out.append((majority_centroid(codes[child]), child))
             else:
-                centroid = res.centroids[j]
-            out.append((centroid, members))
+                out.append((res.centroids[j], child))
         return out
 
-    def _subtree(self, centroid: np.ndarray, idx: np.ndarray, depth: int,
-                 path: tuple[int, ...]) -> _BuildNode:
-        node = _BuildNode(centroid, idx)
-        if depth >= self.cfg.L or idx.size <= 1:
-            return node
-        distinct = self._distinct(idx)
-        if distinct <= 1:
-            return node
-        kk = min(self.cfg.k, distinct)
-        for j, (c, members) in enumerate(self._cluster(idx, kk, path)):
-            node.children.append(self._subtree(c, members, depth + 1, (*path, j)))
-        node.member_idx = None
-        return node
-
-    def build_root(self, threads: int) -> _BuildNode:
-        idx_all = np.arange(self.codes.shape[0], dtype=np.int64)
-        root = _BuildNode(None, None)
-        # The root always splits; a degenerate corpus yields a single child.
-        kk = min(self.cfg.k, max(1, self._distinct(idx_all)))
-        specs = self._cluster(idx_all, kk, ())
-        jobs = [(c, members, 1, (j,)) for j, (c, members) in enumerate(specs)]
-        if threads > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-                root.children = list(pool.map(lambda a: self._subtree(*a), jobs))
-        else:
-            root.children = [self._subtree(*a) for a in jobs]
-        return root
-
-
-def _flatten(root_build: _BuildNode, cfg: TrainConfig,
-             bits: int) -> tuple[Vocabulary, list[tuple[int, np.ndarray]]]:
-    """Number nodes in breadth-first creation order (root = 0) and collect
-    (leaf node id, member index array) pairs from the build tree."""
-    parent = [-1]
-    centroids = [np.zeros(bits // 8, dtype=np.uint8)]
-    leaf_members: list[tuple[int, np.ndarray]] = []
-    queue = deque([(root_build, 0)])
-    while queue:
-        bnode, nid = queue.popleft()
-        for child in bnode.children:
-            cid = len(parent)
-            parent.append(nid)
-            centroids.append(child.centroid)
-            queue.append((child, cid))
-            if not child.children:
-                leaf_members.append((cid, child.member_idx))
-    vocab = Vocabulary(cfg.k, cfg.L, cfg.strategy, bits, parent, np.vstack(centroids),
-                       np.zeros(len(parent)))
-    return vocab, leaf_members
+    parent, centroids, leaves = [-1], [np.zeros(codes.shape[1], dtype=np.uint8)], []
+    level = [(0, np.arange(codes.shape[0], dtype=np.int64), ())]  # (node id, members, path)
+    depth = 0
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        run = pool.map if threads > 1 else map
+        while level:
+            depth += 1  # of the children made in this pass
+            splits = run(split, [node[1] for node in level], [node[2] for node in level])
+            next_level = []
+            for (nid, members, path), kids in zip(level, splits):
+                if kids is None:
+                    leaves.append((nid, members))
+                    continue
+                for j, (centroid, child) in enumerate(kids):
+                    cid = len(parent)
+                    parent.append(nid)
+                    centroids.append(centroid)
+                    if depth >= cfg.L or child.size <= 1:
+                        leaves.append((cid, child))
+                    else:
+                        next_level.append((cid, child, (*path, j)))
+            level = next_level
+    return parent, centroids, leaves
 
 
 def assign_word_ids(children: np.ndarray) -> np.ndarray:
@@ -371,7 +334,8 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
         while active.size:
             kids = children[node[active]]
             kids = kids[:, (kids >= 0).any(axis=0)]
-            dist = _POPCOUNT[codes[active, None, :] ^ centroids[kids]].sum(axis=2, dtype=np.int64)
+            xor = codes[active, None, :] ^ centroids[kids]
+            dist = np.bitwise_count(xor, out=xor).sum(axis=2, dtype=np.int64)
             dist[kids < 0] = vocab.descriptor_bits + 1
             node[active] = kids[np.arange(active.size), dist.argmin(axis=1)]
             active = active[children[node[active], 0] >= 0]
@@ -416,11 +380,11 @@ def train_result(corpus: DescriptorSet, cfg: TrainConfig, *,
     real = None
     if cfg.strategy is Strategy.GLOBAL_HBRB:
         real = realize_matrix(codes, dtype=np.float32)
-    builder = _TreeBuilder(codes, real, cfg)
-    root_build = builder.build_root(_resolve_threads(threads))
-    vocab, leaf_members = _flatten(root_build, cfg, corpus.bits)
+    parent, centroids, leaves = _grow(codes, real, cfg, _resolve_threads(threads))
+    vocab = Vocabulary(cfg.k, cfg.L, cfg.strategy, corpus.bits, parent, np.vstack(centroids),
+                       np.zeros(len(parent)))
     member_word_ids = np.full(len(corpus), -1, dtype=np.int64)
-    for nid, members in leaf_members:
+    for nid, members in leaves:
         member_word_ids[members] = vocab.word_of_node[nid]
     if (member_word_ids < 0).any():
         raise InternalInvariantError("some descriptors fell outside every leaf")

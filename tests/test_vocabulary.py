@@ -16,7 +16,10 @@ from hbow import (
     Strategy,
     TrainConfig,
     binarize,
+    brb_kmeans,
     compute_idf,
+    kmajority,
+    lloyd_real,
     load_vocabulary,
     lookup_word,
     lookup_words,
@@ -371,10 +374,12 @@ def test_training_is_deterministic_per_seed():
 
 def test_training_independent_of_thread_count():
     ds = synth_clustered(8, 150, 0.05, bits=64, seed=13)
-    cfg = _cfg(4, 2, Strategy.GLOBAL_HBRB, seed=6)
-    serial = _fingerprint(train(ds, cfg, threads=1))
-    threaded = _fingerprint(train(ds, cfg, threads=4))
-    assert serial == threaded
+    for strategy in ALL_STRATEGIES:
+        cfg = _cfg(4, 3, strategy, seed=6)
+        runs = [train_result(ds, cfg, threads=t) for t in (1, 2, 4)]
+        for res in runs:
+            assert _fingerprint(res.vocabulary) == _fingerprint(runs[0].vocabulary)
+            assert np.array_equal(res.member_word_ids, runs[0].member_word_ids)
 
 
 def test_thread_env_var_does_not_change_result(monkeypatch):
@@ -396,6 +401,86 @@ def test_thread_env_var_rejects_garbage(monkeypatch):
     monkeypatch.setenv("HBRB_THREADS", "-2")
     with pytest.raises(ConfigError):
         train(ds, cfg)
+
+
+# ---------------------------------------------------------------- reference builder
+
+
+def _reference_train(corpus, cfg):
+    """Depth-first recursive build, numbered breadth-first afterwards.
+
+    A node splits unless it sits at depth L, holds one point or holds one
+    distinct value; the root always splits. A split makes min(k, distinct)
+    groups and seeds its RNG from (train seed, node path). Returns (parent,
+    centroids, member word ids), words numbered in depth-first leaf order.
+    """
+    codes = corpus.codes
+    real = realize_matrix(codes, dtype=np.float32)
+
+    def distinct(idx):
+        return len({bytes(row) for row in codes[idx]})
+
+    def split(idx, path):
+        ccfg = replace(cfg.cluster, k=min(cfg.k, distinct(idx)))
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *path]))
+        if cfg.strategy is Strategy.KMAJORITY:
+            res = kmajority(codes[idx], ccfg, rng=rng)
+        elif cfg.strategy is Strategy.LOCAL_BRB:
+            res = brb_kmeans(codes[idx], ccfg, rng=rng)
+        else:
+            res = lloyd_real(real[idx], ccfg, rng=rng)
+        groups = [idx[res.assignments == j] for j in range(ccfg.k)]
+        if cfg.strategy is Strategy.GLOBAL_HBRB:
+            return [(majority_centroid(codes[g]), g) for g in groups]
+        return [(res.centroids[j], g) for j, g in enumerate(groups)]
+
+    def subtree(centroid, idx, depth, path):
+        kids = []
+        if depth < cfg.L and idx.size > 1 and distinct(idx) > 1:
+            kids = [subtree(c, g, depth + 1, (*path, j)) for j, (c, g) in enumerate(split(idx, path))]
+        return centroid, idx, kids
+
+    def leaf_members(node):
+        if not node[2]:
+            yield node[1]
+        for kid in node[2]:
+            yield from leaf_members(kid)
+
+    everything = np.arange(len(corpus))
+    root = (np.zeros(codes.shape[1], dtype=np.uint8), everything,
+            [subtree(c, g, 1, (j,)) for j, (c, g) in enumerate(split(everything, ()))])
+    member_words = np.full(len(corpus), -1, dtype=np.int64)
+    for word, members in enumerate(leaf_members(root)):
+        member_words[members] = word
+    parent, centroids, queue = [-1], [root[0]], [(root, 0)]
+    for node, nid in queue:
+        for kid in node[2]:
+            queue.append((kid, len(parent)))
+            parent.append(nid)
+            centroids.append(kid[0])
+    return np.array(parent), np.vstack(centroids), member_words
+
+
+REFERENCE_CORPORA = {
+    "separable": lambda: _bundle_corpus(HIER_VALS),
+    "random": lambda: _random_corpus(300, 8, seed=4),
+    "clustered": lambda: synth_clustered(6, 60, 0.1, bits=64, seed=5),
+    "one-descriptor": lambda: _random_corpus(1, 8, seed=1),
+    "all-identical": lambda: _bundle_corpus(FLAT_VALS[1:2], n_per=12),
+    "fewer-distinct-than-k": lambda: _bundle_corpus(FLAT_VALS[:2], n_per=5),
+}
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+@pytest.mark.parametrize("corpus", sorted(REFERENCE_CORPORA))
+def test_train_matches_reference_builder(corpus, strategy):
+    ds = REFERENCE_CORPORA[corpus]()
+    cfg = _cfg(3, 3, strategy, seed=5, max_iters=10)
+    parent, centroids, member_words = _reference_train(ds, cfg)
+    res = train_result(ds, cfg, threads=2)
+    assert np.array_equal(res.vocabulary.parent, parent)
+    assert np.array_equal(res.vocabulary.centroids, centroids)
+    assert np.array_equal(res.member_word_ids, member_words)
 
 
 # ---------------------------------------------------------------- validation
