@@ -16,6 +16,11 @@ Text vocabulary format (interoperable with common BoW vocabularies):
     line 1:   "k L scoring_id weighting_id"   (0 0 = L1 scoring, tf-idf)
     line i+1: "parent_id is_leaf octet_0 ... octet_{B-1} weight"
 
+Only LF ends a line and numbers it; fields are separated by runs of other
+ASCII whitespace (space, tab, CR, VT, FF, 0x1c-0x1f). Integers are
+[+-]?[0-9]+ within int64; the weight is [+-]?([0-9]+([.][0-9]*)?|[.][0-9]+)
+([eE][+-]?[0-9]+)?. Python-only spellings such as 1_0 or 0x1 are rejected.
+
 Node i is defined by line i+1; the root is node 0 and is not written. Parent
 ids may only point at already-defined nodes, so the node order is a valid
 breadth-first (or any topological) order. Word ids are not stored: loaders
@@ -33,6 +38,7 @@ import os
 import struct
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +87,11 @@ def write_descriptors(path, dset: DescriptorSet) -> None:
 
 
 def read_descriptors(path) -> DescriptorSet:
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:  # into one writable buffer that the codes then share
+        data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        data = data[:fh.readinto(data)]
+        if rest := fh.read():  # a pipe reports size 0
+            data = np.append(data, np.frombuffer(rest, dtype=np.uint8))
     if len(data) < _HEADER.size:
         raise DescriptorFileError(f"truncated header: {len(data)} bytes, need {_HEADER.size}")
     magic, version, bits, count, groups = _HEADER.unpack_from(data)
@@ -101,17 +111,13 @@ def read_descriptors(path) -> DescriptorSet:
         )
     if len(data) > expected:
         raise DescriptorFileError(f"{len(data) - expected} trailing bytes after group table")
-    payload = np.frombuffer(data, dtype=np.uint8, count=payload_size, offset=_HEADER.size)
-    codes = payload.reshape(count, octets).copy()
+    codes = np.frombuffer(data, dtype=np.uint8, count=payload_size, offset=_HEADER.size)
     ends = np.frombuffer(data, dtype="<u8", count=groups, offset=_HEADER.size + payload_size)
-    ends = ends.astype(np.int64)
-    if groups == 0 and count > 0:
-        # No group metadata: treat the whole payload as a single group.
-        return DescriptorSet(codes, None)
-    if ends.size:
-        if np.any(np.diff(ends) < 0) or int(ends[-1]) != count:
-            raise DescriptorFileError("group_ends are not ascending offsets ending at descriptor_count")
-    return DescriptorSet(codes, ends)
+    # compared unsigned, so an end offset of 2**63 or more cannot wrap negative
+    if ends.size and (np.any(ends[1:] < ends[:-1]) or int(ends[-1]) != count):
+        raise DescriptorFileError("group_ends are not ascending offsets ending at descriptor_count")
+    # no group table means one group (DescriptorSet's default)
+    return DescriptorSet(codes.reshape(count, octets), ends.astype(np.int64))
 
 
 def _node_rows(vocab: Vocabulary):
@@ -128,44 +134,79 @@ def write_vocab_text(path, vocab: Vocabulary) -> None:
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
-def _assemble(k: int, L: int, strategy: Strategy | None,
-              rows: list[tuple[int, bool, list[int], float]], octets: int) -> Vocabulary:
-    """Shared tail of the text and JSON loaders: check the leaf flags against
-    the parent links, build the vocabulary, validate."""
-    parent, is_leaf, centroids, weight = zip(*rows)
-    n = len(rows) + 1
-    has_children = np.bincount(parent, minlength=n)[1:] > 0
-    flagged = np.array(is_leaf, dtype=bool)
-    bad = np.flatnonzero(flagged == has_children)
-    if bad.size:
-        i = int(bad[0])
-        state = "leaf but has children" if flagged[i] else "internal but has no children"
-        raise VocabularyFileError(f"node {i + 1} is marked {state}")
-    cents = np.zeros((n, octets), dtype=np.uint8)
-    cents[1:] = centroids
+def _assemble(k: int, L: int, strategy: Strategy | None, parent: np.ndarray, leaf: np.ndarray,
+              octets: np.ndarray, weight: np.ndarray, where) -> Vocabulary:
+    """Shared tail of the text and JSON loaders. Takes the node columns, root
+    excluded: `parent` int64, `leaf` bool, `octets` an integer (nodes, width)
+    matrix and `weight` float64. Makes each semantic node check once, on the
+    whole table, naming the first offending row as `where(row)`; then builds
+    the vocabulary and validates it."""
+    def check(bad: np.ndarray, message: str) -> None:
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            i = int(rows[0])
+            raise VocabularyFileError(f"{where(i)}: " + message.format(parent=parent[i]))
+
+    n = parent.size + 1
+    check((parent < 0) | (parent >= np.arange(1, n)), "parent {parent} is not an already-defined node")
+    check(np.append(False, leaf)[parent], "parent {parent} is a leaf")
+    # a leaf with children has failed the check above
+    check(~leaf & (np.bincount(parent, minlength=n)[1:] == 0), "marked internal but has no children")
+    check(((octets < 0) | (octets > 255)).any(axis=1), "centroid octets must lie in [0, 255]")
+    check(~np.isfinite(weight) | (weight < 0.0), "weight must be finite and >= 0")
+    cents = np.zeros((n, octets.shape[1]), dtype=np.uint8)
+    cents[1:] = octets
     try:
-        vocab = Vocabulary(k, L, strategy, octets * 8, [-1, *parent], cents, [0.0, *weight])
+        vocab = Vocabulary(k, L, strategy, octets.shape[1] * 8, np.append(-1, parent), cents,
+                           np.append(0.0, weight))
         validate_structure(vocab)
     except InternalInvariantError as exc:
         raise VocabularyFileError(f"invalid vocabulary structure: {exc}") from None
     return vocab
 
 
+def _parse(lines: list[str], dtype) -> np.ndarray:
+    """One row per line by numpy's C text reader; ValueError for a blank line
+    or a token outside the text grammar."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # older numpy's int64 "7.0"
+        warnings.simplefilter("ignore", UserWarning)  # no data: all lines blank, caught below
+        rows = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    if len(rows) != len(lines):  # loadtxt skips blank lines
+        raise ValueError("blank line")
+    return rows
+
+
+def _bad_line(lines: list[str], octets: int) -> str:
+    """Name the first bad node line and field, converting each field alone
+    with the reader the bulk parse uses."""
+    fields = [("parent id", np.int64), ("is_leaf flag", np.int64),
+              *[("centroid octet", np.int64)] * octets, ("weight", np.float64)]
+    for lineno, line in enumerate(lines, start=2):
+        tokens = line.split()
+        if len(tokens) != len(fields):
+            return f"line {lineno}: expected {len(fields)} fields, got {len(tokens)}"
+        for (name, dtype), token in zip(fields, tokens):
+            try:
+                _parse([token], dtype)
+            except ValueError:
+                return f"line {lineno}: {name} {token!r} does not parse as {np.dtype(dtype)}"
+    return "node lines do not parse"
+
+
 def read_vocab_text(path) -> Vocabulary:
-    data = Path(path).read_bytes()
     try:
-        text = data.decode("ascii")
+        text = Path(path).read_bytes().decode("ascii")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise VocabularyFileError(f"line {lineno}: non-ASCII byte") from None
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise VocabularyFileError("line 1: missing header")
+    # only "\n" ends a line; "\r" separates fields like "\t", so CRLF files load
+    lines = text.replace("\r", " ").split("\n")
     head = lines[0].split()
     if len(head) != 4:
         raise VocabularyFileError(f"line 1: header needs 4 fields, got {len(head)}")
     try:
-        k, L, scoring_id, weighting_id = (int(x) for x in head)
+        k, L, scoring_id, weighting_id = _parse(head, np.int64).tolist()
     except ValueError:
         raise VocabularyFileError("line 1: header fields must be integers") from None
     if k < 1 or L < 1:
@@ -174,49 +215,21 @@ def read_vocab_text(path) -> Vocabulary:
         raise VocabularyFileError(
             f"line 1: unsupported scoring/weighting ids {scoring_id}/{weighting_id}, only 0/0"
         )
-    rows: list[tuple[int, bool, list[int], float]] = []
-    octets: int | None = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts:
-            raise VocabularyFileError(f"line {lineno}: empty node line")
-        if octets is None:
-            octets = len(parts) - 3
-            if octets < 1:
-                raise VocabularyFileError(f"line {lineno}: too few fields for any descriptor width")
-        if len(parts) != octets + 3:
-            raise VocabularyFileError(
-                f"line {lineno}: expected {octets + 3} fields, got {len(parts)}"
-            )
-        nid = lineno - 1
-        try:
-            parent = int(parts[0])
-        except ValueError:
-            raise VocabularyFileError(f"line {lineno}: parent id must be an integer") from None
-        if not 0 <= parent < nid:
-            raise VocabularyFileError(
-                f"line {lineno}: parent {parent} is not an already-defined node"
-            )
-        if parts[1] not in ("0", "1"):
-            raise VocabularyFileError(f"line {lineno}: is_leaf flag must be 0 or 1")
-        if parent > 0 and rows[parent - 1][1]:
-            raise VocabularyFileError(f"line {lineno}: parent {parent} is a leaf")
-        try:
-            cent = list(map(int, parts[2:-1]))
-        except ValueError:
-            raise VocabularyFileError(f"line {lineno}: centroid octets must be integers") from None
-        if min(cent) < 0 or max(cent) > 255:
-            raise VocabularyFileError(f"line {lineno}: centroid octets must lie in [0, 255]")
-        try:
-            weight = float(parts[-1])
-        except ValueError:
-            raise VocabularyFileError(f"line {lineno}: weight must be a float") from None
-        if not np.isfinite(weight) or weight < 0.0:
-            raise VocabularyFileError(f"line {lineno}: weight must be finite and >= 0")
-        rows.append((parent, parts[1] == "1", cent, weight))
-    if not rows:
+    body = lines[1:-1] if lines[-1] == "" else lines[1:]  # a final "\n" ends the last line
+    if not body:
         raise VocabularyFileError("vocabulary file defines no nodes")
-    return _assemble(k, L, None, rows, octets)
+    octets = max(len(body[0].split()) - 3, 1)
+    try:
+        nodes = _parse(body, [("parent", np.int64), ("leaf", np.int64),
+                              ("octets", np.int64, (octets,)), ("weight", np.float64)])
+    except ValueError:
+        raise VocabularyFileError(_bad_line(body, octets)) from None
+    flag = nodes["leaf"]
+    bad = np.flatnonzero((flag < 0) | (flag > 1))
+    if bad.size:
+        raise VocabularyFileError(f"line {bad[0] + 2}: is_leaf flag must be 0 or 1")
+    return _assemble(k, L, None, nodes["parent"], flag == 1, nodes["octets"], nodes["weight"],
+                     lambda i: f"line {i + 2}")
 
 
 def write_vocab_json(path, vocab: Vocabulary) -> None:
@@ -238,9 +251,9 @@ def write_vocab_json(path, vocab: Vocabulary) -> None:
 
 
 def _json_int(value, what: str) -> int:
-    """A JSON integer; bools and floats such as 3.0 are rejected."""
-    if type(value) is not int:
-        raise VocabularyFileError(f"{what} must be a JSON integer, got {value!r}")
+    """A JSON integer within int64; bools and floats such as 3.0 are rejected."""
+    if type(value) is not int or not -2 ** 63 <= value < 2 ** 63:
+        raise VocabularyFileError(f"{what} must be a JSON integer of at most 64 bits, got {value!r}")
     return value
 
 
@@ -277,7 +290,7 @@ def read_vocab_json(path) -> Vocabulary:
             raise VocabularyFileError(f"unknown strategy tag {strategy_tag!r}") from None
     if not isinstance(node_objs, list) or not node_objs:
         raise VocabularyFileError("vocabulary defines no nodes")
-    rows: list[tuple[int, bool, list[int], float]] = []
+    rows = []
     octets = bits // 8
     for nid, entry in enumerate(node_objs, start=1):
         try:
@@ -285,19 +298,21 @@ def read_vocab_json(path) -> Vocabulary:
                                              ("parent", "leaf", "centroid", "weight"))
         except (KeyError, TypeError) as exc:
             raise VocabularyFileError(f"node {nid}: bad fields: {exc}") from None
-        if not 0 <= _json_int(parent, f"node {nid}: parent") < nid:
-            raise VocabularyFileError(f"node {nid}: parent {parent} is not an already-defined node")
+        _json_int(parent, f"node {nid}: parent")
         if not isinstance(is_leaf, bool):
             raise VocabularyFileError(f"node {nid}: leaf must be true or false, got {is_leaf!r}")
-        if not isinstance(cent, list) or len(cent) != octets or any(
-                _json_int(b, f"node {nid}: centroid octet") not in range(256) for b in cent):
-            raise VocabularyFileError(f"node {nid}: centroid must be {octets} octets in [0, 255]")
+        if not isinstance(cent, list) or len(cent) != octets:
+            raise VocabularyFileError(f"node {nid}: centroid must be {octets} octets")
+        for b in cent:
+            _json_int(b, f"node {nid}: centroid octet")
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise VocabularyFileError(f"node {nid}: weight must be a JSON number, got {weight!r}")
-        if not 0.0 <= weight <= sys.float_info.max:
-            raise VocabularyFileError(f"node {nid}: weight must be finite and >= 0")
-        rows.append((parent, is_leaf, cent, float(weight)))
-    return _assemble(k, L, strategy, rows, octets)
+        # an integer beyond the float range would make the float conversion overflow
+        rows.append((parent, is_leaf, cent, weight if abs(weight) <= sys.float_info.max else np.inf))
+    parent, is_leaf, cent, weight = zip(*rows)
+    return _assemble(k, L, strategy, np.array(parent, dtype=np.int64), np.array(is_leaf),
+                     np.array(cent, dtype=np.int64), np.array(weight, dtype=np.float64),
+                     lambda i: f"node {i + 1}")
 
 
 def save_vocabulary(path, vocab: Vocabulary) -> None:

@@ -190,7 +190,8 @@ def _grow(codes: np.ndarray, real: np.ndarray | None, cfg: TrainConfig,
     thread count.
     """
     def split(members: np.ndarray, path: tuple[int, ...]):
-        distinct = int(np.unique(codes[members], axis=0).shape[0])
+        # each row viewed as one opaque byte string: a 1-d unique, not the slower axis=0
+        distinct = np.unique(codes[members].view(np.dtype((np.void, codes.shape[1])))).size
         if path and distinct <= 1:
             return None  # the root always splits, into one child if the corpus is degenerate
         ccfg = replace(cfg.cluster, k=min(cfg.k, distinct))

@@ -3,6 +3,7 @@ import os
 import stat
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hbow import (
     ClusterConfig,
     DescriptorFileError,
     DescriptorSet,
+    FormatError,
     Strategy,
     TrainConfig,
     VocabularyFileError,
@@ -27,6 +29,7 @@ from hbow import (
     write_vocab_json,
     write_vocab_text,
 )
+from hbow.cli import main
 
 HEADER = struct.Struct("<4sIIQQ")
 
@@ -125,6 +128,27 @@ def test_descriptor_parse_errors_name_the_field(tmp_path):
     path.write_bytes(bad_table)
     with pytest.raises(DescriptorFileError, match="group_ends"):
         read_descriptors(path)
+
+    # an end offset of 2**64 - 1 reads as -1 once signed; it must not get past the reader
+    path.write_bytes(HEADER.pack(b"HBDC", 1, 32, 2, 2) + bytes(8) + struct.pack("<QQ", 2**64 - 1, 2))
+    with pytest.raises(DescriptorFileError, match="group_ends"):
+        read_descriptors(path)
+
+
+def test_descriptors_read_from_a_pipe(tmp_path):
+    # a pipe reports size 0, so the reader must not trust the size it is given
+    ds = _random_set(50, 8, seed=4, groups=[20, 50])
+    write_descriptors(tmp_path / "d.hbdc", ds)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    raw = (tmp_path / "d.hbdc").read_bytes()
+    writer = threading.Thread(target=lambda: pipe.write_bytes(raw), daemon=True)
+    writer.start()
+    back = read_descriptors(pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(back.codes, ds.codes) and np.array_equal(back.group_ends, [20, 50])
+    back.codes[0, 0] ^= 1  # the codes own a writable buffer, as a copy would
 
 
 def test_descriptor_write_leaves_no_temp_files(tmp_path):
@@ -272,6 +296,35 @@ def test_text_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(VocabularyFileError, match="line 3: non-ASCII"):
         read_vocab_text(path)
 
+    path.write_text("2 2 0 0\n0 0 7 0.0\n\n1 1 5 1.0\n")
+    with pytest.raises(VocabularyFileError, match="line 3: expected 4 fields, got 0"):
+        read_vocab_text(path)
+    path.write_text("2 2 0 0\n \x0c\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's no-data warning must not leak out
+        with pytest.raises(VocabularyFileError, match="line 2: expected 4 fields, got 0"):
+            read_vocab_text(path)
+
+    # only "\n" numbers lines: "\x0c" and "\r" separate fields inside a line
+    path.write_text("2 2 0 0\n0 0\x0c7 0.0\n1 1 9 1.0\x0c\n1 1 5 4 1.0\n")
+    with pytest.raises(VocabularyFileError, match="line 4: expected 4 fields, got 5"):
+        read_vocab_text(path)
+    path.write_bytes(b"2 2 0 0\r\n0 0\x0c7 0.0\r\n1 1 9 1.0\x0b\r\n1 1 5\r1.0\r\n")
+    assert read_vocab_text(path).word_count == 2
+
+    # decimal tokens only: no Python-only underscores, no float spelling of an integer
+    for line, message in [("0 1 1_0 0.5", "line 2: centroid octet '1_0' does not parse"),
+                          ("0 1 7 1_0.5", "line 2: weight '1_0.5' does not parse"),
+                          ("0 1 7.0 0.5", "line 2: centroid octet '7.0' does not parse"),
+                          ("0 1_0 7 0.5", "line 2: is_leaf flag '1_0' does not parse"),
+                          ("0x0 1 7 0.5", "line 2: parent id '0x0' does not parse")]:
+        path.write_text(f"2 2 0 0\n{line}\n")
+        with pytest.raises(VocabularyFileError, match=message):
+            read_vocab_text(path)
+    path.write_text("2 2_0 0 0\n0 1 7 0.5\n")
+    with pytest.raises(VocabularyFileError, match="line 1: header fields must be integers"):
+        read_vocab_text(path)
+
 
 def test_text_loader_assigns_word_ids_depth_first(tmp_path):
     # two internal nodes under the root, two leaves each; leaves appear in
@@ -378,6 +431,11 @@ def test_json_parse_errors(tmp_path):
         ("weight", "0.5", "weight must be a JSON number"),
         ("weight", False, "weight must be a JSON number"),
         ("weight", 10 ** 400, "weight must be finite"),
+        ("weight", -10 ** 400, "weight must be finite"),
+        ("weight", -0.5, "weight must be finite and >= 0"),
+        ("parent", 10 ** 30, "parent must be a JSON integer"),
+        ("centroid", [2 ** 64], "centroid octet must be a JSON integer"),
+        ("centroid", [256], "centroid octets must lie in"),
     ]:
         with pytest.raises(VocabularyFileError, match=f"node 1: {message}"):
             read_vocab_json(_dump(path, {**base, "nodes": [{**node, field: value}]}))
@@ -420,3 +478,74 @@ def test_save_load_dispatch_by_suffix(tmp_path):
     assert from_json.strategy is Strategy.GLOBAL_HBRB
     probe = np.random.default_rng(0).integers(0, 256, size=8, dtype=np.uint8)
     assert lookup_word(from_text, probe) == lookup_word(from_json, probe)
+
+
+# ---------------------------------------------------------------- mutation fuzz
+
+_RESPELL = b"0123456789-+.eE_x \n\r\x0c"
+
+
+def _mutate(data: bytes, other: bytes, op: int, rng) -> bytes:
+    """One seeded mutation: truncate, flip bits, respell number characters, or
+    splice a prefix of `data` onto a suffix of `other`."""
+    data = bytearray(data)
+    if op == 0:
+        del data[rng.integers(len(data)):]
+    elif op == 1:
+        for pos in rng.integers(len(data), size=rng.integers(1, 4)):
+            data[pos] ^= 1 << int(rng.integers(8))
+    elif op == 2:
+        digits = [i for i, b in enumerate(data) if b in b"0123456789"] or range(len(data))
+        for pos in rng.choice(digits, size=rng.integers(1, 3)):
+            data[pos] = _RESPELL[rng.integers(len(_RESPELL))]
+    else:
+        data = data[:rng.integers(len(data) + 1)] + other[rng.integers(len(other) + 1):]
+    return bytes(data)
+
+
+def _arrays(obj):
+    if isinstance(obj, DescriptorSet):
+        return [obj.codes, obj.group_ends]
+    return [obj.k, obj.L, obj.strategy, obj.parent, obj.centroids, obj.weight,
+            obj.word_of_node, obj.children]
+
+
+def test_mutated_files_are_rejected_as_format_errors_or_round_trip(tmp_path):
+    # 200 seeded mutants of two valid files per format: every rejection is a
+    # FormatError, every accepted mutant round-trips, and the CLI exits 2 on a
+    # sample of them, never 3
+    rng = np.random.default_rng(20261018)
+    vocabs = [_grouped_vocab(seed=s, k=3, L=2, n=200, octets=4) for s in (0, 1)]
+    sets = [_random_set(12, 4, seed=2, groups=[3, 3, 7, 12]), _random_set(9, 4, seed=3)]
+    good_vocab = tmp_path / "good.txt"
+    write_vocab_text(good_vocab, vocabs[0])
+    outcomes = set()
+    for suffix, objs, write, read in [(".txt", vocabs, write_vocab_text, read_vocab_text),
+                                      (".json", vocabs, write_vocab_json, read_vocab_json),
+                                      (".hbdc", sets, write_descriptors, read_descriptors)]:
+        valid = []
+        for obj in objs:
+            write(tmp_path / f"valid{suffix}", obj)
+            valid.append((tmp_path / f"valid{suffix}").read_bytes())
+        path, resaved = tmp_path / f"mutant{suffix}", tmp_path / f"resaved{suffix}"
+        for m in range(200):
+            path.write_bytes(_mutate(valid[m % 2], valid[1 - m % 2], m % 4, rng))
+            try:
+                loaded = read(path)
+            except FormatError:
+                accepted = False
+            else:
+                accepted = True
+                write(resaved, loaded)
+                for a, b in zip(_arrays(loaded), _arrays(read(resaved))):
+                    assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            outcomes.add((suffix, accepted))
+            if m % 5 == 0:
+                if suffix == ".hbdc":
+                    argv = ["transform", "--vocab", str(good_vocab), "--corpus", str(path),
+                            "--out", os.devnull]
+                else:
+                    argv = ["convert", "--src", str(path), "--dst", str(tmp_path / "out.txt")]
+                code = main(argv)
+                assert code in (0, 2) and (code == 2 or accepted), (suffix, m, code)
+    assert len(outcomes) == 6  # each format had accepted and rejected mutants
