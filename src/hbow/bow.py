@@ -5,24 +5,36 @@ A BowVector maps word ids to strictly positive weights and, after
 
     s(a, b) = 1 - 0.5 * sum_w |a_w - b_w|
 
-which lies in [0, 1], is 1 exactly for identical vectors and 0 for vectors
-with disjoint support. Either operand being empty scores 0 by definition.
+which lies in [0, 1], is 1 exactly for identical vectors and exactly 0 for
+vectors with disjoint support. Either operand being empty scores 0 by
+definition.
 
-The RetrievalDatabase answers top-N queries through an inverted index over
-word ids; only entries sharing at least one word with the query are scored,
-which returns exactly the same ranking as brute force because non-overlapping
-pairs score 0 and zero scores are dropped. Ties order by ascending entry id.
+The RetrievalDatabase keeps one posting list per word as two typed columns
+(entry ids, weights) plus each entry's L1 norm. For positive weights
+
+    sum_w |a_w - b_w| = |a|_1 + |b|_1 - 2 * sum_{w in a and b} min(a_w, b_w)
+
+so a query scores every entry from the posting lists of its own words alone
+(DBoW2's L1 scoring). The entries within a proven float-error margin of the
+k-th of those scores are then rescored with `score_l1`, so every returned
+score is the float `score_l1` gives and the ranking equals brute force:
+entries sharing no word score 0 and zero scores are dropped. Ties order by
+ascending entry id.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .descriptors import _as_codes
-from .errors import CorpusConsistencyError, InternalInvariantError
+from .errors import ConfigError, CorpusConsistencyError, InternalInvariantError
 from .vocabulary import Vocabulary, lookup_words
+
+_EPS = float(np.finfo(np.float64).eps)
+_INF = float("inf")
 
 
 @dataclass
@@ -76,18 +88,41 @@ def transform(vocab: Vocabulary, descriptors) -> BowVector:
 
 
 def score_l1(a: BowVector, b: BowVector) -> float:
-    """L1 similarity of two normalized vectors; 0.0 if either is empty."""
-    if a.is_empty or b.is_empty:
+    """L1 similarity of two normalized vectors; 0.0 if either is empty or
+    they share no word."""
+    ax, bx = a.entries, b.entries
+    if ax.keys().isdisjoint(bx):
         return 0.0
-    bx = b.entries
     total = 0.0
-    for w, av in a.entries.items():
+    for w, av in ax.items():
         total += abs(av - bx.get(w, 0.0))
-    ax = a.entries
     for w, bv in bx.items():
         if w not in ax:
             total += bv
     return min(1.0, max(0.0, 1.0 - 0.5 * total))
+
+
+def _check_weights(vector: BowVector) -> None:
+    for w, x in vector.entries.items():
+        if not 0.0 < x < _INF:
+            raise CorpusConsistencyError(f"word {w} has weight {x}; weights must be finite and > 0")
+
+
+class _PostingList:
+    """One word's postings: entry ids (int64) and weights (float64) in two
+    parallel growable columns, ids ascending. Iterating yields (id, weight)."""
+
+    __slots__ = ("ids", "weights")
+
+    def __init__(self):
+        self.ids = array("q")
+        self.weights = array("d")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return zip(self.ids, self.weights)
 
 
 class RetrievalDatabase:
@@ -96,7 +131,8 @@ class RetrievalDatabase:
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
         self.entries: list[BowVector] = []
-        self.postings: dict[int, list[tuple[int, float]]] = {}
+        self.norms = array("d")                    # L1 norm of each entry
+        self.postings: dict[int, _PostingList] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -104,57 +140,118 @@ class RetrievalDatabase:
     def add(self, vector: BowVector) -> int:
         """Store a vector and index its words; returns the new entry id.
 
-        Entry ids are assigned sequentially, so each posting list stays
-        sorted by construction.
+        Word ids must lie in the vocabulary and weights must be finite and
+        positive. Entry ids are assigned sequentially, so each posting list
+        stays sorted by construction.
         """
         for w in vector.entries:
             if not 0 <= w < self.vocab.word_count:
                 raise CorpusConsistencyError(
                     f"word id {w} outside vocabulary of {self.vocab.word_count} words"
                 )
+        _check_weights(vector)
         entry_id = len(self.entries)
         self.entries.append(vector)
+        self.norms.append(vector.l1_norm())
+        postings = self.postings
         for w, weight in vector.entries.items():
-            self.postings.setdefault(w, []).append((entry_id, weight))
+            plist = postings.get(w)
+            if plist is None:
+                plist = postings[w] = _PostingList()
+            plist.ids.append(entry_id)
+            plist.weights.append(weight)
         return entry_id
 
     def query(self, vector: BowVector, max_results: int = 10,
               exclude=None) -> list[tuple[int, float]]:
         """Top `max_results` entries by L1 similarity, descending.
 
-        Candidates are gathered from the posting lists of the query's words;
-        anything in `exclude` is skipped; zero scores are dropped; ties order
-        by ascending entry id. Equivalent to brute force over all entries.
+        Entries in `exclude` are skipped (ids outside the database are
+        ignored); zero scores are dropped; ties order by ascending entry id.
+        Equivalent to brute force over all entries. Query weights must be
+        finite and positive, as in `add`.
         """
         if max_results < 1:
-            raise ValueError(f"max_results must be >= 1, got {max_results}")
-        if vector.is_empty or not self.entries:
+            raise ConfigError(f"max_results must be >= 1, got {max_results}")
+        n = len(self.entries)
+        if vector.is_empty or not n:
             return []
-        candidates: set[int] = set()
-        for w in vector.entries:
-            candidates.update(e for e, _ in self.postings.get(w, ()))
+        _check_weights(vector)
+        # shared[e] = sum over the words of both of min(a_w, b_w), read from
+        # the query words' posting lists joined end to end
+        get = self.postings.get
+        hits = [(plist, q) for w, q in vector.entries.items() if (plist := get(w)) is not None]
+        if not hits:
+            return []
+        ids = np.frombuffer(b"".join([plist.ids for plist, _ in hits]), dtype=np.int64)
+        weights = np.frombuffer(b"".join([plist.weights for plist, _ in hits]))
+        query_weights = np.repeat([q for _, q in hits], [len(plist) for plist, _ in hits])
+        shared = np.bincount(ids, weights=np.minimum(weights, query_weights), minlength=n)
         if exclude:
-            candidates.difference_update(exclude)
+            shared[np.array([e for e in exclude if 0 <= e < n], dtype=np.intp)] = 0.0
+        candidates = np.flatnonzero(shared > 0.0)
+        if candidates.size > max_results:
+            candidates = self._shortlist(vector, candidates, shared[candidates], max_results)
+        entries = self.entries
         scored = []
-        for e in sorted(candidates):
-            s = score_l1(vector, self.entries[e])
+        for e in candidates.tolist():
+            s = score_l1(vector, entries[e])
             if s > 0.0:
                 scored.append((e, s))
         scored.sort(key=lambda item: (-item[1], item[0]))
         return scored[:max_results]
 
+    def _shortlist(self, vector: BowVector, candidates: np.ndarray, shared: np.ndarray,
+                   k: int) -> np.ndarray:
+        """The candidates that can still reach the top k under `score_l1`.
+
+        approx_e = 1 - (|a| + |b_e|)/2 + shared_e is the unclamped score
+        `1 - total/2` of `score_l1` by the identity in the module docstring.
+        Both are float computations of it: score_l1 rounds |a| subtractions,
+        at most |a| + |b| additions and one `1 - x`; approx rounds the
+        |a| - 1 and |b| - 1 additions of the two norms, the |a| additions of
+        shared, and three more. Each rounding errs by at most eps/2 times a
+        value bounded by S = 1 + |a|_1 + |b|_1 and the error reaches the
+        result with a factor of at most 1, so |approx - raw| is at most
+        (4|a| + 2|b| + 2)(eps/2)S. `tol` doubles that to absorb second-order
+        terms, bounding |b| by the vocabulary size and |b|_1 by the largest
+        candidate norm.
+
+        Let T be the k-th largest approx. An entry with approx below
+        min(T, 1) - 2 tol has raw < 1 and raw below that of k entries, so
+        when its score is positive k entries score strictly higher: it
+        cannot rank. Everything else goes to the exact rescore.
+        """
+        a_norm = vector.l1_norm()
+        b_norm = np.frombuffer(self.norms)[candidates]
+        tol = ((4 * len(vector) + 2 * self.vocab.word_count + 4) * _EPS
+               * (1.0 + a_norm + float(b_norm.max())))
+        if not np.isfinite(tol):
+            return candidates
+        approx = (1.0 - 0.5 * (a_norm + b_norm)) + shared
+        cut = candidates.size - k
+        kth = float(np.partition(approx, cut)[cut])
+        return candidates[approx >= min(kth, 1.0) - 2.0 * tol]
+
     def audit(self) -> None:
-        """Full cross-check of entries against postings; raises
+        """Full cross-check of entries against norms and postings; raises
         InternalInvariantError on any mismatch. Meant for tests."""
+        n = len(self.entries)
+        if len(self.norms) != n:
+            raise InternalInvariantError(f"{len(self.norms)} norms for {n} entries")
         seen: dict[int, dict[int, float]] = {}
         for w, plist in self.postings.items():
-            ids = [e for e, _ in plist]
-            if ids != sorted(set(ids)):
-                raise InternalInvariantError(f"posting list for word {w} is not sorted unique")
+            ids = list(plist.ids)
+            if len(ids) != len(plist.weights) or ids != sorted(set(ids)):
+                raise InternalInvariantError(
+                    f"posting list for word {w} is not sorted unique ids with one weight each")
             for e, weight in plist:
-                if not 0 <= e < len(self.entries):
+                if not 0 <= e < n:
                     raise InternalInvariantError(f"posting for word {w} points at missing entry {e}")
                 seen.setdefault(e, {})[w] = weight
         for e, vector in enumerate(self.entries):
             if seen.get(e, {}) != vector.entries:
                 raise InternalInvariantError(f"entry {e} disagrees with the inverted index")
+            if self.norms[e] != vector.l1_norm():
+                raise InternalInvariantError(f"entry {e} stores norm {self.norms[e]}, "
+                                             f"not {vector.l1_norm()}")

@@ -4,7 +4,8 @@ Subcommands: train, transform, query, synth, eval, convert. Data goes to
 stdout or the requested output files; progress notes go to stderr.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 unreadable or
-malformed data, 3 internal error.
+malformed data, 3 internal error. Every input check raises one of the
+classes in `errors`; a plain ValueError is a bug and exits 3.
 """
 
 from __future__ import annotations
@@ -238,8 +239,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, CorpusConsistencyError, InsufficientPointsError,
-            OSError, ValueError) as exc:
+    except (FormatError, CorpusConsistencyError, InsufficientPointsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # InternalInvariantError and genuine bugs

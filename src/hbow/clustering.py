@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptors import _as_codes, binarize_matrix, hamming_cdist, hamming_to_all, realize_matrix
-from .errors import ConfigError, InsufficientPointsError
+from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ def kmeanspp_seed(points, k: int, metric: str, rng: np.random.Generator) -> np.n
     """
     pts = np.asarray(points)
     if pts.ndim != 2:
-        raise ValueError(f"expected an (n, dim) matrix, got shape {pts.shape}")
+        raise CorpusConsistencyError(f"expected an (n, dim) matrix, got shape {pts.shape}")
     if metric not in ("hamming", "sqeuclidean"):
-        raise ValueError(f"unknown metric {metric!r}")
+        raise ConfigError(f"unknown metric {metric!r}")
     n = pts.shape[0]
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -179,7 +179,7 @@ def kmajority(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = No
     """
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
-        raise ValueError("kmajority needs at least one descriptor")
+        raise InsufficientPointsError("kmajority needs at least one descriptor")
     bits = np.unpackbits(codes, axis=1)
 
     def update(cents, labels):
@@ -200,7 +200,7 @@ def lloyd_real(points, cfg: ClusterConfig, *, rng: np.random.Generator | None = 
     if x.dtype not in (np.float32, np.float64):
         x = x.astype(np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError(f"expected a non-empty (n, dim) matrix, got shape {x.shape}")
+        raise CorpusConsistencyError(f"expected a non-empty (n, dim) matrix, got shape {x.shape}")
     x2 = np.einsum("ij,ij->i", x, x)
 
     def update(cents, labels):
@@ -223,7 +223,7 @@ def brb_kmeans(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = N
     """
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
-        raise ValueError("brb_kmeans needs at least one descriptor")
+        raise InsufficientPointsError("brb_kmeans needs at least one descriptor")
     real = realize_matrix(codes)
     res = lloyd_real(real, cfg, rng=rng, trace=trace)
     cents = binarize_matrix(res.centroids)

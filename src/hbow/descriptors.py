@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorpusConsistencyError
+from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 
 DEFAULT_BITS = 256
 
@@ -108,7 +108,7 @@ def realize_matrix(codes, dtype=np.float64) -> np.ndarray:
 
 def _check_binarizable(values: np.ndarray, threshold: float) -> None:
     if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold}")
+        raise ConfigError(f"threshold must lie strictly inside (0, 1), got {threshold}")
     if values.shape[-1] == 0 or values.shape[-1] % 8 != 0:
         raise CorpusConsistencyError(
             f"bit count must be a positive multiple of 8, got {values.shape[-1]}"
@@ -148,7 +148,7 @@ def majority_centroid(codes) -> np.ndarray:
     """
     arr = _as_codes(codes)
     if arr.shape[0] == 0:
-        raise ValueError("majority_centroid needs at least one descriptor")
+        raise InsufficientPointsError("majority_centroid needs at least one descriptor")
     votes = np.unpackbits(arr, axis=1).sum(axis=0, dtype=np.int64)
     return np.packbits(votes * 2 > arr.shape[0])
 
@@ -157,7 +157,7 @@ def real_mean(points) -> np.ndarray:
     """Componentwise mean of a set of real vectors, in float64."""
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValueError("real_mean needs a non-empty (n, bits) matrix")
+        raise CorpusConsistencyError("real_mean needs a non-empty (n, bits) matrix")
     return arr.mean(axis=0)
 
 
@@ -240,7 +240,7 @@ class DescriptorSet:
         """Build a set from a sequence of (m_i, octets) arrays, one group each."""
         mats = [_as_codes(g) for g in groups]
         if not mats:
-            raise ValueError("from_groups needs at least one group")
+            raise InsufficientPointsError("from_groups needs at least one group")
         for m in mats[1:]:
             _check_same_width(mats[0], m)
         ends = np.cumsum([m.shape[0] for m in mats], dtype=np.int64)

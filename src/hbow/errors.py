@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration and usage problems exit 1,
-data and file-format problems exit 2, internal invariant violations exit 3.
+data and file-format problems exit 2, internal invariant violations and any
+other exception, a plain ValueError included, exit 3.
 """
 
 from __future__ import annotations

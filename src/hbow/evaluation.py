@@ -27,7 +27,7 @@ import numpy as np
 
 from .bow import RetrievalDatabase, transform
 from .descriptors import DescriptorSet, hamming_rows
-from .errors import ConfigError
+from .errors import ConfigError, InsufficientPointsError
 from .io import _atomic_write_bytes
 from .vocabulary import Strategy, TrainConfig, Vocabulary, lookup_words, train
 from .clustering import ClusterConfig
@@ -160,7 +160,7 @@ def quantization_report(vocab: Vocabulary, descriptors) -> QuantReport:
     """
     codes = descriptors.codes if isinstance(descriptors, DescriptorSet) else np.asarray(descriptors)
     if codes.shape[0] == 0:
-        raise ValueError("quantization_report needs at least one descriptor")
+        raise InsufficientPointsError("quantization_report needs at least one descriptor")
     word_ids, leaf_ids = lookup_words(vocab, codes)
     qe = hamming_rows(codes, vocab.centroids[leaf_ids])
     _, counts = np.unique(word_ids, return_counts=True)

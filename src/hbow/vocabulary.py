@@ -277,13 +277,11 @@ def compute_idf(vocab: Vocabulary, corpus: DescriptorSet) -> Vocabulary:
     Words absent from the corpus get weight 0; internal nodes keep theirs.
     `vocab` itself is unchanged."""
     if corpus.group_count < 1:
-        raise ValueError("idf needs a corpus with at least one group")
+        raise InsufficientPointsError("idf needs a corpus with at least one group")
     if corpus.bits != vocab.descriptor_bits:
         raise CorpusConsistencyError(
             f"corpus width {corpus.bits} does not match vocabulary width {vocab.descriptor_bits}"
         )
-    if vocab.word_count < 1:
-        raise ValueError("vocabulary has no words")
     doc_count = np.zeros(vocab.word_count, dtype=np.int64)
     word_ids, _ = lookup_words(vocab, corpus.codes)
     for i in range(corpus.group_count):
@@ -324,8 +322,6 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
             f"descriptor width {codes.shape[1] * 8} does not match vocabulary width "
             f"{vocab.descriptor_bits}"
         )
-    if vocab.word_count < 1:
-        raise ValueError("vocabulary has no words")
     children, centroids = vocab.children, vocab.centroids
     n = codes.shape[0]
     node = np.zeros(n, dtype=np.int64)

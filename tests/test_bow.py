@@ -7,6 +7,7 @@ import pytest
 from hbow import (
     BowVector,
     ClusterConfig,
+    ConfigError,
     CorpusConsistencyError,
     DescriptorSet,
     InternalInvariantError,
@@ -74,6 +75,12 @@ def test_score_disjoint_supports_is_exactly_zero():
     a = BowVector({0: 0.5, 1: 0.5})
     b = BowVector({2: 0.25, 3: 0.75})
     assert score_l1(a, b) == 0.0
+    # the weights of a normalized vector can sum to 1 - 2**-52; disjoint is
+    # still exactly 0, not the rounding residue of 1 - (|a| + |b|) / 2
+    c = normalize_l1(BowVector({0: 2.0, 1: 6.0, 2: 7.0, 3: 3.0, 4: 3.0}))
+    assert c.l1_norm() < 1.0
+    assert score_l1(c, BowVector({9: 1.0})) == 0.0
+    assert score_l1(BowVector({0: 0.1}), BowVector({1: 0.1})) == 0.0
 
 
 def test_score_hand_fixtures():
@@ -183,9 +190,12 @@ def test_add_assigns_sequential_ids_and_updates_postings():
     assert db.add(v) == 0
     assert db.add(BowVector({0: 1.0})) == 1
     assert len(db) == 2
-    assert [e for e, _ in db.postings[0]] == [0, 1]
-    assert [e for e, _ in db.postings[1]] == [0]
-    assert [e for e, _ in db.postings[2]] == [0]
+    assert list(db.postings[0].ids) == [0, 1]
+    assert list(db.postings[0].weights) == [0.25, 1.0]
+    assert list(db.postings[1]) == [(0, 0.25)]
+    assert list(db.postings[2]) == [(0, 0.5)]
+    assert list(db.norms) == [1.0, 1.0]
+    db.audit()
 
 
 def test_posting_mass_conservation():
@@ -208,6 +218,20 @@ def test_add_rejects_out_of_range_word():
         db.add(BowVector({vocab.word_count: 1.0}))
     with pytest.raises(CorpusConsistencyError):
         db.add(BowVector({-1: 1.0}))
+
+
+def test_add_and_query_reject_weights_that_are_not_finite_and_positive():
+    vocab = _random_vocab(seed=1)
+    db = RetrievalDatabase(vocab)
+    db.add(BowVector({0: 0.5, 1: 0.5}))
+    for bad in (0.0, -0.0, -0.25, math.nan, math.inf, -math.inf):
+        with pytest.raises(CorpusConsistencyError, match="finite and > 0"):
+            db.add(BowVector({2: 0.5, 0: bad}))
+        with pytest.raises(CorpusConsistencyError, match="finite and > 0"):
+            db.query(BowVector({0: 0.5, 1: bad}))
+    # a rejected vector leaves no trace
+    assert len(db) == 1 and len(db.norms) == 1 and set(db.postings) == {0, 1}
+    db.audit()
 
 
 def test_query_own_vector_ranks_first_with_unit_score():
@@ -233,19 +257,22 @@ def test_query_disjoint_database_returns_single_match():
     assert results == [(2, 1.0)]
 
 
+def _oracle_score(a, b):
+    # its own accumulation over the word union, the first vector's words
+    # first, so float weights round as in score_l1; no shared word scores 0
+    if set(a.entries).isdisjoint(b.entries):
+        return 0.0
+    words = list(a.entries) + [w for w in b.entries if w not in a.entries]
+    total = sum(abs(a.entries.get(w, 0.0) - b.entries.get(w, 0.0)) for w in words)
+    return min(1.0, max(0.0, 1.0 - 0.5 * total))
+
+
 def _exhaustive_query(db, vector, max_results, exclude=None):
-    # independent full scan with its own accumulation over the word union
+    # independent full scan
     skip = set(exclude) if exclude else set()
-    scored = []
-    for e, stored in enumerate(db.entries):
-        if e in skip:
-            continue
-        words = set(vector.entries) | set(stored.entries)
-        total = sum(abs(vector.entries.get(w, 0.0) - stored.entries.get(w, 0.0))
-                    for w in sorted(words))
-        s = min(1.0, max(0.0, 1.0 - 0.5 * total))
-        if not vector.is_empty and not stored.is_empty and s > 0.0:
-            scored.append((e, s))
+    scored = [(e, _oracle_score(vector, stored)) for e, stored in enumerate(db.entries)
+              if e not in skip]
+    scored = [(e, s) for e, s in scored if s > 0.0]
     scored.sort(key=lambda t: (-t[1], t[0]))
     return scored[:max_results]
 
@@ -267,6 +294,22 @@ def test_query_matches_exhaustive_oracle():
         got = db.query(q, max_results=15)
         want = _exhaustive_query(db, q, 15)
         assert got == want
+
+
+def test_query_rescores_near_ties_that_the_posting_sums_misorder():
+    # from the norms and the min-sums, e2 reads a few ulps above e1, while
+    # score_l1 ranks e1 first: the shortlist margin must keep both
+    q = BowVector({2: 0.45454545454545453, 5: 0.4090909090909091, 1: 0.13636363636363638})
+    e1 = BowVector({0: 0.5263157894736842, 5: 0.4736842105263158})
+    e2 = BowVector({0: 0.18181818181818185, 1: 0.27272727272727276, 2: 0.09090909090909093,
+                    3: 0.09090909090909093, 4: 0.18181818181818185, 5: 0.18181818181818185})
+    assert score_l1(q, e1) > score_l1(q, e2)
+    vocab = _random_vocab(seed=4)
+    for order in ((e1, e2), (e2, e1)):
+        db = RetrievalDatabase(vocab)
+        for v in order:
+            db.add(v)
+        assert db.query(q, 1) == [(order.index(e1), score_l1(q, e1))]
 
 
 def test_query_with_exclusions_matches_oracle():
@@ -291,7 +334,7 @@ def test_query_truncates_to_max_results():
     for _ in range(25):
         db.add(BowVector(dict(shared.entries)))
     assert len(db.query(shared, max_results=7)) == 7
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         db.query(shared, max_results=0)
 
 
@@ -308,12 +351,85 @@ def test_query_empty_cases():
 
 def test_audit_catches_tampering():
     vocab = _random_vocab(seed=4)
-    db = RetrievalDatabase(vocab)
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        db.add(_random_vector(rng, vocab.word_count))
-    db.audit()
-    some_word = next(iter(db.postings))
-    db.postings[some_word][0] = (db.postings[some_word][0][0], -1.0)
-    with pytest.raises(InternalInvariantError):
+    vectors = [_random_vector(rng, 8) for _ in range(10)]
+
+    def fresh():
+        db = RetrievalDatabase(vocab)
+        for v in vectors:
+            db.add(v)
         db.audit()
+        return db, max(db.postings, key=lambda w: len(db.postings[w]))
+
+    def set_weight(db, w):
+        db.postings[w].weights[0] = -1.0
+
+    def point_past_the_end(db, w):
+        db.postings[w].ids[-1] = len(db)
+
+    def unsort(db, w):
+        db.postings[w].ids.reverse()
+
+    def drop_weight(db, w):
+        db.postings[w].weights.pop()
+
+    def drop_posting(db, w):
+        db.postings[w].ids.pop()
+        db.postings[w].weights.pop()
+
+    def change_norm(db, w):
+        db.norms[3] += 0.5
+
+    def drop_norm(db, w):
+        db.norms.pop()
+
+    for tamper in (set_weight, point_past_the_end, unsort, drop_weight, drop_posting,
+                   change_norm, drop_norm):
+        db, word = fresh()
+        tamper(db, word)
+        with pytest.raises(InternalInvariantError):
+            db.audit()
+
+
+def test_query_matches_exhaustive_oracle_on_generated_databases():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    vocab = _random_vocab(seed=4)
+    words = st.integers(0, min(vocab.word_count, 12) - 1)
+    # arbitrary floats, a few dyadic and non-dyadic constants, and vectors
+    # both as drawn and L1-normalized
+    weights = st.one_of(
+        st.floats(min_value=1e-9, max_value=1e6, allow_nan=False, allow_infinity=False),
+        st.sampled_from([1.0 / 64, 0.1, 0.2, 1.0 / 3, 0.5, 0.7, 1.0]),
+    )
+
+    @st.composite
+    def vectors(draw, min_size=1):
+        v = BowVector(draw(st.dictionaries(words, weights, min_size=min_size, max_size=8)))
+        return normalize_l1(v) if draw(st.booleans()) else v
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(data=st.data())
+    def check(data):
+        stored = data.draw(st.lists(vectors(min_size=0), min_size=1, max_size=25))
+        # exact duplicates of earlier entries exercise the ascending-id tie rule
+        for i in data.draw(st.lists(st.integers(1, len(stored) - 1), max_size=6)
+                           if len(stored) > 1 else st.just([])):
+            stored[i] = BowVector(dict(stored[data.draw(st.integers(0, i - 1))].entries))
+        db = RetrievalDatabase(vocab)
+        for v in stored:
+            db.add(v)
+        n = len(stored)
+        for _ in range(3):
+            if data.draw(st.booleans()):
+                q = BowVector(dict(data.draw(st.sampled_from(stored)).entries))
+            else:
+                q = data.draw(vectors())
+            k = data.draw(st.integers(1, n + 2))
+            exclude = data.draw(st.one_of(st.none(), st.sets(st.integers(-3, n + 3), max_size=6)))
+            assert db.query(q, k, exclude) == _exhaustive_query(db, q, k, exclude)
+            # brute force through score_l1 agrees, disjoint pairs included
+            assert [score_l1(q, v) for v in stored] == [_oracle_score(q, v) for v in stored]
+
+    check()

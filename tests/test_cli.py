@@ -82,6 +82,18 @@ def test_malformed_corpus_is_data_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_plain_value_error_from_the_library_is_an_internal_error(tmp_path, capsys,
+                                                                   monkeypatch):
+    # input checks raise a documented subclass; a bare ValueError is a bug
+    def broken(path):
+        raise ValueError("not an input problem")
+
+    monkeypatch.setattr("hbow.cli.load_vocabulary", broken)
+    code = main(["convert", "--src", str(tmp_path / "v.txt"), "--dst", str(tmp_path / "w.txt")])
+    assert code == 3
+    assert "internal error: not an input problem" in capsys.readouterr().err
+
+
 def test_eval_with_garbage_seeds_is_usage_error(capsys):
     assert main(["eval", "--seeds", "a,b", "--places", "4", "--per-place", "5",
                  "--bits", "64", "--k", "2", "--L", "1",

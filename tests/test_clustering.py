@@ -61,7 +61,7 @@ def test_seeding_errors():
     pts = np.zeros((3, 2), dtype=np.uint8)
     with pytest.raises(InsufficientPointsError):
         kmeanspp_seed(pts, 4, "hamming", np.random.default_rng(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         kmeanspp_seed(pts, 2, "chebyshev", np.random.default_rng(0))
 
 
@@ -240,5 +240,5 @@ def test_insufficient_points_propagates():
     codes = np.zeros((2, 2), dtype=np.uint8)
     with pytest.raises(InsufficientPointsError):
         kmajority(codes, ClusterConfig(k=3))
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientPointsError):
         kmajority(np.empty((0, 2), dtype=np.uint8), ClusterConfig(k=1))

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from hbow import (
+    ConfigError,
     CorpusConsistencyError,
     DescriptorSet,
+    InsufficientPointsError,
     binarize,
     binarize_matrix,
     euclidean_sq,
@@ -45,9 +47,9 @@ def test_binarize_strict_threshold():
 
 
 def test_binarize_threshold_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         binarize(np.zeros(8), threshold=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         binarize(np.zeros(8), threshold=1.0)
     with pytest.raises(CorpusConsistencyError):
         binarize(np.zeros(7))  # not a multiple of 8
@@ -133,9 +135,9 @@ def test_width_and_dtype_errors():
         hamming(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
     with pytest.raises(CorpusConsistencyError):
         hamming_cdist(b(1, 2)[None, :], np.zeros((3, 3), dtype=np.uint8))
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientPointsError):
         majority_centroid(np.empty((0, 4), dtype=np.uint8))
-    with pytest.raises(ValueError):
+    with pytest.raises(CorpusConsistencyError):
         real_mean(np.empty((0, 8)))
 
 

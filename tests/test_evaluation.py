@@ -10,6 +10,7 @@ from hbow import (
     ConfigError,
     DescriptorSet,
     EVAL_COLUMNS,
+    InsufficientPointsError,
     Strategy,
     SynthConfig,
     TrainConfig,
@@ -228,7 +229,7 @@ def test_quantization_report_ranges():
 
 def test_quantization_rejects_empty_input():
     vocab = _bundle_vocab()
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientPointsError):
         quantization_report(vocab, np.zeros((0, 8), dtype=np.uint8))
 
 

@@ -344,7 +344,7 @@ def test_idf_rejects_zero_group_corpus():
     ds = _random_corpus(100, 8, seed=0)
     vocab = train(ds, _cfg(2, 1, Strategy.KMAJORITY))
     empty = DescriptorSet(codes=np.zeros((0, 8), dtype=np.uint8))
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientPointsError):
         compute_idf(vocab, empty)
 
 
