@@ -21,14 +21,11 @@ from .descriptors import (
     DescriptorSet,
     binarize,
     binarize_matrix,
-    euclidean_sq,
     hamming,
     hamming_cdist,
     hamming_rows,
     hamming_to_all,
     majority_centroid,
-    real_mean,
-    realize,
     realize_matrix,
 )
 from .errors import (
@@ -83,9 +80,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BowVector", "RetrievalDatabase", "normalize_l1", "score_l1", "transform",
     "ClusterConfig", "ClusterResult", "brb_kmeans", "kmajority", "kmeanspp_seed", "lloyd_real",
-    "DEFAULT_BITS", "DescriptorSet", "binarize", "binarize_matrix", "euclidean_sq",
+    "DEFAULT_BITS", "DescriptorSet", "binarize", "binarize_matrix",
     "hamming", "hamming_cdist", "hamming_rows", "hamming_to_all", "majority_centroid",
-    "real_mean", "realize", "realize_matrix",
+    "realize_matrix",
     "ConfigError", "CorpusConsistencyError", "DescriptorFileError", "FormatError",
     "InsufficientPointsError", "InternalInvariantError", "VocabularyFileError",
     "EVAL_COLUMNS", "QuantReport", "RetrievalReport", "SynthConfig", "SynthSequence",

@@ -1,14 +1,21 @@
-"""Flat k-clustering primitives for binary and relaxed-real descriptors.
+"""Flat k-clustering primitives for binary descriptors.
 
-Both iterative clusterers run one loop, `_lloyd`: k-means++ seeding, then
-alternate (update centroids, reassign, repair empty clusters) until the
-post-repair assignment vector reaches a fixpoint or `max_iters` passes run
-out. They differ only in the assignment and the centroid update they pass:
+Both iterative clusterers take packed codes and run one loop, `_lloyd`:
+k-means++ seeding, then alternate (update centroids, reassign, repair empty
+clusters) until the post-repair assignment vector reaches a fixpoint or
+`max_iters` passes run out. They differ only in the assignment and the
+centroid update they pass:
 
 * `kmajority`: Hamming assignment, per-bit majority-vote centroids.
-* `lloyd_real`: squared-Euclidean assignment, arithmetic-mean centroids.
-* `brb_kmeans`: relax the binary inputs to reals, run `lloyd_real`, binarize
-  the converged centroids once, then reassign in Hamming space.
+* `lloyd_real`: the codes relaxed to 0/1 reals, squared-Euclidean
+  assignment, arithmetic-mean centroids.
+* `brb_kmeans`: run `lloyd_real`, binarize the converged centroids once, then
+  reassign in Hamming space.
+
+Both seed in Hamming on the packed codes: between two relaxed 0/1 rows the
+squared Euclidean distance equals the Hamming distance exactly. Both update
+from one grouped pass of per-cluster bit counts (`_cluster_sums`), which are
+exact integers, so neither depends on the summation order.
 
 Every step is non-increasing in the respective objective (sum of distances
 to the assigned centroid), including the repair move: the stolen point's new
@@ -27,6 +34,9 @@ import numpy as np
 
 from .descriptors import _as_codes, binarize_matrix, hamming_cdist, hamming_to_all, realize_matrix
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
+
+# A float32 sum of 0/1 values is an exact integer while it stays below 2**24.
+_F32_EXACT_COUNT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -52,20 +62,18 @@ class ClusterResult:
     iterations_run: int
 
 
-def kmeanspp_seed(points, k: int, metric: str, rng: np.random.Generator) -> np.ndarray:
-    """Pick k initial centroids, each subsequent one sampled proportionally to
-    its distance from the nearest already-chosen centroid.
+def kmeanspp_seed(codes, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Pick k initial centroids from packed codes, each subsequent one sampled
+    proportionally to its Hamming distance from the nearest already-chosen
+    centroid.
 
-    `metric` is "hamming" (packed uint8 rows) or "sqeuclidean" (float rows).
     When every remaining point sits at distance zero from the chosen set, the
     next seed is drawn uniformly from the not-yet-chosen indices. Returns a
     copy of the selected rows.
     """
-    pts = np.asarray(points)
+    pts = np.asarray(codes)
     if pts.ndim != 2:
-        raise CorpusConsistencyError(f"expected an (n, dim) matrix, got shape {pts.shape}")
-    if metric not in ("hamming", "sqeuclidean"):
-        raise ConfigError(f"unknown metric {metric!r}")
+        raise CorpusConsistencyError(f"expected an (n, octets) matrix, got shape {pts.shape}")
     n = pts.shape[0]
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -73,10 +81,7 @@ def kmeanspp_seed(points, k: int, metric: str, rng: np.random.Generator) -> np.n
         raise InsufficientPointsError(f"cannot seed {k} clusters from {n} points")
 
     def dist_to(idx: int) -> np.ndarray:
-        if metric == "hamming":
-            return hamming_to_all(pts[idx], pts).astype(np.float64)
-        diff = pts - pts[idx]
-        return np.einsum("ij,ij->i", diff, diff, dtype=np.float64)
+        return hamming_to_all(pts[idx], pts).astype(np.float64)
 
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = int(rng.integers(n))
@@ -138,18 +143,38 @@ def _repair_empty(points, cents, assign, obj_vec, metric: str) -> None:
         sizes[c] += 1
 
 
-def _lloyd(points, cfg: ClusterConfig, rng, trace, metric: str, assign, update) -> ClusterResult:
+def _cluster_sums(bits: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster bit counts S (k, bits) and member counts n (k,) of a float
+    0/1 matrix, from one one-hot product.
+
+    Every partial sum is an integer no larger than the row count, so S is
+    exact in any summation order: float32 rows sum in float32 below
+    `_F32_EXACT_COUNT` rows and in float64 above; float64 rows sum in float64.
+    """
+    small = bits.dtype == np.float32 and bits.shape[0] < _F32_EXACT_COUNT
+    dtype = np.float32 if small else np.float64
+    onehot = np.zeros((k, bits.shape[0]), dtype=dtype)
+    onehot[labels, np.arange(bits.shape[0])] = 1.0
+    return onehot @ bits.astype(dtype, copy=False), np.bincount(labels, minlength=k)
+
+
+def _lloyd(codes, points, cfg: ClusterConfig, rng, trace, assign, update) -> ClusterResult:
     """The loop every clusterer runs: k-means++ seeding, assignment and repair,
     then (update, assign, repair) passes until the post-repair assignment
     repeats or `max_iters` passes have run.
 
-    `assign(cents)` returns (labels, float64 distance per point) and
-    `update(cents, labels)` rewrites the centroids in place. The objective is
-    appended to `trace` after seeding and after every pass.
+    `points` is `codes` itself (Hamming) or their 0/1 relaxation (squared
+    Euclidean); seeding runs on `codes` either way. `assign(cents)` returns
+    (labels, float64 distance per point) and `update(cents, labels)` rewrites
+    the centroids in place. The objective is appended to `trace` after
+    seeding and after every pass.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    cents = kmeanspp_seed(points, cfg.k, metric, rng)
+    metric = "hamming" if points is codes else "sqeuclidean"
+    cents = kmeanspp_seed(codes, cfg.k, rng)
+    if points is not codes:
+        cents = realize_matrix(cents, points.dtype)
     labels, obj_vec = assign(cents)
     _repair_empty(points, cents, labels, obj_vec, metric)
     if trace is not None:
@@ -180,52 +205,56 @@ def kmajority(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = No
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("kmajority needs at least one descriptor")
-    bits = np.unpackbits(codes, axis=1)
+    bits = realize_matrix(codes, np.float32)
 
     def update(cents, labels):
-        for c in range(cents.shape[0]):
-            rows = bits[labels == c]
-            cents[c] = np.packbits(rows.sum(axis=0, dtype=np.int64) * 2 > rows.shape[0])
+        sums, counts = _cluster_sums(bits, labels, cents.shape[0])
+        cents[:] = np.packbits(sums * 2 > counts[:, None], axis=1)
 
-    return _lloyd(codes, cfg, rng, trace, "hamming",
-                  lambda cents: _assign_hamming(codes, cents), update)
+    return _lloyd(codes, codes, cfg, rng, trace, lambda cents: _assign_hamming(codes, cents), update)
 
 
-def lloyd_real(points, cfg: ClusterConfig, *, rng: np.random.Generator | None = None,
-               trace: list | None = None) -> ClusterResult:
-    """Standard k-means on real vectors: squared-Euclidean assignment,
-    arithmetic-mean updates, same seeding/repair/stopping rules as kmajority.
+def lloyd_real(descs, cfg: ClusterConfig, *, dtype=np.float64,
+               rng: np.random.Generator | None = None, trace: list | None = None) -> ClusterResult:
+    """Standard k-means on packed descriptors relaxed to 0/1 reals of `dtype`
+    (float32 or float64): squared-Euclidean assignment, arithmetic-mean
+    updates, same seeding/repair/stopping rules as kmajority.
+
+    The centroids come back as `dtype` rows. Each one is its members' bit
+    counts divided by their number in `dtype`, which is bit for bit the mean
+    of the relaxed rows.
     """
-    x = np.asarray(points)
-    if x.dtype not in (np.float32, np.float64):
-        x = x.astype(np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise CorpusConsistencyError(f"expected a non-empty (n, dim) matrix, got shape {x.shape}")
+    codes = _as_codes(descs)
+    if codes.shape[0] == 0:
+        raise InsufficientPointsError("lloyd_real needs at least one descriptor")
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise ConfigError(f"dtype must be float32 or float64, got {dtype}")
+    x = realize_matrix(codes, dtype)
     x2 = np.einsum("ij,ij->i", x, x)
 
     def update(cents, labels):
-        for c in range(cents.shape[0]):
-            cents[c] = x[labels == c].mean(axis=0)
+        sums, counts = _cluster_sums(x, labels, cents.shape[0])
+        cents[:] = sums.astype(dtype) / counts[:, None].astype(dtype)
 
-    return _lloyd(x, cfg, rng, trace, "sqeuclidean", lambda cents: _assign_sq(x, x2, cents), update)
+    return _lloyd(codes, x, cfg, rng, trace, lambda cents: _assign_sq(x, x2, cents), update)
 
 
 def brb_kmeans(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = None,
                trace: list | None = None) -> ClusterResult:
     """Binary-real-binary k-means on packed descriptors.
 
-    The inputs are relaxed to 0/1 reals exactly once, clustered with
-    `lloyd_real`, and the converged real centroids are binarized exactly once
-    (strict > 0.5, ties to 0). Points are then reassigned by Hamming distance
-    to the binary centroids, empty clusters repaired, and the reported
-    objective is the resulting Hamming objective. With k = 1 the single
-    centroid equals `majority_centroid(descs)`.
+    The inputs are clustered as float64 0/1 reals with `lloyd_real`, and the
+    converged real centroids are binarized exactly once (strict > 0.5, ties
+    to 0). Points are then reassigned by Hamming distance to the binary
+    centroids, empty clusters repaired, and the reported objective is the
+    resulting Hamming objective. With k = 1 the single centroid equals
+    `majority_centroid(descs)`.
     """
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("brb_kmeans needs at least one descriptor")
-    real = realize_matrix(codes)
-    res = lloyd_real(real, cfg, rng=rng, trace=trace)
+    res = lloyd_real(codes, cfg, rng=rng, trace=trace)
     cents = binarize_matrix(res.centroids)
     assign, obj_vec = _assign_hamming(codes, cents)
     _repair_empty(codes, cents, assign, obj_vec, "hamming")

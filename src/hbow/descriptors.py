@@ -6,9 +6,9 @@ packbits/unpackbits convention, so bit i of a descriptor is
 ``unpackbits(code)[i]``. A real-valued relaxation is a float vector in
 [0, 1]^D whose component i mirrors bit i.
 
-All distance helpers are exact: Hamming distances are integer popcounts and
-the squared Euclidean distance between two relaxed bit vectors equals the
-Hamming distance between the originals.
+Hamming distances are exact integer popcounts. The squared Euclidean
+distance between two relaxed bit vectors equals the Hamming distance between
+the originals, so the relaxed clustering flow seeds on packed codes.
 """
 
 from __future__ import annotations
@@ -96,11 +96,6 @@ def hamming_rows(a, b) -> np.ndarray:
     return np.bitwise_count(np.bitwise_xor(a, b)).sum(axis=1, dtype=np.int64)
 
 
-def realize(code) -> np.ndarray:
-    """Relax a packed descriptor to a float64 0/1 vector, one entry per bit."""
-    return np.unpackbits(_as_code(code)).astype(np.float64)
-
-
 def realize_matrix(codes, dtype=np.float64) -> np.ndarray:
     """Relax a code matrix to an (n, bits) float matrix of 0/1 values."""
     return np.unpackbits(_as_codes(codes), axis=1).astype(dtype)
@@ -119,7 +114,7 @@ def binarize(values, threshold: float = 0.5) -> np.ndarray:
     """Pack a real vector back to bits: bit i is 1 iff values[i] > threshold.
 
     The comparison is strict, so a component exactly at the threshold rounds
-    down to 0. With the default 0.5 this makes ``binarize(realize(c)) == c``
+    down to 0. With the default 0.5 this makes ``binarize(realize_matrix(c)[0]) == c``
     and gives per-bit majority votes a fixed tie rule (ties go to 0).
     """
     arr = np.asarray(values, dtype=np.float64)
@@ -143,32 +138,14 @@ def majority_centroid(codes) -> np.ndarray:
 
     Bit i of the result is 1 iff strictly more than half of the inputs have
     bit i set; exact half votes round to 0. This is computed from integer bit
-    counts, so it equals ``binarize(real_mean(realize(...)))`` exactly for any
-    input size.
+    counts, so it equals binarizing the mean of the relaxed rows exactly for
+    any input size.
     """
     arr = _as_codes(codes)
     if arr.shape[0] == 0:
         raise InsufficientPointsError("majority_centroid needs at least one descriptor")
     votes = np.unpackbits(arr, axis=1).sum(axis=0, dtype=np.int64)
     return np.packbits(votes * 2 > arr.shape[0])
-
-
-def real_mean(points) -> np.ndarray:
-    """Componentwise mean of a set of real vectors, in float64."""
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise CorpusConsistencyError("real_mean needs a non-empty (n, bits) matrix")
-    return arr.mean(axis=0)
-
-
-def euclidean_sq(a, b) -> float:
-    """Squared Euclidean distance between two real vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise CorpusConsistencyError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(d @ d)
 
 
 @dataclass

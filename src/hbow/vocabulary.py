@@ -14,10 +14,10 @@ in how one node's points are partitioned into k groups:
 * KMAJORITY       - Hamming k-majority at every node.
 * LOCAL_BRB       - binary-real-binary k-means at every node: relax, run
                     real k-means, binarize the centroids, reassign.
-* GLOBAL_HBRB     - relax the whole corpus once at the root and run real
-                    k-means down the entire hierarchy, partitioning children
-                    by the real assignments; binary centroids enter only as
-                    derived artifacts. A node's stored binary centroid is the
+* GLOBAL_HBRB     - run real k-means (float32) down the entire hierarchy,
+                    each node relaxing its own members' codes, and partition
+                    children by the real assignments; binary centroids enter
+                    only as derived artifacts. A node's stored binary centroid is the
                     per-bit majority vote of its members, so every leaf
                     satisfies centroid == majority_centroid(members) exactly.
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .clustering import ClusterConfig, brb_kmeans, kmajority, lloyd_real
 from .descriptors import _CDIST_BLOCK_BYTES, DescriptorSet, _as_code, _as_codes, \
-    majority_centroid, realize_matrix
+    majority_centroid
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError, \
     InternalInvariantError
 
@@ -179,7 +179,7 @@ def _resolve_threads(explicit: int | None) -> int:
     return value or (os.cpu_count() or 1)
 
 
-def _grow(codes: np.ndarray, real: np.ndarray | None, cfg: TrainConfig,
+def _grow(codes: np.ndarray, cfg: TrainConfig,
           threads: int) -> tuple[list[int], list[np.ndarray], list[tuple[int, np.ndarray]]]:
     """Grow the tree one level at a time, numbering nodes breadth-first
     (root = 0). Returns the parent list, the centroid rows, and a
@@ -201,7 +201,7 @@ def _grow(codes: np.ndarray, real: np.ndarray | None, cfg: TrainConfig,
         elif cfg.strategy is Strategy.LOCAL_BRB:
             res = brb_kmeans(codes[members], ccfg, rng=rng)
         else:
-            res = lloyd_real(real[members], ccfg, rng=rng)
+            res = lloyd_real(codes[members], ccfg, dtype=np.float32, rng=rng)
         out = []
         for j in range(ccfg.k):
             child = members[res.assignments == j]
@@ -373,11 +373,7 @@ def train_result(corpus: DescriptorSet, cfg: TrainConfig, *,
     t0 = perf_counter()
     if len(corpus) == 0:
         raise InsufficientPointsError("training corpus is empty")
-    codes = corpus.codes
-    real = None
-    if cfg.strategy is Strategy.GLOBAL_HBRB:
-        real = realize_matrix(codes, dtype=np.float32)
-    parent, centroids, leaves = _grow(codes, real, cfg, _resolve_threads(threads))
+    parent, centroids, leaves = _grow(corpus.codes, cfg, _resolve_threads(threads))
     vocab = Vocabulary(cfg.k, cfg.L, cfg.strategy, corpus.bits, parent, np.vstack(centroids),
                        np.zeros(len(parent)))
     member_word_ids = np.full(len(corpus), -1, dtype=np.int64)

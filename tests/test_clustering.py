@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+import hbow.clustering
 from hbow import (
     ClusterConfig,
     ConfigError,
+    CorpusConsistencyError,
     InsufficientPointsError,
     brb_kmeans,
     hamming,
@@ -15,6 +17,7 @@ from hbow import (
     majority_centroid,
     realize_matrix,
 )
+from oracles import kmeanspp_seed_sqeuclidean, lloyd_float
 
 
 def _hamming_objective(codes, centroids, assignments):
@@ -36,7 +39,7 @@ def test_seeding_selects_every_distinct_point_when_k_equals_n():
     while np.unique(pts, axis=0).shape[0] != 6:
         pts = rng_data.integers(0, 256, size=(6, 4), dtype=np.uint8)
     for seed in range(100):
-        cents = kmeanspp_seed(pts, 6, "hamming", np.random.default_rng(seed))
+        cents = kmeanspp_seed(pts, 6, np.random.default_rng(seed))
         assert np.unique(cents, axis=0).shape[0] == 6
 
 
@@ -45,14 +48,14 @@ def test_seeding_weights_by_distance():
     # the second seed always comes from it
     codes, x, y = _two_bundles()
     for seed in range(100):
-        cents = kmeanspp_seed(codes, 2, "hamming", np.random.default_rng(seed))
+        cents = kmeanspp_seed(codes, 2, np.random.default_rng(seed))
         got = {bytes(c) for c in cents}
         assert got == {bytes(x), bytes(y)}
 
 
 def test_seeding_zero_mass_fallback():
     pts = np.tile(np.array([0xAA, 0xBB], dtype=np.uint8), (3, 1))
-    cents = kmeanspp_seed(pts, 3, "hamming", np.random.default_rng(5))
+    cents = kmeanspp_seed(pts, 3, np.random.default_rng(5))
     assert cents.shape == (3, 2)
     assert np.all(cents == pts[0])
 
@@ -60,9 +63,27 @@ def test_seeding_zero_mass_fallback():
 def test_seeding_errors():
     pts = np.zeros((3, 2), dtype=np.uint8)
     with pytest.raises(InsufficientPointsError):
-        kmeanspp_seed(pts, 4, "hamming", np.random.default_rng(0))
+        kmeanspp_seed(pts, 4, np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        kmeanspp_seed(pts, 2, "chebyshev", np.random.default_rng(0))
+        kmeanspp_seed(pts, 0, np.random.default_rng(0))
+    with pytest.raises(CorpusConsistencyError):
+        kmeanspp_seed(pts[0], 1, np.random.default_rng(0))
+
+
+def test_hamming_seeding_picks_the_rows_float_seeding_picks():
+    # squared Euclidean on relaxed rows is the Hamming distance, so the same
+    # RNG draws choose the same rows, including the zero-mass fallback
+    rng = np.random.default_rng(15)
+    for trial in range(40):
+        n = int(rng.integers(1, 40))
+        codes = rng.integers(0, 256, size=(int(rng.integers(1, 6)), 3), dtype=np.uint8)
+        codes = codes[rng.integers(codes.shape[0], size=n)]
+        k = int(rng.integers(1, n + 1))
+        for dtype in (np.float32, np.float64):
+            got = kmeanspp_seed(codes, k, np.random.default_rng(trial))
+            want = kmeanspp_seed_sqeuclidean(realize_matrix(codes, dtype), k,
+                                             np.random.default_rng(trial))
+            assert np.array_equal(realize_matrix(got, dtype), want)
 
 
 def test_cluster_config_validation():
@@ -155,9 +176,9 @@ def test_kmajority_deterministic_for_seed():
 def test_lloyd_trace_monotone():
     rng = np.random.default_rng(8)
     for trial in range(10):
-        x = realize_matrix(rng.integers(0, 256, size=(150, 8), dtype=np.uint8))
+        codes = rng.integers(0, 256, size=(150, 8), dtype=np.uint8)
         trace = []
-        res = lloyd_real(x, ClusterConfig(k=5, seed=trial), trace=trace)
+        res = lloyd_real(codes, ClusterConfig(k=5, seed=trial), trace=trace)
         assert len(trace) == res.iterations_run + 1
         assert all(a >= b for a, b in zip(trace, trace[1:]))
         assert res.objective == trace[-1] >= 0.0
@@ -165,13 +186,18 @@ def test_lloyd_trace_monotone():
 
 def test_lloyd_objective_matches_recompute():
     rng = np.random.default_rng(9)
-    x = rng.random((70, 12))
-    res = lloyd_real(x, ClusterConfig(k=4, seed=1))
+    codes = rng.integers(0, 256, size=(70, 2), dtype=np.uint8)
+    x = realize_matrix(codes)
+    res = lloyd_real(codes, ClusterConfig(k=4, seed=1))
     manual = sum(
         float(((x[i] - res.centroids[res.assignments[i]]) ** 2).sum()) for i in range(len(x))
     )
     assert res.objective == pytest.approx(manual, rel=1e-9)
     assert np.bincount(res.assignments, minlength=4).min() >= 1
+    with pytest.raises(ConfigError):
+        lloyd_real(codes, ClusterConfig(k=4), dtype=np.int64)
+    with pytest.raises(CorpusConsistencyError):
+        lloyd_real(x, ClusterConfig(k=4))
 
 
 def test_loop_stops_at_first_assignment_fixpoint():
@@ -179,11 +205,11 @@ def test_loop_stops_at_first_assignment_fixpoint():
     # first pass with A_m == A_(m-1)
     rng = np.random.default_rng(14)
     codes = rng.integers(0, 256, size=(120, 8), dtype=np.uint8)
-    for cluster, points in ((kmajority, codes), (lloyd_real, realize_matrix(codes))):
-        full = cluster(points, ClusterConfig(k=6, seed=1))
+    for cluster in (kmajority, lloyd_real):
+        full = cluster(codes, ClusterConfig(k=6, seed=1))
         n = full.iterations_run
         assert 3 <= n < 100
-        labels = [cluster(points, ClusterConfig(k=6, seed=1, max_iters=m)).assignments
+        labels = [cluster(codes, ClusterConfig(k=6, seed=1, max_iters=m)).assignments
                   for m in range(1, n + 1)]
         assert np.array_equal(labels[-1], full.assignments)
         assert np.array_equal(labels[-1], labels[-2])
@@ -242,3 +268,64 @@ def test_insufficient_points_propagates():
         kmajority(codes, ClusterConfig(k=3))
     with pytest.raises(InsufficientPointsError):
         kmajority(np.empty((0, 2), dtype=np.uint8), ClusterConfig(k=1))
+
+
+def _assert_same_result(got, want, got_trace, want_trace):
+    assert got.centroids.dtype == want.centroids.dtype
+    assert np.array_equal(got.centroids, want.centroids)
+    assert np.array_equal(got.assignments, want.assignments)
+    assert got.objective == want.objective
+    assert got.iterations_run == want.iterations_run
+    assert got_trace == want_trace
+
+
+def test_lloyd_real_matches_float_oracle_on_generated_codes():
+    # the packed flow (Hamming seeding, grouped bit counts) against the float
+    # flow it replaced (sqeuclidean seeding on relaxed rows, per-cluster mask
+    # means): every float must be the same
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(n=st.integers(1, 80), octets=st.integers(1, 4), pool=st.integers(1, 80),
+                      seed=st.integers(0, 2 ** 16), max_iters=st.integers(1, 30),
+                      dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+    def check(n, octets, pool, seed, max_iters, dtype, data):
+        # a pool smaller than n repeats rows
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 256, size=(pool, octets), dtype=np.uint8)
+        codes = values[rng.integers(pool, size=n)]
+        distinct = np.unique(codes, axis=0).shape[0]
+        k = data.draw(st.one_of(st.just(distinct), st.integers(1, n)))
+        cfg = ClusterConfig(k=k, max_iters=max_iters, seed=seed % 5)
+        got_trace, want_trace = [], []
+        got = lloyd_real(codes, cfg, dtype=dtype, trace=got_trace)
+        want = lloyd_float(realize_matrix(codes, dtype), cfg, trace=want_trace)
+        _assert_same_result(got, want, got_trace, want_trace)
+
+    check()
+
+
+def test_float64_grouped_sums_give_the_same_clusters(monkeypatch):
+    # a node of 2**24 or more points sums its bit counts in float64; lower the
+    # limit so these small inputs take that path
+    rng = np.random.default_rng(16)
+    codes = rng.integers(0, 256, size=(300, 8), dtype=np.uint8)[rng.integers(300, size=600)]
+    cfg = ClusterConfig(k=7, seed=2)
+    runs = {}
+    for limit in (hbow.clustering._F32_EXACT_COUNT, 1):
+        monkeypatch.setattr(hbow.clustering, "_F32_EXACT_COUNT", limit)
+        labels = np.arange(codes.shape[0]) % cfg.k
+        sums, _ = hbow.clustering._cluster_sums(realize_matrix(codes, np.float32), labels, cfg.k)
+        assert sums.dtype == (np.float64 if limit == 1 else np.float32)
+        runs[limit] = []
+        for cluster, kwargs in ((kmajority, {}), (lloyd_real, {"dtype": np.float32}),
+                                (lloyd_real, {}), (brb_kmeans, {})):
+            trace = []
+            runs[limit].append((cluster(codes, cfg, trace=trace, **kwargs), trace))
+    for (got, got_trace), (want, want_trace) in zip(runs[1], runs[1 << 24]):
+        _assert_same_result(got, want, got_trace, want_trace)
+    want_trace = []
+    want = lloyd_float(realize_matrix(codes, np.float32), cfg, trace=want_trace)
+    got, got_trace = runs[1][1]
+    _assert_same_result(got, want, got_trace, want_trace)

@@ -1,6 +1,9 @@
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -19,13 +22,11 @@ from hbow import (
     brb_kmeans,
     compute_idf,
     kmajority,
-    lloyd_real,
     load_vocabulary,
     lookup_word,
     lookup_words,
     majority_centroid,
     quantization_report,
-    real_mean,
     realize_matrix,
     save_vocabulary,
     synth_clustered,
@@ -33,7 +34,9 @@ from hbow import (
     train_result,
     transform,
     validate_structure,
+    write_descriptors,
 )
+from oracles import lloyd_float, real_mean
 
 ALL_STRATEGIES = (Strategy.KMAJORITY, Strategy.LOCAL_BRB, Strategy.GLOBAL_HBRB)
 
@@ -292,6 +295,33 @@ def test_global_leaf_centroids_are_member_majorities():
         assert bytes(binarize(real_mean(realize_matrix(members)))) == bytes(want)
 
 
+def test_hbrb_leaves_are_member_majorities_on_generated_corpora():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(n=st.integers(1, 150), octets=st.integers(1, 4), pool=st.integers(1, 60),
+                      flip=st.sampled_from([0.0, 0.1, 0.3]), k=st.integers(2, 5),
+                      L=st.integers(1, 4), max_iters=st.integers(1, 10),
+                      seed=st.integers(0, 2 ** 16))
+    def check(n, octets, pool, flip, k, L, max_iters, seed):
+        # noisy copies of a small pool: repeated rows, near ties and leaves
+        # whose members disagree on some bits; few iterations leave splits
+        # unconverged, where the last real centroids are not the members' mean
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 256, size=(pool, octets), dtype=np.uint8)
+        noise = np.packbits(rng.random((n, octets * 8)) < flip, axis=1)
+        codes = values[rng.integers(pool, size=n)] ^ noise
+        result = train_result(DescriptorSet(codes), _cfg(k, L, Strategy.GLOBAL_HBRB,
+                                                         seed=seed % 7, max_iters=max_iters))
+        vocab = result.vocabulary
+        for leaf in _leaf_ids(vocab):
+            members = codes[result.member_word_ids == vocab.word_of_node[leaf]]
+            assert np.array_equal(vocab.centroids[leaf], majority_centroid(members))
+
+    check()
+
+
 def test_member_word_ids_cover_all_words():
     ds = _random_corpus(800, 8, seed=21)
     for strategy in ALL_STRATEGIES:
@@ -382,6 +412,35 @@ def test_training_independent_of_thread_count():
             assert np.array_equal(res.member_word_ids, runs[0].member_word_ids)
 
 
+_TRAIN_ALL_STRATEGIES = """
+import sys
+import hbow
+corpus = hbow.read_descriptors(sys.argv[1])
+for strategy in hbow.Strategy:
+    cfg = hbow.TrainConfig(k=8, L=3, strategy=strategy, seed=3,
+                           cluster=hbow.ClusterConfig(k=8, max_iters=20, seed=3))
+    hbow.save_vocabulary(f"{sys.argv[2]}/{strategy.value}.txt", hbow.train(corpus, cfg))
+"""
+
+
+def test_training_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # the node gemms (n x 256 x 8, n up to 2400) are large enough for OpenBLAS
+    # to split them across threads; the bit counts are exact and each distance
+    # keeps its summation order, so the files must not change
+    corpus = tmp_path / "corpus.hbdc"
+    write_descriptors(corpus, synth_clustered(12, 200, 0.08, bits=256, seed=9))
+    files = {}
+    for blas_threads in ("1", "2"):
+        out = tmp_path / blas_threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads)
+        subprocess.run([sys.executable, "-c", _TRAIN_ALL_STRATEGIES, str(corpus), str(out)],
+                       env=env, check=True, timeout=300)
+        files[blas_threads] = {s.value: (out / f"{s.value}.txt").read_bytes()
+                               for s in ALL_STRATEGIES}
+    assert files["1"] == files["2"]
+
+
 def test_thread_env_var_does_not_change_result(monkeypatch):
     ds = synth_clustered(6, 100, 0.05, bits=64, seed=2)
     cfg = _cfg(3, 2, Strategy.GLOBAL_HBRB, seed=1)
@@ -413,6 +472,8 @@ def _reference_train(corpus, cfg):
     distinct value; the root always splits. A split makes min(k, distinct)
     groups and seeds its RNG from (train seed, node path). Returns (parent,
     centroids, member word ids), words numbered in depth-first leaf order.
+    hbrb clusters slices of the corpus relaxed once to float32 rows, with the
+    float k-means oracle.
     """
     codes = corpus.codes
     real = realize_matrix(codes, dtype=np.float32)
@@ -428,7 +489,7 @@ def _reference_train(corpus, cfg):
         elif cfg.strategy is Strategy.LOCAL_BRB:
             res = brb_kmeans(codes[idx], ccfg, rng=rng)
         else:
-            res = lloyd_real(real[idx], ccfg, rng=rng)
+            res = lloyd_float(real[idx], ccfg, rng=rng)
         groups = [idx[res.assignments == j] for j in range(ccfg.k)]
         if cfg.strategy is Strategy.GLOBAL_HBRB:
             return [(majority_centroid(codes[g]), g) for g in groups]
