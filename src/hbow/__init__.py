@@ -19,9 +19,7 @@ from .clustering import (
 from .descriptors import (
     DEFAULT_BITS,
     DescriptorSet,
-    binarize,
     binarize_matrix,
-    hamming,
     hamming_cdist,
     hamming_rows,
     hamming_to_all,
@@ -46,7 +44,6 @@ from .evaluation import (
     compare_strategies,
     quantization_report,
     retrieval_report,
-    synth_clustered,
     synth_sequence,
     write_rows_csv,
     write_rows_json,
@@ -68,7 +65,6 @@ from .vocabulary import (
     Vocabulary,
     assign_word_ids,
     compute_idf,
-    lookup_word,
     lookup_words,
     train,
     train_result,
@@ -80,18 +76,17 @@ __version__ = "0.1.0"
 __all__ = [
     "BowVector", "RetrievalDatabase", "normalize_l1", "score_l1", "transform",
     "ClusterConfig", "ClusterResult", "brb_kmeans", "kmajority", "kmeanspp_seed", "lloyd_real",
-    "DEFAULT_BITS", "DescriptorSet", "binarize", "binarize_matrix",
-    "hamming", "hamming_cdist", "hamming_rows", "hamming_to_all", "majority_centroid",
-    "realize_matrix",
+    "DEFAULT_BITS", "DescriptorSet", "binarize_matrix",
+    "hamming_cdist", "hamming_rows", "hamming_to_all", "majority_centroid", "realize_matrix",
     "ConfigError", "CorpusConsistencyError", "DescriptorFileError", "FormatError",
     "InsufficientPointsError", "InternalInvariantError", "VocabularyFileError",
     "EVAL_COLUMNS", "QuantReport", "RetrievalReport", "SynthConfig", "SynthSequence",
-    "compare_strategies", "quantization_report", "retrieval_report", "synth_clustered",
+    "compare_strategies", "quantization_report", "retrieval_report",
     "synth_sequence", "write_rows_csv", "write_rows_json",
     "load_vocabulary", "read_descriptors", "read_vocab_json", "read_vocab_text",
     "save_vocabulary", "write_descriptors", "write_vocab_json", "write_vocab_text",
     "Strategy", "TrainConfig", "TrainResult", "Vocabulary",
-    "assign_word_ids", "compute_idf", "lookup_word", "lookup_words",
+    "assign_word_ids", "compute_idf", "lookup_words",
     "train", "train_result", "validate_structure",
     "__version__",
 ]

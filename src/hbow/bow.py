@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptors import _as_codes
 from .errors import ConfigError, CorpusConsistencyError, InternalInvariantError
 from .vocabulary import Vocabulary, lookup_words
 
@@ -73,13 +72,7 @@ def transform(vocab: Vocabulary, descriptors) -> BowVector:
     arr = np.asarray(descriptors)
     if arr.size == 0:
         return BowVector.empty()
-    codes = _as_codes(arr)
-    if codes.shape[1] * 8 != vocab.descriptor_bits:
-        raise CorpusConsistencyError(
-            f"descriptor width {codes.shape[1] * 8} does not match vocabulary width "
-            f"{vocab.descriptor_bits}"
-        )
-    word_ids, _ = lookup_words(vocab, codes)
+    word_ids, _ = lookup_words(vocab, arr)
     words, counts = np.unique(word_ids, return_counts=True)
     tf = counts / counts.sum()
     weighted = tf * vocab.word_weight[words]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .bow import RetrievalDatabase, transform
 from .descriptors import DescriptorSet
@@ -35,7 +34,7 @@ from .evaluation import (
 from .clustering import ClusterConfig
 from .io import _atomic_write_bytes, load_vocabulary, read_descriptors, save_vocabulary, \
     write_descriptors
-from .vocabulary import Strategy, TrainConfig, train
+from .vocabulary import Strategy, TrainConfig, train_result
 
 _STRATEGY_NAMES = [s.value for s in Strategy]
 
@@ -125,14 +124,13 @@ def _cmd_train(args) -> int:
     corpus = read_descriptors(args.corpus)
     print(f"training on {len(corpus)} descriptors in {corpus.group_count} groups",
           file=sys.stderr)
-    t0 = time.perf_counter()
-    vocab = train(corpus, cfg)
-    seconds = time.perf_counter() - t0
+    result = train_result(corpus, cfg)
+    vocab = result.vocabulary
     save_vocabulary(args.out, vocab)
     quant = quantization_report(vocab, corpus)
     print(json.dumps({
         "word_count": vocab.word_count,
-        "train_seconds": seconds,
+        "train_seconds": result.seconds,
         "mean_qe": quant.mean_qe,
     }))
     return 0

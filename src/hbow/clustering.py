@@ -1,21 +1,26 @@
 """Flat k-clustering primitives for binary descriptors.
 
-Both iterative clusterers take packed codes and run one loop, `_lloyd`:
-k-means++ seeding, then alternate (update centroids, reassign, repair empty
-clusters) until the post-repair assignment vector reaches a fixpoint or
-`max_iters` passes run out. They differ only in the assignment and the
+Both iterative clusterers take packed codes, relax them to 0/1 rows, and
+run one loop, `_lloyd`: k-means++ seeding, then alternate (update centroids,
+reassign, repair empty clusters) until the post-repair assignment vector
+reaches a fixpoint or `max_iters` passes run out. They differ only in the
 centroid update they pass:
 
-* `kmajority`: Hamming assignment, per-bit majority-vote centroids.
-* `lloyd_real`: the codes relaxed to 0/1 reals, squared-Euclidean
-  assignment, arithmetic-mean centroids.
+* `kmajority`: per-bit majority-vote centroids, kept as 0/1 rows and packed
+  once on return.
+* `lloyd_real`: arithmetic-mean centroids.
 * `brb_kmeans`: run `lloyd_real`, binarize the converged centroids once, then
-  reassign in Hamming space.
+  reassign and repair against those 0/1 rows.
 
-Both seed in Hamming on the packed codes: between two relaxed 0/1 rows the
-squared Euclidean distance equals the Hamming distance exactly. Both update
-from one grouped pass of per-cluster bit counts (`_cluster_sums`), which are
-exact integers, so neither depends on the summation order.
+Every assignment is one squared-Euclidean pass (`_assign_sq`) and every
+repair measures squared Euclidean distance, both on the 0/1 rows. Between a
+0/1 row and a 0/1 centroid that distance is the Hamming distance exactly: an
+integer of at most the bit count, exact in float32 in any summation order.
+So kmajority and brb's final partition are Hamming clusterings without a
+separate Hamming kernel. Seeding runs in Hamming on the packed codes for the
+same reason. Both update from one grouped pass of per-cluster bit counts
+(`_cluster_sums`), which are exact integers, so neither depends on the
+summation order.
 
 Every step is non-increasing in the respective objective (sum of distances
 to the assigned centroid), including the repair move: the stolen point's new
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import _as_codes, binarize_matrix, hamming_cdist, hamming_to_all, realize_matrix
+from .descriptors import _as_codes, binarize_matrix, hamming_to_all, realize_matrix
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 
 # A float32 sum of 0/1 values is an exact integer while it stays below 2**24.
@@ -102,12 +107,6 @@ def kmeanspp_seed(codes, k: int, rng: np.random.Generator) -> np.ndarray:
     return pts[chosen].copy()
 
 
-def _assign_hamming(codes: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = hamming_cdist(codes, cents)
-    assign = d.argmin(axis=1)
-    return assign, d[np.arange(codes.shape[0]), assign].astype(np.float64)
-
-
 def _assign_sq(x: np.ndarray, x2: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # ||x - c||^2 expanded through a single gemm; clamped at zero against
     # cancellation noise. Only the argmin and the objective are consumed.
@@ -117,26 +116,23 @@ def _assign_sq(x: np.ndarray, x2: np.ndarray, cents: np.ndarray) -> tuple[np.nda
     return assign, d[np.arange(x.shape[0]), assign].astype(np.float64)
 
 
-def _repair_empty(points, cents, assign, obj_vec, metric: str) -> None:
+def _repair_empty(x, cents, assign, obj_vec) -> None:
     """Give every empty cluster one point, mutating cents/assign/obj_vec.
 
     Each empty cluster (ascending index) steals the member of the currently
-    largest cluster that lies farthest from the empty cluster's stale
-    centroid; that point becomes the new centroid, so its contribution to the
-    objective drops to zero and the repair never increases the objective.
+    largest cluster that lies farthest (squared Euclidean) from the empty
+    cluster's stale centroid; that row becomes the new centroid, so its
+    contribution to the objective drops to zero and the repair never
+    increases the objective.
     """
     k = cents.shape[0]
     sizes = np.bincount(assign, minlength=k)
     for c in np.flatnonzero(sizes == 0):
         donor = int(np.argmax(sizes))
         members = np.flatnonzero(assign == donor)
-        if metric == "hamming":
-            d = hamming_to_all(cents[c], points[members])
-        else:
-            diff = points[members] - cents[c]
-            d = np.einsum("ij,ij->i", diff, diff)
-        p = int(members[np.argmax(d)])
-        cents[c] = points[p]
+        diff = x[members] - cents[c]
+        p = int(members[np.argmax(np.einsum("ij,ij->i", diff, diff))])
+        cents[c] = x[p]
         assign[p] = c
         obj_vec[p] = 0.0
         sizes[donor] -= 1
@@ -158,33 +154,30 @@ def _cluster_sums(bits: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndar
     return onehot @ bits.astype(dtype, copy=False), np.bincount(labels, minlength=k)
 
 
-def _lloyd(codes, points, cfg: ClusterConfig, rng, trace, assign, update) -> ClusterResult:
-    """The loop every clusterer runs: k-means++ seeding, assignment and repair,
-    then (update, assign, repair) passes until the post-repair assignment
-    repeats or `max_iters` passes have run.
+def _lloyd(codes, x, cfg: ClusterConfig, rng, trace, update) -> ClusterResult:
+    """The loop every clusterer runs on `x`, the 0/1 rows of `codes`:
+    k-means++ seeding on `codes`, assignment and repair, then (update, assign,
+    repair) passes until the post-repair assignment repeats or `max_iters`
+    passes have run.
 
-    `points` is `codes` itself (Hamming) or their 0/1 relaxation (squared
-    Euclidean); seeding runs on `codes` either way. `assign(cents)` returns
-    (labels, float64 distance per point) and `update(cents, labels)` rewrites
-    the centroids in place. The objective is appended to `trace` after
-    seeding and after every pass.
+    `update(cents, labels)` rewrites the centroid rows (of `x`'s dtype) in
+    place. The objective is appended to `trace` after seeding and after
+    every pass.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    metric = "hamming" if points is codes else "sqeuclidean"
-    cents = kmeanspp_seed(codes, cfg.k, rng)
-    if points is not codes:
-        cents = realize_matrix(cents, points.dtype)
-    labels, obj_vec = assign(cents)
-    _repair_empty(points, cents, labels, obj_vec, metric)
+    x2 = np.einsum("ij,ij->i", x, x)
+    cents = realize_matrix(kmeanspp_seed(codes, cfg.k, rng), x.dtype)
+    labels, obj_vec = _assign_sq(x, x2, cents)
+    _repair_empty(x, cents, labels, obj_vec)
     if trace is not None:
         trace.append(float(obj_vec.sum()))
     iterations = 0
     while iterations < cfg.max_iters:
         update(cents, labels)
         prev = labels
-        labels, obj_vec = assign(cents)
-        _repair_empty(points, cents, labels, obj_vec, metric)
+        labels, obj_vec = _assign_sq(x, x2, cents)
+        _repair_empty(x, cents, labels, obj_vec)
         iterations += 1
         if trace is not None:
             trace.append(float(obj_vec.sum()))
@@ -209,9 +202,11 @@ def kmajority(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = No
 
     def update(cents, labels):
         sums, counts = _cluster_sums(bits, labels, cents.shape[0])
-        cents[:] = np.packbits(sums * 2 > counts[:, None], axis=1)
+        cents[:] = sums * 2 > counts[:, None]
 
-    return _lloyd(codes, codes, cfg, rng, trace, lambda cents: _assign_hamming(codes, cents), update)
+    res = _lloyd(codes, bits, cfg, rng, trace, update)
+    res.centroids = binarize_matrix(res.centroids)
+    return res
 
 
 def lloyd_real(descs, cfg: ClusterConfig, *, dtype=np.float64,
@@ -231,13 +226,12 @@ def lloyd_real(descs, cfg: ClusterConfig, *, dtype=np.float64,
     if dtype not in (np.float32, np.float64):
         raise ConfigError(f"dtype must be float32 or float64, got {dtype}")
     x = realize_matrix(codes, dtype)
-    x2 = np.einsum("ij,ij->i", x, x)
 
     def update(cents, labels):
         sums, counts = _cluster_sums(x, labels, cents.shape[0])
         cents[:] = sums.astype(dtype) / counts[:, None].astype(dtype)
 
-    return _lloyd(codes, x, cfg, rng, trace, lambda cents: _assign_sq(x, x2, cents), update)
+    return _lloyd(codes, x, cfg, rng, trace, update)
 
 
 def brb_kmeans(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = None,
@@ -246,16 +240,17 @@ def brb_kmeans(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = N
 
     The inputs are clustered as float64 0/1 reals with `lloyd_real`, and the
     converged real centroids are binarized exactly once (strict > 0.5, ties
-    to 0). Points are then reassigned by Hamming distance to the binary
-    centroids, empty clusters repaired, and the reported objective is the
-    resulting Hamming objective. With k = 1 the single centroid equals
-    `majority_centroid(descs)`.
+    to 0). Points are then reassigned to the binary centroids and empty
+    clusters repaired on float32 0/1 rows, where squared Euclidean is the
+    Hamming distance, so the reported objective is the Hamming objective.
+    With k = 1 the single centroid equals `majority_centroid(descs)`.
     """
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("brb_kmeans needs at least one descriptor")
     res = lloyd_real(codes, cfg, rng=rng, trace=trace)
-    cents = binarize_matrix(res.centroids)
-    assign, obj_vec = _assign_hamming(codes, cents)
-    _repair_empty(codes, cents, assign, obj_vec, "hamming")
-    return ClusterResult(cents, assign, float(obj_vec.sum()), res.iterations_run)
+    x = realize_matrix(codes, np.float32)
+    cents = realize_matrix(binarize_matrix(res.centroids), np.float32)
+    labels, obj_vec = _assign_sq(x, np.einsum("ij,ij->i", x, x), cents)
+    _repair_empty(x, cents, labels, obj_vec)
+    return ClusterResult(binarize_matrix(cents), labels, float(obj_vec.sum()), res.iterations_run)

@@ -8,16 +8,20 @@ packbits/unpackbits convention, so bit i of a descriptor is
 
 Hamming distances are exact integer popcounts. The squared Euclidean
 distance between two relaxed bit vectors equals the Hamming distance between
-the originals, so the relaxed clustering flow seeds on packed codes.
+the originals, so the clusterers seed on packed codes and assign on relaxed
+rows with one distance.
+
+`hamming_cdist` has no caller inside the package; it stays public because
+`perfbench/tracing.py` binds it by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
+from .errors import CorpusConsistencyError, InsufficientPointsError
 
 DEFAULT_BITS = 256
 
@@ -50,14 +54,6 @@ def _check_same_width(a: np.ndarray, b: np.ndarray) -> None:
         raise CorpusConsistencyError(
             f"descriptor widths differ: {a.shape[-1] * 8} bits vs {b.shape[-1] * 8} bits"
         )
-
-
-def hamming(a, b) -> int:
-    """Number of differing bits between two packed descriptors of equal width."""
-    a = _as_code(a)
-    b = _as_code(b)
-    _check_same_width(a, b)
-    return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
 
 
 def hamming_to_all(code, codes) -> np.ndarray:
@@ -101,36 +97,22 @@ def realize_matrix(codes, dtype=np.float64) -> np.ndarray:
     return np.unpackbits(_as_codes(codes), axis=1).astype(dtype)
 
 
-def _check_binarizable(values: np.ndarray, threshold: float) -> None:
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must lie strictly inside (0, 1), got {threshold}")
-    if values.shape[-1] == 0 or values.shape[-1] % 8 != 0:
-        raise CorpusConsistencyError(
-            f"bit count must be a positive multiple of 8, got {values.shape[-1]}"
-        )
+def binarize_matrix(values) -> np.ndarray:
+    """Pack (n, bits) reals row-wise to (n, bits/8) codes: bit i is 1 iff
+    values[i] > 0.5.
 
-
-def binarize(values, threshold: float = 0.5) -> np.ndarray:
-    """Pack a real vector back to bits: bit i is 1 iff values[i] > threshold.
-
-    The comparison is strict, so a component exactly at the threshold rounds
-    down to 0. With the default 0.5 this makes ``binarize(realize_matrix(c)[0]) == c``
-    and gives per-bit majority votes a fixed tie rule (ties go to 0).
+    The comparison is strict, so a component of exactly 0.5 rounds down to 0.
+    This makes ``binarize_matrix(realize_matrix(c)) == c`` and gives per-bit
+    majority votes a fixed tie rule (ties go to 0).
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise CorpusConsistencyError(f"expected a 1-d real vector, got shape {arr.shape}")
-    _check_binarizable(arr, threshold)
-    return np.packbits(arr > threshold)
-
-
-def binarize_matrix(values, threshold: float = 0.5) -> np.ndarray:
-    """Row-wise binarize: (n, bits) reals to (n, bits/8) packed codes."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise CorpusConsistencyError(f"expected an (n, bits) real matrix, got shape {arr.shape}")
-    _check_binarizable(arr, threshold)
-    return np.packbits(arr > threshold, axis=1)
+    if arr.shape[1] == 0 or arr.shape[1] % 8 != 0:
+        raise CorpusConsistencyError(
+            f"bit count must be a positive multiple of 8, got {arr.shape[1]}"
+        )
+    return np.packbits(arr > 0.5, axis=1)
 
 
 def majority_centroid(codes) -> np.ndarray:
@@ -161,14 +143,7 @@ class DescriptorSet:
     group_ends: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        codes = np.ascontiguousarray(self.codes)
-        if codes.dtype != np.uint8:
-            raise CorpusConsistencyError(f"descriptor octets must be uint8, got {codes.dtype}")
-        if codes.ndim == 1:
-            codes = codes[None, :]
-        if codes.ndim != 2 or codes.shape[1] < 1:
-            raise CorpusConsistencyError(f"expected an (n, octets) matrix, got shape {codes.shape}")
-        self.codes = codes
+        codes = self.codes = _as_codes(self.codes)
         n = codes.shape[0]
         if self.group_ends is None:
             ends = np.empty(0, dtype=np.int64) if n == 0 else np.array([n], dtype=np.int64)
@@ -207,10 +182,6 @@ class DescriptorSet:
     def group_codes(self, i: int) -> np.ndarray:
         start, end = self.group_range(i)
         return self.codes[start:end]
-
-    def iter_groups(self):
-        for i in range(self.group_count):
-            yield self.group_codes(i)
 
     @classmethod
     def from_groups(cls, groups) -> "DescriptorSet":

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass, replace
 from io import StringIO
 
@@ -29,7 +28,7 @@ from .bow import RetrievalDatabase, transform
 from .descriptors import DescriptorSet, hamming_rows
 from .errors import ConfigError, InsufficientPointsError
 from .io import _atomic_write_bytes
-from .vocabulary import Strategy, TrainConfig, Vocabulary, lookup_words, train
+from .vocabulary import Strategy, TrainConfig, Vocabulary, lookup_words, train_result
 from .clustering import ClusterConfig
 
 EVAL_COLUMNS = [
@@ -120,25 +119,6 @@ def synth_sequence(cfg: SynthConfig) -> SynthSequence:
         frame_places.append(place)
     training = DescriptorSet.from_groups(protos)
     return SynthSequence(training, frames, frame_places, gt_pairs)
-
-
-def synth_clustered(num_clusters: int, per_cluster: int, flip_prob: float,
-                    bits: int = 256, seed: int = 0) -> DescriptorSet:
-    """A clustered corpus: random cluster centers, members are bit-flip
-    corrupted copies of their center; one group per cluster."""
-    if num_clusters < 1 or per_cluster < 1:
-        raise ConfigError("num_clusters and per_cluster must be >= 1")
-    if not 0.0 <= flip_prob <= 1.0:
-        raise ConfigError(f"flip_prob must lie in [0, 1], got {flip_prob}")
-    if bits < 8 or bits % 8 != 0:
-        raise ConfigError(f"bits must be a positive multiple of 8, got {bits}")
-    rng = np.random.default_rng(seed)
-    octets = bits // 8
-    groups = []
-    for _ in range(num_clusters):
-        center = rng.integers(0, 256, size=(1, octets), dtype=np.uint8)
-        groups.append(_flip_bits(np.repeat(center, per_cluster, axis=0), flip_prob, rng))
-    return DescriptorSet.from_groups(groups)
 
 
 @dataclass
@@ -262,9 +242,8 @@ def compare_strategies(synth_cfg: SynthConfig, strategies, seeds, k: int = 10, L
                 k=k, L=L, strategy=strategy, seed=seed,
                 cluster=ClusterConfig(k=k, max_iters=max_iters, seed=seed),
             )
-            t0 = time.perf_counter()
-            vocab = train(seq.training, cfg)
-            seconds = time.perf_counter() - t0
+            result = train_result(seq.training, cfg)
+            vocab = result.vocabulary
             quant = quantization_report(vocab, seq.training)
             retr = retrieval_report(vocab, seq.frames, seq.gt_pairs, temporal_exclusion)
             rows.append({
@@ -276,7 +255,7 @@ def compare_strategies(synth_cfg: SynthConfig, strategies, seeds, k: int = 10, L
                 "entropy": quant.entropy,
                 "recall_at_1": retr.recall_at_1,
                 "max_f1": retr.max_f1,
-                "train_seconds": seconds,
+                "train_seconds": result.seconds,
             })
     return rows
 

@@ -42,8 +42,7 @@ from time import perf_counter
 import numpy as np
 
 from .clustering import ClusterConfig, brb_kmeans, kmajority, lloyd_real
-from .descriptors import _CDIST_BLOCK_BYTES, DescriptorSet, _as_code, _as_codes, \
-    majority_centroid
+from .descriptors import _CDIST_BLOCK_BYTES, DescriptorSet, _as_codes, majority_centroid
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError, \
     InternalInvariantError
 
@@ -294,17 +293,6 @@ def compute_idf(vocab: Vocabulary, corpus: DescriptorSet) -> Vocabulary:
     leaves = vocab.word_of_node >= 0
     weight[leaves] = idf[vocab.word_of_node[leaves]]
     return replace(vocab, weight=weight)
-
-
-def lookup_word(vocab: Vocabulary, code) -> tuple[int, float, int]:
-    """Greedy root-to-leaf descent for one descriptor.
-
-    Returns (word_id, weight, leaf_node_id). Ties at each level go to the
-    lowest-index child.
-    """
-    word_ids, leaf_ids = lookup_words(vocab, _as_code(code)[None, :])
-    leaf = int(leaf_ids[0])
-    return int(word_ids[0]), float(vocab.weight[leaf]), leaf
 
 
 def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:

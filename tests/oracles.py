@@ -1,14 +1,53 @@
-"""Reference implementations the tests compare hbow against.
+"""Reference implementations and data generators the tests use.
 
-These are the relaxed-domain helpers and the float k-means path that hbow
-itself no longer needs: the relaxed flow now seeds in Hamming on packed codes
-and updates from integer bit counts. Each one here works on float rows the
-plain way, so a test can demand that the packed path gives the same floats.
+These are helpers hbow itself does not need: scalar Hamming distance and
+binarization, a one-row tree descent, a clustered-corpus generator, the
+relaxed-domain helpers and the float k-means path. hbow seeds in Hamming on
+packed codes and updates from integer bit counts; each oracle here works one
+row at a time or on float rows the plain way, so a test can demand that the
+packed path gives the same results.
 """
 
 import numpy as np
 
-from hbow import ClusterResult
+from hbow import ClusterResult, DescriptorSet
+
+
+def hamming(a, b):
+    """Number of differing bits between two packed descriptors."""
+    return int(np.count_nonzero(np.unpackbits(np.asarray(a, dtype=np.uint8))
+                                != np.unpackbits(np.asarray(b, dtype=np.uint8))))
+
+
+def binarize(values):
+    """Pack a real vector to bits: bit i is 1 iff values[i] > 0.5 (ties to 0)."""
+    return np.packbits(np.asarray(values, dtype=np.float64) > 0.5)
+
+
+def lookup_word(vocab, code):
+    """Greedy descent for one packed descriptor, one node at a time: children
+    found by scanning `parent`, distances from unpacked bits, ties toward the
+    earliest child. Returns (word id, weight, leaf node id)."""
+    node = 0
+    while (kids := np.flatnonzero(vocab.parent == node)).size:
+        dists = [hamming(code, vocab.centroids[c]) for c in kids]
+        node = int(kids[int(np.argmin(dists))])
+    return int(vocab.word_of_node[node]), float(vocab.weight[node]), node
+
+
+def synth_clustered(num_clusters, per_cluster, flip_prob, bits=256, seed=0):
+    """A clustered corpus: random cluster centers, members are copies of their
+    center with every bit flipped with probability `flip_prob`; one group per
+    cluster."""
+    rng = np.random.default_rng(seed)
+    octets = bits // 8
+    groups = []
+    for _ in range(num_clusters):
+        center = rng.integers(0, 256, size=(1, octets), dtype=np.uint8)
+        members = np.repeat(center, per_cluster, axis=0)
+        flips = np.packbits(rng.random((per_cluster, bits)) < flip_prob, axis=1)
+        groups.append(np.bitwise_xor(members, flips))
+    return DescriptorSet.from_groups(groups)
 
 
 def realize(code):

@@ -26,10 +26,9 @@ from hbow import (
     Strategy,
     SynthConfig,
     TrainConfig,
-    binarize,
     binarize_matrix,
-    hamming,
     hamming_cdist,
+    hamming_rows,
     kmajority,
     lloyd_real,
     lookup_words,
@@ -40,7 +39,6 @@ from hbow import (
     realize_matrix,
     retrieval_report,
     score_l1,
-    synth_clustered,
     synth_sequence,
     train,
     train_result,
@@ -48,7 +46,7 @@ from hbow import (
     write_vocab_text,
 )
 from hbow.cli import build_parser
-from oracles import euclidean_sq, realize
+from oracles import euclidean_sq, realize, synth_clustered
 
 
 def _emit(capsys, num, ok, detail):
@@ -65,12 +63,13 @@ def test_round_trip_identities(capsys):
     t0 = time.perf_counter()
     bulk_ok = np.array_equal(binarize_matrix(realize_matrix(codes)), codes)
     single_ok = all(
-        np.array_equal(binarize(realize(codes[i])), codes[i]) for i in range(100)
+        np.array_equal(binarize_matrix(realize(codes[i])[None, :])[0], codes[i])
+        for i in range(100)
     )
     metric_ok = True
     for i in range(1000):
         a, b = codes[2 * i], codes[2 * i + 1]
-        if euclidean_sq(realize(a), realize(b)) != float(hamming(a, b)):
+        if euclidean_sq(realize(a), realize(b)) != float(hamming_rows(a, b)[0]):
             metric_ok = False
             break
     elapsed = time.perf_counter() - t0

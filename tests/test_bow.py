@@ -14,12 +14,12 @@ from hbow import (
     RetrievalDatabase,
     Strategy,
     TrainConfig,
-    lookup_word,
     normalize_l1,
     score_l1,
     train,
     transform,
 )
+from oracles import lookup_word
 
 HIER_VALS = (
     [0x00] * 8,

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from hbow import DescriptorSet, load_vocabulary, synth_clustered, write_descriptors
+from hbow import DescriptorSet, load_vocabulary, write_descriptors
 from hbow.cli import build_parser, main
+from oracles import synth_clustered
 
 
 def _write_corpus(path, num_clusters=6, per_cluster=40, bits=64, seed=0):

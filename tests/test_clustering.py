@@ -10,14 +10,13 @@ from hbow import (
     CorpusConsistencyError,
     InsufficientPointsError,
     brb_kmeans,
-    hamming,
     kmajority,
     kmeanspp_seed,
     lloyd_real,
     majority_centroid,
     realize_matrix,
 )
-from oracles import kmeanspp_seed_sqeuclidean, lloyd_float
+from oracles import hamming, kmeanspp_seed_sqeuclidean, lloyd_float
 
 
 def _hamming_objective(codes, centroids, assignments):

@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 
 from hbow import (
-    ConfigError,
     CorpusConsistencyError,
     DescriptorSet,
     InsufficientPointsError,
-    binarize,
     binarize_matrix,
-    hamming,
     hamming_cdist,
     hamming_rows,
     hamming_to_all,
     majority_centroid,
     realize_matrix,
 )
-from oracles import euclidean_sq, real_mean, realize
+from oracles import euclidean_sq, hamming, real_mean, realize
 
 
 def b(*octets):
@@ -24,10 +21,10 @@ def b(*octets):
 
 def test_hamming_hand_enumerated():
     # 0b11001010 ^ 0b10101010 = 0b01100000, two set bits
-    assert hamming(b(0b11001010), b(0b10101010)) == 2
-    assert hamming(b(0x00), b(0xFF)) == 8
-    assert hamming(b(0xAB, 0xCD), b(0xAB, 0xCD)) == 0
-    assert hamming(b(0x00, 0x00), b(0xFF, 0xFF)) == 16
+    assert hamming_rows(b(0b11001010), b(0b10101010)).tolist() == [2]
+    assert hamming_rows(b(0x00), b(0xFF)).tolist() == [8]
+    assert hamming_rows(b(0xAB, 0xCD), b(0xAB, 0xCD)).tolist() == [0]
+    assert hamming_rows(b(0x00, 0x00), b(0xFF, 0xFF)).tolist() == [16]
 
 
 def test_bit_order_is_msb_first():
@@ -38,26 +35,26 @@ def test_bit_order_is_msb_first():
 
 def test_binarize_strict_threshold():
     # exactly 0.5 rounds down to 0
-    packed = binarize(np.array([0.51, 0.5, 0.49, 1.0, 0.0, 0.5, 0.6, 0.4]))
-    assert packed.tolist() == [0b10010010]
-    assert binarize(np.zeros(8)).tolist() == [0]
-    assert binarize(np.ones(8)).tolist() == [0xFF]
+    packed = binarize_matrix(np.array([[0.51, 0.5, 0.49, 1.0, 0.0, 0.5, 0.6, 0.4]]))
+    assert packed.tolist() == [[0b10010010]]
+    assert binarize_matrix(np.zeros((1, 8))).tolist() == [[0]]
+    assert binarize_matrix(np.ones((1, 8))).tolist() == [[0xFF]]
 
 
-def test_binarize_threshold_validation():
-    with pytest.raises(ConfigError):
-        binarize(np.zeros(8), threshold=0.0)
-    with pytest.raises(ConfigError):
-        binarize(np.zeros(8), threshold=1.0)
+def test_binarize_matrix_shape_validation():
     with pytest.raises(CorpusConsistencyError):
-        binarize(np.zeros(7))  # not a multiple of 8
+        binarize_matrix(np.zeros((1, 7)))  # not a multiple of 8
+    with pytest.raises(CorpusConsistencyError):
+        binarize_matrix(np.zeros((1, 0)))
+    with pytest.raises(CorpusConsistencyError):
+        binarize_matrix(np.zeros(8))  # not a matrix
 
 
 def test_realize_binarize_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(200):
         code = rng.integers(0, 256, size=rng.integers(1, 9) * 4, dtype=np.uint8)
-        assert np.array_equal(binarize(realize_matrix(code)[0]), code)
+        assert np.array_equal(binarize_matrix(realize_matrix(code))[0], code)
 
 
 def test_realize_matrix_matches_rowwise():
@@ -75,7 +72,7 @@ def test_euclidean_sq_equals_hamming_on_relaxed_bits():
     for _ in range(300):
         x = rng.integers(0, 256, size=32, dtype=np.uint8)
         y = rng.integers(0, 256, size=32, dtype=np.uint8)
-        assert euclidean_sq(realize(x), realize(y)) == float(hamming(x, y))
+        assert euclidean_sq(realize(x), realize(y)) == float(hamming_rows(x, y)[0])
 
 
 def test_majority_hand_enumerated():
@@ -95,7 +92,7 @@ def test_majority_equals_binarized_mean():
         n = int(rng.integers(1, 40))
         codes = rng.integers(0, 256, size=(n, 8), dtype=np.uint8)
         via_votes = majority_centroid(codes)
-        via_mean = binarize(real_mean(realize_matrix(codes)))
+        via_mean = binarize_matrix(real_mean(realize_matrix(codes))[None, :])[0]
         assert np.array_equal(via_votes, via_mean)
 
 
@@ -128,9 +125,9 @@ def test_hamming_to_all_and_cdist_match_scalar():
 
 def test_width_and_dtype_errors():
     with pytest.raises(CorpusConsistencyError):
-        hamming(b(1, 2), b(1, 2, 3))
+        hamming_to_all(b(1, 2), b(1, 2, 3))
     with pytest.raises(CorpusConsistencyError):
-        hamming(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+        hamming_to_all(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
     with pytest.raises(CorpusConsistencyError):
         hamming_cdist(b(1, 2)[None, :], np.zeros((3, 3), dtype=np.uint8))
     with pytest.raises(InsufficientPointsError):
@@ -147,7 +144,7 @@ def test_descriptor_set_group_accounting():
     assert ds.group_range(1) == (3, 3)
     assert ds.group_codes(1).shape == (0, 4)
     assert ds.group_range(2) == (3, 10)
-    assert sum(g.shape[0] for g in ds.iter_groups()) == 10
+    assert sum(ds.group_codes(i).shape[0] for i in range(ds.group_count)) == 10
 
 
 def test_descriptor_set_defaults_and_empty():

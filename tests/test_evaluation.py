@@ -18,12 +18,12 @@ from hbow import (
     hamming_rows,
     quantization_report,
     retrieval_report,
-    synth_clustered,
     synth_sequence,
     train,
     write_rows_csv,
     write_rows_json,
 )
+from oracles import hamming, lookup_word, synth_clustered
 
 HIER_VALS = (
     [0x00] * 8,
@@ -148,8 +148,6 @@ def test_synth_config_validation():
         SynthConfig(descriptor_bits=12)
     with pytest.raises(ConfigError):
         SynthConfig(seed=-1)
-    with pytest.raises(ConfigError):
-        synth_clustered(0, 10, 0.1)
 
 
 # ---------------------------------------------------------------- quantization
@@ -182,19 +180,6 @@ def test_quantization_half_bit_fixture():
     assert report.entropy == 0.0
 
 
-def _descend_oracle(vocab, code):
-    code_bits = np.unpackbits(np.asarray(code, dtype=np.uint8))
-    node = 0
-    while (kids := np.flatnonzero(vocab.parent == node)).size:
-        best, best_d = None, None
-        for c in kids:
-            d = int(np.sum(np.unpackbits(vocab.centroids[c]) != code_bits))
-            if best_d is None or d < best_d:
-                best, best_d = c, d
-        node = best
-    return node, int(np.sum(np.unpackbits(vocab.centroids[node]) != code_bits))
-
-
 def test_quantization_matches_independent_recomputation():
     rng = np.random.default_rng(31)
     ds = DescriptorSet(codes=rng.integers(0, 256, size=(400, 8), dtype=np.uint8))
@@ -204,8 +189,8 @@ def test_quantization_matches_independent_recomputation():
     dists = []
     words = []
     for code in ds.codes:
-        leaf, d = _descend_oracle(vocab, code)
-        dists.append(d)
+        _, _, leaf = lookup_word(vocab, code)
+        dists.append(hamming(code, vocab.centroids[leaf]))
         words.append(vocab.word_of_node[leaf])
     dists = np.array(dists, dtype=np.float64)
     assert report.mean_qe == pytest.approx(float(dists.mean()), abs=1e-12)

@@ -17,7 +17,6 @@ from hbow import (
     TrainConfig,
     VocabularyFileError,
     load_vocabulary,
-    lookup_word,
     lookup_words,
     read_descriptors,
     read_vocab_json,
@@ -30,6 +29,7 @@ from hbow import (
     write_vocab_text,
 )
 from hbow.cli import main
+from oracles import lookup_word
 
 HEADER = struct.Struct("<4sIIQQ")
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import os
 import pickle
@@ -18,25 +19,22 @@ from hbow import (
     InternalInvariantError,
     Strategy,
     TrainConfig,
-    binarize,
     brb_kmeans,
     compute_idf,
     kmajority,
     load_vocabulary,
-    lookup_word,
     lookup_words,
     majority_centroid,
     quantization_report,
     realize_matrix,
     save_vocabulary,
-    synth_clustered,
     train,
     train_result,
     transform,
     validate_structure,
     write_descriptors,
 )
-from oracles import lloyd_float, real_mean
+from oracles import binarize, lloyd_float, lookup_word, real_mean, synth_clustered
 
 ALL_STRATEGIES = (Strategy.KMAJORITY, Strategy.LOCAL_BRB, Strategy.GLOBAL_HBRB)
 
@@ -200,23 +198,6 @@ def test_depth_cap_limits_tree():
 # ---------------------------------------------------------------- descent
 
 
-def _descend_oracle(vocab, code):
-    # independent greedy walk: children by scanning `parent`, distances from
-    # unpacked bit arrays, ties toward the earliest child in stored order
-    code_bits = np.unpackbits(np.asarray(code, dtype=np.uint8))
-    nid = 0
-    kids = _kids(vocab, nid)
-    while kids.size:
-        best_id, best_d = -1, None
-        for c in kids:
-            d = int(np.sum(np.unpackbits(vocab.centroids[c]) != code_bits))
-            if best_d is None or d < best_d:
-                best_id, best_d = int(c), d
-        nid = best_id
-        kids = _kids(vocab, nid)
-    return int(vocab.word_of_node[nid]), nid
-
-
 def test_lookup_matches_independent_descent_oracle():
     ds = _random_corpus(600, 8, seed=11)
     probes = np.random.default_rng(77).integers(0, 256, size=(300, 8), dtype=np.uint8)
@@ -224,9 +205,7 @@ def test_lookup_matches_independent_descent_oracle():
         vocab = train(ds, _cfg(3, 3, strategy, seed=5))
         batch_words, batch_leaves = lookup_words(vocab, probes)
         for i, probe in enumerate(probes):
-            want_word, want_leaf = _descend_oracle(vocab, probe)
-            got_word, _, got_leaf = lookup_word(vocab, probe)
-            assert got_word == want_word and got_leaf == want_leaf
+            want_word, _, want_leaf = lookup_word(vocab, probe)
             assert batch_words[i] == want_word and batch_leaves[i] == want_leaf
 
 
@@ -255,7 +234,7 @@ def test_round_trips_and_descent_on_generated_corpora(tmp_path):
                 assert first.read_bytes() == second.read_bytes()
             words, leaves = lookup_words(vocab, probes)
             for probe, word, leaf in zip(probes, words, leaves):
-                assert (word, leaf) == _descend_oracle(vocab, probe)
+                assert (word, leaf) == lookup_word(vocab, probe)[::2]
 
     check()
 
@@ -273,7 +252,7 @@ def test_lookup_width_mismatch_raises():
     vocab = train(ds, _cfg(2, 1, Strategy.KMAJORITY))
     bad = np.zeros(16, dtype=np.uint8)
     with pytest.raises(CorpusConsistencyError):
-        lookup_word(vocab, bad)
+        lookup_words(vocab, bad)
     with pytest.raises(CorpusConsistencyError):
         lookup_words(vocab, bad[None, :])
 
@@ -400,6 +379,32 @@ def test_training_is_deterministic_per_seed():
         first = _fingerprint(train(ds, _cfg(3, 2, strategy, seed=4)))
         second = _fingerprint(train(ds, _cfg(3, 2, strategy, seed=4)))
         assert first == second
+
+
+# SHA-256 of each strategy's text file for the corpus and config below, as
+# trained before kmajority and brb's final partition moved from the packed
+# Hamming kernel to the squared-Euclidean pass on 0/1 rows
+_PINNED_TEXT_SHA256 = {
+    Strategy.KMAJORITY: "9806ed0a974a5f51ea423cf7e5a146991d786e0fce508275c0405b71f9dca0f6",
+    Strategy.LOCAL_BRB: "13e10b97b15f5edd84292249142accbaaadbc6fcd473d085d6815e2ba82107bb",
+    Strategy.GLOBAL_HBRB: "cd8eebf58c234cb3832ffc3efb741accf319cf80787d63777462f5a5b950a773",
+}
+
+
+def test_training_writes_the_pinned_files(tmp_path):
+    # On this corpus hbrb's float32 assignment rounds a near-tie the other
+    # way than float64 would, so the pin covers the dtype of hbrb's distances
+    # as well as every assignment, repair and update rule. The float32 sums
+    # follow the BLAS kernel's order, so another BLAS build or CPU could move
+    # the hbrb file; a change that moves it on purpose updates the pin.
+    rng = np.random.default_rng(0)
+    ds = DescriptorSet(rng.integers(0, 256, size=(2000, 32), dtype=np.uint8),
+                       np.arange(100, 2001, 100))
+    for strategy in ALL_STRATEGIES:
+        path = tmp_path / f"{strategy.value}.txt"
+        save_vocabulary(path, train(ds, _cfg(6, 3, strategy, seed=0, max_iters=20)))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == _PINNED_TEXT_SHA256[strategy], strategy
 
 
 def test_training_independent_of_thread_count():
