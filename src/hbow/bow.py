@@ -77,7 +77,13 @@ def transform(vocab: Vocabulary, descriptors) -> BowVector:
     tf = counts / counts.sum()
     weighted = tf * vocab.word_weight[words]
     keep = weighted > 0.0
-    return normalize_l1(BowVector({int(w): float(x) for w, x in zip(words[keep], weighted[keep])}))
+    # the same keys, values and summation order as normalize_l1 on the raw
+    # vector, built as one dict of Python numbers
+    vals = weighted[keep].tolist()
+    if not vals:
+        return BowVector.empty()
+    total = sum(vals)
+    return BowVector({w: x / total for w, x in zip(words[keep].tolist(), vals)})
 
 
 def score_l1(a: BowVector, b: BowVector) -> float:

@@ -70,7 +70,11 @@ class Vocabulary:
     * `children`     (nodes, widest fan-out) int64, child ids ascending,
                      padded with -1;
     * `word_of_node` (nodes,) int64, word id of each leaf, -1 elsewhere;
-    * `word_weight`  (word_count,) float64, the weight of each word.
+    * `word_weight`  (word_count,) float64, the weight of each word;
+    * `centroid_words` (ceil(bits/64), nodes) uint64, the centroids in 64-bit
+                     words, word-major, the last word zero-padded: the
+                     table `lookup_words` descends on;
+    * `height`       the depth of the deepest leaf.
 
     Construction copies the given arrays. No array can be written; derive a
     changed vocabulary with `dataclasses.replace`.
@@ -86,15 +90,18 @@ class Vocabulary:
     children: np.ndarray = field(init=False, repr=False)
     word_of_node: np.ndarray = field(init=False, repr=False)
     word_weight: np.ndarray = field(init=False, repr=False)
+    centroid_words: np.ndarray = field(init=False, repr=False)
     word_count: int = field(init=False)
+    height: int = field(init=False)
 
     def __post_init__(self) -> None:
         parent = np.array(self.parent, dtype=np.int64)
         centroids = np.array(self.centroids, dtype=np.uint8)
         weight = np.array(self.weight, dtype=np.float64)
         n = parent.size
-        if parent.shape != (n,) or n < 1 or parent[0] != -1:
-            raise InternalInvariantError("parent must be 1-d with the root (-1) at node 0")
+        if parent.shape != (n,) or n < 2 or parent[0] != -1:
+            raise InternalInvariantError(
+                "parent must be 1-d with the root (-1) at node 0 and a node below it")
         if np.any(parent[1:] < 0) or np.any(parent[1:] >= np.arange(1, n)):
             raise InternalInvariantError("every node's parent must be an earlier node")
         if centroids.ndim != 2 or centroids.shape[0] != n \
@@ -110,11 +117,12 @@ class Vocabulary:
         word_weight[word_of_node[leaves]] = weight[leaves]
         arrays = {"parent": parent, "centroids": centroids, "weight": weight,
                   "children": children, "word_of_node": word_of_node,
-                  "word_weight": word_weight}
+                  "word_weight": word_weight, "centroid_words": _word_major(centroids)}
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "word_count", int(leaves.size))
+        object.__setattr__(self, "height", _height(children))
 
     def __reduce__(self):
         # Deep copies and pickles go through the constructor; numpy would
@@ -133,6 +141,26 @@ def _child_table(parent: np.ndarray) -> np.ndarray:
     first = np.cumsum(counts) - counts
     table[owner, np.arange(n - 1) - first[owner]] = order + 1
     return table
+
+
+def _word_major(codes: np.ndarray) -> np.ndarray:
+    """Packed rows as a C-contiguous (ceil(octets/8), rows) uint64 array: row
+    i holds every row's i-th 64-bit word in native byte order, the last word
+    zero-padded."""
+    octets = codes.shape[1]
+    if octets % 8:
+        padded = np.zeros((codes.shape[0], -(-octets // 8) * 8), dtype=np.uint8)
+        padded[:, :octets] = codes
+        codes = padded
+    return np.ascontiguousarray(codes.view(np.uint64).T)
+
+
+def _height(children: np.ndarray) -> int:
+    """Depth of the deepest node below the root."""
+    level, height = children[0], 0
+    while (level := level[level >= 0]).size:
+        level, height = children[level].ravel(), height + 1
+    return height
 
 
 @dataclass(frozen=True)
@@ -298,10 +326,14 @@ def compute_idf(vocab: Vocabulary, corpus: DescriptorSet) -> Vocabulary:
 def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
     """Greedy root-to-leaf descent for every row of a code matrix.
 
-    All rows descend together one tree level at a time: each row still at an
+    All rows descend together one tree level at a time: each row at an
     internal node moves to the child with the smallest Hamming distance, ties
-    to the lowest-index child. Rows go in blocks that keep the per-level
-    (rows, children, octets) XOR tensor within `_CDIST_BLOCK_BYTES`.
+    to the lowest-index child, and a row at a leaf stays there, so every row
+    takes `vocab.height` steps. One level is one gather of the children's
+    64-bit centroid words from `vocab.centroid_words` into a (words, rows,
+    fan-out) tensor, an XOR with the rows' own words, a popcount, and a sum
+    over the short words axis. Rows go in blocks that keep that tensor within
+    `_CDIST_BLOCK_BYTES`.
     Returns (word_ids, leaf_node_ids), both int64 of length n.
     """
     codes = _as_codes(codes)
@@ -310,20 +342,21 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
             f"descriptor width {codes.shape[1] * 8} does not match vocabulary width "
             f"{vocab.descriptor_bits}"
         )
-    children, centroids = vocab.children, vocab.centroids
+    children, table = vocab.children, vocab.centroid_words
+    query = _word_major(codes)[:, :, None]  # (words, n, 1)
     n = codes.shape[0]
     node = np.zeros(n, dtype=np.int64)
-    step = max(1, _CDIST_BLOCK_BYTES // (children.shape[1] * codes.shape[1]))
+    step = max(1, _CDIST_BLOCK_BYTES // (children.shape[1] * table.shape[0] * 8))
     for start in range(0, n, step):
-        active = np.arange(start, min(n, start + step))
-        while active.size:
-            kids = children[node[active]]
-            kids = kids[:, (kids >= 0).any(axis=0)]
-            xor = codes[active, None, :] ^ centroids[kids]
-            dist = np.bitwise_count(xor, out=xor).sum(axis=2, dtype=np.int64)
-            dist[kids < 0] = vocab.descriptor_bits + 1
-            node[active] = kids[np.arange(active.size), dist.argmin(axis=1)]
-            active = active[children[node[active], 0] >= 0]
+        cur, q = node[start:start + step], query[:, start:start + step]
+        for _ in range(vocab.height):
+            kids = children[cur]
+            xor = table.take(kids, axis=1)
+            np.bitwise_xor(xor, q, out=xor)
+            dist = np.bitwise_count(xor, out=xor).sum(axis=0)
+            np.putmask(dist, kids < 0, vocab.descriptor_bits + 1)
+            nxt = kids[np.arange(cur.size), dist.argmin(axis=1)]
+            cur[:] = np.where(nxt < 0, cur, nxt)
     return vocab.word_of_node[node], node
 
 
@@ -333,7 +366,7 @@ def validate_structure(vocab: Vocabulary) -> None:
     Construction already guarantees a tree rooted at node 0 with parents
     before children, centroid rows of `descriptor_bits`, and word ids that
     are a bijection onto the leaves. Checked here: no node has more than k
-    children, no node sits below depth L, and every weight is finite and
+    children, no leaf sits below depth L, and every weight is finite and
     non-negative.
     """
     fanout = (vocab.children >= 0).sum(axis=1)
@@ -341,12 +374,8 @@ def validate_structure(vocab: Vocabulary) -> None:
     if wide.size:
         nid = int(wide[0])
         raise InternalInvariantError(f"node {nid} has {fanout[nid]} children, more than {vocab.k}")
-    level, depth = np.zeros(1, dtype=np.int64), 0
-    while level.size:
-        if depth > vocab.L:
-            raise InternalInvariantError(f"node {int(level[0])} sits below depth {vocab.L}")
-        kids = vocab.children[level]
-        level, depth = kids[kids >= 0], depth + 1
+    if vocab.height > vocab.L:
+        raise InternalInvariantError(f"a leaf sits at depth {vocab.height}, below depth {vocab.L}")
     bad = np.flatnonzero(~np.isfinite(vocab.weight) | (vocab.weight < 0.0))
     if bad.size:
         nid = int(bad[0])

@@ -19,6 +19,7 @@ from hbow import (
     InternalInvariantError,
     Strategy,
     TrainConfig,
+    Vocabulary,
     brb_kmeans,
     compute_idf,
     kmajority,
@@ -214,7 +215,9 @@ def test_round_trips_and_descent_on_generated_corpora(tmp_path):
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=25, deadline=None, database=None)
-    @hypothesis.given(n=st.integers(1, 60), octets=st.integers(1, 3), pool=st.integers(1, 30),
+    # widths on both sides of the 64-bit words the descent XORs
+    @hypothesis.given(n=st.integers(1, 60), octets=st.sampled_from([1, 3, 7, 8, 9, 33]),
+                      pool=st.integers(1, 30),
                       k=st.integers(2, 4), L=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
     def check(n, octets, pool, k, L, seed):
         # drawing from a small pool repeats values, so nodes also stop on a
@@ -245,6 +248,46 @@ def test_lookup_of_leaf_centroids_on_separable_tree():
     for leaf in _leaf_ids(vocab):
         word, _, leaf_id = lookup_word(vocab, vocab.centroids[leaf])
         assert word == vocab.word_of_node[leaf] and leaf_id == leaf
+
+
+def _bits72(*positions):
+    # a 72-bit code (two 64-bit words, the second padded) with these bits set
+    row = np.zeros(72, dtype=np.uint8)
+    row[list(positions)] = 1
+    return np.packbits(row)
+
+
+def test_descent_on_a_hand_built_uneven_tree():
+    # root 0 -> leaf 1, node 2, leaf 3 (the widest fan-out, 3);
+    # node 2 -> node 4, node 5 (a narrower row, padded with one -1);
+    # node 4 -> leaves 6, 7, 8; node 5 -> leaf 9, the last node, which a
+    # -1 child slot would read if it were not masked
+    parent = [-1, 0, 0, 0, 2, 2, 4, 4, 4, 5]
+    centroids = np.vstack([_bits72(), _bits72(*range(8)), _bits72(), _bits72(*range(64, 72)),
+                           _bits72(8), _bits72(9), _bits72(8, 10), _bits72(8, 11), _bits72(8, 12),
+                           _bits72(20, 21, 22, 23)])
+    vocab = Vocabulary(3, 3, None, 72, parent, centroids, np.arange(10) / 10.0)
+    assert vocab.height == 3
+    with pytest.raises(InternalInvariantError):  # a root alone has no word to descend to
+        Vocabulary(3, 3, None, 72, [-1], centroids[:1], [0.0])
+    assert vocab.word_of_node.tolist() == [-1, 0, -1, 5, -1, -1, 1, 2, 3, 4]
+    probes = np.vstack([
+        _bits72(0, 1, 2, 3, 64, 65, 66, 67),  # 8 from each root child, across both words: leaf 1
+        _bits72(),                            # ties at 2 (4 vs 5) and 3 (6, 7, 8): leaf 6
+        _bits72(9, 20, 21, 22, 23),           # the padded slot would be nearest: leaf 9
+        _bits72(8, 11, 12),                   # tie of 7 and 8 at depth 3: leaf 7
+        _bits72(*range(64, 72)),              # leaf 3, the last root child
+    ])
+    words, leaves = lookup_words(vocab, probes)
+    assert leaves.tolist() == [1, 6, 9, 7, 3]
+    assert words.tolist() == [0, 1, 4, 2, 5]
+    rng = np.random.default_rng(0)
+    noisy = np.vstack([probes, rng.integers(0, 256, size=(40, 9), dtype=np.uint8),
+                       centroids ^ rng.integers(0, 256, size=centroids.shape, dtype=np.uint8)
+                       & np.uint8(0x11)])
+    words, leaves = lookup_words(vocab, noisy)
+    for probe, word, leaf in zip(noisy, words, leaves):
+        assert (word, leaf) == lookup_word(vocab, probe)[::2]
 
 
 def test_lookup_width_mismatch_raises():
@@ -593,12 +636,23 @@ def test_vocabulary_is_immutable_and_lookup_agrees_with_transform():
     ds = DescriptorSet(codes=_random_corpus(400, 8, seed=3).codes,
                        group_ends=[100, 200, 300, 400])
     vocab = train(ds, _cfg(3, 2, Strategy.GLOBAL_HBRB, seed=0))
-    for v in (vocab, copy.deepcopy(vocab), pickle.loads(pickle.dumps(vocab))):
-        assert _fingerprint(v) == _fingerprint(vocab)
-        for name in ("parent", "centroids", "weight", "children", "word_of_node", "word_weight"):
+    probes = _random_corpus(50, 8, seed=4).codes
+    want = lookup_words(vocab, probes)
+    reweighted = replace(vocab, weight=vocab.weight + 1.0)
+    for v in (vocab, copy.deepcopy(vocab), pickle.loads(pickle.dumps(vocab)), reweighted):
+        if v is not reweighted:
+            assert _fingerprint(v) == _fingerprint(vocab)
+        assert v is vocab or not np.shares_memory(v.centroid_words, vocab.centroid_words)
+        assert np.array_equal(v.centroid_words, vocab.centroid_words)
+        assert v.centroid_words.shape == (1, vocab.parent.size)
+        assert v.height == vocab.height == 2
+        for name in ("parent", "centroids", "weight", "children", "word_of_node", "word_weight",
+                     "centroid_words"):
             arr = getattr(v, name)
             with pytest.raises(ValueError):
                 arr[-1] = 0
+        for got, expected in zip(lookup_words(v, probes), want):
+            assert np.array_equal(got, expected)
     with pytest.raises(FrozenInstanceError):
         vocab.weight = np.zeros(vocab.parent.size)
 
