@@ -26,15 +26,13 @@ single point, or holds a single distinct value; a node with 2 <= distinct < k
 values splits into exactly `distinct` clusters. The root always splits (into
 one child when the corpus is degenerate).
 
-Per-node randomness derives from (train seed, node path), so results do not
-depend on thread scheduling: the splits of one tree level may run on several
-threads.
+Training runs on one thread. Each split seeds its own RNG from (train seed,
+node path) and nodes are numbered breadth-first, so a node's clustering does
+not depend on the order in which nodes are split.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from time import perf_counter
@@ -165,6 +163,14 @@ def _height(children: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Tree shape, strategy and seed of one training run.
+
+    `k` caps each node's fan-out and `L` the depth. Of `cluster`, training
+    reads only `max_iters`: each split clusters into min(k, distinct member
+    values) groups and seeds its RNG from (`seed`, node path), so
+    `cluster.k` and `cluster.seed` do not change the vocabulary.
+    """
+
     k: int = 10
     L: int = 6
     strategy: Strategy = Strategy.GLOBAL_HBRB
@@ -189,79 +195,48 @@ class TrainResult:
     seconds: float
 
 
-def _resolve_threads(explicit: int | None) -> int:
-    if explicit is not None:
-        if explicit < 0:
-            raise ConfigError(f"thread count must be >= 0, got {explicit}")
-        return explicit or (os.cpu_count() or 1)
-    raw = os.environ.get("HBRB_THREADS")
-    if raw is None or raw.strip() == "":
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"HBRB_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ConfigError(f"HBRB_THREADS must be >= 0, got {value}")
-    return value or (os.cpu_count() or 1)
-
-
-def _grow(codes: np.ndarray, cfg: TrainConfig,
-          threads: int) -> tuple[list[int], list[np.ndarray], list[tuple[int, np.ndarray]]]:
+def _grow(codes: np.ndarray,
+          cfg: TrainConfig) -> tuple[list[int], list[np.ndarray], list[tuple[int, np.ndarray]]]:
     """Grow the tree one level at a time, numbering nodes breadth-first
     (root = 0). Returns the parent list, the centroid rows, and a
     (leaf node id, member indices) pair per leaf.
 
-    The splits of one level run on up to `threads` workers. Each node seeds
-    its RNG from (train seed, node path), so the tree does not depend on the
-    thread count.
+    Each split seeds its RNG from (train seed, node path), so its result
+    depends only on its members and its place in the tree; the pinned
+    vocabulary files rely on that seeding and on the numbering.
     """
-    def split(members: np.ndarray, path: tuple[int, ...]):
-        # each row viewed as one opaque byte string: a 1-d unique, not the slower axis=0
-        distinct = np.unique(codes[members].view(np.dtype((np.void, codes.shape[1])))).size
-        if path and distinct <= 1:
-            return None  # the root always splits, into one child if the corpus is degenerate
-        ccfg = replace(cfg.cluster, k=min(cfg.k, distinct))
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *path]))
-        if cfg.strategy is Strategy.KMAJORITY:
-            res = kmajority(codes[members], ccfg, rng=rng)
-        elif cfg.strategy is Strategy.LOCAL_BRB:
-            res = brb_kmeans(codes[members], ccfg, rng=rng)
-        else:
-            res = lloyd_real(codes[members], ccfg, dtype=np.float32, rng=rng)
-        out = []
-        for j in range(ccfg.k):
-            child = members[res.assignments == j]
-            if child.size == 0:
-                raise InternalInvariantError("clustering produced an empty cluster after repair")
-            if cfg.strategy is Strategy.GLOBAL_HBRB:
-                out.append((majority_centroid(codes[child]), child))
-            else:
-                out.append((res.centroids[j], child))
-        return out
-
     parent, centroids, leaves = [-1], [np.zeros(codes.shape[1], dtype=np.uint8)], []
     level = [(0, np.arange(codes.shape[0], dtype=np.int64), ())]  # (node id, members, path)
-    depth = 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        run = pool.map if threads > 1 else map
-        while level:
-            depth += 1  # of the children made in this pass
-            splits = run(split, [node[1] for node in level], [node[2] for node in level])
-            next_level = []
-            for (nid, members, path), kids in zip(level, splits):
-                if kids is None:
-                    leaves.append((nid, members))
-                    continue
-                for j, (centroid, child) in enumerate(kids):
-                    cid = len(parent)
-                    parent.append(nid)
-                    centroids.append(centroid)
-                    if depth >= cfg.L or child.size <= 1:
-                        leaves.append((cid, child))
-                    else:
-                        next_level.append((cid, child, (*path, j)))
-            level = next_level
+    for depth in range(1, cfg.L + 1):  # depth of the children made in this pass
+        next_level = []
+        for nid, members, path in level:
+            node_codes = codes[members]
+            # each row viewed as one opaque byte string: a 1-d unique, not the slower axis=0
+            distinct = np.unique(node_codes.view(np.dtype((np.void, codes.shape[1])))).size
+            if path and distinct <= 1:  # the root always splits, into one child if degenerate
+                leaves.append((nid, members))
+                continue
+            ccfg = replace(cfg.cluster, k=min(cfg.k, distinct))
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *path]))
+            if cfg.strategy is Strategy.KMAJORITY:
+                res = kmajority(node_codes, ccfg, rng=rng)
+            elif cfg.strategy is Strategy.LOCAL_BRB:
+                res = brb_kmeans(node_codes, ccfg, rng=rng)
+            else:
+                res = lloyd_real(node_codes, ccfg, dtype=np.float32, rng=rng)
+            for j in range(ccfg.k):
+                child = members[res.assignments == j]
+                if child.size == 0:
+                    raise InternalInvariantError("clustering produced an empty cluster after repair")
+                cid = len(parent)
+                parent.append(nid)
+                centroids.append(majority_centroid(codes[child])
+                                 if cfg.strategy is Strategy.GLOBAL_HBRB else res.centroids[j])
+                if depth >= cfg.L or child.size <= 1:
+                    leaves.append((cid, child))
+                else:
+                    next_level.append((cid, child, (*path, j)))
+        level = next_level
     return parent, centroids, leaves
 
 
@@ -382,15 +357,14 @@ def validate_structure(vocab: Vocabulary) -> None:
         raise InternalInvariantError(f"node {nid} has invalid weight {vocab.weight[nid]}")
 
 
-def train_result(corpus: DescriptorSet, cfg: TrainConfig, *,
-                 threads: int | None = None) -> TrainResult:
+def train_result(corpus: DescriptorSet, cfg: TrainConfig) -> TrainResult:
     """Train a vocabulary and report the training-partition word id of every
     corpus descriptor alongside it (useful for audits; greedy lookup may
     disagree with the training partition for non-global strategies)."""
     t0 = perf_counter()
     if len(corpus) == 0:
         raise InsufficientPointsError("training corpus is empty")
-    parent, centroids, leaves = _grow(corpus.codes, cfg, _resolve_threads(threads))
+    parent, centroids, leaves = _grow(corpus.codes, cfg)
     vocab = Vocabulary(cfg.k, cfg.L, cfg.strategy, corpus.bits, parent, np.vstack(centroids),
                        np.zeros(len(parent)))
     member_word_ids = np.full(len(corpus), -1, dtype=np.int64)
@@ -403,11 +377,15 @@ def train_result(corpus: DescriptorSet, cfg: TrainConfig, *,
     return TrainResult(vocab, member_word_ids, perf_counter() - t0)
 
 
-def train(corpus: DescriptorSet, cfg: TrainConfig, *, threads: int | None = None) -> Vocabulary:
+def train(corpus: DescriptorSet, cfg: TrainConfig, *, threads: int = 1) -> Vocabulary:
     """Train a hierarchical vocabulary on a descriptor corpus.
 
     Builds the tree with `cfg.strategy`, numbers words depth-first, weights
     leaves by idf over the corpus groups, and validates the structure.
-    Bit-identical for identical (corpus, config), independent of thread count.
+    Bit-identical for identical (corpus, config). Training runs on one
+    thread; `threads` is kept for callers that pass 1, and any other value
+    raises ConfigError.
     """
-    return train_result(corpus, cfg, threads=threads).vocabulary
+    if threads != 1:
+        raise ConfigError(f"training runs on one thread, got threads={threads!r}")
+    return train_result(corpus, cfg).vocabulary

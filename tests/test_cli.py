@@ -221,19 +221,13 @@ def test_convert_round_trip_is_byte_identical(tmp_path, capsys):
     assert not (tmp_path / "out.txt").exists()
 
 
-def test_train_is_deterministic_across_runs_and_threads(tmp_path, capsys, monkeypatch):
+def test_train_is_deterministic_across_runs(tmp_path, capsys):
     corpus = tmp_path / "c.hbdc"
     _write_corpus(corpus, num_clusters=8, per_cluster=50)
     paths = [tmp_path / f"v{i}.txt" for i in range(3)]
-
-    monkeypatch.setenv("HBRB_THREADS", "1")
-    assert main(["train", "--corpus", str(corpus), "--out", str(paths[0]),
-                 "--k", "3", "--L", "2", "--seed", "9"]) == 0
-    assert main(["train", "--corpus", str(corpus), "--out", str(paths[1]),
-                 "--k", "3", "--L", "2", "--seed", "9"]) == 0
-    monkeypatch.setenv("HBRB_THREADS", "4")
-    assert main(["train", "--corpus", str(corpus), "--out", str(paths[2]),
-                 "--k", "3", "--L", "2", "--seed", "9"]) == 0
+    for path in paths:
+        assert main(["train", "--corpus", str(corpus), "--out", str(path),
+                     "--k", "3", "--L", "2", "--seed", "9"]) == 0
     capsys.readouterr()
     digests = {_digest(p) for p in paths}
     assert len(digests) == 1

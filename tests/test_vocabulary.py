@@ -229,7 +229,7 @@ def test_round_trips_and_descent_on_generated_corpora(tmp_path):
         probes = np.vstack([codes, rng.integers(0, 256, size=(20, octets), dtype=np.uint8)])
         for strategy in ALL_STRATEGIES:
             vocab = train(DescriptorSet(codes, ends), _cfg(k, L, strategy, seed=seed % 7,
-                                                           max_iters=10), threads=1)
+                                                           max_iters=10))
             for suffix in (".txt", ".json"):
                 first, second = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
                 save_vocabulary(first, vocab)
@@ -424,6 +424,20 @@ def test_training_is_deterministic_per_seed():
         assert first == second
 
 
+def test_training_reads_only_max_iters_of_the_cluster_config():
+    # each split clusters into min(k, distinct) groups with an RNG seeded from
+    # (TrainConfig.seed, node path), so ClusterConfig's k and seed are unused
+    ds = _random_corpus(600, 8, seed=0)
+    for strategy in ALL_STRATEGIES:
+        def trained(**cluster):
+            cluster = ClusterConfig(**{"k": 4, "seed": 0, "max_iters": 20, **cluster})
+            return _fingerprint(train(ds, TrainConfig(k=4, L=2, strategy=strategy, seed=3,
+                                                      cluster=cluster)))
+        base = trained()
+        assert trained(k=9, seed=99) == trained(k=2) == trained(seed=5) == base, strategy
+        assert trained(max_iters=1) != base, strategy
+
+
 # SHA-256 of each strategy's text file for the corpus and config below, as
 # trained before kmajority and brb's final partition moved from the packed
 # Hamming kernel to the squared-Euclidean pass on 0/1 rows
@@ -448,16 +462,6 @@ def test_training_writes_the_pinned_files(tmp_path):
         save_vocabulary(path, train(ds, _cfg(6, 3, strategy, seed=0, max_iters=20)))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == _PINNED_TEXT_SHA256[strategy], strategy
-
-
-def test_training_independent_of_thread_count():
-    ds = synth_clustered(8, 150, 0.05, bits=64, seed=13)
-    for strategy in ALL_STRATEGIES:
-        cfg = _cfg(4, 3, strategy, seed=6)
-        runs = [train_result(ds, cfg, threads=t) for t in (1, 2, 4)]
-        for res in runs:
-            assert _fingerprint(res.vocabulary) == _fingerprint(runs[0].vocabulary)
-            assert np.array_equal(res.member_word_ids, runs[0].member_word_ids)
 
 
 _TRAIN_ALL_STRATEGIES = """
@@ -487,27 +491,6 @@ def test_training_is_byte_identical_across_blas_thread_counts(tmp_path):
         files[blas_threads] = {s.value: (out / f"{s.value}.txt").read_bytes()
                                for s in ALL_STRATEGIES}
     assert files["1"] == files["2"]
-
-
-def test_thread_env_var_does_not_change_result(monkeypatch):
-    ds = synth_clustered(6, 100, 0.05, bits=64, seed=2)
-    cfg = _cfg(3, 2, Strategy.GLOBAL_HBRB, seed=1)
-    monkeypatch.setenv("HBRB_THREADS", "1")
-    serial = _fingerprint(train(ds, cfg))
-    monkeypatch.setenv("HBRB_THREADS", "4")
-    threaded = _fingerprint(train(ds, cfg))
-    assert serial == threaded
-
-
-def test_thread_env_var_rejects_garbage(monkeypatch):
-    ds = _random_corpus(60, 8, seed=0)
-    cfg = _cfg(2, 1, Strategy.GLOBAL_HBRB)
-    monkeypatch.setenv("HBRB_THREADS", "lots")
-    with pytest.raises(ConfigError):
-        train(ds, cfg)
-    monkeypatch.setenv("HBRB_THREADS", "-2")
-    with pytest.raises(ConfigError):
-        train(ds, cfg)
 
 
 # ---------------------------------------------------------------- reference builder
@@ -586,10 +569,35 @@ def test_train_matches_reference_builder(corpus, strategy):
     ds = REFERENCE_CORPORA[corpus]()
     cfg = _cfg(3, 3, strategy, seed=5, max_iters=10)
     parent, centroids, member_words = _reference_train(ds, cfg)
-    res = train_result(ds, cfg, threads=2)
+    res = train_result(ds, cfg)
     assert np.array_equal(res.vocabulary.parent, parent)
     assert np.array_equal(res.vocabulary.centroids, centroids)
     assert np.array_equal(res.member_word_ids, member_words)
+
+
+def test_train_matches_reference_builder_on_generated_corpora():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(n=st.integers(1, 500), octets=st.sampled_from([1, 3, 8, 32]),
+                      pool=st.integers(1, 80), k=st.integers(2, 5), L=st.integers(1, 4),
+                      max_iters=st.integers(1, 10), seed=st.integers(0, 2 ** 16))
+    def check(n, octets, pool, k, L, max_iters, seed):
+        # a small pool repeats values: single-value nodes, fewer distinct
+        # values than k, and ties in every clusterer's assignment
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 256, size=(pool, octets), dtype=np.uint8)
+        ds = DescriptorSet(values[rng.integers(pool, size=n)])
+        for strategy in ALL_STRATEGIES:
+            cfg = _cfg(k, L, strategy, seed=seed % 7, max_iters=max_iters)
+            parent, centroids, member_words = _reference_train(ds, cfg)
+            res = train_result(ds, cfg)
+            assert np.array_equal(res.vocabulary.parent, parent)
+            assert np.array_equal(res.vocabulary.centroids, centroids)
+            assert np.array_equal(res.member_word_ids, member_words)
+
+    check()
 
 
 # ---------------------------------------------------------------- validation
@@ -692,9 +700,13 @@ def test_empty_corpus_rejected():
 
 
 def test_negative_thread_argument_rejected():
+    # training runs on one thread: every other count is refused, not capped
     ds = _random_corpus(50, 8, seed=0)
-    with pytest.raises(ConfigError):
-        train(ds, _cfg(2, 1, Strategy.GLOBAL_HBRB), threads=-1)
+    cfg = _cfg(2, 1, Strategy.GLOBAL_HBRB)
+    for threads in (0, 2, -1):
+        with pytest.raises(ConfigError, match="one thread"):
+            train(ds, cfg, threads=threads)
+    assert _fingerprint(train(ds, cfg, threads=1)) == _fingerprint(train(ds, cfg))
 
 
 # ---------------------------------------------------------------- quantization ordering
