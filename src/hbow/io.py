@@ -18,8 +18,17 @@ Text vocabulary format (interoperable with common BoW vocabularies):
 
 Only LF ends a line and numbers it; fields are separated by runs of other
 ASCII whitespace (space, tab, CR, VT, FF, 0x1c-0x1f). Integers are
-[+-]?[0-9]+ within int64; the weight is [+-]?([0-9]+([.][0-9]*)?|[.][0-9]+)
-([eE][+-]?[0-9]+)?. Python-only spellings such as 1_0 or 0x1 are rejected.
+[+-]?[0-9]+ within int64, octets within int16 (so 300 fails the [0, 255]
+check and 70000 the parse); the weight is
+[+-]?([0-9]+([.][0-9]*)?|[.][0-9]+)([eE][+-]?[0-9]+)?. Python-only spellings
+such as 1_0 or 0x1 are rejected.
+
+The text loader reads _TEXT_BLOCK_BYTES at a time and parses each block's
+whole lines in one numpy call, keeping only the parsed columns, so its
+memory is a small multiple of the loaded arrays plus one block, however
+large the file. Errors name the first faulty line in file order: lexical
+faults (non-ASCII, field count, grammar) before node checks, each of which
+names the first line that fails it.
 
 Node i is defined by line i+1; the root is node 0 and is not written. Parent
 ids may only point at already-defined nodes, so the node order is a valid
@@ -33,6 +42,7 @@ carries the training strategy tag.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
@@ -55,6 +65,9 @@ VOCAB_JSON_FORMAT = "hbow-vocabulary"
 VOCAB_JSON_VERSION = 1
 SCORING_L1 = "L1"
 WEIGHTING_TFIDF = "tf-idf"
+
+# text vocabularies are read and parsed this many bytes at a time
+_TEXT_BLOCK_BYTES = 1 << 18
 
 
 def _atomic_write_bytes(path, data: bytes) -> None:
@@ -167,7 +180,7 @@ def _assemble(k: int, L: int, strategy: Strategy | None, parent: np.ndarray, lea
 
 def _parse(lines: list[str], dtype) -> np.ndarray:
     """One row per line by numpy's C text reader; ValueError for a blank line
-    or a token outside the text grammar."""
+    or a token outside the text grammar or the field's dtype."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # older numpy's int64 "7.0"
         warnings.simplefilter("ignore", UserWarning)  # no data: all lines blank, caught below
@@ -177,32 +190,75 @@ def _parse(lines: list[str], dtype) -> np.ndarray:
     return rows
 
 
-def _bad_line(lines: list[str], octets: int) -> str:
+def _node_dtype(octets: int) -> np.dtype:
+    """One parsed node line. Octets are int16: wide enough for the range check
+    to report 300, while a larger token fails the parse and names its field."""
+    return np.dtype([("parent", np.int64), ("leaf", np.int64), ("octets", np.int16, (octets,)),
+                     ("weight", np.float64)])
+
+
+def _bad_line(lines: list[str], first: int, dtype: np.dtype) -> str:
     """Name the first bad node line and field, converting each field alone
-    with the reader the bulk parse uses."""
-    fields = [("parent id", np.int64), ("is_leaf flag", np.int64),
-              *[("centroid octet", np.int64)] * octets, ("weight", np.float64)]
-    for lineno, line in enumerate(lines, start=2):
+    with the reader and dtype the block parse uses; `first` is the file line
+    number of `lines[0]`."""
+    fields = [("parent id", dtype["parent"]), ("is_leaf flag", dtype["leaf"]),
+              *[("centroid octet", dtype["octets"].base)] * dtype["octets"].shape[0],
+              ("weight", dtype["weight"])]
+    for lineno, line in enumerate(lines, start=first):
         tokens = line.split()
         if len(tokens) != len(fields):
             return f"line {lineno}: expected {len(fields)} fields, got {len(tokens)}"
-        for (name, dtype), token in zip(fields, tokens):
+        for (name, field_dtype), token in zip(fields, tokens):
             try:
-                _parse([token], dtype)
+                _parse([token], field_dtype)
             except ValueError:
-                return f"line {lineno}: {name} {token!r} does not parse as {np.dtype(dtype)}"
+                return f"line {lineno}: {name} {token!r} does not parse as {field_dtype}"
     return "node lines do not parse"
 
 
-def read_vocab_text(path) -> Vocabulary:
-    try:
-        text = Path(path).read_bytes().decode("ascii")
-    except UnicodeDecodeError as exc:
-        lineno = exc.object.count(b"\n", 0, exc.start) + 1
-        raise VocabularyFileError(f"line {lineno}: non-ASCII byte") from None
-    # only "\n" ends a line; "\r" separates fields like "\t", so CRLF files load
-    lines = text.replace("\r", " ").split("\n")
-    head = lines[0].split()
+def _text_blocks(fh):
+    """Yield (file line number of the first line, lines) for each run of
+    whole lines in the binary file `fh`, read _TEXT_BLOCK_BYTES at a time
+    into one reused buffer. Only "\n" ends a line, and "\r" becomes a space,
+    a field separator like "\t", so CRLF files load. The partial line after
+    a block's last "\n" moves to the buffer's front; a line that fills the
+    buffer doubles it. A non-ASCII byte raises VocabularyFileError once the
+    lines before its own have been yielded, so errors come in file order."""
+    buf = bytearray(_TEXT_BLOCK_BYTES)
+    held, lineno = 0, 1
+    while True:
+        if held == len(buf):
+            buf.extend(bytes(held))
+        with memoryview(buf) as view:
+            got = fh.readinto(view[held:])
+        held += got
+        # at the end of the file, what is held is one last line without "\n"
+        cut = buf.rfind(b"\n", 0, held) if got else held
+        if cut < 0:
+            continue
+        if not held:
+            return
+        with memoryview(buf) as view:
+            try:
+                text, bad = str(view[:cut], "ascii"), None
+            except UnicodeDecodeError as exc:
+                bad = buf.rfind(b"\n", 0, exc.start) + 1  # the start of the line holding it
+                text = str(view[:bad - 1], "ascii") if bad else None
+        if text is not None:
+            lines = text.replace("\r", " ").split("\n")
+            yield lineno, lines
+            lineno += len(lines)
+        if bad is not None:
+            raise VocabularyFileError(f"line {lineno}: non-ASCII byte")
+        if not got:
+            return
+        buf[:held - cut - 1] = buf[cut + 1:held]
+        held -= cut + 1
+
+
+def _text_header(line: str) -> tuple[int, int]:
+    """k and L from line 1 of a text vocabulary."""
+    head = line.split()
     if len(head) != 4:
         raise VocabularyFileError(f"line 1: header needs 4 fields, got {len(head)}")
     try:
@@ -215,15 +271,28 @@ def read_vocab_text(path) -> Vocabulary:
         raise VocabularyFileError(
             f"line 1: unsupported scoring/weighting ids {scoring_id}/{weighting_id}, only 0/0"
         )
-    body = lines[1:-1] if lines[-1] == "" else lines[1:]  # a final "\n" ends the last line
-    if not body:
+    return k, L
+
+
+def read_vocab_text(path) -> Vocabulary:
+    dtype, tables = None, []
+    with open(path, "rb", buffering=0) as fh:
+        blocks = _text_blocks(fh)
+        _, lines = next(blocks, (1, [""]))
+        k, L = _text_header(lines[0])
+        for first, lines in itertools.chain([(2, lines[1:])], blocks):
+            if not lines:
+                continue
+            if dtype is None:  # the first node line sets the descriptor width
+                dtype = _node_dtype(max(len(lines[0].split()) - 3, 1))
+            try:
+                tables.append(_parse(lines, dtype))
+            except ValueError:
+                raise VocabularyFileError(_bad_line(lines, first, dtype)) from None
+    if not tables:
         raise VocabularyFileError("vocabulary file defines no nodes")
-    octets = max(len(body[0].split()) - 3, 1)
-    try:
-        nodes = _parse(body, [("parent", np.int64), ("leaf", np.int64),
-                              ("octets", np.int64, (octets,)), ("weight", np.float64)])
-    except ValueError:
-        raise VocabularyFileError(_bad_line(body, octets)) from None
+    nodes = np.concatenate(tables)
+    del tables  # else the block tables stay alive through _assemble, a second node table
     flag = nodes["leaf"]
     bad = np.flatnonzero((flag < 0) | (flag > 1))
     if bad.size:

@@ -3,6 +3,8 @@ import os
 import stat
 import struct
 import threading
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +24,7 @@ from hbow import (
     read_vocab_json,
     read_vocab_text,
     save_vocabulary,
+    Vocabulary,
     train,
     write_descriptors,
     write_rows_json,
@@ -40,11 +43,11 @@ def _random_set(n, octets, seed, groups=None):
     return DescriptorSet(codes=codes, group_ends=groups)
 
 
-def _grouped_vocab(seed=0, k=4, L=2, n=2000, octets=8):
+def _grouped_vocab(seed=0, k=4, L=2, n=2000, octets=8, strategy=Strategy.GLOBAL_HBRB):
     rng = np.random.default_rng(seed)
     ds = DescriptorSet(codes=rng.integers(0, 256, size=(n, octets), dtype=np.uint8),
                        group_ends=list(range(100, n + 1, 100)))
-    cfg = TrainConfig(k=k, L=L, strategy=Strategy.GLOBAL_HBRB,
+    cfg = TrainConfig(k=k, L=L, strategy=strategy,
                       cluster=ClusterConfig(k=k, max_iters=30, seed=seed), seed=seed)
     return train(ds, cfg)
 
@@ -326,6 +329,13 @@ def test_text_parse_errors_carry_line_numbers(tmp_path):
         read_vocab_text(path)
 
 
+
+def test_text_parse_errors_carry_line_numbers_in_tiny_blocks(tmp_path, monkeypatch):
+    # 3-byte reads split every line, so a loader that numbered lines per
+    # block, or lost the partial line between reads, would misname them
+    monkeypatch.setattr("hbow.io._TEXT_BLOCK_BYTES", 3)
+    test_text_parse_errors_carry_line_numbers(tmp_path)
+
 def test_text_loader_assigns_word_ids_depth_first(tmp_path):
     # two internal nodes under the root, two leaves each; leaves appear in
     # BFS order in the file but word ids must follow depth-first traversal
@@ -359,6 +369,138 @@ def test_text_loader_assigns_word_ids_depth_first(tmp_path):
     assert vocab.word_of_node.tolist() == [-1, -1, 0, 1, -1, 2, 3]
     assert vocab.children[:, :2].tolist() == [[1, 4], [2, 3], [-1, -1], [-1, -1],
                                               [5, 6], [-1, -1], [-1, -1]]
+
+
+# ---------------------------------------------------------------- text blocks
+
+_ONE_BLOCK = 1 << 20  # larger than every text file these tests write
+_CRLF_FIXTURE = b"2 2 0 0\r\n0 0\x0c7 0.0\r\n1 1 9 1.0\x0b\r\n1 1 5\r1.0\r\n"
+
+
+def _text_outcome(path):
+    """The arrays a text load gives, or its error message."""
+    try:
+        return _arrays(read_vocab_text(path))
+    except VocabularyFileError as exc:
+        return str(exc)
+
+
+def _outcome_in_blocks(monkeypatch, path, block_bytes):
+    with monkeypatch.context() as m:
+        m.setattr("hbow.io._TEXT_BLOCK_BYTES", block_bytes)
+        return _text_outcome(path)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return len(a) == len(b) and all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+                                    for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_text_loads_alike_in_any_block_size(tmp_path, monkeypatch, strategy):
+    # lines of 100+ bytes against blocks of 1-64 bytes: a boundary falls
+    # inside tokens, between fields and several times within one line
+    path = tmp_path / "v.txt"
+    write_vocab_text(path, _grouped_vocab(seed=2, k=3, L=2, n=300, octets=32, strategy=strategy))
+    one = _outcome_in_blocks(monkeypatch, path, _ONE_BLOCK)
+    assert not isinstance(one, str), one
+    for block_bytes in (1, 2, 7, 16, 64, 1000):
+        assert _same(_outcome_in_blocks(monkeypatch, path, block_bytes), one), block_bytes
+
+
+def test_text_block_boundaries_in_crlf_and_unterminated_lines(tmp_path, monkeypatch):
+    # every block size up to the file's length puts a boundary at every
+    # offset, so 8-byte blocks end the first read between the header's "\r"
+    # and "\n"; the last line may lack its "\r\n" or its "\n"
+    assert _CRLF_FIXTURE[7:9] == b"\r\n"
+    path = tmp_path / "v.txt"
+    for data in (_CRLF_FIXTURE, _CRLF_FIXTURE[:-1], _CRLF_FIXTURE[:-2]):
+        path.write_bytes(data)
+        one = _outcome_in_blocks(monkeypatch, path, _ONE_BLOCK)
+        assert not isinstance(one, str) and read_vocab_text(path).word_count == 2, one
+        for block_bytes in range(1, len(data) + 2):
+            assert _same(_outcome_in_blocks(monkeypatch, path, block_bytes), one), (data, block_bytes)
+
+
+def test_text_errors_in_a_later_block_name_the_file_line(tmp_path, monkeypatch):
+    path = tmp_path / "v.txt"
+    write_vocab_text(path, _grouped_vocab(seed=4, k=3, L=2, n=300, octets=4))
+    *lines, leaf = path.read_bytes().split(b"\n")[:-1]
+    last = len(lines) + 1  # the file line number of `leaf`, the last node
+    fields = leaf.split(b" ")
+    assert fields[1] == b"1" and sum(map(len, lines)) > 200
+
+    def respell(index, token):
+        return b" ".join(fields[:index] + [token] + fields[index + 1:])
+
+    for body, message in [
+        (lines + [b"", leaf], f"line {last}: expected 7 fields, got 0"),
+        (lines + [leaf + b"\xe9"], f"line {last}: non-ASCII byte"),
+        (lines + [respell(2, b"1_0")], f"line {last}: centroid octet '1_0' does not parse"),
+        (lines + [respell(1, b"2")], f"line {last}: is_leaf flag must be 0 or 1"),
+        (lines + [respell(2, b"300")], f"line {last}: centroid octets must lie in [0, 255]"),
+        (lines + [respell(2, b"70000")], f"line {last}: centroid octet '70000' does not parse as int16"),
+        # the first faulty line in file order wins, whichever check finds it
+        (lines[:2] + [lines[2] + b"\xe9"] + lines[3:] + [respell(2, b"1_0")], "line 3: non-ASCII"),
+        (lines[:2] + [lines[2] + b" 1"] + lines[3:] + [leaf + b"\xe9"], "line 3: expected 7 fields"),
+    ]:
+        path.write_bytes(b"\n".join(body) + b"\n")
+        one = _outcome_in_blocks(monkeypatch, path, _ONE_BLOCK)
+        assert isinstance(one, str) and one.startswith(message), (message, one)
+        for block_bytes in (1, 16, 100):
+            assert _outcome_in_blocks(monkeypatch, path, block_bytes) == one, (message, block_bytes)
+
+
+def test_text_vocabulary_read_from_a_pipe(tmp_path):
+    # a pipe returns short reads, most of them without a "\n"
+    path = tmp_path / "v.txt"
+    write_vocab_text(path, _grouped_vocab(seed=6, k=3, L=2, n=300, octets=4))
+    raw = path.read_bytes()
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+
+    def write_in_pieces():
+        with open(pipe, "wb", buffering=0) as fh:
+            for start in range(0, len(raw), 5):
+                fh.write(raw[start:start + 5])
+                time.sleep(0.001)
+
+    writer = threading.Thread(target=write_in_pieces, daemon=True)
+    writer.start()
+    back = read_vocab_text(pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert _same(_arrays(back), _arrays(read_vocab_text(path)))
+
+
+def test_text_loader_memory_is_bounded_by_the_loaded_arrays(tmp_path):
+    # a full k=13, L=4 tree of 30,941 256-bit nodes (4.3 MB of text): the
+    # whole-file loader peaked at 4.9x the arrays the vocabulary keeps, the
+    # block loader at 2.3x; numpy reports its buffers to tracemalloc
+    k, L = 13, 4
+    n = sum(k ** d for d in range(L + 1))
+    rng = np.random.default_rng(0)
+    weight = np.where(np.arange(n) >= n - k ** L, rng.uniform(0.5, 4.0, n), 0.0)
+    path = tmp_path / "v.txt"
+    write_vocab_text(path, Vocabulary(k, L, None, 256, np.append(-1, np.arange(n - 1) // k),
+                                      rng.integers(0, 256, size=(n, 32), dtype=np.uint8), weight))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        vocab = read_vocab_text(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    kept = sum(getattr(vocab, name).nbytes for name in (
+        "parent", "centroids", "weight", "children", "word_of_node", "word_weight",
+        "centroid_words"))
+    assert vocab.word_count == k ** L
+    assert peak <= 3 * kept + 2 * 2 ** 20, (peak / kept, kept)
 
 
 # ---------------------------------------------------------------- json format
@@ -506,14 +648,46 @@ def _mutate(data: bytes, other: bytes, op: int, rng) -> bytes:
 def _arrays(obj):
     if isinstance(obj, DescriptorSet):
         return [obj.codes, obj.group_ends]
-    return [obj.k, obj.L, obj.strategy, obj.parent, obj.centroids, obj.weight,
-            obj.word_of_node, obj.children]
+    return [obj.k, obj.L, obj.strategy, obj.descriptor_bits, obj.height, obj.parent,
+            obj.centroids, obj.weight, obj.word_of_node, obj.word_weight, obj.children,
+            obj.centroid_words]
+
+
+def _fuzz(tmp_path, rng, suffix, objs, write, read, good_vocab) -> set:
+    """200 seeded mutants of two valid files of one format: every rejection
+    is a FormatError, every accepted mutant round-trips, and the CLI exits 2
+    on a sample of them, never 3. Returns the outcomes seen, as (suffix,
+    accepted) pairs."""
+    valid = []
+    for obj in objs:
+        write(tmp_path / f"valid{suffix}", obj)
+        valid.append((tmp_path / f"valid{suffix}").read_bytes())
+    path, resaved = tmp_path / f"mutant{suffix}", tmp_path / f"resaved{suffix}"
+    outcomes = set()
+    for m in range(200):
+        path.write_bytes(_mutate(valid[m % 2], valid[1 - m % 2], m % 4, rng))
+        try:
+            loaded = read(path)
+        except FormatError:
+            accepted = False
+        else:
+            accepted = True
+            write(resaved, loaded)
+            for a, b in zip(_arrays(loaded), _arrays(read(resaved))):
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        outcomes.add((suffix, accepted))
+        if m % 5 == 0:
+            if suffix == ".hbdc":
+                argv = ["transform", "--vocab", str(good_vocab), "--corpus", str(path),
+                        "--out", os.devnull]
+            else:
+                argv = ["convert", "--src", str(path), "--dst", str(tmp_path / "out.txt")]
+            code = main(argv)
+            assert code in (0, 2) and (code == 2 or accepted), (suffix, m, code)
+    return outcomes
 
 
 def test_mutated_files_are_rejected_as_format_errors_or_round_trip(tmp_path):
-    # 200 seeded mutants of two valid files per format: every rejection is a
-    # FormatError, every accepted mutant round-trips, and the CLI exits 2 on a
-    # sample of them, never 3
     rng = np.random.default_rng(20261018)
     vocabs = [_grouped_vocab(seed=s, k=3, L=2, n=200, octets=4) for s in (0, 1)]
     sets = [_random_set(12, 4, seed=2, groups=[3, 3, 7, 12]), _random_set(9, 4, seed=3)]
@@ -523,29 +697,20 @@ def test_mutated_files_are_rejected_as_format_errors_or_round_trip(tmp_path):
     for suffix, objs, write, read in [(".txt", vocabs, write_vocab_text, read_vocab_text),
                                       (".json", vocabs, write_vocab_json, read_vocab_json),
                                       (".hbdc", sets, write_descriptors, read_descriptors)]:
-        valid = []
-        for obj in objs:
-            write(tmp_path / f"valid{suffix}", obj)
-            valid.append((tmp_path / f"valid{suffix}").read_bytes())
-        path, resaved = tmp_path / f"mutant{suffix}", tmp_path / f"resaved{suffix}"
-        for m in range(200):
-            path.write_bytes(_mutate(valid[m % 2], valid[1 - m % 2], m % 4, rng))
-            try:
-                loaded = read(path)
-            except FormatError:
-                accepted = False
-            else:
-                accepted = True
-                write(resaved, loaded)
-                for a, b in zip(_arrays(loaded), _arrays(read(resaved))):
-                    assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-            outcomes.add((suffix, accepted))
-            if m % 5 == 0:
-                if suffix == ".hbdc":
-                    argv = ["transform", "--vocab", str(good_vocab), "--corpus", str(path),
-                            "--out", os.devnull]
-                else:
-                    argv = ["convert", "--src", str(path), "--dst", str(tmp_path / "out.txt")]
-                code = main(argv)
-                assert code in (0, 2) and (code == 2 or accepted), (suffix, m, code)
+        outcomes |= _fuzz(tmp_path, rng, suffix, objs, write, read, good_vocab)
     assert len(outcomes) == 6  # each format had accepted and rejected mutants
+
+
+def test_mutated_text_files_in_tiny_blocks(tmp_path, monkeypatch):
+    # the text half of the fuzz above in 5-byte blocks, the CLI included;
+    # each mutant also gives exactly the one-block arrays or message
+    monkeypatch.setattr("hbow.io._TEXT_BLOCK_BYTES", 5)
+
+    def read_alike(path):
+        assert _same(_text_outcome(path), _outcome_in_blocks(monkeypatch, path, _ONE_BLOCK))
+        return read_vocab_text(path)
+
+    vocabs = [_grouped_vocab(seed=s, k=3, L=2, n=200, octets=4) for s in (0, 1)]
+    outcomes = _fuzz(tmp_path, np.random.default_rng(20261018), ".txt", vocabs,
+                     write_vocab_text, read_alike, None)
+    assert len(outcomes) == 2
