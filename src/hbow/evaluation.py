@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from io import StringIO
 
 import numpy as np
 
 from .bow import RetrievalDatabase, transform
-from .descriptors import DescriptorSet, hamming_rows
+from .descriptors import DescriptorSet, _as_codes, hamming_rows
 from .errors import ConfigError, InsufficientPointsError
 from .io import _atomic_write_bytes
 from .vocabulary import Strategy, TrainConfig, Vocabulary, lookup_words, train_result
@@ -135,17 +136,19 @@ def quantization_report(vocab: Vocabulary, descriptors) -> QuantReport:
     """Distance-to-assigned-leaf statistics plus word-usage spread.
 
     Quantization error of a descriptor is its Hamming distance to the
-    centroid of the leaf that greedy lookup assigns it to. Entropy is the
-    Shannon entropy (bits) of the word usage distribution.
+    centroid of the leaf that greedy lookup assigns it to; a 1-d row is one
+    descriptor. Entropy is the Shannon entropy (bits) of the word usage
+    distribution, summed with `math.fsum`, so it does not depend on the order
+    of the words and hence not on their labels.
     """
-    codes = descriptors.codes if isinstance(descriptors, DescriptorSet) else np.asarray(descriptors)
+    codes = _as_codes(descriptors.codes if isinstance(descriptors, DescriptorSet) else descriptors)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("quantization_report needs at least one descriptor")
     word_ids, leaf_ids = lookup_words(vocab, codes)
     qe = hamming_rows(codes, vocab.centroids[leaf_ids])
     _, counts = np.unique(word_ids, return_counts=True)
     probs = counts / counts.sum()
-    entropy = float(-(probs * np.log2(probs)).sum())
+    entropy = -math.fsum((probs * np.log2(probs)).tolist())
     return QuantReport(
         mean_qe=float(qe.mean()),
         p50_qe=float(np.percentile(qe, 50)),

@@ -16,6 +16,7 @@ from hbow import (
     TrainConfig,
     compare_strategies,
     hamming_rows,
+    lookup_words,
     quantization_report,
     retrieval_report,
     synth_sequence,
@@ -218,6 +219,29 @@ def test_quantization_rejects_empty_input():
         quantization_report(vocab, np.zeros((0, 8), dtype=np.uint8))
 
 
+def test_quantization_counts_a_1d_row_as_one_descriptor():
+    # a 1-d row is one descriptor, not one per octet
+    vocab = _bundle_vocab()
+    row = np.array([0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01], dtype=np.uint8)
+    report = quantization_report(vocab, row)
+    assert report.count == 1 and report.words_used == 1
+    assert report.mean_qe == 1.0
+    assert report == quantization_report(vocab, row[None, :])
+
+
+def test_quantization_entropy_is_a_correctly_rounded_sum():
+    # the entropy terms summed exactly once, so it cannot depend on the
+    # order of the words, and hence not on how they are numbered
+    ds = synth_clustered(6, 60, 0.2, bits=64, seed=3)
+    vocab = train(ds, TrainConfig(k=4, L=3, strategy=Strategy.KMAJORITY, seed=0))
+    report = quantization_report(vocab, ds)
+    counts = np.unique(lookup_words(vocab, ds.codes)[0], return_counts=True)[1]
+    terms = (counts / counts.sum()) * np.log2(counts / counts.sum())
+    rng = np.random.default_rng(0)
+    for order in (terms, terms[::-1], rng.permutation(terms)):
+        assert report.entropy == -math.fsum(order.tolist())
+
+
 # ---------------------------------------------------------------- retrieval
 
 
@@ -318,6 +342,35 @@ def test_compare_strategies_duplicate_strategy_gives_identical_rows():
     rows = compare_strategies(cfg, ["kmajority", "kmajority"], seeds=[3], k=3, L=2)
     a, b = _strip_seconds(rows)
     assert a == b
+
+
+# `compare_strategies` rows, without train_seconds, on a noisy grid whose
+# trees have leaves at several depths, so these rows also pin that the eval
+# does not depend on how words are numbered
+_PINNED_EVAL_ROWS = [
+    ("kmajority", 0, 47.4625, 82.0, 251, 7.721350615744946, 0.8181818181818182, 0.8571428571428572),
+    ("local-brb", 0, 46.802083333333336, 83.04999999999995, 252, 7.73142230188792,
+     0.9090909090909091, 0.9),
+    ("hbrb", 0, 59.28958333333333, 117.0, 225, 7.583029836671775, 0.8181818181818182,
+     0.6956521739130435),
+    ("kmajority", 1, 47.57083333333333, 85.04999999999995, 248, 7.669852205671527, 1.0,
+     0.8888888888888888),
+    ("local-brb", 1, 48.025, 82.0, 251, 7.729442192869348, 1.0, 1.0),
+    ("hbrb", 1, 57.983333333333334, 118.0, 227, 7.582922205217763, 0.8888888888888888,
+     0.7368421052631577),
+    ("kmajority", 2, 47.225, 84.0, 249, 7.696874353324415, 0.8, 0.761904761904762),
+    ("local-brb", 2, 47.954166666666666, 86.0, 247, 7.666746630331224, 0.5, 0.47058823529411764),
+    ("hbrb", 2, 60.02916666666667, 117.0, 222, 7.549702219927314, 0.8, 0.7777777777777777),
+]
+
+
+def test_compare_strategies_pinned_rows():
+    cfg = SynthConfig(num_places=12, descriptors_per_place=40, bit_flip_prob=0.3,
+                      revisit_fraction=0.5)
+    rows = compare_strategies(cfg, ["kmajority", "local-brb", "hbrb"], seeds=[0, 1, 2],
+                              k=4, L=4, max_iters=10)
+    want = [dict(zip(EVAL_COLUMNS, row)) for row in _PINNED_EVAL_ROWS]
+    assert _strip_seconds(rows) == want
 
 
 def test_compare_strategies_rejects_empty_inputs():
