@@ -33,8 +33,9 @@ names the first line that fails it.
 Node i is defined by line i+1; the root is node 0 and is not written. Parent
 ids may only point at already-defined nodes, so the node order is a valid
 breadth-first (or any topological) order. Word ids are not stored: loaders
-renumber leaves depth-first, children in stored order, which is the same rule
-training uses, so a save/load round trip preserves every lookup result.
+give each leaf line the next word id, as DBoW2's loadFromTextFile does, so
+words follow file order. Training numbers words in node order and writers
+keep node order, so a save/load round trip preserves every lookup result.
 
 The JSON format is this library's native serialization; it additionally
 carries the training strategy tag.

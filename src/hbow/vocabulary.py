@@ -2,8 +2,8 @@
 
 A vocabulary is a k-ary tree of packed binary centroids, stored as flat
 read-only arrays (see `Vocabulary`). The root's centroid is unused; every
-other node holds one. Leaves carry word ids (assigned depth-first, children
-in stored order) and idf weights. Looking up a
+other node holds one. Leaves carry word ids (assigned in node order, which
+is file order, as DBoW2 numbers them) and idf weights. Looking up a
 descriptor walks greedily from the root, at each internal node moving to the
 child with the smallest Hamming distance (ties to the lowest-index child),
 and returns the reached leaf's word.
@@ -67,7 +67,8 @@ class Vocabulary:
 
     * `children`     (nodes, widest fan-out) int64, child ids ascending,
                      padded with -1;
-    * `word_of_node` (nodes,) int64, word id of each leaf, -1 elsewhere;
+    * `word_of_node` (nodes,) int64, word id of each leaf, -1 elsewhere: the
+                     leaves numbered 0..W-1 in node order (`assign_word_ids`);
     * `word_weight`  (word_count,) float64, the weight of each word;
     * `centroid_words` (ceil(bits/64), nodes) uint64, the centroids in 64-bit
                      words, word-major, the last word zero-padded: the
@@ -110,16 +111,14 @@ class Vocabulary:
             )
         children = _child_table(parent)
         word_of_node = assign_word_ids(children)
-        leaves = np.flatnonzero(word_of_node >= 0)
-        word_weight = np.zeros(leaves.size, dtype=np.float64)
-        word_weight[word_of_node[leaves]] = weight[leaves]
+        word_weight = weight[word_of_node >= 0]
         arrays = {"parent": parent, "centroids": centroids, "weight": weight,
                   "children": children, "word_of_node": word_of_node,
                   "word_weight": word_weight, "centroid_words": _word_major(centroids)}
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "word_count", int(leaves.size))
+        object.__setattr__(self, "word_count", word_weight.size)
         object.__setattr__(self, "height", _height(children))
 
     def __reduce__(self):
@@ -242,35 +241,13 @@ def _grow(codes: np.ndarray,
 
 def assign_word_ids(children: np.ndarray) -> np.ndarray:
     """Word id of every node given the child table: leaves numbered 0..W-1
-    depth-first, children in ascending id order; -1 for the root and every
-    internal node.
-
-    A leaf's word id is the number of leaves under its ancestors' earlier
-    siblings, so the numbering takes one bottom-up and one top-down pass per
-    tree level.
+    in node order, which is file order, as DBoW2's
+    `TemplatedVocabulary::loadFromTextFile` numbers them; -1 for the root and
+    every internal node.
     """
     is_leaf = children[:, 0] < 0
     is_leaf[0] = False
-    levels = [np.zeros(1, dtype=np.int64)]  # internal nodes, one array per depth
-    while True:
-        kids = children[levels[-1]]
-        kids = kids[kids >= 0]
-        inner = kids[~is_leaf[kids]]
-        if not inner.size:
-            break
-        levels.append(inner)
-    leaves_under = is_leaf.astype(np.int64)
-    for nodes in reversed(levels):
-        kids = children[nodes]
-        leaves_under[nodes] = np.where(kids >= 0, leaves_under[kids], 0).sum(axis=1)
-    first_word = np.zeros(children.shape[0], dtype=np.int64)
-    for nodes in levels:
-        kids = children[nodes]
-        valid = kids >= 0
-        below = np.where(valid, leaves_under[kids], 0)
-        start = first_word[nodes, None] + np.cumsum(below, axis=1) - below
-        first_word[kids[valid]] = start[valid]
-    return np.where(is_leaf, first_word, -1)
+    return np.where(is_leaf, np.cumsum(is_leaf) - 1, -1)
 
 
 def compute_idf(vocab: Vocabulary, corpus: DescriptorSet) -> Vocabulary:
@@ -293,8 +270,7 @@ def compute_idf(vocab: Vocabulary, corpus: DescriptorSet) -> Vocabulary:
     n_groups = float(corpus.group_count)
     idf = np.where(doc_count > 0, np.log(n_groups / np.maximum(doc_count, 1)), 0.0)
     weight = vocab.weight.copy()
-    leaves = vocab.word_of_node >= 0
-    weight[leaves] = idf[vocab.word_of_node[leaves]]
+    weight[vocab.word_of_node >= 0] = idf
     return replace(vocab, weight=weight)
 
 
@@ -380,7 +356,7 @@ def train_result(corpus: DescriptorSet, cfg: TrainConfig) -> TrainResult:
 def train(corpus: DescriptorSet, cfg: TrainConfig, *, threads: int = 1) -> Vocabulary:
     """Train a hierarchical vocabulary on a descriptor corpus.
 
-    Builds the tree with `cfg.strategy`, numbers words depth-first, weights
+    Builds the tree with `cfg.strategy`, numbers words in node order, weights
     leaves by idf over the corpus groups, and validates the structure.
     Bit-identical for identical (corpus, config). Training runs on one
     thread; `threads` is kept for callers that pass 1, and any other value

@@ -336,39 +336,82 @@ def test_text_parse_errors_carry_line_numbers_in_tiny_blocks(tmp_path, monkeypat
     monkeypatch.setattr("hbow.io._TEXT_BLOCK_BYTES", 3)
     test_text_parse_errors_carry_line_numbers(tmp_path)
 
-def test_text_loader_assigns_word_ids_depth_first(tmp_path):
-    # two internal nodes under the root, two leaves each; leaves appear in
-    # BFS order in the file but word ids must follow depth-first traversal
-    path = tmp_path / "tree.txt"
-    path.write_text(
-        "2 2 0 0\n"
-        "0 0 0 0.0\n"      # node 1, internal
-        "0 0 255 0.0\n"    # node 2, internal
-        "1 1 1 1.0\n"      # node 3, leaf (word 0)
-        "1 1 2 1.0\n"      # node 4, leaf (word 1)
-        "2 1 250 1.0\n"    # node 5, leaf (word 2)
-        "2 1 251 1.0\n"    # node 6, leaf (word 3)
+def test_text_loader_numbers_words_in_line_order(tmp_path):
+    # root -> internal A (0), leaf B (200), internal C (255); A -> leaves 1,
+    # 2; C -> leaves 250, 251. Stored breadth-first, leaf B comes before A's
+    # leaves, so it takes word 0, as DBoW2's loader numbers it; depth-first
+    # numbering would give it word 2
+    breadth_first = (
+        "3 2 0 0\n"
+        "0 0 0 0.0\n"      # node 1, A
+        "0 1 200 1.0\n"    # node 2, B (word 0)
+        "0 0 255 0.0\n"    # node 3, C
+        "1 1 1 1.0\n"      # node 4, leaf (word 1)
+        "1 1 2 1.0\n"      # node 5, leaf (word 2)
+        "3 1 250 1.0\n"    # node 6, leaf (word 3)
+        "3 1 251 1.0\n"    # node 7, leaf (word 4)
     )
-    vocab = read_vocab_text(path)
-    assert vocab.word_count == 4
-    assert vocab.word_of_node.tolist() == [-1, -1, -1, 0, 1, 2, 3]
-    word, _, leaf = lookup_word(vocab, np.array([250], dtype=np.uint8))
-    assert (word, leaf) == (2, 5)
-
     # the same tree stored depth-first: parents still precede children
-    path.write_text(
-        "2 2 0 0\n"
-        "0 0 0 0.0\n"      # node 1, internal
+    depth_first = (
+        "3 2 0 0\n"
+        "0 0 0 0.0\n"      # node 1, A
         "1 1 1 1.0\n"      # node 2, leaf (word 0)
         "1 1 2 1.0\n"      # node 3, leaf (word 1)
-        "0 0 255 0.0\n"    # node 4, internal
-        "4 1 250 1.0\n"    # node 5, leaf (word 2)
-        "4 1 251 1.0\n"    # node 6, leaf (word 3)
+        "0 1 200 1.0\n"    # node 4, B (word 2)
+        "0 0 255 0.0\n"    # node 5, C
+        "5 1 250 1.0\n"    # node 6, leaf (word 3)
+        "5 1 251 1.0\n"    # node 7, leaf (word 4)
     )
-    vocab = read_vocab_text(path)
-    assert vocab.word_of_node.tolist() == [-1, -1, 0, 1, -1, 2, 3]
-    assert vocab.children[:, :2].tolist() == [[1, 4], [2, 3], [-1, -1], [-1, -1],
-                                              [5, 6], [-1, -1], [-1, -1]]
+    probes = np.array([[1], [2], [200], [250], [251]], dtype=np.uint8)
+    reached = []
+    for text, word_of_node, leaves, words in (
+            (breadth_first, [-1, -1, 0, -1, 1, 2, 3, 4], [4, 5, 2, 6, 7], [1, 2, 0, 3, 4]),
+            (depth_first, [-1, -1, 0, 1, 2, -1, 3, 4], [2, 3, 4, 6, 7], [0, 1, 2, 3, 4])):
+        path = tmp_path / "tree.txt"
+        path.write_text(text)
+        vocab = read_vocab_text(path)
+        assert vocab.word_count == 5
+        assert vocab.word_of_node.tolist() == word_of_node
+        got_words, got_leaves = lookup_words(vocab, probes)
+        assert got_leaves.tolist() == leaves and got_words.tolist() == words
+        reached.append(vocab.centroids[got_leaves])
+    assert np.array_equal(*reached)  # both files descend to the same leaves
+
+
+def test_word_ids_are_leaf_ranks_in_node_order_through_round_trips(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(picks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=60),
+                      seed=st.integers(0, 2 ** 16))
+    def check(picks, seed):
+        # node i + 1 hangs under any earlier node: a random topological order
+        parent = [-1] + [pick % (i + 1) for i, pick in enumerate(picks)]
+        n = len(parent)
+        depth = [0] * n
+        for i in range(1, n):
+            depth[i] = depth[parent[i]] + 1
+        fanout = np.bincount(parent[1:], minlength=n)
+        is_leaf = [i > 0 and fanout[i] == 0 for i in range(n)]
+        want, word = [], 0
+        for leaf in is_leaf:
+            want.append(word if leaf else -1)
+            word += leaf
+        rng = np.random.default_rng(seed)
+        weight = np.where(is_leaf, rng.uniform(0.0, 5.0, n), 0.0)
+        vocab = Vocabulary(max(2, int(fanout.max())), max(depth), None, 24, parent,
+                           rng.integers(0, 256, size=(n, 3), dtype=np.uint8), weight)
+        assert vocab.word_of_node.tolist() == want
+        assert np.array_equal(vocab.word_weight, weight[vocab.word_of_node >= 0])
+        for suffix in (".txt", ".json"):
+            path = tmp_path / f"v{suffix}"
+            save_vocabulary(path, vocab)
+            back = load_vocabulary(path)
+            assert np.array_equal(back.word_of_node, vocab.word_of_node)
+            assert np.array_equal(back.word_weight, vocab.word_weight)
+
+    check()
 
 
 # ---------------------------------------------------------------- text blocks

@@ -134,22 +134,41 @@ def test_tree_shape_and_metadata():
         validate_structure(vocab)
 
 
-def test_word_ids_follow_depth_first_leaf_order():
-    ds = _random_corpus(500, 8, seed=4)
+def test_word_ids_follow_node_order_on_uneven_trees(tmp_path):
+    # twelve values repeated: nodes stop on one distinct value at every
+    # depth, so leaves sit at several depths and depth-first order differs
+    # from node order
+    rng = np.random.default_rng(0)
+    pool = rng.integers(0, 256, size=(12, 8), dtype=np.uint8)
+    ds = DescriptorSet(pool[rng.integers(12, size=300)])
     for strategy in ALL_STRATEGIES:
         vocab = train(ds, _cfg(3, 3, strategy, seed=0))
+        leaves = [nid for nid in range(1, vocab.parent.size) if not _kids(vocab, nid).size]
+        assert vocab.word_of_node[leaves].tolist() == list(range(vocab.word_count))
 
-        order = []
+        depth_first = []
 
         def walk(nid):
             kids = _kids(vocab, nid)
             if nid != 0 and not kids.size:
-                order.append(vocab.word_of_node[nid])
+                depth_first.append(nid)
             for c in kids:
                 walk(c)
 
         walk(0)
-        assert order == list(range(vocab.word_count))
+        assert depth_first != leaves, strategy
+
+        # DBoW2's text loader gives each leaf line the next word id
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(path, vocab)
+        words, next_word = [-1], 0
+        for line in path.read_text().splitlines()[1:]:
+            if line.split()[1] == "1":
+                words.append(next_word)
+                next_word += 1
+            else:
+                words.append(-1)
+        assert vocab.word_of_node.tolist() == words
 
 
 # ---------------------------------------------------------------- small-node rules
@@ -261,7 +280,8 @@ def test_descent_on_a_hand_built_uneven_tree():
     # root 0 -> leaf 1, node 2, leaf 3 (the widest fan-out, 3);
     # node 2 -> node 4, node 5 (a narrower row, padded with one -1);
     # node 4 -> leaves 6, 7, 8; node 5 -> leaf 9, the last node, which a
-    # -1 child slot would read if it were not masked
+    # -1 child slot would read if it were not masked. Words number the leaves
+    # in node order: 1, 3, 6, 7, 8, 9
     parent = [-1, 0, 0, 0, 2, 2, 4, 4, 4, 5]
     centroids = np.vstack([_bits72(), _bits72(*range(8)), _bits72(), _bits72(*range(64, 72)),
                            _bits72(8), _bits72(9), _bits72(8, 10), _bits72(8, 11), _bits72(8, 12),
@@ -270,7 +290,7 @@ def test_descent_on_a_hand_built_uneven_tree():
     assert vocab.height == 3
     with pytest.raises(InternalInvariantError):  # a root alone has no word to descend to
         Vocabulary(3, 3, None, 72, [-1], centroids[:1], [0.0])
-    assert vocab.word_of_node.tolist() == [-1, 0, -1, 5, -1, -1, 1, 2, 3, 4]
+    assert vocab.word_of_node.tolist() == [-1, 0, -1, 1, -1, -1, 2, 3, 4, 5]
     probes = np.vstack([
         _bits72(0, 1, 2, 3, 64, 65, 66, 67),  # 8 from each root child, across both words: leaf 1
         _bits72(),                            # ties at 2 (4 vs 5) and 3 (6, 7, 8): leaf 6
@@ -280,7 +300,7 @@ def test_descent_on_a_hand_built_uneven_tree():
     ])
     words, leaves = lookup_words(vocab, probes)
     assert leaves.tolist() == [1, 6, 9, 7, 3]
-    assert words.tolist() == [0, 1, 4, 2, 5]
+    assert words.tolist() == [0, 2, 5, 3, 1]
     rng = np.random.default_rng(0)
     noisy = np.vstack([probes, rng.integers(0, 256, size=(40, 9), dtype=np.uint8),
                        centroids ^ rng.integers(0, 256, size=centroids.shape, dtype=np.uint8)
@@ -502,9 +522,9 @@ def _reference_train(corpus, cfg):
     A node splits unless it sits at depth L, holds one point or holds one
     distinct value; the root always splits. A split makes min(k, distinct)
     groups and seeds its RNG from (train seed, node path). Returns (parent,
-    centroids, member word ids), words numbered in depth-first leaf order.
-    hbrb clusters slices of the corpus relaxed once to float32 rows, with the
-    float k-means oracle.
+    centroids, member word ids), leaves numbered as the breadth-first pass
+    dequeues them, which is node order. hbrb clusters slices of the corpus
+    relaxed once to float32 rows, with the float k-means oracle.
     """
     codes = corpus.codes
     real = realize_matrix(codes, dtype=np.float32)
@@ -532,22 +552,17 @@ def _reference_train(corpus, cfg):
             kids = [subtree(c, g, depth + 1, (*path, j)) for j, (c, g) in enumerate(split(idx, path))]
         return centroid, idx, kids
 
-    def leaf_members(node):
-        if not node[2]:
-            yield node[1]
-        for kid in node[2]:
-            yield from leaf_members(kid)
-
     everything = np.arange(len(corpus))
     root = (np.zeros(codes.shape[1], dtype=np.uint8), everything,
             [subtree(c, g, 1, (j,)) for j, (c, g) in enumerate(split(everything, ()))])
     member_words = np.full(len(corpus), -1, dtype=np.int64)
-    for word, members in enumerate(leaf_members(root)):
-        member_words[members] = word
-    parent, centroids, queue = [-1], [root[0]], [(root, 0)]
-    for node, nid in queue:
+    parent, centroids, queue, word = [-1], [root[0]], [root], 0
+    for nid, node in enumerate(queue):  # a node's id is its place in the queue
+        if not node[2]:
+            member_words[node[1]] = word
+            word += 1
         for kid in node[2]:
-            queue.append((kid, len(parent)))
+            queue.append(kid)
             parent.append(nid)
             centroids.append(kid[0])
     return np.array(parent), np.vstack(centroids), member_words
