@@ -1,34 +1,44 @@
 """Flat k-clustering primitives for binary descriptors.
 
-Both iterative clusterers take packed codes, relax them to 0/1 rows, and
-run one loop, `_lloyd`: k-means++ seeding, then alternate (update centroids,
+Every clusterer takes packed codes, relaxes them once to 0/1 rows, and runs
+one loop, `_lloyd`: k-means++ seeding, then alternate (update centroids,
 reassign, repair empty clusters) until the post-repair assignment vector
 reaches a fixpoint or `max_iters` passes run out. They differ only in the
 centroid update they pass:
 
-* `kmajority`: per-bit majority-vote centroids, kept as 0/1 rows and packed
-  once on return.
+* `kmajority`: per-bit majority-vote centroids, packed once on return.
 * `lloyd_real`: arithmetic-mean centroids.
-* `brb_kmeans`: run `lloyd_real`, binarize the converged centroids once, then
-  reassign and repair against those 0/1 rows.
+* `brb_kmeans`: run the same mean loop, binarize its converged centroids
+  once, then reassign and repair against those 0/1 rows.
 
-Every assignment is one squared-Euclidean pass (`_assign_sq`) and every
-repair measures squared Euclidean distance, both on the 0/1 rows. Between a
-0/1 row and a 0/1 centroid that distance is the Hamming distance exactly: an
-integer of at most the bit count, exact in float32 in any summation order.
-So kmajority and brb's final partition are Hamming clusterings without a
-separate Hamming kernel. Seeding runs in Hamming on the packed codes for the
-same reason. Both update from one grouped pass of per-cluster bit counts
-(`_cluster_sums`), which are exact integers, so neither depends on the
-summation order.
+A centroid is held as its integer bit counts S and its member count n; its
+real value is the mean S/n. A seed, a repaired centroid and a majority-vote
+row are (row, 1). Every assignment and every repair goes through one integer
+kernel, `_numerators`:
+
+    |x_i - S_j/n_j|^2 = |x_i| + M_ij / n_j^2,  M_ij = |S_j|^2 - 2*n_j*(x_i . S_j)
+
+The rows are relaxed to float32 while rows*bits < 2**24 and to float64 above,
+so the gemm x . S^T, a sum of integers, is exact in the rows' dtype. M is
+combined exactly: in the gemm's dtype when every n_j is 1, in float64 while
+2*bits*n^2 < 2**53, in int64 above. Each row goes to the centroid of least
+M_ij / n_j^2, one correctly rounded division (none when every n_j is 1, where
+|x_i| + M_ij is the Hamming distance), and the repair picks its farthest
+member by the integer n^2*|x| + M. So no assignment, repair or objective
+depends on the BLAS kernel, its thread count or the CPU: the integers come
+out the same in any summation order, and the division and comparisons are
+IEEE operations on them. Seeding runs in Hamming on the packed codes, and the
+updates come from one grouped pass of per-cluster bit counts
+(`_cluster_sums`), exact integers as well.
 
 Every step is non-increasing in the respective objective (sum of distances
 to the assigned centroid), including the repair move: the stolen point's new
 distance is zero, and no other point changes cluster.
 
 Ties everywhere break toward the lowest index: assignment picks the first
-nearest centroid, repair donors are the first largest cluster, and the stolen
-point is the first farthest member.
+nearest centroid (two quotients that round to the same float64 tie), repair
+donors are the first largest cluster, and the stolen point is the first
+farthest member.
 """
 
 from __future__ import annotations
@@ -40,8 +50,10 @@ import numpy as np
 from .descriptors import _as_codes, binarize_matrix, hamming_to_all, realize_matrix
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 
-# A float32 sum of 0/1 values is an exact integer while it stays below 2**24.
+# A float32 sum of integers is exact while every partial sum stays below 2**24.
 _F32_EXACT_COUNT = 1 << 24
+# float64 holds every integer below 2**53 exactly.
+_F64_EXACT_INT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -107,33 +119,77 @@ def kmeanspp_seed(codes, k: int, rng: np.random.Generator) -> np.ndarray:
     return pts[chosen].copy()
 
 
-def _assign_sq(x: np.ndarray, x2: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # ||x - c||^2 expanded through a single gemm; clamped at zero against
-    # cancellation noise. Only the argmin and the objective are consumed.
-    d = x2[:, None] + np.einsum("ij,ij->i", cents, cents)[None, :] - 2.0 * (x @ cents.T)
-    np.maximum(d, 0.0, out=d)
-    assign = d.argmin(axis=1)
-    return assign, d[np.arange(x.shape[0]), assign].astype(np.float64)
+def _relax(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 0/1 rows of a code matrix and their popcounts |x| (int64).
+
+    The rows are float32 while rows*bits < `_F32_EXACT_COUNT` and float64
+    above. No cluster has more members than there are rows, so every x . S
+    product of `_numerators` then sums exactly in the rows' own dtype.
+    """
+    rows, bits = codes.shape[0], codes.shape[1] * 8
+    dtype = np.float32 if rows * bits < _F32_EXACT_COUNT else np.float64
+    return realize_matrix(codes, dtype), np.bitwise_count(codes).sum(axis=1, dtype=np.int64)
 
 
-def _repair_empty(x, cents, assign, obj_vec) -> None:
-    """Give every empty cluster one point, mutating cents/assign/obj_vec.
+def _numerators(x: np.ndarray, s: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """M_ij = |S_j|^2 - 2*n_j*(x_i . S_j) for 0/1 rows `x` and centroids of
+    bit counts `s` (integer-valued) over `n` members, an exact integer for
+    every (row, centroid): |x_i - S_j/n_j|^2 = |x_i| + M_ij / n_j^2.
+
+    x . S^T is one gemm in the rows' dtype while bits*max(n) <
+    `_F32_EXACT_COUNT` (each partial sum is an integer of at most that) and in
+    float64 above. M, at most 2*bits*n^2 in size, is combined in the gemm's
+    dtype when every n_j is 1, in float64 while 2*bits*max(n)^2 <
+    `_F64_EXACT_INT`, and in int64 above (exact while below 2**63).
+    """
+    bits, n_max = x.shape[1], int(n.max())
+    gemm = x.dtype if bits * n_max < _F32_EXACT_COUNT else np.dtype(np.float64)
+    if n_max == 1:
+        dtype = gemm
+    elif 2 * bits * n_max * n_max < _F64_EXACT_INT:
+        dtype = np.dtype(np.float64)
+    else:
+        dtype = np.dtype(np.int64)
+    m = (x.astype(gemm, copy=False) @ s.astype(gemm, copy=False).T).astype(dtype, copy=False)
+    m *= -2 * n.astype(dtype)
+    counts = s.astype(dtype, copy=False)
+    m += np.einsum("ij,ij->i", counts, counts)
+    return m
+
+
+def _assign(x: np.ndarray, x1: np.ndarray, s: np.ndarray,
+            n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid of every row, by M / n^2 with ties to the lowest
+    index, and the row's squared Euclidean distance to it, |x| + M / n^2, as
+    float64. M / n^2 is one correctly rounded division of the exact integer
+    (an int64 M rounds to float64 first), and none when every n_j is 1, where
+    the distance is the Hamming distance."""
+    d = _numerators(x, s, n)
+    if n.max() > 1:
+        d = d.astype(np.float64, copy=False)
+        d /= n * n
+    labels = d.argmin(axis=1)
+    return labels, x1 + d[np.arange(x.shape[0]), labels].astype(np.float64)
+
+
+def _repair_empty(x, x1, s, n, labels, obj_vec) -> None:
+    """Give every empty cluster one point, mutating s/n/labels/obj_vec.
 
     Each empty cluster (ascending index) steals the member of the currently
-    largest cluster that lies farthest (squared Euclidean) from the empty
-    cluster's stale centroid; that row becomes the new centroid, so its
-    contribution to the objective drops to zero and the repair never
-    increases the objective.
+    largest cluster that lies farthest from the empty cluster's stale
+    centroid, by the exact integer n^2*|x - S/n|^2 = n^2*|x| + M; that row
+    becomes the new centroid (row, 1), so its contribution to the objective
+    drops to zero and the repair never increases the objective.
     """
-    k = cents.shape[0]
-    sizes = np.bincount(assign, minlength=k)
+    sizes = np.bincount(labels, minlength=s.shape[0])
     for c in np.flatnonzero(sizes == 0):
         donor = int(np.argmax(sizes))
-        members = np.flatnonzero(assign == donor)
-        diff = x[members] - cents[c]
-        p = int(members[np.argmax(np.einsum("ij,ij->i", diff, diff))])
-        cents[c] = x[p]
-        assign[p] = c
+        members = np.flatnonzero(labels == donor)
+        far = n[c] * n[c] * x1[members] + _numerators(x[members], s[c:c + 1], n[c:c + 1])[:, 0]
+        p = int(members[np.argmax(far)])
+        s[c] = x[p]
+        n[c] = 1
+        labels[p] = c
         obj_vec[p] = 0.0
         sizes[donor] -= 1
         sizes[c] += 1
@@ -154,36 +210,46 @@ def _cluster_sums(bits: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndar
     return onehot @ bits.astype(dtype, copy=False), np.bincount(labels, minlength=k)
 
 
-def _lloyd(codes, x, cfg: ClusterConfig, rng, trace, update) -> ClusterResult:
-    """The loop every clusterer runs on `x`, the 0/1 rows of `codes`:
-    k-means++ seeding on `codes`, assignment and repair, then (update, assign,
-    repair) passes until the post-repair assignment repeats or `max_iters`
-    passes have run.
+def _lloyd(codes, x, x1, cfg: ClusterConfig, rng, trace,
+           update) -> tuple[ClusterResult, np.ndarray]:
+    """The loop every clusterer runs on `x`, the 0/1 rows of `codes`, with
+    popcounts `x1`: k-means++ seeding on `codes`, assignment and repair, then
+    (update, assign, repair) passes until the post-repair assignment repeats
+    or `max_iters` passes have run.
 
-    `update(cents, labels)` rewrites the centroid rows (of `x`'s dtype) in
-    place. The objective is appended to `trace` after seeding and after
-    every pass.
+    `update(labels)` returns the new centroids as (bit counts S of `x`'s
+    dtype, member counts n). Returns the result, whose `centroids` hold the
+    final S, and the final n. The objective is appended to `trace` after
+    seeding and after every pass.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    x2 = np.einsum("ij,ij->i", x, x)
-    cents = realize_matrix(kmeanspp_seed(codes, cfg.k, rng), x.dtype)
-    labels, obj_vec = _assign_sq(x, x2, cents)
-    _repair_empty(x, cents, labels, obj_vec)
+    s = realize_matrix(kmeanspp_seed(codes, cfg.k, rng), x.dtype)
+    n = np.ones(cfg.k, dtype=np.int64)
+    labels, obj_vec = _assign(x, x1, s, n)
+    _repair_empty(x, x1, s, n, labels, obj_vec)
     if trace is not None:
         trace.append(float(obj_vec.sum()))
     iterations = 0
     while iterations < cfg.max_iters:
-        update(cents, labels)
+        s, n = update(labels)
         prev = labels
-        labels, obj_vec = _assign_sq(x, x2, cents)
-        _repair_empty(x, cents, labels, obj_vec)
+        labels, obj_vec = _assign(x, x1, s, n)
+        _repair_empty(x, x1, s, n, labels, obj_vec)
         iterations += 1
         if trace is not None:
             trace.append(float(obj_vec.sum()))
         if np.array_equal(labels, prev):
             break
-    return ClusterResult(cents, labels, float(obj_vec.sum()), iterations)
+    return ClusterResult(s, labels, float(obj_vec.sum()), iterations), n
+
+
+def _mean_lloyd(codes, cfg: ClusterConfig, rng, trace):
+    """`_lloyd` with arithmetic-mean updates, for lloyd_real and brb_kmeans:
+    returns the 0/1 rows, their popcounts, the result and the member counts."""
+    x, x1 = _relax(codes)
+    res, n = _lloyd(codes, x, x1, cfg, rng, trace, lambda labels: _cluster_sums(x, labels, cfg.k))
+    return x, x1, res, n
 
 
 def kmajority(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = None,
@@ -198,59 +264,54 @@ def kmajority(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = No
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("kmajority needs at least one descriptor")
-    bits = realize_matrix(codes, np.float32)
+    x, x1 = _relax(codes)
 
-    def update(cents, labels):
-        sums, counts = _cluster_sums(bits, labels, cents.shape[0])
-        cents[:] = sums * 2 > counts[:, None]
+    def update(labels):
+        sums, counts = _cluster_sums(x, labels, cfg.k)
+        return (sums * 2 > counts[:, None]).astype(x.dtype), np.ones(cfg.k, dtype=np.int64)
 
-    res = _lloyd(codes, bits, cfg, rng, trace, update)
+    res, _ = _lloyd(codes, x, x1, cfg, rng, trace, update)
     res.centroids = binarize_matrix(res.centroids)
     return res
 
 
-def lloyd_real(descs, cfg: ClusterConfig, *, dtype=np.float64,
-               rng: np.random.Generator | None = None, trace: list | None = None) -> ClusterResult:
-    """Standard k-means on packed descriptors relaxed to 0/1 reals of `dtype`
-    (float32 or float64): squared-Euclidean assignment, arithmetic-mean
-    updates, same seeding/repair/stopping rules as kmajority.
+def lloyd_real(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = None,
+               trace: list | None = None) -> ClusterResult:
+    """Standard k-means on packed descriptors relaxed to 0/1 reals:
+    squared-Euclidean assignment, arithmetic-mean updates, same
+    seeding/repair/stopping rules as kmajority.
 
-    The centroids come back as `dtype` rows. Each one is its members' bit
-    counts divided by their number in `dtype`, which is bit for bit the mean
-    of the relaxed rows.
+    Assignment and repair run on the exact integer kernel, so the clusters
+    and the objective do not depend on a float width or the BLAS kernel. The
+    centroids come back as float64 rows, each its members' bit counts divided
+    by their number: bit for bit the float64 mean of the relaxed rows.
     """
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("lloyd_real needs at least one descriptor")
-    dtype = np.dtype(dtype)
-    if dtype not in (np.float32, np.float64):
-        raise ConfigError(f"dtype must be float32 or float64, got {dtype}")
-    x = realize_matrix(codes, dtype)
-
-    def update(cents, labels):
-        sums, counts = _cluster_sums(x, labels, cents.shape[0])
-        cents[:] = sums.astype(dtype) / counts[:, None].astype(dtype)
-
-    return _lloyd(codes, x, cfg, rng, trace, update)
+    _, _, res, n = _mean_lloyd(codes, cfg, rng, trace)
+    res.centroids = res.centroids.astype(np.float64) / n[:, None]
+    return res
 
 
 def brb_kmeans(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = None,
                trace: list | None = None) -> ClusterResult:
     """Binary-real-binary k-means on packed descriptors.
 
-    The inputs are clustered as float64 0/1 reals with `lloyd_real`, and the
-    converged real centroids are binarized exactly once (strict > 0.5, ties
-    to 0). Points are then reassigned to the binary centroids and empty
-    clusters repaired on float32 0/1 rows, where squared Euclidean is the
+    The inputs are clustered with `lloyd_real`'s mean loop, and each
+    converged centroid is binarized exactly once from its integer counts:
+    bit i is 1 iff 2*S_i > n (a mean strictly above 0.5, ties to 0). Points
+    are then reassigned to the binary centroids, as (row, 1), and empty
+    clusters repaired on the same 0/1 rows, where the kernel's distance is the
     Hamming distance, so the reported objective is the Hamming objective.
     With k = 1 the single centroid equals `majority_centroid(descs)`.
     """
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("brb_kmeans needs at least one descriptor")
-    res = lloyd_real(codes, cfg, rng=rng, trace=trace)
-    x = realize_matrix(codes, np.float32)
-    cents = realize_matrix(binarize_matrix(res.centroids), np.float32)
-    labels, obj_vec = _assign_sq(x, np.einsum("ij,ij->i", x, x), cents)
-    _repair_empty(x, cents, labels, obj_vec)
+    x, x1, res, n = _mean_lloyd(codes, cfg, rng, trace)
+    cents = (res.centroids * 2 > n[:, None]).astype(x.dtype)
+    ones = np.ones_like(n)
+    labels, obj_vec = _assign(x, x1, cents, ones)
+    _repair_empty(x, x1, cents, ones, labels, obj_vec)
     return ClusterResult(binarize_matrix(cents), labels, float(obj_vec.sum()), res.iterations_run)

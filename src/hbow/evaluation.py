@@ -148,7 +148,9 @@ def quantization_report(vocab: Vocabulary, descriptors) -> QuantReport:
     qe = hamming_rows(codes, vocab.centroids[leaf_ids])
     _, counts = np.unique(word_ids, return_counts=True)
     probs = counts / counts.sum()
-    entropy = -math.fsum((probs * np.log2(probs)).tolist())
+    # 0.0 - sum rather than -sum: one word's term is 0.0, and -0.0 would
+    # print as "-0.0" in the eval rows
+    entropy = 0.0 - math.fsum((probs * np.log2(probs)).tolist())
     return QuantReport(
         mean_qe=float(qe.mean()),
         p50_qe=float(np.percentile(qe, 50)),

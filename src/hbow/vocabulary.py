@@ -14,8 +14,9 @@ in how one node's points are partitioned into k groups:
 * KMAJORITY       - Hamming k-majority at every node.
 * LOCAL_BRB       - binary-real-binary k-means at every node: relax, run
                     real k-means, binarize the centroids, reassign.
-* GLOBAL_HBRB     - run real k-means (float32) down the entire hierarchy,
-                    each node relaxing its own members' codes, and partition
+* GLOBAL_HBRB     - run real k-means (exact integer assignment, see
+                    `clustering`) down the entire hierarchy, each node
+                    relaxing its own members' codes, and partition
                     children by the real assignments; binary centroids enter
                     only as derived artifacts. A node's stored binary centroid is the
                     per-bit majority vote of its members, so every leaf
@@ -222,7 +223,7 @@ def _grow(codes: np.ndarray,
             elif cfg.strategy is Strategy.LOCAL_BRB:
                 res = brb_kmeans(node_codes, ccfg, rng=rng)
             else:
-                res = lloyd_real(node_codes, ccfg, dtype=np.float32, rng=rng)
+                res = lloyd_real(node_codes, ccfg, rng=rng)
             for j in range(ccfg.k):
                 child = members[res.assignments == j]
                 if child.size == 0:

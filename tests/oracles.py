@@ -2,10 +2,11 @@
 
 These are helpers hbow itself does not need: scalar Hamming distance and
 binarization, a one-row tree descent, a clustered-corpus generator, the
-relaxed-domain helpers and the float k-means path. hbow seeds in Hamming on
-packed codes and updates from integer bit counts; each oracle here works one
-row at a time or on float rows the plain way, so a test can demand that the
-packed path gives the same results.
+relaxed-domain helpers and an exact k-means path. hbow seeds in Hamming on
+packed codes, updates from integer bit counts and assigns through one gemm
+kernel; each oracle here works one row at a time, on float rows the plain way
+or in Python integers, so a test can demand that the packed path gives the
+same results.
 """
 
 import numpy as np
@@ -92,27 +93,45 @@ def kmeanspp_seed_sqeuclidean(x, k, rng):
     return x[chosen].copy()
 
 
-def _assign(x, cents):
-    # The same gemm expansion of ||x - c||^2, in x's dtype, as hbow's
-    # assignment: its float32 rounding decides near-ties, so an oracle that
-    # computed the distance another way would pick other labels.
-    x2 = np.einsum("ij,ij->i", x, x)
-    d = x2[:, None] + np.einsum("ij,ij->i", cents, cents)[None, :] - 2.0 * (x @ cents.T)
-    np.maximum(d, 0.0, out=d)
-    labels = d.argmin(axis=1)
-    return labels, d[np.arange(x.shape[0]), labels].astype(np.float64)
+def exact_numerators(x, sums, counts):
+    """M = |S|^2 - 2n*(x . S) for every 0/1 row of x and every centroid of bit
+    sums S over n members, as rows of Python ints (the dot products in int64,
+    which numpy sums without BLAS): |x - S/n|^2 = |x| + M / n^2."""
+    s = np.asarray(sums).astype(np.int64)
+    dots = (np.asarray(x).astype(np.int64) @ s.T).tolist()
+    squares = (s * s).sum(axis=1).tolist()
+    n = [int(c) for c in counts]
+    return [[q - 2 * m * d for d, q, m in zip(row, squares, n)] for row in dots]
 
 
-def _repair(x, cents, labels, obj):
+def _assign(x, sums, counts):
+    # nearest mean of every row by M / n^2, the first of equal quotients;
+    # Python's int / int is correctly rounded
+    ones = np.asarray(x).sum(axis=1).tolist()
+    n = [int(c) for c in counts]
+    labels, dists = [], []
+    for a, row in zip(ones, exact_numerators(x, sums, counts)):
+        quotients = [v / (m * m) for v, m in zip(row, n)]
+        j = min(range(len(quotients)), key=quotients.__getitem__)
+        labels.append(j)
+        dists.append(a + quotients[j])
+    return np.array(labels, dtype=np.int64), np.array(dists, dtype=np.float64)
+
+
+def _repair(x, sums, counts, labels, obj):
     # each empty cluster, in ascending order, takes the member of the first
-    # largest cluster farthest from its stale centroid
-    sizes = np.bincount(labels, minlength=cents.shape[0])
+    # largest cluster farthest from its stale mean, by n^2*|x - S/n|^2 =
+    # n^2*|x| + M; that row becomes its centroid, with one member
+    sizes = np.bincount(labels, minlength=sums.shape[0])
     for c in np.flatnonzero(sizes == 0):
         donor = int(np.argmax(sizes))
         members = np.flatnonzero(labels == donor)
-        diff = x[members] - cents[c]
-        p = int(members[np.argmax(np.einsum("ij,ij->i", diff, diff))])
-        cents[c] = x[p]
+        m = int(counts[c])
+        far = [m * m * int(a) + row[0] for a, row in
+               zip(x[members].sum(axis=1), exact_numerators(x[members], sums[c:c + 1], [m]))]
+        p = int(members[max(range(len(far)), key=far.__getitem__)])
+        sums[c] = x[p]
+        counts[c] = 1
         labels[p] = c
         obj[p] = 0.0
         sizes[donor] -= 1
@@ -120,26 +139,30 @@ def _repair(x, cents, labels, obj):
 
 
 def lloyd_float(x, cfg, *, rng=None, trace=None):
-    """k-means on float rows x: `kmeanspp_seed_sqeuclidean`, then (mean of
-    each cluster's rows, reassign, repair) until the assignment repeats or
-    `cfg.max_iters` passes have run."""
+    """k-means on float 0/1 rows x: `kmeanspp_seed_sqeuclidean`, then (bit
+    sums and sizes of each cluster, reassign by `exact_numerators`, repair)
+    until the assignment repeats or `cfg.max_iters` passes have run. The
+    centroids come back as float64 means, sums / sizes."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    cents = kmeanspp_seed_sqeuclidean(x, cfg.k, rng)
-    labels, obj = _assign(x, cents)
-    _repair(x, cents, labels, obj)
+    sums = kmeanspp_seed_sqeuclidean(x, cfg.k, rng).astype(np.int64)
+    counts = np.ones(cfg.k, dtype=np.int64)
+    labels, obj = _assign(x, sums, counts)
+    _repair(x, sums, counts, labels, obj)
     if trace is not None:
         trace.append(float(obj.sum()))
     iterations = 0
     while iterations < cfg.max_iters:
         for c in range(cfg.k):
-            cents[c] = x[labels == c].mean(axis=0)
+            members = x[labels == c]
+            sums[c] = members.sum(axis=0)
+            counts[c] = members.shape[0]
         prev = labels
-        labels, obj = _assign(x, cents)
-        _repair(x, cents, labels, obj)
+        labels, obj = _assign(x, sums, counts)
+        _repair(x, sums, counts, labels, obj)
         iterations += 1
         if trace is not None:
             trace.append(float(obj.sum()))
         if np.array_equal(labels, prev):
             break
-    return ClusterResult(cents, labels, float(obj.sum()), iterations)
+    return ClusterResult(sums / counts[:, None], labels, float(obj.sum()), iterations)

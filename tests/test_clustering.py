@@ -16,7 +16,7 @@ from hbow import (
     majority_centroid,
     realize_matrix,
 )
-from oracles import hamming, kmeanspp_seed_sqeuclidean, lloyd_float
+from oracles import _repair, exact_numerators, hamming, kmeanspp_seed_sqeuclidean, lloyd_float
 
 
 def _hamming_objective(codes, centroids, assignments):
@@ -193,8 +193,6 @@ def test_lloyd_objective_matches_recompute():
     )
     assert res.objective == pytest.approx(manual, rel=1e-9)
     assert np.bincount(res.assignments, minlength=4).min() >= 1
-    with pytest.raises(ConfigError):
-        lloyd_real(codes, ClusterConfig(k=4), dtype=np.int64)
     with pytest.raises(CorpusConsistencyError):
         lloyd_real(x, ClusterConfig(k=4))
 
@@ -279,17 +277,17 @@ def _assert_same_result(got, want, got_trace, want_trace):
 
 
 def test_lloyd_real_matches_float_oracle_on_generated_codes():
-    # the packed flow (Hamming seeding, grouped bit counts) against the float
-    # flow it replaced (sqeuclidean seeding on relaxed rows, per-cluster mask
-    # means): every float must be the same
+    # the packed flow (Hamming seeding, grouped bit counts, the gemm kernel)
+    # against the plain flow (sqeuclidean seeding on relaxed rows, per-cluster
+    # mask sums, distances in Python integers): every float must be the same
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @hypothesis.given(n=st.integers(1, 80), octets=st.integers(1, 4), pool=st.integers(1, 80),
                       seed=st.integers(0, 2 ** 16), max_iters=st.integers(1, 30),
-                      dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
-    def check(n, octets, pool, seed, max_iters, dtype, data):
+                      data=st.data())
+    def check(n, octets, pool, seed, max_iters, data):
         # a pool smaller than n repeats rows
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 256, size=(pool, octets), dtype=np.uint8)
@@ -298,16 +296,17 @@ def test_lloyd_real_matches_float_oracle_on_generated_codes():
         k = data.draw(st.one_of(st.just(distinct), st.integers(1, n)))
         cfg = ClusterConfig(k=k, max_iters=max_iters, seed=seed % 5)
         got_trace, want_trace = [], []
-        got = lloyd_real(codes, cfg, dtype=dtype, trace=got_trace)
-        want = lloyd_float(realize_matrix(codes, dtype), cfg, trace=want_trace)
+        got = lloyd_real(codes, cfg, trace=got_trace)
+        want = lloyd_float(realize_matrix(codes), cfg, trace=want_trace)
         _assert_same_result(got, want, got_trace, want_trace)
 
     check()
 
 
 def test_float64_grouped_sums_give_the_same_clusters(monkeypatch):
-    # a node of 2**24 or more points sums its bit counts in float64; lower the
-    # limit so these small inputs take that path
+    # a node of 2**24 or more points sums its bit counts in float64, and one
+    # of 2**24 or more bits in all relaxes to float64 rows and assigns with a
+    # float64 gemm; lower the limit so these small inputs take those paths
     rng = np.random.default_rng(16)
     codes = rng.integers(0, 256, size=(300, 8), dtype=np.uint8)[rng.integers(300, size=600)]
     cfg = ClusterConfig(k=7, seed=2)
@@ -318,13 +317,99 @@ def test_float64_grouped_sums_give_the_same_clusters(monkeypatch):
         sums, _ = hbow.clustering._cluster_sums(realize_matrix(codes, np.float32), labels, cfg.k)
         assert sums.dtype == (np.float64 if limit == 1 else np.float32)
         runs[limit] = []
-        for cluster, kwargs in ((kmajority, {}), (lloyd_real, {"dtype": np.float32}),
-                                (lloyd_real, {}), (brb_kmeans, {})):
+        for cluster in (kmajority, lloyd_real, brb_kmeans):
             trace = []
-            runs[limit].append((cluster(codes, cfg, trace=trace, **kwargs), trace))
+            runs[limit].append((cluster(codes, cfg, trace=trace), trace))
     for (got, got_trace), (want, want_trace) in zip(runs[1], runs[1 << 24]):
         _assert_same_result(got, want, got_trace, want_trace)
     want_trace = []
-    want = lloyd_float(realize_matrix(codes, np.float32), cfg, trace=want_trace)
+    want = lloyd_float(realize_matrix(codes), cfg, trace=want_trace)
     got, got_trace = runs[1][1]
     _assert_same_result(got, want, got_trace, want_trace)
+
+
+def test_assignment_kernel_is_exact_under_permutations_and_either_width(monkeypatch):
+    # generated centroids (bit counts S over n members) up to n = 3 * 2**26,
+    # with scaled copies of a neighbour (an exact tie) and copies one count
+    # off (a near-tie far below float32's resolution)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    limits = (hbow.clustering._F32_EXACT_COUNT, hbow.clustering._F64_EXACT_INT)
+
+    def assign(x, s, n, f32_limit=limits[0], f64_limit=limits[1]):
+        monkeypatch.setattr(hbow.clustering, "_F32_EXACT_COUNT", f32_limit)
+        monkeypatch.setattr(hbow.clustering, "_F64_EXACT_INT", f64_limit)
+        x1 = x.sum(axis=1).astype(np.int64)
+        return hbow.clustering._assign(x, x1, s, n)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(rows=st.integers(1, 40), bits=st.integers(1, 64), k=st.integers(1, 8),
+                      n_max=st.sampled_from([1, 2, 7, 300, 1 << 20, 1 << 26]),
+                      copies=st.lists(st.sampled_from(["none", "scaled", "off-by-one"]),
+                                      min_size=8, max_size=8),
+                      seed=st.integers(0, 2 ** 16))
+    def check(rows, bits, k, n_max, copies, seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.random((rows, bits)) < 0.5).astype(np.float32)
+        x = x[rng.integers(rows, size=rows)]  # repeated rows
+        n = rng.integers(1, n_max + 1, size=k)
+        s = np.floor(rng.random((k, bits)) * (n[:, None] + 1)).astype(np.int64)
+        for j in range(1, k):
+            if copies[j] != "none":
+                m = int(rng.integers(1, 4)) if n[j - 1] <= n_max else 1
+                n[j], s[j] = m * n[j - 1], m * s[j - 1]
+            if copies[j] == "off-by-one":
+                b = int(rng.integers(bits))
+                s[j, b] += 1 if s[j, b] < n[j] else -1
+        labels, obj = assign(x, s, n)
+        assert labels.dtype == np.int64 and obj.dtype == np.float64
+        perm = rng.permutation(bits)
+        got = assign(np.ascontiguousarray(x[:, perm]), np.ascontiguousarray(s[:, perm]), n)
+        assert np.array_equal(got[0], labels) and np.array_equal(got[1], obj)
+        got = assign(x[::-1].copy(), s, n)
+        assert np.array_equal(got[0], labels[::-1]) and np.array_equal(got[1], obj[::-1])
+        got = assign(x, s, n, f32_limit=1, f64_limit=1)
+        assert np.array_equal(got[0], labels) and np.array_equal(got[1], obj)
+        if 2 * bits * int(n.max()) ** 2 < limits[1]:
+            # below 2**53 M / n^2 is one correctly rounded division, as in Python
+            quotients = [[v / int(m) ** 2 for v, m in zip(row, n)]
+                         for row in exact_numerators(x, s, n)]
+            assert labels.tolist() == [min(range(k), key=row.__getitem__) for row in quotients]
+            assert obj.tolist() == [a + row[j] for a, row, j in
+                                    zip(x.sum(axis=1).tolist(), quotients, labels)]
+
+    check()
+
+
+def test_repair_steals_the_farthest_member_by_exact_distance():
+    # a stale mean of zeros is equally far from every row in M alone, so the
+    # farthest member is the one with the most bits set
+    x = np.array([[1, 0, 0, 0], [1, 1, 1, 0], [1, 1, 0, 0]], dtype=np.float32)
+    s, n = np.array([[2, 1, 0, 0], [0, 0, 0, 0]], dtype=np.float32), np.array([3, 2])
+    labels, obj = np.zeros(3, dtype=np.int64), np.ones(3)
+    hbow.clustering._repair_empty(x, x.sum(axis=1).astype(np.int64), s, n, labels, obj)
+    assert labels.tolist() == [0, 1, 0] and obj.tolist() == [1.0, 0.0, 1.0]
+    assert s[1].tolist() == [1, 1, 1, 0] and n.tolist() == [3, 1]
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(rows=st.integers(1, 30), bits=st.integers(1, 40), k=st.integers(2, 8),
+                      n_max=st.sampled_from([1, 5, 1 << 20]), seed=st.integers(0, 2 ** 16))
+    def check(rows, bits, k, n_max, seed):
+        # the oracle's repair on random labels that leave clusters empty
+        rng = np.random.default_rng(seed)
+        x = (rng.random((rows, bits)) < rng.random()).astype(np.float32)
+        n = rng.integers(1, n_max + 1, size=k)
+        sums = np.floor(rng.random((k, bits)) * (n[:, None] + 1))
+        labels = rng.integers(int(rng.integers(1, k + 1)), size=rows)
+        obj = rng.random(rows)
+        want = [sums.astype(np.int64), n.copy(), labels.copy(), obj.copy()]
+        _repair(x, *want)
+        got = [sums.copy(), n.copy(), labels.copy(), obj.copy()]
+        hbow.clustering._repair_empty(x, x.sum(axis=1).astype(np.int64), *got)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    check()

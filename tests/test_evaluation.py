@@ -229,6 +229,20 @@ def test_quantization_counts_a_1d_row_as_one_descriptor():
     assert report == quantization_report(vocab, row[None, :])
 
 
+def test_quantization_entropy_of_one_word_is_positive_zero(tmp_path):
+    # every descriptor on one word: the entropy is 0.0, not -0.0, and the
+    # eval rows print it so
+    vocab = _bundle_vocab()
+    report = quantization_report(vocab, vocab.centroids[vocab.word_of_node >= 0][:1])
+    assert report.words_used == 1
+    assert math.copysign(1.0, report.entropy) == 1.0
+    write_rows_csv(tmp_path / "rows.csv", [{"entropy": report.entropy}])
+    write_rows_json(tmp_path / "rows.json", [{"entropy": report.entropy}])
+    assert "-0.0" not in (tmp_path / "rows.csv").read_text()
+    assert json.loads((tmp_path / "rows.json").read_text()) == [{"entropy": 0.0}]
+    assert "-0.0" not in (tmp_path / "rows.json").read_text()
+
+
 def test_quantization_entropy_is_a_correctly_rounded_sum():
     # the entropy terms summed exactly once, so it cannot depend on the
     # order of the words, and hence not on how they are numbered

@@ -464,16 +464,16 @@ def test_training_reads_only_max_iters_of_the_cluster_config():
 _PINNED_TEXT_SHA256 = {
     Strategy.KMAJORITY: "9806ed0a974a5f51ea423cf7e5a146991d786e0fce508275c0405b71f9dca0f6",
     Strategy.LOCAL_BRB: "13e10b97b15f5edd84292249142accbaaadbc6fcd473d085d6815e2ba82107bb",
-    Strategy.GLOBAL_HBRB: "cd8eebf58c234cb3832ffc3efb741accf319cf80787d63777462f5a5b950a773",
+    Strategy.GLOBAL_HBRB: "82de46ecea4832b93c73ea4713219bdb5bd8cbb686a2c3058b5e9c500cd5b343",
 }
 
 
 def test_training_writes_the_pinned_files(tmp_path):
-    # On this corpus hbrb's float32 assignment rounds a near-tie the other
-    # way than float64 would, so the pin covers the dtype of hbrb's distances
-    # as well as every assignment, repair and update rule. The float32 sums
-    # follow the BLAS kernel's order, so another BLAS build or CPU could move
-    # the hbrb file; a change that moves it on purpose updates the pin.
+    # The pins cover every assignment, repair and update rule. On this corpus
+    # a float32 distance to hbrb's real centroids S/n rounds a near-tie the
+    # other way than the exact integer kernel, so the hbrb pin also shows that
+    # the kernel stays exact; a change that moves a file on purpose updates
+    # its pin.
     rng = np.random.default_rng(0)
     ds = DescriptorSet(rng.integers(0, 256, size=(2000, 32), dtype=np.uint8),
                        np.arange(100, 2001, 100))
@@ -482,6 +482,38 @@ def test_training_writes_the_pinned_files(tmp_path):
         save_vocabulary(path, train(ds, _cfg(6, 3, strategy, seed=0, max_iters=20)))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == _PINNED_TEXT_SHA256[strategy], strategy
+
+
+_TRAIN_PINNED_CORPUS = """
+import sys
+import numpy as np
+import hbow
+rng = np.random.default_rng(0)
+corpus = hbow.DescriptorSet(rng.integers(0, 256, size=(2000, 32), dtype=np.uint8),
+                            np.arange(100, 2001, 100))
+for strategy in hbow.Strategy:
+    cfg = hbow.TrainConfig(k=6, L=3, strategy=strategy, seed=0,
+                           cluster=hbow.ClusterConfig(k=6, max_iters=20, seed=0))
+    hbow.save_vocabulary(f"{sys.argv[1]}/{strategy.value}.txt", hbow.train(corpus, cfg))
+"""
+
+
+def test_training_is_byte_identical_across_blas_core_types(tmp_path):
+    # OpenBLAS picks its gemm kernel by CPU, and OPENBLAS_CORETYPE forces one:
+    # Prescott's kernel sums in another order than the Haswell-class kernels.
+    # The pinned corpus has a near-tie that a rounded float32 distance breaks
+    # one way or the other by that order; the integer kernel must not care.
+    files = {}
+    for core in (None, "Prescott"):
+        out = tmp_path / str(core)
+        out.mkdir()
+        env = {key: v for key, v in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        subprocess.run([sys.executable, "-c", _TRAIN_PINNED_CORPUS, str(out)],
+                       env=env, check=True, timeout=300)
+        files[core] = {s.value: (out / f"{s.value}.txt").read_bytes() for s in ALL_STRATEGIES}
+    assert files[None] == files["Prescott"]
 
 
 _TRAIN_ALL_STRATEGIES = """
@@ -524,7 +556,7 @@ def _reference_train(corpus, cfg):
     groups and seeds its RNG from (train seed, node path). Returns (parent,
     centroids, member word ids), leaves numbered as the breadth-first pass
     dequeues them, which is node order. hbrb clusters slices of the corpus
-    relaxed once to float32 rows, with the float k-means oracle.
+    relaxed once to float32 rows, with the exact k-means oracle.
     """
     codes = corpus.codes
     real = realize_matrix(codes, dtype=np.float32)
