@@ -18,18 +18,20 @@ kernel, `_numerators`:
 
     |x_i - S_j/n_j|^2 = |x_i| + M_ij / n_j^2,  M_ij = |S_j|^2 - 2*n_j*(x_i . S_j)
 
-The rows are relaxed to float32 while rows*bits < 2**24 and to float64 above,
-so the gemm x . S^T, a sum of integers, is exact in the rows' dtype. M is
-combined exactly: in the gemm's dtype when every n_j is 1, in float64 while
-2*bits*n^2 < 2**53, in int64 above. Each row goes to the centroid of least
-M_ij / n_j^2, one correctly rounded division (none when every n_j is 1, where
-|x_i| + M_ij is the Hamming distance), and the repair picks its farthest
-member by the integer n^2*|x| + M. So no assignment, repair or objective
-depends on the BLAS kernel, its thread count or the CPU: the integers come
-out the same in any summation order, and the division and comparisons are
-IEEE operations on them. Seeding runs in Hamming on the packed codes, and the
-updates come from one grouped pass of per-cluster bit counts
-(`_cluster_sums`), exact integers as well.
+x . S^T is one gemm over integers, each at most bits*max(n): the rows are
+relaxed to float32 while that bound is below 2**24 and to float64 above, so
+the gemm is exact in any summation order. kmajority's centroids and brb's
+final binary centroids all have n = 1, so their rows are float32 at any node
+size; the mean loop's centroids have up to `rows` members, so its rows are
+float64 once rows*bits reaches 2**24. M is combined in int64. Each row goes
+to the centroid of least M_ij / n_j^2, one correctly rounded division of the
+exact integer (none when every n_j is 1, where |x_i| + M_ij is the Hamming
+distance), and the repair picks its farthest member by the integer
+n^2*|x| + M. So no assignment, repair or objective depends on the BLAS
+kernel or its thread count: the integers come out the same in any summation
+order, and the division and comparisons are IEEE operations on them. Seeding
+runs in Hamming on the packed codes, and the updates come from one grouped
+pass of per-cluster bit counts (`_cluster_sums`), exact integers as well.
 
 Every step is non-increasing in the respective objective (sum of distances
 to the assigned centroid), including the repair move: the stolen point's new
@@ -52,8 +54,6 @@ from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 
 # A float32 sum of integers is exact while every partial sum stays below 2**24.
 _F32_EXACT_COUNT = 1 << 24
-# float64 holds every integer below 2**53 exactly.
-_F64_EXACT_INT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -119,40 +119,33 @@ def kmeanspp_seed(codes, k: int, rng: np.random.Generator) -> np.ndarray:
     return pts[chosen].copy()
 
 
-def _relax(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 0/1 rows of a code matrix and their popcounts |x| (int64).
+def _row_dtype(bits: int, max_members: int) -> type:
+    """The float width of 0/1 rows of `bits` bits whose centroids have at
+    most `max_members` members: float32 while bits*max_members <
+    `_F32_EXACT_COUNT`, float64 above. Every x . S product of `_numerators`
+    is an integer of at most that size, so it sums exactly in this dtype."""
+    return np.float32 if bits * max_members < _F32_EXACT_COUNT else np.float64
 
-    The rows are float32 while rows*bits < `_F32_EXACT_COUNT` and float64
-    above. No cluster has more members than there are rows, so every x . S
-    product of `_numerators` then sums exactly in the rows' own dtype.
-    """
-    rows, bits = codes.shape[0], codes.shape[1] * 8
-    dtype = np.float32 if rows * bits < _F32_EXACT_COUNT else np.float64
+
+def _relax(codes: np.ndarray, max_members: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 0/1 rows of a code matrix, in `_row_dtype` for centroids of at
+    most `max_members` members, and their popcounts |x| (int64)."""
+    dtype = _row_dtype(codes.shape[1] * 8, max_members)
     return realize_matrix(codes, dtype), np.bitwise_count(codes).sum(axis=1, dtype=np.int64)
 
 
 def _numerators(x: np.ndarray, s: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """M_ij = |S_j|^2 - 2*n_j*(x_i . S_j) for 0/1 rows `x` and centroids of
-    bit counts `s` (integer-valued) over `n` members, an exact integer for
-    every (row, centroid): |x_i - S_j/n_j|^2 = |x_i| + M_ij / n_j^2.
+    """M_ij = |S_j|^2 - 2*n_j*(x_i . S_j) (int64) for 0/1 rows `x` and
+    centroids of bit counts `s` (integer-valued) over `n` members, an exact
+    integer for every (row, centroid): |x_i - S_j/n_j|^2 = |x_i| + M_ij / n_j^2.
 
-    x . S^T is one gemm in the rows' dtype while bits*max(n) <
-    `_F32_EXACT_COUNT` (each partial sum is an integer of at most that) and in
-    float64 above. M, at most 2*bits*n^2 in size, is combined in the gemm's
-    dtype when every n_j is 1, in float64 while 2*bits*max(n)^2 <
-    `_F64_EXACT_INT`, and in int64 above (exact while below 2**63).
+    x . S^T is one gemm in the rows' dtype, exact when the rows are in
+    `_row_dtype` for max(n); M is combined in int64, exact while
+    2*bits*max(n)^2 < 2**63.
     """
-    bits, n_max = x.shape[1], int(n.max())
-    gemm = x.dtype if bits * n_max < _F32_EXACT_COUNT else np.dtype(np.float64)
-    if n_max == 1:
-        dtype = gemm
-    elif 2 * bits * n_max * n_max < _F64_EXACT_INT:
-        dtype = np.dtype(np.float64)
-    else:
-        dtype = np.dtype(np.int64)
-    m = (x.astype(gemm, copy=False) @ s.astype(gemm, copy=False).T).astype(dtype, copy=False)
-    m *= -2 * n.astype(dtype)
-    counts = s.astype(dtype, copy=False)
+    m = (x @ s.astype(x.dtype, copy=False).T).astype(np.int64)
+    m *= -2 * n
+    counts = s.astype(np.int64)
     m += np.einsum("ij,ij->i", counts, counts)
     return m
 
@@ -162,14 +155,14 @@ def _assign(x: np.ndarray, x1: np.ndarray, s: np.ndarray,
     """Nearest centroid of every row, by M / n^2 with ties to the lowest
     index, and the row's squared Euclidean distance to it, |x| + M / n^2, as
     float64. M / n^2 is one correctly rounded division of the exact integer
-    (an int64 M rounds to float64 first), and none when every n_j is 1, where
-    the distance is the Hamming distance."""
+    while |M| < 2**53 (a larger M rounds to float64 first), and none when
+    every n_j is 1, where the distance is the Hamming distance."""
     d = _numerators(x, s, n)
     if n.max() > 1:
-        d = d.astype(np.float64, copy=False)
+        d = d.astype(np.float64)
         d /= n * n
     labels = d.argmin(axis=1)
-    return labels, x1 + d[np.arange(x.shape[0]), labels].astype(np.float64)
+    return labels, (x1 + d[np.arange(x.shape[0]), labels]).astype(np.float64)
 
 
 def _repair_empty(x, x1, s, n, labels, obj_vec) -> None:
@@ -247,7 +240,7 @@ def _lloyd(codes, x, x1, cfg: ClusterConfig, rng, trace,
 def _mean_lloyd(codes, cfg: ClusterConfig, rng, trace):
     """`_lloyd` with arithmetic-mean updates, for lloyd_real and brb_kmeans:
     returns the 0/1 rows, their popcounts, the result and the member counts."""
-    x, x1 = _relax(codes)
+    x, x1 = _relax(codes, codes.shape[0])
     res, n = _lloyd(codes, x, x1, cfg, rng, trace, lambda labels: _cluster_sums(x, labels, cfg.k))
     return x, x1, res, n
 
@@ -264,7 +257,7 @@ def kmajority(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = No
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("kmajority needs at least one descriptor")
-    x, x1 = _relax(codes)
+    x, x1 = _relax(codes, 1)
 
     def update(labels):
         sums, counts = _cluster_sums(x, labels, cfg.k)
@@ -310,6 +303,7 @@ def brb_kmeans(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = N
     if codes.shape[0] == 0:
         raise InsufficientPointsError("brb_kmeans needs at least one descriptor")
     x, x1, res, n = _mean_lloyd(codes, cfg, rng, trace)
+    x = x.astype(_row_dtype(x.shape[1], 1), copy=False)
     cents = (res.centroids * 2 > n[:, None]).astype(x.dtype)
     ones = np.ones_like(n)
     labels, obj_vec = _assign(x, x1, cents, ones)

@@ -304,9 +304,10 @@ def test_lloyd_real_matches_float_oracle_on_generated_codes():
 
 
 def test_float64_grouped_sums_give_the_same_clusters(monkeypatch):
-    # a node of 2**24 or more points sums its bit counts in float64, and one
-    # of 2**24 or more bits in all relaxes to float64 rows and assigns with a
-    # float64 gemm; lower the limit so these small inputs take those paths
+    # a node of 2**24 or more points sums its bit counts in float64, and rows
+    # whose x . S products can reach 2**24 (bits times the most members a
+    # centroid may have) relax to float64 and assign with a float64 gemm;
+    # lower the limit so these small inputs take those paths
     rng = np.random.default_rng(16)
     codes = rng.integers(0, 256, size=(300, 8), dtype=np.uint8)[rng.integers(300, size=600)]
     cfg = ClusterConfig(k=7, seed=2)
@@ -328,17 +329,15 @@ def test_float64_grouped_sums_give_the_same_clusters(monkeypatch):
     _assert_same_result(got, want, got_trace, want_trace)
 
 
-def test_assignment_kernel_is_exact_under_permutations_and_either_width(monkeypatch):
+def test_assignment_kernel_is_exact_under_permutations_and_either_width():
     # generated centroids (bit counts S over n members) up to n = 3 * 2**26,
     # with scaled copies of a neighbour (an exact tie) and copies one count
-    # off (a near-tie far below float32's resolution)
+    # off (a near-tie far below float32's resolution); the rows are in the
+    # width `_relax` would pick for these n, and float64 rows must agree
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    limits = (hbow.clustering._F32_EXACT_COUNT, hbow.clustering._F64_EXACT_INT)
 
-    def assign(x, s, n, f32_limit=limits[0], f64_limit=limits[1]):
-        monkeypatch.setattr(hbow.clustering, "_F32_EXACT_COUNT", f32_limit)
-        monkeypatch.setattr(hbow.clustering, "_F64_EXACT_INT", f64_limit)
+    def assign(x, s, n):
         x1 = x.sum(axis=1).astype(np.int64)
         return hbow.clustering._assign(x, x1, s, n)
 
@@ -350,8 +349,8 @@ def test_assignment_kernel_is_exact_under_permutations_and_either_width(monkeypa
                       seed=st.integers(0, 2 ** 16))
     def check(rows, bits, k, n_max, copies, seed):
         rng = np.random.default_rng(seed)
-        x = (rng.random((rows, bits)) < 0.5).astype(np.float32)
-        x = x[rng.integers(rows, size=rows)]  # repeated rows
+        bools = rng.random((rows, bits)) < 0.5
+        bools = bools[rng.integers(rows, size=rows)]  # repeated rows
         n = rng.integers(1, n_max + 1, size=k)
         s = np.floor(rng.random((k, bits)) * (n[:, None] + 1)).astype(np.int64)
         for j in range(1, k):
@@ -361,6 +360,7 @@ def test_assignment_kernel_is_exact_under_permutations_and_either_width(monkeypa
             if copies[j] == "off-by-one":
                 b = int(rng.integers(bits))
                 s[j, b] += 1 if s[j, b] < n[j] else -1
+        x = bools.astype(hbow.clustering._row_dtype(bits, int(n.max())))
         labels, obj = assign(x, s, n)
         assert labels.dtype == np.int64 and obj.dtype == np.float64
         perm = rng.permutation(bits)
@@ -368,9 +368,9 @@ def test_assignment_kernel_is_exact_under_permutations_and_either_width(monkeypa
         assert np.array_equal(got[0], labels) and np.array_equal(got[1], obj)
         got = assign(x[::-1].copy(), s, n)
         assert np.array_equal(got[0], labels[::-1]) and np.array_equal(got[1], obj[::-1])
-        got = assign(x, s, n, f32_limit=1, f64_limit=1)
+        got = assign(bools.astype(np.float64), s, n)
         assert np.array_equal(got[0], labels) and np.array_equal(got[1], obj)
-        if 2 * bits * int(n.max()) ** 2 < limits[1]:
+        if 2 * bits * int(n.max()) ** 2 < 1 << 53:
             # below 2**53 M / n^2 is one correctly rounded division, as in Python
             quotients = [[v / int(m) ** 2 for v, m in zip(row, n)]
                          for row in exact_numerators(x, s, n)]
@@ -400,8 +400,9 @@ def test_repair_steals_the_farthest_member_by_exact_distance():
     def check(rows, bits, k, n_max, seed):
         # the oracle's repair on random labels that leave clusters empty
         rng = np.random.default_rng(seed)
-        x = (rng.random((rows, bits)) < rng.random()).astype(np.float32)
+        x = rng.random((rows, bits)) < rng.random()
         n = rng.integers(1, n_max + 1, size=k)
+        x = x.astype(hbow.clustering._row_dtype(bits, int(n.max())))
         sums = np.floor(rng.random((k, bits)) * (n[:, None] + 1))
         labels = rng.integers(int(rng.integers(1, k + 1)), size=rows)
         obj = rng.random(rows)
