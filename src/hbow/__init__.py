@@ -7,7 +7,7 @@ into tf-idf weighted bag-of-words vectors, and retrieve matches through an
 inverted index with L1 scoring.
 """
 
-from .bow import BowVector, RetrievalDatabase, normalize_l1, score_l1, transform
+from .bow import BowVector, RetrievalDatabase, score_l1, transform
 from .clustering import (
     ClusterConfig,
     ClusterResult,
@@ -17,7 +17,6 @@ from .clustering import (
     lloyd_real,
 )
 from .descriptors import (
-    DEFAULT_BITS,
     DescriptorSet,
     binarize_matrix,
     hamming_cdist,
@@ -74,9 +73,9 @@ from .vocabulary import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BowVector", "RetrievalDatabase", "normalize_l1", "score_l1", "transform",
+    "BowVector", "RetrievalDatabase", "score_l1", "transform",
     "ClusterConfig", "ClusterResult", "brb_kmeans", "kmajority", "kmeanspp_seed", "lloyd_real",
-    "DEFAULT_BITS", "DescriptorSet", "binarize_matrix",
+    "DescriptorSet", "binarize_matrix",
     "hamming_cdist", "hamming_rows", "hamming_to_all", "majority_centroid", "realize_matrix",
     "ConfigError", "CorpusConsistencyError", "DescriptorFileError", "FormatError",
     "InsufficientPointsError", "InternalInvariantError", "VocabularyFileError",

@@ -55,14 +55,6 @@ class BowVector:
         return len(self.entries)
 
 
-def normalize_l1(v: BowVector) -> BowVector:
-    """Scale to unit L1 norm; an all-zero or empty vector stays empty."""
-    total = v.l1_norm()
-    if total <= 0.0:
-        return BowVector.empty()
-    return BowVector({w: val / total for w, val in v.entries.items()})
-
-
 def transform(vocab: Vocabulary, descriptors) -> BowVector:
     """Quantize one image's descriptors into an L1-normalized tf-idf vector.
 
@@ -77,8 +69,8 @@ def transform(vocab: Vocabulary, descriptors) -> BowVector:
     tf = counts / counts.sum()
     weighted = tf * vocab.word_weight[words]
     keep = weighted > 0.0
-    # the same keys, values and summation order as normalize_l1 on the raw
-    # vector, built as one dict of Python numbers
+    # L1 normalization: each kept weight over their sum in ascending word
+    # order, built as one dict of Python numbers
     vals = weighted[keep].tolist()
     if not vals:
         return BowVector.empty()

@@ -31,7 +31,6 @@ from .evaluation import (
     write_rows_csv,
     write_rows_json,
 )
-from .clustering import ClusterConfig
 from .io import _atomic_write_bytes, load_vocabulary, read_descriptors, save_vocabulary, \
     write_descriptors
 from .vocabulary import Strategy, TrainConfig, train_result
@@ -117,10 +116,8 @@ def _emit(payload, out_path) -> None:
 
 
 def _cmd_train(args) -> int:
-    cfg = TrainConfig(
-        k=args.k, L=args.L, strategy=Strategy(args.strategy), seed=args.seed,
-        cluster=ClusterConfig(k=args.k, max_iters=args.max_iters, seed=args.seed),
-    )
+    cfg = TrainConfig(k=args.k, L=args.L, strategy=args.strategy, seed=args.seed,
+                      max_iters=args.max_iters)
     corpus = read_descriptors(args.corpus)
     print(f"training on {len(corpus)} descriptors in {corpus.group_count} groups",
           file=sys.stderr)
@@ -196,8 +193,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     try:
-        strategies = [Strategy(s.strip()) for s in args.strategies.split(",") if s.strip()]
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import CorpusConsistencyError, InsufficientPointsError
 
-DEFAULT_BITS = 256
-
 # Cap on a temporary XOR block: the (rows x rows x octets) block of
 # hamming_cdist and the (words x rows x fan-out) block of vocabulary.lookup_words.
 _CDIST_BLOCK_BYTES = 1 << 26

@@ -29,8 +29,7 @@ from .bow import RetrievalDatabase, transform
 from .descriptors import DescriptorSet, _as_codes, hamming_rows
 from .errors import ConfigError, InsufficientPointsError
 from .io import _atomic_write_bytes
-from .vocabulary import Strategy, TrainConfig, Vocabulary, lookup_words, train_result
-from .clustering import ClusterConfig
+from .vocabulary import TrainConfig, Vocabulary, _as_strategy, lookup_words, train_result
 
 EVAL_COLUMNS = [
     "strategy", "seed", "mean_qe", "p95_qe", "words_used", "entropy",
@@ -233,7 +232,7 @@ def compare_strategies(synth_cfg: SynthConfig, strategies, seeds, k: int = 10, L
     synthetic world is regenerated for each seed. Row fields follow
     EVAL_COLUMNS; everything except train_seconds is deterministic.
     """
-    strategies = [Strategy(s) for s in strategies]
+    strategies = [_as_strategy(s, ConfigError) for s in strategies]
     seeds = list(seeds)
     if not strategies:
         raise ConfigError("need at least one strategy")
@@ -243,10 +242,7 @@ def compare_strategies(synth_cfg: SynthConfig, strategies, seeds, k: int = 10, L
     for seed in seeds:
         seq = synth_sequence(replace(synth_cfg, seed=seed))
         for strategy in strategies:
-            cfg = TrainConfig(
-                k=k, L=L, strategy=strategy, seed=seed,
-                cluster=ClusterConfig(k=k, max_iters=max_iters, seed=seed),
-            )
+            cfg = TrainConfig(k=k, L=L, strategy=strategy, seed=seed, max_iters=max_iters)
             result = train_result(seq.training, cfg)
             vocab = result.vocabulary
             quant = quantization_report(vocab, seq.training)

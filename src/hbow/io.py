@@ -171,8 +171,7 @@ def _assemble(k: int, L: int, strategy: Strategy | None, parent: np.ndarray, lea
     cents = np.zeros((n, octets.shape[1]), dtype=np.uint8)
     cents[1:] = octets
     try:
-        vocab = Vocabulary(k, L, strategy, octets.shape[1] * 8, np.append(-1, parent), cents,
-                           np.append(0.0, weight))
+        vocab = Vocabulary(k, L, strategy, np.append(-1, parent), cents, np.append(0.0, weight))
         validate_structure(vocab)
     except InternalInvariantError as exc:
         raise VocabularyFileError(f"invalid vocabulary structure: {exc}") from None

@@ -52,6 +52,15 @@ class Strategy(str, Enum):
     GLOBAL_HBRB = "hbrb"
 
 
+def _as_strategy(value, error: type[Exception]) -> Strategy:
+    """`value` as a Strategy (a member or its name); `error` if it is neither."""
+    try:
+        return Strategy(value)
+    except ValueError:
+        raise error(f"unknown strategy {value!r}, expected one of "
+                    f"{', '.join(s.value for s in Strategy)}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Vocabulary:
     """A vocabulary tree as read-only flat arrays with one row per node.
@@ -61,11 +70,12 @@ class Vocabulary:
     Given at construction:
 
     * `parent`    (nodes,) int64, -1 for the root;
-    * `centroids` (nodes, descriptor_bits/8) uint8, row 0 (the root) unused;
+    * `centroids` (nodes, octets) uint8, octets >= 1, row 0 (the root) unused;
     * `weight`    (nodes,) float64, the idf weight of each leaf.
 
     Derived once at construction:
 
+    * `descriptor_bits` 8 * octets;
     * `children`     (nodes, widest fan-out) int64, child ids ascending,
                      padded with -1;
     * `word_of_node` (nodes,) int64, word id of each leaf, -1 elsewhere: the
@@ -83,10 +93,10 @@ class Vocabulary:
     k: int
     L: int
     strategy: Strategy | None
-    descriptor_bits: int
     parent: np.ndarray = field(repr=False)
     centroids: np.ndarray = field(repr=False)
     weight: np.ndarray = field(repr=False)
+    descriptor_bits: int = field(init=False)
     children: np.ndarray = field(init=False, repr=False)
     word_of_node: np.ndarray = field(init=False, repr=False)
     word_weight: np.ndarray = field(init=False, repr=False)
@@ -95,6 +105,8 @@ class Vocabulary:
     height: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.strategy is not None:
+            object.__setattr__(self, "strategy", _as_strategy(self.strategy, InternalInvariantError))
         parent = np.array(self.parent, dtype=np.int64)
         centroids = np.array(self.centroids, dtype=np.uint8)
         weight = np.array(self.weight, dtype=np.float64)
@@ -104,12 +116,10 @@ class Vocabulary:
                 "parent must be 1-d with the root (-1) at node 0 and a node below it")
         if np.any(parent[1:] < 0) or np.any(parent[1:] >= np.arange(1, n)):
             raise InternalInvariantError("every node's parent must be an earlier node")
-        if centroids.ndim != 2 or centroids.shape[0] != n \
-                or centroids.shape[1] * 8 != self.descriptor_bits or weight.shape != (n,):
-            raise InternalInvariantError(
-                f"centroids {centroids.shape} and weights {weight.shape} do not fit {n} nodes "
-                f"of {self.descriptor_bits} bits"
-            )
+        if centroids.ndim != 2 or centroids.shape[0] != n or centroids.shape[1] == 0 \
+                or weight.shape != (n,):
+            raise InternalInvariantError(f"centroids {centroids.shape} and weights "
+                                         f"{weight.shape} do not fit {n} nodes of >= 1 octet")
         children = _child_table(parent)
         word_of_node = assign_word_ids(children)
         word_weight = weight[word_of_node >= 0]
@@ -119,14 +129,15 @@ class Vocabulary:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "descriptor_bits", centroids.shape[1] * 8)
         object.__setattr__(self, "word_count", word_weight.size)
         object.__setattr__(self, "height", _height(children))
 
     def __reduce__(self):
         # Deep copies and pickles go through the constructor; numpy would
         # otherwise restore the arrays writable.
-        return Vocabulary, (self.k, self.L, self.strategy, self.descriptor_bits,
-                            self.parent, self.centroids, self.weight)
+        return Vocabulary, (self.k, self.L, self.strategy, self.parent, self.centroids,
+                            self.weight)
 
 
 def _child_table(parent: np.ndarray) -> np.ndarray:
@@ -163,12 +174,14 @@ def _height(children: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Tree shape, strategy and seed of one training run.
+    """Tree shape, strategy, seed and iteration cap of one training run.
 
-    `k` caps each node's fan-out and `L` the depth. Of `cluster`, training
-    reads only `max_iters`: each split clusters into min(k, distinct member
-    values) groups and seeds its RNG from (`seed`, node path), so
-    `cluster.k` and `cluster.seed` do not change the vocabulary.
+    `k` caps each node's fan-out and `L` the depth. Each split clusters into
+    min(k, distinct member values) groups, with an RNG seeded from (`seed`,
+    node path), for at most `max_iters` passes (default 100). `cluster` is a
+    deprecated alias with no value of its own: it must equal, and is then set
+    to, ClusterConfig(k, max_iters, seed), which checks `seed` and
+    `max_iters`; an unset `max_iters` is taken from a given `cluster`.
     """
 
     k: int = 10
@@ -176,16 +189,22 @@ class TrainConfig:
     strategy: Strategy = Strategy.GLOBAL_HBRB
     cluster: ClusterConfig | None = None
     seed: int = 0
+    max_iters: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "strategy", _as_strategy(self.strategy, ConfigError))
         if self.k < 2:
             raise ConfigError(f"branching factor k must be >= 2, got {self.k}")
         if self.L < 1:
             raise ConfigError(f"depth L must be >= 1, got {self.L}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.cluster is None:
-            object.__setattr__(self, "cluster", ClusterConfig(k=self.k, seed=self.seed))
+        max_iters = self.max_iters
+        if max_iters is None:  # 100, or a given cluster's; any other cluster fails below
+            max_iters = getattr(self.cluster, "max_iters", 100)
+        cluster = ClusterConfig(self.k, max_iters, self.seed)
+        if self.cluster not in (None, cluster):
+            raise ConfigError(f"cluster {self.cluster} disagrees with {cluster}")
+        object.__setattr__(self, "cluster", cluster)
+        object.__setattr__(self, "max_iters", max_iters)
 
 
 @dataclass
@@ -216,7 +235,7 @@ def _grow(codes: np.ndarray,
             if path and distinct <= 1:  # the root always splits, into one child if degenerate
                 leaves.append((nid, members))
                 continue
-            ccfg = replace(cfg.cluster, k=min(cfg.k, distinct))
+            ccfg = ClusterConfig(k=min(cfg.k, distinct), max_iters=cfg.max_iters)
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *path]))
             if cfg.strategy is Strategy.KMAJORITY:
                 res = kmajority(node_codes, ccfg, rng=rng)
@@ -342,7 +361,7 @@ def train_result(corpus: DescriptorSet, cfg: TrainConfig) -> TrainResult:
     if len(corpus) == 0:
         raise InsufficientPointsError("training corpus is empty")
     parent, centroids, leaves = _grow(corpus.codes, cfg)
-    vocab = Vocabulary(cfg.k, cfg.L, cfg.strategy, corpus.bits, parent, np.vstack(centroids),
+    vocab = Vocabulary(cfg.k, cfg.L, cfg.strategy, parent, np.vstack(centroids),
                        np.zeros(len(parent)))
     member_word_ids = np.full(len(corpus), -1, dtype=np.int64)
     for nid, members in leaves:

@@ -1,17 +1,17 @@
 """Reference implementations and data generators the tests use.
 
 These are helpers hbow itself does not need: scalar Hamming distance and
-binarization, a one-row tree descent, a clustered-corpus generator, the
-relaxed-domain helpers and an exact k-means path. hbow seeds in Hamming on
-packed codes, updates from integer bit counts and assigns through one gemm
-kernel; each oracle here works one row at a time, on float rows the plain way
-or in Python integers, so a test can demand that the packed path gives the
-same results.
+binarization, a one-row tree descent, L1 normalization of a bag-of-words
+vector, a clustered-corpus generator, the relaxed-domain helpers and an
+exact k-means path. hbow seeds in Hamming on packed codes, updates from
+integer bit counts and assigns through one gemm kernel; each oracle here
+works one row at a time, on float rows the plain way or in Python integers,
+so a test can demand that the packed path gives the same results.
 """
 
 import numpy as np
 
-from hbow import ClusterResult, DescriptorSet
+from hbow import BowVector, ClusterResult, DescriptorSet
 
 
 def hamming(a, b):
@@ -34,6 +34,16 @@ def lookup_word(vocab, code):
         dists = [hamming(code, vocab.centroids[c]) for c in kids]
         node = int(kids[int(np.argmin(dists))])
     return int(vocab.word_of_node[node]), float(vocab.weight[node]), node
+
+
+def normalize_l1(v):
+    """Scale a BowVector to unit L1 norm, summing its weights in key order;
+    an all-zero or empty vector becomes the empty vector. `transform` does
+    the same inline, over its words in ascending order."""
+    total = v.l1_norm()
+    if total <= 0.0:
+        return BowVector.empty()
+    return BowVector({w: val / total for w, val in v.entries.items()})
 
 
 def synth_clustered(num_clusters, per_cluster, flip_prob, bits=256, seed=0):

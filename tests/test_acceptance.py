@@ -147,8 +147,7 @@ def test_global_flow_leaf_majority(capsys):
     exactly the majority vote of the descriptors partitioned into it."""
     rng = np.random.default_rng(44)
     corpus = DescriptorSet(rng.integers(0, 256, size=(100_000, 32), dtype=np.uint8))
-    cfg = TrainConfig(k=10, L=3, strategy=Strategy.GLOBAL_HBRB, seed=0,
-                      cluster=ClusterConfig(k=10, max_iters=25, seed=0))
+    cfg = TrainConfig(k=10, L=3, strategy=Strategy.GLOBAL_HBRB, seed=0, max_iters=25)
     t0 = time.perf_counter()
     result = train_result(corpus, cfg)
     vocab = result.vocabulary
@@ -183,8 +182,7 @@ def test_quantization_direction(capsys):
         corpus = synth_clustered(32, 1562, 0.04, 256, 9000 + 37 * s)
         per = {}
         for strat in (Strategy.GLOBAL_HBRB, Strategy.KMAJORITY):
-            cfg = TrainConfig(k=8, L=3, strategy=strat, seed=s,
-                              cluster=ClusterConfig(k=8, max_iters=50, seed=s))
+            cfg = TrainConfig(k=8, L=3, strategy=strat, seed=s, max_iters=50)
             per[strat] = quantization_report(train(corpus, cfg), corpus).mean_qe
         global_qe.append(per[Strategy.GLOBAL_HBRB])
         baseline_qe.append(per[Strategy.KMAJORITY])
@@ -212,8 +210,7 @@ def test_retrieval_direction(capsys):
             num_places=50, descriptors_per_place=200, revisit_fraction=0.3,
             bit_flip_prob=0.05, descriptor_bits=256, seed=s))
         for strat in recalls:
-            cfg = TrainConfig(k=8, L=3, strategy=strat, seed=s,
-                              cluster=ClusterConfig(k=8, max_iters=50, seed=s))
+            cfg = TrainConfig(k=8, L=3, strategy=strat, seed=s, max_iters=50)
             vocab = train(seq.training, cfg)
             rep = retrieval_report(vocab, seq.frames, seq.gt_pairs,
                                    temporal_exclusion=1)
@@ -223,8 +220,7 @@ def test_retrieval_direction(capsys):
         bit_flip_prob=0.0, descriptor_bits=256, seed=0))
     clean_recalls = {}
     for strat in (Strategy.KMAJORITY, Strategy.LOCAL_BRB, Strategy.GLOBAL_HBRB):
-        cfg = TrainConfig(k=8, L=3, strategy=strat, seed=0,
-                          cluster=ClusterConfig(k=8, max_iters=50, seed=0))
+        cfg = TrainConfig(k=8, L=3, strategy=strat, seed=0, max_iters=50)
         vocab = train(clean.training, cfg)
         rep = retrieval_report(vocab, clean.frames, clean.gt_pairs,
                                temporal_exclusion=1)
@@ -261,8 +257,7 @@ def test_query_matches_brute_force(capsys):
     corpus = DescriptorSet(rng.integers(0, 256, size=(3000, 32), dtype=np.uint8),
                            group_ends=list(range(100, 3001, 100)))
     vocab = train(corpus, TrainConfig(
-        k=7, L=2, strategy=Strategy.KMAJORITY, seed=0,
-        cluster=ClusterConfig(k=7, max_iters=30, seed=0)))
+        k=7, L=2, strategy=Strategy.KMAJORITY, seed=0, max_iters=30))
     t0 = time.perf_counter()
     db = RetrievalDatabase(vocab)
     vectors = []
@@ -324,8 +319,7 @@ def test_format_round_trips(tmp_path, capsys):
 
     corpus = synth_clustered(20, 500, 0.05, 256, 5)
     vocab = train(corpus, TrainConfig(
-        k=10, L=3, strategy=Strategy.GLOBAL_HBRB, seed=0,
-        cluster=ClusterConfig(k=10, max_iters=20, seed=0)))
+        k=10, L=3, strategy=Strategy.GLOBAL_HBRB, seed=0, max_iters=20))
     vpath = tmp_path / "vocab.txt"
     vpath2 = tmp_path / "vocab_rewrite.txt"
     write_vocab_text(vpath, vocab)

@@ -99,7 +99,11 @@ def test_eval_with_garbage_seeds_is_usage_error(capsys):
     assert main(["eval", "--seeds", "a,b", "--places", "4", "--per-place", "5",
                  "--bits", "64", "--k", "2", "--L", "1",
                  "--out-csv", "/dev/null"]) == 1
-    capsys.readouterr()
+    # an unknown strategy name is a usage error too, not an internal one
+    assert main(["eval", "--strategies", "kmajority,nope", "--seeds", "0", "--places", "4",
+                 "--per-place", "5", "--bits", "64", "--k", "2", "--L", "1",
+                 "--out-csv", "/dev/null"]) == 1
+    assert "unknown strategy 'nope'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- workflows

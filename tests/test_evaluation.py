@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hbow import (
-    ClusterConfig,
     ConfigError,
     DescriptorSet,
     EVAL_COLUMNS,
@@ -37,8 +36,7 @@ HIER_VALS = (
 def _bundle_vocab():
     # one group per bundle so every word carries idf ln(4) > 0
     groups = [np.tile(np.array(v, dtype=np.uint8), (8, 1)) for v in HIER_VALS]
-    cfg = TrainConfig(k=2, L=2, strategy=Strategy.KMAJORITY,
-                      cluster=ClusterConfig(k=2, max_iters=50, seed=0), seed=0)
+    cfg = TrainConfig(k=2, L=2, strategy=Strategy.KMAJORITY, max_iters=50, seed=0)
     return train(DescriptorSet.from_groups(groups), cfg)
 
 
@@ -169,8 +167,7 @@ def test_quantization_half_bit_fixture():
     # one-word vocabulary, corpus = centroid plus a 1-bit-flipped copy
     code = np.array([0x0F] * 8, dtype=np.uint8)
     ds = DescriptorSet(codes=np.tile(code, (5, 1)))
-    vocab = train(ds, TrainConfig(k=2, L=1, strategy=Strategy.KMAJORITY,
-                                  cluster=ClusterConfig(k=2, seed=0), seed=0))
+    vocab = train(ds, TrainConfig(k=2, L=1, strategy=Strategy.KMAJORITY, seed=0))
     assert vocab.word_count == 1
     flipped = code.copy()
     flipped[0] ^= 0x01
@@ -184,8 +181,7 @@ def test_quantization_half_bit_fixture():
 def test_quantization_matches_independent_recomputation():
     rng = np.random.default_rng(31)
     ds = DescriptorSet(codes=rng.integers(0, 256, size=(400, 8), dtype=np.uint8))
-    vocab = train(ds, TrainConfig(k=3, L=2, strategy=Strategy.GLOBAL_HBRB,
-                                  cluster=ClusterConfig(k=3, seed=1), seed=1))
+    vocab = train(ds, TrainConfig(k=3, L=2, strategy=Strategy.GLOBAL_HBRB, seed=1))
     report = quantization_report(vocab, ds)
     dists = []
     words = []
@@ -205,8 +201,7 @@ def test_quantization_matches_independent_recomputation():
 
 def test_quantization_report_ranges():
     ds = synth_clustered(5, 80, 0.08, bits=64, seed=7)
-    vocab = train(ds, TrainConfig(k=3, L=2, strategy=Strategy.KMAJORITY,
-                                  cluster=ClusterConfig(k=3, seed=0), seed=0))
+    vocab = train(ds, TrainConfig(k=3, L=2, strategy=Strategy.KMAJORITY, seed=0))
     report = quantization_report(vocab, ds)
     assert 0.0 <= report.mean_qe <= 64.0
     assert report.words_used <= vocab.word_count
@@ -265,8 +260,7 @@ def test_retrieval_noiseless_recall_is_exact():
                       revisit_fraction=0.3, bit_flip_prob=0.0,
                       descriptor_bits=64, seed=2)
     seq = synth_sequence(cfg)
-    vocab = train(seq.training, TrainConfig(k=4, L=3, strategy=Strategy.GLOBAL_HBRB,
-                                            cluster=ClusterConfig(k=4, seed=0), seed=0))
+    vocab = train(seq.training, TrainConfig(k=4, L=3, strategy=Strategy.GLOBAL_HBRB, seed=0))
     report = retrieval_report(vocab, seq.frames, seq.gt_pairs, temporal_exclusion=1)
     assert not report.vacuous
     assert report.eligible_queries > 0
@@ -279,8 +273,7 @@ def test_retrieval_vacuous_without_revisits():
                       revisit_fraction=0.0, bit_flip_prob=0.05,
                       descriptor_bits=64, seed=0)
     seq = synth_sequence(cfg)
-    vocab = train(seq.training, TrainConfig(k=2, L=2, strategy=Strategy.KMAJORITY,
-                                            cluster=ClusterConfig(k=2, seed=0), seed=0))
+    vocab = train(seq.training, TrainConfig(k=2, L=2, strategy=Strategy.KMAJORITY, seed=0))
     report = retrieval_report(vocab, seq.frames, seq.gt_pairs)
     assert report.vacuous
     assert report.recall_at_1 == 1.0 and report.max_f1 == 1.0
@@ -309,8 +302,7 @@ def test_retrieval_curve_is_monotone_and_bounded():
                       revisit_fraction=0.4, bit_flip_prob=0.08,
                       descriptor_bits=64, seed=6)
     seq = synth_sequence(cfg)
-    vocab = train(seq.training, TrainConfig(k=3, L=2, strategy=Strategy.KMAJORITY,
-                                            cluster=ClusterConfig(k=3, seed=0), seed=0))
+    vocab = train(seq.training, TrainConfig(k=3, L=2, strategy=Strategy.KMAJORITY, seed=0))
     report = retrieval_report(vocab, seq.frames, seq.gt_pairs)
     assert 0.0 <= report.recall_at_1 <= 1.0
     assert 0.0 <= report.max_f1 <= 1.0
@@ -392,6 +384,8 @@ def test_compare_strategies_rejects_empty_inputs():
         compare_strategies(cfg, [], seeds=[0])
     with pytest.raises(ConfigError):
         compare_strategies(cfg, ["kmajority"], seeds=[])
+    with pytest.raises(ConfigError, match="unknown strategy"):
+        compare_strategies(cfg, ["kmajority", "nope"], seeds=[0])
 
 
 def test_row_writers_round_trip(tmp_path):

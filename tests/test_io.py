@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from hbow import (
-    ClusterConfig,
     DescriptorFileError,
     DescriptorSet,
     FormatError,
@@ -47,8 +46,7 @@ def _grouped_vocab(seed=0, k=4, L=2, n=2000, octets=8, strategy=Strategy.GLOBAL_
     rng = np.random.default_rng(seed)
     ds = DescriptorSet(codes=rng.integers(0, 256, size=(n, octets), dtype=np.uint8),
                        group_ends=list(range(100, n + 1, 100)))
-    cfg = TrainConfig(k=k, L=L, strategy=strategy,
-                      cluster=ClusterConfig(k=k, max_iters=30, seed=seed), seed=seed)
+    cfg = TrainConfig(k=k, L=L, strategy=strategy, max_iters=30, seed=seed)
     return train(ds, cfg)
 
 
@@ -180,8 +178,7 @@ def test_writes_to_a_pipe_go_in_place(tmp_path):
 def test_text_single_leaf_vocabulary_is_two_lines(tmp_path):
     code = np.array([0xC3] * 8, dtype=np.uint8)
     ds = DescriptorSet(codes=np.tile(code, (6, 1)))
-    vocab = train(ds, TrainConfig(k=2, L=2, strategy=Strategy.KMAJORITY,
-                                  cluster=ClusterConfig(k=2, seed=0), seed=0))
+    vocab = train(ds, TrainConfig(k=2, L=2, strategy=Strategy.KMAJORITY, seed=0))
     path = tmp_path / "one.txt"
     write_vocab_text(path, vocab)
     lines = path.read_text().splitlines()
@@ -196,8 +193,7 @@ def test_text_two_leaf_tree_is_three_lines(tmp_path):
     a = np.array([0x00] * 4, dtype=np.uint8)
     b = np.array([0xFF] * 4, dtype=np.uint8)
     ds = DescriptorSet(codes=np.vstack([np.tile(a, (6, 1)), np.tile(b, (6, 1))]))
-    vocab = train(ds, TrainConfig(k=2, L=1, strategy=Strategy.KMAJORITY,
-                                  cluster=ClusterConfig(k=2, seed=0), seed=0))
+    vocab = train(ds, TrainConfig(k=2, L=1, strategy=Strategy.KMAJORITY, seed=0))
     path = tmp_path / "two.txt"
     write_vocab_text(path, vocab)
     lines = path.read_text().splitlines()
@@ -400,7 +396,7 @@ def test_word_ids_are_leaf_ranks_in_node_order_through_round_trips(tmp_path):
             word += leaf
         rng = np.random.default_rng(seed)
         weight = np.where(is_leaf, rng.uniform(0.0, 5.0, n), 0.0)
-        vocab = Vocabulary(max(2, int(fanout.max())), max(depth), None, 24, parent,
+        vocab = Vocabulary(max(2, int(fanout.max())), max(depth), None, parent,
                            rng.integers(0, 256, size=(n, 3), dtype=np.uint8), weight)
         assert vocab.word_of_node.tolist() == want
         assert np.array_equal(vocab.word_weight, weight[vocab.word_of_node >= 0])
@@ -527,7 +523,7 @@ def test_text_loader_memory_is_bounded_by_the_loaded_arrays(tmp_path):
     rng = np.random.default_rng(0)
     weight = np.where(np.arange(n) >= n - k ** L, rng.uniform(0.5, 4.0, n), 0.0)
     path = tmp_path / "v.txt"
-    write_vocab_text(path, Vocabulary(k, L, None, 256, np.append(-1, np.arange(n - 1) // k),
+    write_vocab_text(path, Vocabulary(k, L, None, np.append(-1, np.arange(n - 1) // k),
                                       rng.integers(0, 256, size=(n, 32), dtype=np.uint8), weight))
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()

@@ -35,15 +35,14 @@ from hbow import (
     validate_structure,
     write_descriptors,
 )
+from hbow.cli import main
 from oracles import binarize, lloyd_float, lookup_word, real_mean, synth_clustered
 
 ALL_STRATEGIES = (Strategy.KMAJORITY, Strategy.LOCAL_BRB, Strategy.GLOBAL_HBRB)
 
 
 def _cfg(k, L, strategy, seed=0, max_iters=50):
-    return TrainConfig(k=k, L=L, strategy=strategy,
-                       cluster=ClusterConfig(k=k, max_iters=max_iters, seed=seed),
-                       seed=seed)
+    return TrainConfig(k=k, L=L, strategy=strategy, seed=seed, max_iters=max_iters)
 
 
 def _bundle_corpus(vals, n_per=8, group_ends=None):
@@ -286,10 +285,10 @@ def test_descent_on_a_hand_built_uneven_tree():
     centroids = np.vstack([_bits72(), _bits72(*range(8)), _bits72(), _bits72(*range(64, 72)),
                            _bits72(8), _bits72(9), _bits72(8, 10), _bits72(8, 11), _bits72(8, 12),
                            _bits72(20, 21, 22, 23)])
-    vocab = Vocabulary(3, 3, None, 72, parent, centroids, np.arange(10) / 10.0)
+    vocab = Vocabulary(3, 3, None, parent, centroids, np.arange(10) / 10.0)
     assert vocab.height == 3
     with pytest.raises(InternalInvariantError):  # a root alone has no word to descend to
-        Vocabulary(3, 3, None, 72, [-1], centroids[:1], [0.0])
+        Vocabulary(3, 3, None, [-1], centroids[:1], [0.0])
     assert vocab.word_of_node.tolist() == [-1, 0, -1, 1, -1, -1, 2, 3, 4, 5]
     probes = np.vstack([
         _bits72(0, 1, 2, 3, 64, 65, 66, 67),  # 8 from each root child, across both words: leaf 1
@@ -444,18 +443,64 @@ def test_training_is_deterministic_per_seed():
         assert first == second
 
 
-def test_training_reads_only_max_iters_of_the_cluster_config():
+def _text_bytes(tmp_path, ds, cfg):
+    path = tmp_path / "v.txt"
+    save_vocabulary(path, train(ds, cfg))
+    return path.read_bytes()
+
+
+def test_max_iters_is_the_only_clustering_setting_and_cluster_an_alias(tmp_path, capsys):
     # each split clusters into min(k, distinct) groups with an RNG seeded from
-    # (TrainConfig.seed, node path), so ClusterConfig's k and seed are unused
+    # (TrainConfig.seed, node path), so max_iters is all a split reads; the
+    # deprecated `cluster` alias must agree with k, seed and max_iters
     ds = _random_corpus(600, 8, seed=0)
+    corpus = tmp_path / "c.hbdc"
+    write_descriptors(corpus, ds)
+    assert TrainConfig().max_iters == 100
     for strategy in ALL_STRATEGIES:
-        def trained(**cluster):
-            cluster = ClusterConfig(**{"k": 4, "seed": 0, "max_iters": 20, **cluster})
-            return _fingerprint(train(ds, TrainConfig(k=4, L=2, strategy=strategy, seed=3,
-                                                      cluster=cluster)))
-        base = trained()
-        assert trained(k=9, seed=99) == trained(k=2) == trained(seed=5) == base, strategy
-        assert trained(max_iters=1) != base, strategy
+        cfg = TrainConfig(k=4, L=2, strategy=strategy, seed=3, max_iters=20)
+        assert cfg.cluster == ClusterConfig(4, 20, 3)
+        want = _text_bytes(tmp_path, ds, cfg)
+        for alias in (TrainConfig(k=4, L=2, strategy=strategy, seed=3,
+                                  cluster=ClusterConfig(4, 20, 3)),
+                      TrainConfig(4, 2, strategy, ClusterConfig(4, 20, 3), 3, 20)):
+            assert alias == cfg
+            assert _text_bytes(tmp_path, ds, alias) == want, strategy
+        assert _text_bytes(tmp_path, ds, replace(cfg, cluster=None, max_iters=1)) != want
+        for cluster in (ClusterConfig(9, 20, 3), ClusterConfig(4, 20, 99)):
+            with pytest.raises(ConfigError, match="disagrees"):
+                TrainConfig(k=4, L=2, strategy=strategy, seed=3, cluster=cluster)
+        with pytest.raises(ConfigError, match="disagrees"):
+            TrainConfig(k=4, L=2, strategy=strategy, seed=3, max_iters=5,
+                        cluster=ClusterConfig(4, 20, 3))
+        with pytest.raises(ConfigError, match="max_iters"):
+            TrainConfig(k=4, L=2, strategy=strategy, seed=3, max_iters=0)
+        with pytest.raises(ConfigError, match="disagrees"):  # a seed in cluster's slot
+            TrainConfig(4, 2, strategy, 3)
+        assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "w.txt"),
+                     "--k", "4", "--L", "2", "--strategy", strategy.value,
+                     "--max-iters", "0"]) == 1
+        assert "max_iters" in capsys.readouterr().err
+
+
+def test_strategy_is_checked_and_may_be_given_by_name(tmp_path):
+    ds = _random_corpus(300, 8, seed=2)
+    for strategy in ALL_STRATEGIES:
+        by_name = TrainConfig(k=3, L=2, strategy=strategy.value, max_iters=10)
+        assert by_name.strategy is strategy
+        assert _text_bytes(tmp_path, ds, by_name) == \
+            _text_bytes(tmp_path, ds, _cfg(3, 2, strategy, max_iters=10))
+    for bad in ("nope", "HBRB", 3, None):
+        with pytest.raises(ConfigError, match="unknown strategy"):
+            TrainConfig(k=3, L=2, strategy=bad)
+    vocab = train(ds, _cfg(3, 2, Strategy.KMAJORITY))
+    named = replace(vocab, strategy="hbrb")
+    assert named.strategy is Strategy.GLOBAL_HBRB
+    save_vocabulary(tmp_path / "v.json", named)
+    assert load_vocabulary(tmp_path / "v.json").strategy is Strategy.GLOBAL_HBRB
+    for bad in ("nope", 3):
+        with pytest.raises(InternalInvariantError, match="unknown strategy"):
+            replace(vocab, strategy=bad)
 
 
 # SHA-256 of each strategy's text file for the corpus and config below, as
@@ -492,8 +537,7 @@ rng = np.random.default_rng(0)
 corpus = hbow.DescriptorSet(rng.integers(0, 256, size=(2000, 32), dtype=np.uint8),
                             np.arange(100, 2001, 100))
 for strategy in hbow.Strategy:
-    cfg = hbow.TrainConfig(k=6, L=3, strategy=strategy, seed=0,
-                           cluster=hbow.ClusterConfig(k=6, max_iters=20, seed=0))
+    cfg = hbow.TrainConfig(k=6, L=3, strategy=strategy, seed=0, max_iters=20)
     hbow.save_vocabulary(f"{sys.argv[1]}/{strategy.value}.txt", hbow.train(corpus, cfg))
 """
 
@@ -521,8 +565,7 @@ import sys
 import hbow
 corpus = hbow.read_descriptors(sys.argv[1])
 for strategy in hbow.Strategy:
-    cfg = hbow.TrainConfig(k=8, L=3, strategy=strategy, seed=3,
-                           cluster=hbow.ClusterConfig(k=8, max_iters=20, seed=3))
+    cfg = hbow.TrainConfig(k=8, L=3, strategy=strategy, seed=3, max_iters=20)
     hbow.save_vocabulary(f"{sys.argv[2]}/{strategy.value}.txt", hbow.train(corpus, cfg))
 """
 
@@ -669,8 +712,13 @@ def test_validate_structure_catches_corruption():
                    np.append(0, vocab.parent[1:])):                     # root with a parent
         with pytest.raises(InternalInvariantError, match="parent"):
             replace(vocab, parent=parent)
+    # the centroid width sets descriptor_bits; a zero-width tree has no bits
+    assert replace(vocab, centroids=vocab.centroids[:, :4]).descriptor_bits == 32
+    for centroids in (vocab.centroids[:, :0], vocab.centroids[:-1], vocab.centroids[0]):
+        with pytest.raises(InternalInvariantError, match="do not fit"):
+            replace(vocab, centroids=centroids)
     with pytest.raises(InternalInvariantError, match="do not fit"):
-        replace(vocab, centroids=vocab.centroids[:, :4])
+        Vocabulary(2, 1, None, [-1, 0], np.zeros((2, 0), np.uint8), [0.0, 0.0])
     with pytest.raises(InternalInvariantError, match="do not fit"):
         replace(vocab, weight=vocab.weight[:-1])
 
