@@ -45,6 +45,7 @@ farthest member.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,15 @@ from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 _F32_EXACT_COUNT = 1 << 24
 
 
+def _config_int(value, name: str) -> int:
+    """`value` as a Python int: a numpy integer is one, but a float such as
+    2.0 or a string such as "3" raises ConfigError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     k: int
@@ -63,6 +73,8 @@ class ClusterConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("k", "max_iters", "seed"):
+            object.__setattr__(self, name, _config_int(getattr(self, name), name))
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.max_iters < 1:

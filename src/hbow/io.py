@@ -23,12 +23,14 @@ check and 70000 the parse); the weight is
 [+-]?([0-9]+([.][0-9]*)?|[.][0-9]+)([eE][+-]?[0-9]+)?. Python-only spellings
 such as 1_0 or 0x1 are rejected.
 
-The text loader reads _TEXT_BLOCK_BYTES at a time and parses each block's
-whole lines in one numpy call, keeping only the parsed columns, so its
-memory is a small multiple of the loaded arrays plus one block, however
-large the file. Errors name the first faulty line in file order: lexical
-faults (non-ASCII, field count, grammar) before node checks, each of which
-names the first line that fails it.
+The text loader reads line 1 alone, then takes whole lines from the file's
+buffered reader about _TEXT_BLOCK_BYTES at a time (readlines with that size
+hint), so no partial line is carried between blocks. It parses each block in
+one numpy call and keeps only the parsed columns, so its memory is a small
+multiple of the loaded arrays plus one block, however large the file. Errors
+name the first faulty line in file order: lexical faults (non-ASCII, field
+count, grammar) before node checks, each of which names the first line that
+fails it.
 
 Node i is defined by line i+1; the root is node 0 and is not written. Parent
 ids may only point at already-defined nodes, so the node order is a valid
@@ -43,7 +45,6 @@ carries the training strategy tag.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import struct
@@ -56,7 +57,7 @@ import numpy as np
 
 from .descriptors import DescriptorSet
 from .errors import DescriptorFileError, InternalInvariantError, VocabularyFileError
-from .vocabulary import Strategy, Vocabulary, validate_structure
+from .vocabulary import Strategy, Vocabulary, _as_strategy, validate_structure
 
 DESCRIPTOR_MAGIC = b"HBDC"
 DESCRIPTOR_VERSION = 1
@@ -217,43 +218,25 @@ def _bad_line(lines: list[str], first: int, dtype: np.dtype) -> str:
 
 
 def _text_blocks(fh):
-    """Yield (file line number of the first line, lines) for each run of
-    whole lines in the binary file `fh`, read _TEXT_BLOCK_BYTES at a time
-    into one reused buffer. Only "\n" ends a line, and "\r" becomes a space,
-    a field separator like "\t", so CRLF files load. The partial line after
-    a block's last "\n" moves to the buffer's front; a line that fills the
-    buffer doubles it. A non-ASCII byte raises VocabularyFileError once the
-    lines before its own have been yielded, so errors come in file order."""
-    buf = bytearray(_TEXT_BLOCK_BYTES)
-    held, lineno = 0, 1
-    while True:
-        if held == len(buf):
-            buf.extend(bytes(held))
-        with memoryview(buf) as view:
-            got = fh.readinto(view[held:])
-        held += got
-        # at the end of the file, what is held is one last line without "\n"
-        cut = buf.rfind(b"\n", 0, held) if got else held
-        if cut < 0:
-            continue
-        if not held:
-            return
-        with memoryview(buf) as view:
-            try:
-                text, bad = str(view[:cut], "ascii"), None
-            except UnicodeDecodeError as exc:
-                bad = buf.rfind(b"\n", 0, exc.start) + 1  # the start of the line holding it
-                text = str(view[:bad - 1], "ascii") if bad else None
-        if text is not None:
-            lines = text.replace("\r", " ").split("\n")
+    """Yield (file line number of the first line, lines) for each block of
+    whole lines that readlines(_TEXT_BLOCK_BYTES) returns from the binary
+    file `fh`, whose header line has been read. Only "\n" ends a line, and
+    "\r" becomes a space, a field separator like "\t", so CRLF files load.
+    A non-ASCII byte raises VocabularyFileError once the lines before its
+    own have been yielded, so errors come in file order."""
+    lineno = 2
+    while raw := fh.readlines(_TEXT_BLOCK_BYTES):
+        try:
+            text, bad = b"".join(raw).decode("ascii"), None
+        except UnicodeDecodeError:
+            bad = next(i for i, line in enumerate(raw) if not line.isascii())
+            text = b"".join(raw[:bad]).decode("ascii")
+        if text:
+            lines = text.replace("\r", " ").removesuffix("\n").split("\n")
             yield lineno, lines
             lineno += len(lines)
         if bad is not None:
             raise VocabularyFileError(f"line {lineno}: non-ASCII byte")
-        if not got:
-            return
-        buf[:held - cut - 1] = buf[cut + 1:held]
-        held -= cut + 1
 
 
 def _text_header(line: str) -> tuple[int, int]:
@@ -276,13 +259,13 @@ def _text_header(line: str) -> tuple[int, int]:
 
 def read_vocab_text(path) -> Vocabulary:
     dtype, tables = None, []
-    with open(path, "rb", buffering=0) as fh:
-        blocks = _text_blocks(fh)
-        _, lines = next(blocks, (1, [""]))
-        k, L = _text_header(lines[0])
-        for first, lines in itertools.chain([(2, lines[1:])], blocks):
-            if not lines:
-                continue
+    with open(path, "rb") as fh:
+        try:
+            header = fh.readline().decode("ascii")
+        except UnicodeDecodeError:
+            raise VocabularyFileError("line 1: non-ASCII byte") from None
+        k, L = _text_header(header)
+        for first, lines in _text_blocks(fh):
             if dtype is None:  # the first node line sets the descriptor width
                 dtype = _node_dtype(max(len(lines[0].split()) - 3, 1))
             try:
@@ -350,13 +333,9 @@ def read_vocab_json(path) -> Vocabulary:
     for key, want in (("scoring", SCORING_L1), ("weighting", WEIGHTING_TFIDF)):
         if key in obj and obj[key] != want:
             raise VocabularyFileError(f"unsupported {key} {obj[key]!r}, only {want!r}")
-    strategy_tag = obj.get("strategy")
-    strategy = None
-    if strategy_tag is not None:
-        try:
-            strategy = Strategy(strategy_tag)
-        except ValueError:
-            raise VocabularyFileError(f"unknown strategy tag {strategy_tag!r}") from None
+    strategy = obj.get("strategy")
+    if strategy is not None:
+        strategy = _as_strategy(strategy, VocabularyFileError)
     if not isinstance(node_objs, list) or not node_objs:
         raise VocabularyFileError("vocabulary defines no nodes")
     rows = []

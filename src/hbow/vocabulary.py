@@ -40,7 +40,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .clustering import ClusterConfig, brb_kmeans, kmajority, lloyd_real
+from .clustering import ClusterConfig, _config_int, brb_kmeans, kmajority, lloyd_real
 from .descriptors import _CDIST_BLOCK_BYTES, DescriptorSet, _as_codes, majority_centroid
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError, \
     InternalInvariantError
@@ -181,7 +181,8 @@ class TrainConfig:
     node path), for at most `max_iters` passes (default 100). `cluster` is a
     deprecated alias with no value of its own: it must equal, and is then set
     to, ClusterConfig(k, max_iters, seed), which checks `seed` and
-    `max_iters`; an unset `max_iters` is taken from a given `cluster`.
+    `max_iters`; an unset `max_iters` is taken from a given `cluster`. The
+    four numbers must be integers (numpy's too) and are kept as Python ints.
     """
 
     k: int = 10
@@ -193,18 +194,20 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", _as_strategy(self.strategy, ConfigError))
-        if self.k < 2:
-            raise ConfigError(f"branching factor k must be >= 2, got {self.k}")
-        if self.L < 1:
-            raise ConfigError(f"depth L must be >= 1, got {self.L}")
+        k, L = _config_int(self.k, "k"), _config_int(self.L, "L")
+        if k < 2:
+            raise ConfigError(f"branching factor k must be >= 2, got {k}")
+        if L < 1:
+            raise ConfigError(f"depth L must be >= 1, got {L}")
         max_iters = self.max_iters
         if max_iters is None:  # 100, or a given cluster's; any other cluster fails below
             max_iters = getattr(self.cluster, "max_iters", 100)
-        cluster = ClusterConfig(self.k, max_iters, self.seed)
+        cluster = ClusterConfig(k, max_iters, self.seed)
         if self.cluster not in (None, cluster):
             raise ConfigError(f"cluster {self.cluster} disagrees with {cluster}")
-        object.__setattr__(self, "cluster", cluster)
-        object.__setattr__(self, "max_iters", max_iters)
+        for name, value in (("k", k), ("L", L), ("cluster", cluster), ("seed", cluster.seed),
+                            ("max_iters", cluster.max_iters)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass

@@ -31,6 +31,7 @@ from hbow import (
     write_vocab_text,
 )
 from hbow.cli import main
+from hbow.io import _TEXT_BLOCK_BYTES
 from oracles import lookup_word
 
 HEADER = struct.Struct("<4sIIQQ")
@@ -492,6 +493,20 @@ def test_text_errors_in_a_later_block_name_the_file_line(tmp_path, monkeypatch):
             assert _outcome_in_blocks(monkeypatch, path, block_bytes) == one, (message, block_bytes)
 
 
+def test_text_header_line_is_read_alone_in_any_block_size(tmp_path, monkeypatch):
+    # line 1 is read by itself, before the node blocks; a header without its
+    # "\n" ends the file, and the header's fault wins over a later line's
+    path = tmp_path / "v.txt"
+    for data, message in [(b"2 2 0 0\xe9\n0 1 7 0.0\n", "line 1: non-ASCII byte"),
+                          (b"2 2 \xe90 0\n0 1 \xe9 0.0\n", "line 1: non-ASCII byte"),
+                          (b"2 2 0 0\n0 1 \xe97 0.0\n0 1 5 1.0\n", "line 2: non-ASCII byte"),
+                          (b"2 2 0 0\r\n\xe9\n", "line 2: non-ASCII byte"),
+                          (b"2 2 0 0", "vocabulary file defines no nodes")]:
+        path.write_bytes(data)
+        for block_bytes in (_TEXT_BLOCK_BYTES, 1):
+            assert _outcome_in_blocks(monkeypatch, path, block_bytes) == message, (data, block_bytes)
+
+
 def test_text_vocabulary_read_from_a_pipe(tmp_path):
     # a pipe returns short reads, most of them without a "\n"
     path = tmp_path / "v.txt"
@@ -583,7 +598,7 @@ def test_json_parse_errors(tmp_path):
     with pytest.raises(VocabularyFileError, match="version"):
         read_vocab_json(_dump(path, {**base, "version": 2}))
 
-    with pytest.raises(VocabularyFileError, match="strategy tag"):
+    with pytest.raises(VocabularyFileError, match="unknown strategy 'mystery'"):
         read_vocab_json(_dump(path, {**base, "strategy": "mystery"}))
 
     with pytest.raises(VocabularyFileError, match="descriptor_bits"):

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, replace
@@ -786,6 +787,27 @@ def test_config_validation():
         TrainConfig(k=2, L=0)
     with pytest.raises(ConfigError):
         TrainConfig(k=2, L=1, seed=-1)
+
+
+def test_config_numbers_must_be_integers(tmp_path):
+    # a float or a string once reached the clusterers: a bare TypeError (the
+    # exit-3 class), or max_iters=2.5 training without complaint
+    for name, value in [("k", 2.5), ("k", "3"), ("L", 1.5), ("seed", 1.5), ("max_iters", 2.5),
+                        ("seed", np.float64(1.0))]:
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            TrainConfig(**{"k": 3, "L": 2, name: value})
+    for name, value in [("k", 2.5), ("k", "3"), ("max_iters", 2.5), ("seed", 1.5)]:
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            ClusterConfig(**{"k": 2, name: value})
+    # numpy integers still count, and train the same bytes as Python ints
+    ds = _random_corpus(200, 8, seed=1)
+    numpy_cfg = TrainConfig(k=np.int64(3), L=np.int32(2), seed=np.uint8(1),
+                            max_iters=np.int64(10))
+    assert all(type(getattr(numpy_cfg, name)) is int for name in ("k", "L", "seed", "max_iters"))
+    assert numpy_cfg == TrainConfig(k=3, L=2, seed=1, max_iters=10)
+    assert _text_bytes(tmp_path, ds, numpy_cfg) == \
+        _text_bytes(tmp_path, ds, TrainConfig(k=3, L=2, seed=1, max_iters=10))
+    assert ClusterConfig(np.int64(2), np.int64(5), np.int64(0)) == ClusterConfig(2, 5, 0)
 
 
 def test_empty_corpus_rejected():
