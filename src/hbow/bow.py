@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, CorpusConsistencyError, InternalInvariantError
+from .errors import ConfigError, CorpusConsistencyError
 from .vocabulary import Vocabulary, lookup_words
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -223,26 +223,3 @@ class RetrievalDatabase:
         cut = candidates.size - k
         kth = float(np.partition(approx, cut)[cut])
         return candidates[approx >= min(kth, 1.0) - 2.0 * tol]
-
-    def audit(self) -> None:
-        """Full cross-check of entries against norms and postings; raises
-        InternalInvariantError on any mismatch. Meant for tests."""
-        n = len(self.entries)
-        if len(self.norms) != n:
-            raise InternalInvariantError(f"{len(self.norms)} norms for {n} entries")
-        seen: dict[int, dict[int, float]] = {}
-        for w, plist in self.postings.items():
-            ids = list(plist.ids)
-            if len(ids) != len(plist.weights) or ids != sorted(set(ids)):
-                raise InternalInvariantError(
-                    f"posting list for word {w} is not sorted unique ids with one weight each")
-            for e, weight in plist:
-                if not 0 <= e < n:
-                    raise InternalInvariantError(f"posting for word {w} points at missing entry {e}")
-                seen.setdefault(e, {})[w] = weight
-        for e, vector in enumerate(self.entries):
-            if seen.get(e, {}) != vector.entries:
-                raise InternalInvariantError(f"entry {e} disagrees with the inverted index")
-            if self.norms[e] != vector.l1_norm():
-                raise InternalInvariantError(f"entry {e} stores norm {self.norms[e]}, "
-                                             f"not {vector.l1_norm()}")

@@ -58,9 +58,11 @@ _F32_EXACT_COUNT = 1 << 24
 
 
 def _config_int(value, name: str) -> int:
-    """`value` as a Python int: a numpy integer is one, but a float such as
-    2.0 or a string such as "3" raises ConfigError."""
+    """`value` as a Python int: a numpy integer is one, but a bool, a float
+    such as 2.0 or a string such as "3" raises ConfigError."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None

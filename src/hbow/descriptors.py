@@ -144,12 +144,10 @@ class DescriptorSet:
     def __post_init__(self) -> None:
         codes = self.codes = _as_codes(self.codes)
         n = codes.shape[0]
-        if self.group_ends is None:
-            ends = np.empty(0, dtype=np.int64) if n == 0 else np.array([n], dtype=np.int64)
-        else:
-            ends = np.asarray(self.group_ends, dtype=np.int64).ravel()
-            if ends.size == 0 and n > 0:
-                ends = np.array([n], dtype=np.int64)
+        ends = np.asarray(() if self.group_ends is None else self.group_ends,
+                          dtype=np.int64).ravel()
+        if ends.size == 0 and n > 0:
+            ends = np.array([n], dtype=np.int64)
         if ends.size:
             if ends[0] < 0 or np.any(np.diff(ends) < 0):
                 raise CorpusConsistencyError("group end offsets must be non-negative and ascending")
@@ -157,8 +155,6 @@ class DescriptorSet:
                 raise CorpusConsistencyError(
                     f"last group end {int(ends[-1])} does not match descriptor count {n}"
                 )
-        elif n > 0:
-            raise CorpusConsistencyError("non-empty descriptor set needs at least one group")
         self.group_ends = ends
 
     def __len__(self) -> int:

@@ -23,14 +23,13 @@ check and 70000 the parse); the weight is
 [+-]?([0-9]+([.][0-9]*)?|[.][0-9]+)([eE][+-]?[0-9]+)?. Python-only spellings
 such as 1_0 or 0x1 are rejected.
 
-The text loader reads line 1 alone, then takes whole lines from the file's
-buffered reader about _TEXT_BLOCK_BYTES at a time (readlines with that size
-hint), so no partial line is carried between blocks. It parses each block in
-one numpy call and keeps only the parsed columns, so its memory is a small
-multiple of the loaded arrays plus one block, however large the file. Errors
-name the first faulty line in file order: lexical faults (non-ASCII, field
-count, grammar) before node checks, each of which names the first line that
-fails it.
+The text loader reads line 1 alone, then reads the file _TEXT_BLOCK_BYTES at a
+time, each block extended to the end of the line it stops in, so no partial
+line is carried between blocks. It parses each block in one numpy call and
+keeps only the parsed columns, so its memory is a small multiple of the loaded
+arrays plus one block, however large the file. Errors name the first faulty
+line in file order: lexical faults (non-ASCII, field count, grammar) before
+node checks, each of which names the first line that fails it.
 
 Node i is defined by line i+1; the root is node 0 and is not written. Parent
 ids may only point at already-defined nodes, so the node order is a valid
@@ -219,23 +218,23 @@ def _bad_line(lines: list[str], first: int, dtype: np.dtype) -> str:
 
 def _text_blocks(fh):
     """Yield (file line number of the first line, lines) for each block of
-    whole lines that readlines(_TEXT_BLOCK_BYTES) returns from the binary
-    file `fh`, whose header line has been read. Only "\n" ends a line, and
-    "\r" becomes a space, a field separator like "\t", so CRLF files load.
+    whole lines read from the binary file `fh`, whose header line has been
+    read: _TEXT_BLOCK_BYTES bytes, extended to the end of the line they stop in.
+    Only "\n" ends a line, and "\r" becomes a space, a field separator like
+    "\t", so CRLF files load.
     A non-ASCII byte raises VocabularyFileError once the lines before its
     own have been yielded, so errors come in file order."""
     lineno = 2
-    while raw := fh.readlines(_TEXT_BLOCK_BYTES):
+    while data := fh.read(_TEXT_BLOCK_BYTES) + fh.readline():
         try:
-            text, bad = b"".join(raw).decode("ascii"), None
-        except UnicodeDecodeError:
-            bad = next(i for i, line in enumerate(raw) if not line.isascii())
-            text = b"".join(raw[:bad]).decode("ascii")
+            text, bad = data.decode("ascii"), False
+        except UnicodeDecodeError as exc:  # keep the lines before the faulty one
+            text, bad = data[:data.rfind(b"\n", 0, exc.start) + 1].decode("ascii"), True
         if text:
             lines = text.replace("\r", " ").removesuffix("\n").split("\n")
             yield lineno, lines
             lineno += len(lines)
-        if bad is not None:
+        if bad:
             raise VocabularyFileError(f"line {lineno}: non-ASCII byte")
 
 

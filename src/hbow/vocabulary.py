@@ -218,16 +218,17 @@ class TrainResult:
 
 
 def _grow(codes: np.ndarray,
-          cfg: TrainConfig) -> tuple[list[int], list[np.ndarray], list[tuple[int, np.ndarray]]]:
+          cfg: TrainConfig) -> tuple[list[int], list[np.ndarray], np.ndarray]:
     """Grow the tree one level at a time, numbering nodes breadth-first
-    (root = 0). Returns the parent list, the centroid rows, and a
-    (leaf node id, member indices) pair per leaf.
+    (root = 0). Returns the parent list, the centroid rows, and the deepest
+    node each corpus row reached (an int64 array with one entry per row).
 
     Each split seeds its RNG from (train seed, node path), so its result
     depends only on its members and its place in the tree; the pinned
     vocabulary files rely on that seeding and on the numbering.
     """
-    parent, centroids, leaves = [-1], [np.zeros(codes.shape[1], dtype=np.uint8)], []
+    parent, centroids = [-1], [np.zeros(codes.shape[1], dtype=np.uint8)]
+    node_of_row = np.zeros(codes.shape[0], dtype=np.int64)
     level = [(0, np.arange(codes.shape[0], dtype=np.int64), ())]  # (node id, members, path)
     for depth in range(1, cfg.L + 1):  # depth of the children made in this pass
         next_level = []
@@ -236,7 +237,6 @@ def _grow(codes: np.ndarray,
             # each row viewed as one opaque byte string: a 1-d unique, not the slower axis=0
             distinct = np.unique(node_codes.view(np.dtype((np.void, codes.shape[1])))).size
             if path and distinct <= 1:  # the root always splits, into one child if degenerate
-                leaves.append((nid, members))
                 continue
             ccfg = ClusterConfig(k=min(cfg.k, distinct), max_iters=cfg.max_iters)
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *path]))
@@ -254,12 +254,11 @@ def _grow(codes: np.ndarray,
                 parent.append(nid)
                 centroids.append(majority_centroid(codes[child])
                                  if cfg.strategy is Strategy.GLOBAL_HBRB else res.centroids[j])
-                if depth >= cfg.L or child.size <= 1:
-                    leaves.append((cid, child))
-                else:
+                node_of_row[child] = cid
+                if depth < cfg.L and child.size > 1:
                     next_level.append((cid, child, (*path, j)))
         level = next_level
-    return parent, centroids, leaves
+    return parent, centroids, node_of_row
 
 
 def assign_word_ids(children: np.ndarray) -> np.ndarray:
@@ -284,12 +283,10 @@ def compute_idf(vocab: Vocabulary, corpus: DescriptorSet) -> Vocabulary:
         raise CorpusConsistencyError(
             f"corpus width {corpus.bits} does not match vocabulary width {vocab.descriptor_bits}"
         )
-    doc_count = np.zeros(vocab.word_count, dtype=np.int64)
+    W = vocab.word_count
     word_ids, _ = lookup_words(vocab, corpus.codes)
-    for i in range(corpus.group_count):
-        start, end = corpus.group_range(i)
-        if end > start:
-            doc_count[np.unique(word_ids[start:end])] += 1
+    group = np.repeat(np.arange(corpus.group_count), np.diff(corpus.group_ends, prepend=0))
+    doc_count = np.bincount(np.unique(group * W + word_ids) % W, minlength=W)
     n_groups = float(corpus.group_count)
     idf = np.where(doc_count > 0, np.log(n_groups / np.maximum(doc_count, 1)), 0.0)
     weight = vocab.weight.copy()
@@ -358,17 +355,17 @@ def validate_structure(vocab: Vocabulary) -> None:
 
 def train_result(corpus: DescriptorSet, cfg: TrainConfig) -> TrainResult:
     """Train a vocabulary and report the training-partition word id of every
-    corpus descriptor alongside it (useful for audits; greedy lookup may
-    disagree with the training partition for non-global strategies)."""
+    corpus descriptor alongside it. Greedy lookup may send a descriptor to
+    another word: the per-node strategies descend close to their partition,
+    while hbrb partitions by real-domain assignments that a Hamming descent
+    often leaves."""
     t0 = perf_counter()
     if len(corpus) == 0:
         raise InsufficientPointsError("training corpus is empty")
-    parent, centroids, leaves = _grow(corpus.codes, cfg)
+    parent, centroids, node_of_row = _grow(corpus.codes, cfg)
     vocab = Vocabulary(cfg.k, cfg.L, cfg.strategy, parent, np.vstack(centroids),
                        np.zeros(len(parent)))
-    member_word_ids = np.full(len(corpus), -1, dtype=np.int64)
-    for nid, members in leaves:
-        member_word_ids[members] = vocab.word_of_node[nid]
+    member_word_ids = vocab.word_of_node[node_of_row]
     if (member_word_ids < 0).any():
         raise InternalInvariantError("some descriptors fell outside every leaf")
     vocab = compute_idf(vocab, corpus)

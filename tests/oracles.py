@@ -2,16 +2,17 @@
 
 These are helpers hbow itself does not need: scalar Hamming distance and
 binarization, a one-row tree descent, L1 normalization of a bag-of-words
-vector, a clustered-corpus generator, the relaxed-domain helpers and an
-exact k-means path. hbow seeds in Hamming on packed codes, updates from
-integer bit counts and assigns through one gemm kernel; each oracle here
-works one row at a time, on float rows the plain way or in Python integers,
-so a test can demand that the packed path gives the same results.
+vector, a full cross-check of a retrieval database, a clustered-corpus
+generator, the relaxed-domain helpers and an exact k-means path. hbow seeds
+in Hamming on packed codes, updates from integer bit counts and assigns
+through one gemm kernel; each oracle here works one row at a time, on float
+rows the plain way or in Python integers, so a test can demand that the
+packed path gives the same results.
 """
 
 import numpy as np
 
-from hbow import BowVector, ClusterResult, DescriptorSet
+from hbow import BowVector, ClusterResult, DescriptorSet, InternalInvariantError
 
 
 def hamming(a, b):
@@ -44,6 +45,30 @@ def normalize_l1(v):
     if total <= 0.0:
         return BowVector.empty()
     return BowVector({w: val / total for w, val in v.entries.items()})
+
+
+def audit(db):
+    """Full cross-check of a RetrievalDatabase's entries against its norms and
+    postings; raises InternalInvariantError on any mismatch."""
+    n = len(db.entries)
+    if len(db.norms) != n:
+        raise InternalInvariantError(f"{len(db.norms)} norms for {n} entries")
+    seen: dict[int, dict[int, float]] = {}
+    for w, plist in db.postings.items():
+        ids = list(plist.ids)
+        if len(ids) != len(plist.weights) or ids != sorted(set(ids)):
+            raise InternalInvariantError(
+                f"posting list for word {w} is not sorted unique ids with one weight each")
+        for e, weight in plist:
+            if not 0 <= e < n:
+                raise InternalInvariantError(f"posting for word {w} points at missing entry {e}")
+            seen.setdefault(e, {})[w] = weight
+    for e, vector in enumerate(db.entries):
+        if seen.get(e, {}) != vector.entries:
+            raise InternalInvariantError(f"entry {e} disagrees with the inverted index")
+        if db.norms[e] != vector.l1_norm():
+            raise InternalInvariantError(f"entry {e} stores norm {db.norms[e]}, "
+                                         f"not {vector.l1_norm()}")
 
 
 def synth_clustered(num_clusters, per_cluster, flip_prob, bits=256, seed=0):

@@ -412,6 +412,35 @@ def test_idf_weights_are_finite_and_nonnegative():
             assert math.isfinite(weight) and weight >= 0.0
 
 
+def test_idf_counts_each_group_once_on_generated_corpora():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(sizes=st.lists(st.integers(0, 8), min_size=1, max_size=12),
+                      pool=st.integers(1, 12), strategy=st.sampled_from(ALL_STRATEGIES),
+                      seed=st.integers(0, 2 ** 16))
+    def check(sizes, pool, strategy, seed):
+        # rows drawn from a small pool repeat words inside a group; zero sizes
+        # leave groups empty anywhere, the first and last included
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 256, size=(pool, 2), dtype=np.uint8)
+        vocab = train(DescriptorSet(values[rng.integers(pool, size=40)]),
+                      _cfg(3, 2, strategy, seed=seed % 5, max_iters=5))
+        codes = values[rng.integers(pool, size=sum(sizes))]
+        corpus = DescriptorSet(codes, np.cumsum(sizes))
+        doc_count = np.zeros(vocab.word_count, dtype=np.int64)
+        for i in range(corpus.group_count):
+            for w in {lookup_word(vocab, code)[0] for code in corpus.group_codes(i)}:
+                doc_count[w] += 1
+        n = len(sizes)
+        want = [math.log(n / c) if c else 0.0 for c in doc_count]
+        got = compute_idf(vocab, corpus).word_weight
+        assert got.tolist() == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    check()
+
+
 def test_idf_rejects_zero_group_corpus():
     ds = _random_corpus(100, 8, seed=0)
     vocab = train(ds, _cfg(2, 1, Strategy.KMAJORITY))
@@ -808,6 +837,20 @@ def test_config_numbers_must_be_integers(tmp_path):
     assert _text_bytes(tmp_path, ds, numpy_cfg) == \
         _text_bytes(tmp_path, ds, TrainConfig(k=3, L=2, seed=1, max_iters=10))
     assert ClusterConfig(np.int64(2), np.int64(5), np.int64(0)) == ClusterConfig(2, 5, 0)
+
+
+@pytest.mark.parametrize("make, name, flag", [
+    (lambda **kw: TrainConfig(k=3, L=2, **kw), "seed", True),
+    (lambda **kw: TrainConfig(k=3, L=2, **kw), "max_iters", False),
+    (lambda **kw: ClusterConfig(**{"k": 2, **kw}), "k", True),
+])
+def test_config_numbers_reject_bools(make, name, flag):
+    # operator.index takes a bool as 0 or 1, so unchecked, seed=True trains with seed 1
+    for value in (flag, np.bool_(flag)):
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            make(**{name: value})
+    accepted = getattr(make(**{name: np.int64(3)}), name)
+    assert accepted == 3 and type(accepted) is int
 
 
 def test_empty_corpus_rejected():
