@@ -160,10 +160,10 @@ def _cmd_query(args) -> int:
         vec = transform(vocab, query_set.group_codes(qi))
         exclude = None
         if args.exclude_window is not None:
-            lo = qi - args.exclude_window
-            hi = qi + args.exclude_window
-            exclude = [e for e in range(max(0, lo), min(len(db), hi + 1))]
-        matches = db.query(vec, args.top, exclude) if not vec.is_empty else []
+            # clipped to the database, so a huge window costs nothing extra
+            exclude = range(max(0, qi - args.exclude_window),
+                            min(len(db), qi + args.exclude_window + 1))
+        matches = db.query(vec, args.top, exclude)
         results.append({
             "query": qi,
             "matches": [{"entry": e, "score": s} for e, s in matches],

@@ -26,6 +26,7 @@ from io import StringIO
 import numpy as np
 
 from .bow import RetrievalDatabase, transform
+from .clustering import _config_int
 from .descriptors import DescriptorSet, _as_codes, hamming_rows
 from .errors import ConfigError, InsufficientPointsError
 from .io import _atomic_write_bytes
@@ -47,6 +48,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("num_places", "descriptors_per_place", "descriptor_bits", "seed"):
+            object.__setattr__(self, name, _config_int(getattr(self, name), name))
         if self.num_places < 1:
             raise ConfigError(f"num_places must be >= 1, got {self.num_places}")
         if self.descriptors_per_place < 1:
@@ -92,8 +95,7 @@ def synth_sequence(cfg: SynthConfig) -> SynthSequence:
         for _ in range(cfg.num_places)
     ]
     p = cfg.num_places
-    total = p if cfg.revisit_fraction == 0.0 else int(round(p / (1.0 - cfg.revisit_fraction)))
-    total = max(total, p)
+    total = int(round(p / (1.0 - cfg.revisit_fraction)))
     markers = np.array([0] * p + [1] * (total - p), dtype=np.int64)
     rng.shuffle(markers)
     if markers[0] == 1:
@@ -181,6 +183,7 @@ def retrieval_report(vocab: Vocabulary, frames, gt_pairs,
     those answered with a correct top-1. The PR sweep thresholds the top-1
     score; with no eligible queries the report is vacuous (both metrics 1.0).
     """
+    temporal_exclusion = _config_int(temporal_exclusion, "temporal_exclusion")
     if temporal_exclusion < 0:
         raise ConfigError(f"temporal_exclusion must be >= 0, got {temporal_exclusion}")
     gt_pairs = set(map(tuple, gt_pairs))
@@ -213,8 +216,6 @@ def retrieval_report(vocab: Vocabulary, frames, gt_pairs,
     max_f1 = 0.0
     for threshold in sorted({score for score, _ in predictions}):
         kept = [(s, ok) for s, ok in predictions if s >= threshold]
-        if not kept:
-            continue
         tp = sum(1 for _, ok in kept if ok)
         precision = tp / len(kept)
         recall = tp / len(eligible)

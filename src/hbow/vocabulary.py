@@ -35,6 +35,7 @@ not depend on the order in which nodes are split.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from decimal import Context, Decimal
 from enum import Enum
 from time import perf_counter
 
@@ -276,7 +277,11 @@ def compute_idf(vocab: Vocabulary, corpus: DescriptorSet) -> Vocabulary:
     """Return a copy of `vocab` whose leaf weights are ln(N / N_i): N = corpus
     group count, N_i = number of groups containing word i (by greedy lookup).
     Words absent from the corpus get weight 0; internal nodes keep theirs.
-    `vocab` itself is unchanged."""
+    `vocab` itself is unchanged.
+
+    Each weight is the correctly rounded ln of the float quotient N / N_i,
+    taken once per distinct N_i through 50-digit `decimal` arithmetic, so it
+    does not depend on which CPU-specific `log` NumPy dispatches to."""
     if corpus.group_count < 1:
         raise InsufficientPointsError("idf needs a corpus with at least one group")
     if corpus.bits != vocab.descriptor_bits:
@@ -288,7 +293,10 @@ def compute_idf(vocab: Vocabulary, corpus: DescriptorSet) -> Vocabulary:
     group = np.repeat(np.arange(corpus.group_count), np.diff(corpus.group_ends, prepend=0))
     doc_count = np.bincount(np.unique(group * W + word_ids) % W, minlength=W)
     n_groups = float(corpus.group_count)
-    idf = np.where(doc_count > 0, np.log(n_groups / np.maximum(doc_count, 1)), 0.0)
+    counts, inverse = np.unique(doc_count, return_inverse=True)
+    ln = Context(prec=50).ln
+    idf = np.array([float(ln(Decimal(n_groups / c))) if c else 0.0 for c in counts.tolist()])
+    idf = idf[inverse]
     weight = vocab.weight.copy()
     weight[vocab.word_of_node >= 0] = idf
     return replace(vocab, weight=weight)

@@ -38,19 +38,21 @@ def lookup_word(vocab, code):
 
 
 def normalize_l1(v):
-    """Scale a BowVector to unit L1 norm, summing its weights in key order;
-    an all-zero or empty vector becomes the empty vector. `transform` does
-    the same inline, over its words in ascending order."""
-    total = v.l1_norm()
+    """Scale a BowVector to unit L1 norm, summing its weights in key order
+    with the built-in `sum`; an all-zero or empty vector becomes the empty
+    vector. `transform` does the same inline, over its words in ascending
+    order."""
+    total = sum(v.entries.values())
     if total <= 0.0:
         return BowVector.empty()
     return BowVector({w: val / total for w, val in v.entries.items()})
 
 
-def audit(db):
-    """Full cross-check of a RetrievalDatabase's entries against its norms and
-    postings; raises InternalInvariantError on any mismatch."""
-    n = len(db.entries)
+def audit(db, vectors):
+    """Full cross-check of a RetrievalDatabase against the vectors added to
+    it, in order: its norms and postings; raises InternalInvariantError on
+    any mismatch."""
+    n = len(vectors)
     if len(db.norms) != n:
         raise InternalInvariantError(f"{len(db.norms)} norms for {n} entries")
     seen: dict[int, dict[int, float]] = {}
@@ -63,7 +65,7 @@ def audit(db):
             if not 0 <= e < n:
                 raise InternalInvariantError(f"posting for word {w} points at missing entry {e}")
             seen.setdefault(e, {})[w] = weight
-    for e, vector in enumerate(db.entries):
+    for e, vector in enumerate(vectors):
         if seen.get(e, {}) != vector.entries:
             raise InternalInvariantError(f"entry {e} disagrees with the inverted index")
         if db.norms[e] != vector.l1_norm():

@@ -1,5 +1,7 @@
 import math
 from collections import Counter
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -67,6 +69,18 @@ def test_score_identical_vectors_is_exactly_one():
     assert score_l1(v, v) == 1.0
 
 
+def test_score_of_a_vector_whose_weights_sum_below_one_against_itself_is_one():
+    # L1 normalization can leave the weights summing to 1 - 2**-52; the norm
+    # and the shared sum add the same terms in the same order, so the score
+    # is still exactly 1, from score_l1 and from a query alike
+    v = normalize_l1(BowVector({0: 2.0, 1: 6.0, 2: 7.0, 3: 3.0, 4: 3.0}))
+    assert v.l1_norm() == 1.0 - 2.0 ** -52
+    assert score_l1(v, v) == 1.0
+    db = RetrievalDatabase(_random_vocab(seed=4))
+    db.add(v)
+    assert db.query(v) == [(0, 1.0)]
+
+
 def test_score_disjoint_supports_is_exactly_zero():
     a = BowVector({0: 0.5, 1: 0.5})
     b = BowVector({2: 0.25, 3: 0.75})
@@ -105,6 +119,27 @@ def test_score_symmetry_and_range_on_random_vectors():
         s_ba = score_l1(b, a)
         assert s_ab == s_ba
         assert 0.0 <= s_ab <= 1.0
+
+
+def test_score_is_the_l1_similarity_over_the_word_union():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weights = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
+    vectors = st.dictionaries(st.integers(0, 11), weights, min_size=1, max_size=10).map(
+        lambda d: normalize_l1(BowVector(d)))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(a=vectors, b=vectors)
+    def check(a, b):
+        s = score_l1(a, b)
+        assert s == score_l1(b, a)
+        assert 0.0 <= s <= 1.0
+        assert score_l1(a, a) == 1.0
+        union = set(a.entries) | set(b.entries)
+        l1 = math.fsum(abs(a.entries.get(w, 0.0) - b.entries.get(w, 0.0)) for w in union)
+        assert abs(s - (1.0 - 0.5 * l1)) <= 1e-12
+
+    check()
 
 
 def test_normalize_idempotent():
@@ -190,20 +225,18 @@ def test_add_assigns_sequential_ids_and_updates_postings():
     assert list(db.postings[1]) == [(0, 0.25)]
     assert list(db.postings[2]) == [(0, 0.5)]
     assert list(db.norms) == [1.0, 1.0]
-    audit(db)
+    audit(db, [v, BowVector({0: 1.0})])
 
 
 def test_posting_mass_conservation():
     vocab = _random_vocab(seed=2)
     db = RetrievalDatabase(vocab)
     rng = np.random.default_rng(5)
-    support_total = 0
-    for _ in range(60):
-        v = _random_vector(rng, vocab.word_count)
-        support_total += len(v)
+    added = [_random_vector(rng, vocab.word_count) for _ in range(60)]
+    for v in added:
         db.add(v)
-    assert sum(len(p) for p in db.postings.values()) == support_total
-    audit(db)
+    assert sum(len(p) for p in db.postings.values()) == sum(len(v) for v in added)
+    audit(db, added)
 
 
 def test_add_rejects_out_of_range_word():
@@ -226,7 +259,7 @@ def test_add_and_query_reject_weights_that_are_not_finite_and_positive():
             db.query(BowVector({0: 0.5, 1: bad}))
     # a rejected vector leaves no trace
     assert len(db) == 1 and len(db.norms) == 1 and set(db.postings) == {0, 1}
-    audit(db)
+    audit(db, [BowVector({0: 0.5, 1: 0.5})])
 
 
 def test_query_own_vector_ranks_first_with_unit_score():
@@ -253,20 +286,22 @@ def test_query_disjoint_database_returns_single_match():
 
 
 def _oracle_score(a, b):
-    # its own accumulation over the word union, the first vector's words
-    # first, so float weights round as in score_l1; no shared word scores 0
-    if set(a.entries).isdisjoint(b.entries):
+    # the identity of the module docstring on its own: two norms and the
+    # min-sum over shared words, each added term by term in ascending word
+    # order; no shared word scores 0
+    shared = sorted(set(a.entries) & set(b.entries))
+    if not shared:
         return 0.0
-    words = list(a.entries) + [w for w in b.entries if w not in a.entries]
-    total = sum(abs(a.entries.get(w, 0.0) - b.entries.get(w, 0.0)) for w in words)
-    return min(1.0, max(0.0, 1.0 - 0.5 * total))
+    a_norm = reduce(add, (a.entries[w] for w in sorted(a.entries)), 0.0)
+    b_norm = reduce(add, (b.entries[w] for w in sorted(b.entries)), 0.0)
+    overlap = reduce(add, (min(a.entries[w], b.entries[w]) for w in shared), 0.0)
+    return min(1.0, max(0.0, (1.0 - (a_norm + b_norm) / 2.0) + overlap))
 
 
-def _exhaustive_query(db, vector, max_results, exclude=None):
-    # independent full scan
+def _exhaustive_query(stored, vector, max_results, exclude=None):
+    # independent full scan over the vectors as they were added
     skip = set(exclude) if exclude else set()
-    scored = [(e, _oracle_score(vector, stored)) for e, stored in enumerate(db.entries)
-              if e not in skip]
+    scored = [(e, _oracle_score(vector, v)) for e, v in enumerate(stored) if e not in skip]
     scored = [(e, s) for e, s in scored if s > 0.0]
     scored.sort(key=lambda t: (-t[1], t[0]))
     return scored[:max_results]
@@ -282,29 +317,48 @@ def test_query_matches_exhaustive_oracle():
     vectors[90] = BowVector(dict(vectors[10].entries))
     for v in vectors:
         db.add(v)
-    audit(db)
+    audit(db, vectors)
     queries = [vectors[10], vectors[3]] + [_random_vector(rng, vocab.word_count)
                                            for _ in range(30)]
     for q in queries:
         got = db.query(q, max_results=15)
-        want = _exhaustive_query(db, q, 15)
+        want = _exhaustive_query(vectors, q, 15)
         assert got == want
 
 
-def test_query_rescores_near_ties_that_the_posting_sums_misorder():
-    # from the norms and the min-sums, e2 reads a few ulps above e1, while
-    # score_l1 ranks e1 first: the shortlist margin must keep both
+def test_query_ranks_near_ties_as_brute_force_does():
+    # e1 and e2 score within an ulp of each other against q, and over the
+    # word union the order of the two would flip; query must rank them as
+    # brute force over score_l1 does, whichever was added first
     q = BowVector({2: 0.45454545454545453, 5: 0.4090909090909091, 1: 0.13636363636363638})
     e1 = BowVector({0: 0.5263157894736842, 5: 0.4736842105263158})
     e2 = BowVector({0: 0.18181818181818185, 1: 0.27272727272727276, 2: 0.09090909090909093,
                     3: 0.09090909090909093, 4: 0.18181818181818185, 5: 0.18181818181818185})
-    assert score_l1(q, e1) > score_l1(q, e2)
+    assert 0.0 < abs(score_l1(q, e1) - score_l1(q, e2)) <= 2.0 ** -52
     vocab = _random_vocab(seed=4)
     for order in ((e1, e2), (e2, e1)):
         db = RetrievalDatabase(vocab)
         for v in order:
             db.add(v)
-        assert db.query(q, 1) == [(order.index(e1), score_l1(q, e1))]
+        brute = sorted(((e, score_l1(q, v)) for e, v in enumerate(order)),
+                       key=lambda t: (-t[1], t[0]))
+        assert db.query(q, 2) == brute
+        assert db.query(q, 1) == brute[:1]
+
+
+def test_query_reads_the_vectors_as_they_were_added():
+    # the database keeps its own copy: changing the caller's dict after add
+    # changes neither the candidates nor the score
+    vocab = _random_vocab(seed=4)
+    db = RetrievalDatabase(vocab)
+    v = BowVector({0: 0.5, 1: 0.5})
+    db.add(v)
+    q = BowVector(dict(v.entries))
+    assert db.query(q) == [(0, 1.0)]
+    v.entries[2] = 0.75
+    assert db.query(q) == [(0, 1.0)]
+    del v.entries[0], v.entries[1]
+    assert db.query(q) == [(0, 1.0)]
 
 
 def test_query_with_exclusions_matches_oracle():
@@ -318,7 +372,7 @@ def test_query_with_exclusions_matches_oracle():
         q = vectors[e]
         excl = {e, (e + 1) % 80}
         got = db.query(q, max_results=10, exclude=excl)
-        assert got == _exhaustive_query(db, q, 10, exclude=excl)
+        assert got == _exhaustive_query(vectors, q, 10, exclude=excl)
         assert all(r not in excl for r, _ in got)
 
 
@@ -353,7 +407,7 @@ def test_audit_catches_tampering():
         db = RetrievalDatabase(vocab)
         for v in vectors:
             db.add(v)
-        audit(db)
+        audit(db, vectors)
         return db, max(db.postings, key=lambda w: len(db.postings[w]))
 
     def set_weight(db, w):
@@ -383,7 +437,7 @@ def test_audit_catches_tampering():
         db, word = fresh()
         tamper(db, word)
         with pytest.raises(InternalInvariantError):
-            audit(db)
+            audit(db, vectors)
 
 
 def test_query_matches_exhaustive_oracle_on_generated_databases():
@@ -423,7 +477,7 @@ def test_query_matches_exhaustive_oracle_on_generated_databases():
                 q = data.draw(vectors())
             k = data.draw(st.integers(1, n + 2))
             exclude = data.draw(st.one_of(st.none(), st.sets(st.integers(-3, n + 3), max_size=6)))
-            assert db.query(q, k, exclude) == _exhaustive_query(db, q, k, exclude)
+            assert db.query(q, k, exclude) == _exhaustive_query(stored, q, k, exclude)
             # brute force through score_l1 agrees, disjoint pairs included
             assert [score_l1(q, v) for v in stored] == [_oracle_score(q, v) for v in stored]
 

@@ -1,15 +1,18 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hbow import (
+    BowVector,
     ConfigError,
     DescriptorSet,
     EVAL_COLUMNS,
     InsufficientPointsError,
+    RetrievalDatabase,
     Strategy,
     SynthConfig,
     TrainConfig,
@@ -147,6 +150,32 @@ def test_synth_config_validation():
         SynthConfig(descriptor_bits=12)
     with pytest.raises(ConfigError):
         SynthConfig(seed=-1)
+
+
+# each integer argument: a call taking it, and a value that call accepts
+_INTEGER_ARGUMENTS = {
+    "num_places": (lambda v: SynthConfig(num_places=v), 3),
+    "descriptors_per_place": (lambda v: SynthConfig(descriptors_per_place=v), 3),
+    "descriptor_bits": (lambda v: SynthConfig(descriptor_bits=v), 64),
+    "seed": (lambda v: SynthConfig(seed=v), 3),
+    "temporal_exclusion": (lambda v: retrieval_report(_bundle_vocab(), [], set(), v), 3),
+    "max_results": (lambda v: RetrievalDatabase(_bundle_vocab()).query(BowVector({0: 1.0}), v),
+                    3),
+}
+
+
+@pytest.mark.parametrize("name", list(_INTEGER_ARGUMENTS))
+def test_integer_arguments_must_be_integers(name):
+    # unchecked, a float fails later with a bare TypeError (the exit code of
+    # an hbow bug), and a bool passes as 0 or 1
+    make, good = _INTEGER_ARGUMENTS[name]
+    for value in (2.5, np.float64(3.0), "3", True, np.bool_(True)):
+        message = re.escape(f"{name} must be an integer, got {value!r}")
+        with pytest.raises(ConfigError, match=message):
+            make(value)
+    made = make(np.int64(good))
+    if isinstance(made, SynthConfig):
+        assert getattr(made, name) == good and type(getattr(made, name)) is int
 
 
 # ---------------------------------------------------------------- quantization

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, replace
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -441,6 +442,40 @@ def test_idf_counts_each_group_once_on_generated_corpora():
     check()
 
 
+def _two_word_vocab():
+    """k=2, L=1 vocabulary whose words are the all-zero and all-one 64-bit
+    rows; returns it and the two rows."""
+    a, b = np.zeros((1, 8), dtype=np.uint8), np.full((1, 8), 255, dtype=np.uint8)
+    vocab = train(DescriptorSet.from_groups([np.vstack([a, b]), a]),
+                  _cfg(2, 1, Strategy.KMAJORITY))
+    return vocab, a, b
+
+
+def test_idf_is_the_correctly_rounded_log_on_generated_counts():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    vocab, a, b = _two_word_vocab()
+    (word_a, word_b), _ = lookup_words(vocab, np.vstack([a, b]))
+    reference = Context(prec=80)
+
+    # on an AVX512 host np.log misses the correctly rounded value for
+    # 21 / 20 and 1000 / 897
+    @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(counts=st.integers(1, 3000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n))))
+    @hypothesis.example(counts=(21, 20))
+    @hypothesis.example(counts=(1000, 897))
+    def check(counts):
+        # n groups of one row each: b in the first n_b of them, a in the rest
+        n, n_b = counts
+        corpus = DescriptorSet(np.vstack([b] * n_b + [a] * (n - n_b)), np.arange(1, n + 1))
+        weight = compute_idf(vocab, corpus).word_weight
+        for word, c in ((word_b, n_b), (word_a, n - n_b)):
+            assert weight[word] == (float(reference.ln(Decimal(n / c))) if c else 0.0)
+
+    check()
+
+
 def test_idf_rejects_zero_group_corpus():
     ds = _random_corpus(100, 8, seed=0)
     vocab = train(ds, _cfg(2, 1, Strategy.KMAJORITY))
@@ -588,6 +623,41 @@ def test_training_is_byte_identical_across_blas_core_types(tmp_path):
                        env=env, check=True, timeout=300)
         files[core] = {s.value: (out / f"{s.value}.txt").read_bytes() for s in ALL_STRATEGIES}
     assert files[None] == files["Prescott"]
+
+
+_TRAIN_21_IMAGES = """
+import sys
+import numpy as np
+import hbow
+a, b = np.zeros((1, 8), dtype=np.uint8), np.full((1, 8), 255, dtype=np.uint8)
+# a's word is in all 21 images and b's in 20 of them, so b's idf is ln(21 / 20)
+corpus = hbow.DescriptorSet.from_groups([np.vstack([a, b])] * 20 + [a])
+cfg = hbow.TrainConfig(k=2, L=1, strategy="kmajority", seed=0, max_iters=5)
+hbow.save_vocabulary(sys.argv[1], hbow.train(corpus, cfg))
+"""
+
+
+def test_idf_is_byte_identical_across_numpy_cpu_dispatch(tmp_path):
+    # NumPy dispatches its log by CPU, and NPY_DISABLE_CPU_FEATURES turns its
+    # AVX512 paths off; on AVX512 hosts np.log(21 / 20) differs between the
+    # two in the last bit
+    files = {}
+    for disabled in (None, "AVX512_SPR AVX512_ICL X86_V4"):
+        out = tmp_path / f"{disabled is not None}.txt"
+        env = {key: v for key, v in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+        if disabled is not None:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        proc = subprocess.run([sys.executable, "-c", _TRAIN_21_IMAGES, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        if disabled is not None and proc.returncode and "NPY_DISABLE_CPU_FEATURES" in proc.stderr:
+            continue   # a NumPy that does not know these feature names
+        assert proc.returncode == 0, proc.stderr
+        files[disabled] = out.read_bytes()
+    assert len(set(files.values())) == 1
+    # the correctly rounded ln(21 / 20), so a host where both runs take one
+    # path still checks the weight
+    weights = load_vocabulary(tmp_path / "False.txt").word_weight
+    assert sorted(weights.tolist()) == [0.0, 0.04879016416943205]
 
 
 _TRAIN_ALL_STRATEGIES = """
