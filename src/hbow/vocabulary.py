@@ -77,8 +77,9 @@ class Vocabulary:
     Derived once at construction:
 
     * `descriptor_bits` 8 * octets;
-    * `children`     (nodes, widest fan-out) int64, child ids ascending,
-                     padded with -1;
+    * `children`     (nodes, widest fan-out) int64, the descent table: an
+                     internal node's child ids ascending, padded with its
+                     first child; a leaf's row holds the leaf itself;
     * `word_of_node` (nodes,) int64, word id of each leaf, -1 elsewhere: the
                      leaves numbered 0..W-1 in node order (`assign_word_ids`);
     * `word_weight`  (word_count,) float64, the weight of each word;
@@ -132,7 +133,7 @@ class Vocabulary:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "descriptor_bits", centroids.shape[1] * 8)
         object.__setattr__(self, "word_count", word_weight.size)
-        object.__setattr__(self, "height", _height(children))
+        object.__setattr__(self, "height", _height(parent))
 
     def __reduce__(self):
         # Deep copies and pickles go through the constructor; numpy would
@@ -142,14 +143,19 @@ class Vocabulary:
 
 
 def _child_table(parent: np.ndarray) -> np.ndarray:
-    """(nodes, widest fan-out) child ids, each row ascending, padded with -1."""
+    """(nodes, widest fan-out) descent table: an internal node's child ids
+    ascending, padded with its first child, which `argmin` never prefers
+    over column 0; a leaf's row holds the leaf itself, so a descent that has
+    reached it stays."""
     n = parent.size
     counts = np.bincount(parent[1:], minlength=n)
-    table = np.full((n, max(1, int(counts.max()))), -1, dtype=np.int64)
-    order = np.argsort(parent[1:], kind="stable")
-    owner = parent[1:][order]
+    table = np.repeat(np.arange(n)[:, None], max(1, int(counts.max())), axis=1)
+    order = np.argsort(parent[1:], kind="stable") + 1   # child ids grouped by parent
     first = np.cumsum(counts) - counts
-    table[owner, np.arange(n - 1) - first[owner]] = order + 1
+    internal = counts > 0
+    table[internal] = order[first[internal], None]
+    owner = parent[order]
+    table[owner, np.arange(n - 1) - first[owner]] = order
     return table
 
 
@@ -165,11 +171,12 @@ def _word_major(codes: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(codes.view(np.uint64).T)
 
 
-def _height(children: np.ndarray) -> int:
-    """Depth of the deepest node below the root."""
-    level, height = children[0], 0
-    while (level := level[level >= 0]).size:
-        level, height = children[level].ravel(), height + 1
+def _height(parent: np.ndarray) -> int:
+    """Depth of the deepest node: every node's ancestors followed up a level
+    at a time until each has reached the root."""
+    ancestors, height = parent[1:], 0
+    while ancestors.size:
+        ancestors, height = parent[ancestors[ancestors > 0]], height + 1
     return height
 
 
@@ -263,13 +270,12 @@ def _grow(codes: np.ndarray,
 
 
 def assign_word_ids(children: np.ndarray) -> np.ndarray:
-    """Word id of every node given the child table: leaves numbered 0..W-1
-    in node order, which is file order, as DBoW2's
-    `TemplatedVocabulary::loadFromTextFile` numbers them; -1 for the root and
-    every internal node.
+    """Word id of every node given the descent table, whose leaf rows hold
+    the leaf itself: leaves numbered 0..W-1 in node order, which is file
+    order, as DBoW2's `TemplatedVocabulary::loadFromTextFile` numbers them;
+    -1 for the root and every internal node.
     """
-    is_leaf = children[:, 0] < 0
-    is_leaf[0] = False
+    is_leaf = children[:, 0] == np.arange(children.shape[0])
     return np.where(is_leaf, np.cumsum(is_leaf) - 1, -1)
 
 
@@ -308,10 +314,14 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
     All rows descend together one tree level at a time: each row at an
     internal node moves to the child with the smallest Hamming distance, ties
     to the lowest-index child, and a row at a leaf stays there, so every row
-    takes `vocab.height` steps. One level is one gather of the children's
-    64-bit centroid words from `vocab.centroid_words` into a (words, rows,
-    fan-out) tensor, an XOR with the rows' own words, a popcount, and a sum
-    over the short words axis. Rows go in blocks that keep that tensor within
+    takes `vocab.height` steps. One level gathers the current nodes' rows of
+    the descent table `vocab.children`, takes those nodes' 64-bit centroid
+    words from `vocab.centroid_words` into a (words, rows, fan-out) tensor,
+    XORs it with the rows' own words, popcounts, sums over the short words
+    axis, and moves each row to the node of its first minimum. The table
+    needs no mask: a padding slot repeats the row's first child, which the
+    first minimum never prefers over column 0, and a leaf's row holds only
+    the leaf. Rows go in blocks that keep that tensor within
     `_CDIST_BLOCK_BYTES`.
     Returns (word_ids, leaf_node_ids), both int64 of length n.
     """
@@ -327,15 +337,16 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
     node = np.zeros(n, dtype=np.int64)
     step = max(1, _CDIST_BLOCK_BYTES // (children.shape[1] * table.shape[0] * 8))
     for start in range(0, n, step):
-        cur, q = node[start:start + step], query[:, start:start + step]
+        q = query[:, start:start + step]
+        cur = node[start:start + step]
+        rows = np.arange(0, cur.size * children.shape[1], children.shape[1])
         for _ in range(vocab.height):
             kids = children[cur]
             xor = table.take(kids, axis=1)
             np.bitwise_xor(xor, q, out=xor)
             dist = np.bitwise_count(xor, out=xor).sum(axis=0)
-            np.putmask(dist, kids < 0, vocab.descriptor_bits + 1)
-            nxt = kids[np.arange(cur.size), dist.argmin(axis=1)]
-            cur[:] = np.where(nxt < 0, cur, nxt)
+            cur = kids.take(rows + dist.argmin(axis=1))
+        node[start:start + step] = cur
     return vocab.word_of_node[node], node
 
 
@@ -348,7 +359,7 @@ def validate_structure(vocab: Vocabulary) -> None:
     children, no leaf sits below depth L, and every weight is finite and
     non-negative.
     """
-    fanout = (vocab.children >= 0).sum(axis=1)
+    fanout = np.bincount(vocab.parent[1:], minlength=vocab.parent.size)
     wide = np.flatnonzero(fanout > vocab.k)
     if wide.size:
         nid = int(wide[0])

@@ -38,11 +38,13 @@ def lookup_word(vocab, code):
 
 
 def normalize_l1(v):
-    """Scale a BowVector to unit L1 norm, summing its weights in key order
-    with the built-in `sum`; an all-zero or empty vector becomes the empty
-    vector. `transform` does the same inline, over its words in ascending
-    order."""
-    total = sum(v.entries.values())
+    """Scale a BowVector to unit L1 norm: each weight over their total, added
+    one by one in ascending word order (not the built-in `sum`, which some
+    Python versions compensate); an all-zero or empty vector becomes the
+    empty vector. `transform` does the same over its words."""
+    total = 0.0
+    for w in sorted(v.entries):
+        total += v.entries[w]
     if total <= 0.0:
         return BowVector.empty()
     return BowVector({w: val / total for w, val in v.entries.items()})
@@ -57,7 +59,7 @@ def audit(db, vectors):
         raise InternalInvariantError(f"{len(db.norms)} norms for {n} entries")
     seen: dict[int, dict[int, float]] = {}
     for w, plist in db.postings.items():
-        ids = list(plist.ids)
+        ids = plist.ids.tolist()
         if len(ids) != len(plist.weights) or ids != sorted(set(ids)):
             raise InternalInvariantError(
                 f"posting list for word {w} is not sorted unique ids with one weight each")

@@ -15,6 +15,7 @@ from hbow import (
     RetrievalDatabase,
     Strategy,
     TrainConfig,
+    Vocabulary,
     score_l1,
     train,
     transform,
@@ -202,6 +203,33 @@ def test_transform_matches_counting_oracle():
     assert got.entries == want
     assert got.l1_norm() == pytest.approx(1.0, abs=1e-9)
     assert all(x > 0.0 for x in got.entries.values())
+
+
+def _neumaier_sum(values):
+    # compensated summation, the algorithm of the built-in `sum` over floats
+    # from Python 3.12 on
+    total = comp = 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp
+
+
+def test_transform_normalizes_by_the_left_to_right_total():
+    # four leaves, one descriptor each, so tf = 1/4 exactly and each weighted
+    # value is its idf over 4: a plain left-to-right sum drops the three tiny
+    # words, a compensated sum keeps them, so the two totals differ on every
+    # Python version and transform must divide by the plain one
+    codes = np.array([[0x00], [0x0F], [0xF0], [0xFF]], dtype=np.uint8)
+    idf = [1.0, 2.0 ** -53, 2.0 ** -53, 2.0 ** -53]
+    vocab = Vocabulary(4, 1, None, [-1, 0, 0, 0, 0], np.vstack([[0], codes]), [0.0, *idf])
+    weighted = [x / 4 for x in idf]
+    plain = reduce(add, weighted)
+    assert plain != _neumaier_sum(weighted)
+    want = {w: x / plain for w, x in enumerate(weighted)}
+    assert transform(vocab, codes).entries == want
+    assert normalize_l1(BowVector(dict(enumerate(weighted)))).entries == want
 
 
 def test_transform_width_mismatch_raises():
@@ -399,6 +427,8 @@ def test_query_empty_cases():
 
 
 def test_audit_catches_tampering():
+    # each tampering writes into the arenas behind `postings`; ids and weights
+    # share one count per word, so a weight cannot go missing on its own
     vocab = _random_vocab(seed=4)
     rng = np.random.default_rng(2)
     vectors = [_random_vector(rng, 8) for _ in range(10)]
@@ -410,21 +440,25 @@ def test_audit_catches_tampering():
         audit(db, vectors)
         return db, max(db.postings, key=lambda w: len(db.postings[w]))
 
+    def bucket(db, w):
+        start = int(db._start[w])
+        return slice(start, start + int(db._count[w]))
+
     def set_weight(db, w):
-        db.postings[w].weights[0] = -1.0
+        db._weights[bucket(db, w).start] = -1.0
 
     def point_past_the_end(db, w):
-        db.postings[w].ids[-1] = len(db)
+        db._ids[bucket(db, w).stop - 1] = len(db)
 
     def unsort(db, w):
-        db.postings[w].ids.reverse()
-
-    def drop_weight(db, w):
-        db.postings[w].weights.pop()
+        db._ids[bucket(db, w)] = db._ids[bucket(db, w)][::-1].copy()
 
     def drop_posting(db, w):
-        db.postings[w].ids.pop()
-        db.postings[w].weights.pop()
+        db._count[w] -= 1
+
+    def share_a_bucket(db, w):
+        other = min(set(db.postings) - {w})
+        db._start[other], db._count[other] = db._start[w], db._count[w]
 
     def change_norm(db, w):
         db.norms[3] += 0.5
@@ -432,12 +466,78 @@ def test_audit_catches_tampering():
     def drop_norm(db, w):
         db.norms.pop()
 
-    for tamper in (set_weight, point_past_the_end, unsort, drop_weight, drop_posting,
+    for tamper in (set_weight, point_past_the_end, unsort, drop_posting, share_a_bucket,
                    change_norm, drop_norm):
         db, word = fresh()
         tamper(db, word)
         with pytest.raises(InternalInvariantError):
             audit(db, vectors)
+
+
+def test_postings_are_read_only_views():
+    vocab = _random_vocab(seed=1)
+    db = RetrievalDatabase(vocab)
+    db.add(BowVector({3: 0.5, 1: 0.5}))
+    db.add(BowVector({3: 1.0}))
+    assert list(db.postings) == [1, 3] and len(db.postings) == 2
+    assert 3 in db.postings and 0 not in db.postings
+    for missing in (0, -1, vocab.word_count, 2 ** 63):
+        assert db.postings.get(missing, ()) == ()
+    plist = db.postings[3]
+    assert len(plist) == 2 and list(plist) == [(0, 0.5), (1, 1.0)]
+    with pytest.raises(ValueError):
+        plist.ids[0] = 5
+    with pytest.raises(ValueError):
+        plist.weights[0] = 5.0
+
+
+def test_interleaved_adds_and_queries_match_the_exhaustive_oracle():
+    # long streams over a few words move every bucket to the arena's end
+    # many times; ids outside the vocabulary, up to 2**64 and beyond, make
+    # `add` refuse the vector and `query` skip the word but count its weight
+    # in the query's norm
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    vocab = _random_vocab(seed=4)
+    outside = [-2 ** 64, -1, vocab.word_count, 2 ** 63 - 1, 2 ** 63, 2 ** 64, 2 ** 70]
+    weights = st.one_of(
+        st.floats(min_value=1e-9, max_value=1e6, allow_nan=False, allow_infinity=False),
+        st.sampled_from([1.0 / 64, 0.1, 1.0 / 3, 0.5, 1.0]),
+    )
+    # one step: (query?, words of 0..5 as a bit mask, weight shift, stray id
+    # index, exclusion mask, max_results), flat integers that draw fast
+    steps = st.tuples(st.integers(0, 4), st.integers(0, 63), st.integers(0, 5),
+                      st.integers(0, 5 * len(outside)), st.integers(0, 63), st.integers(1, 8))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(pool=st.lists(weights, min_size=6, max_size=6),
+                      stream=st.integers(1, 150).flatmap(
+                          lambda n: st.lists(steps, min_size=n, max_size=n)))
+    def check(pool, stream):
+        db, added = RetrievalDatabase(vocab), []
+        for query, mask, shift, stray, excluded, k in stream:
+            entries = {w: pool[(w + shift) % 6] for w in range(6) if mask >> w & 1}
+            if stray < len(outside):
+                entries[outside[stray]] = pool[shift]
+            vector = BowVector(entries)
+            if not query:
+                n = len(added)
+                # the last four entries and the ids just outside the database
+                exclude = {e for i, e in enumerate([n - 1, n - 2, n - 3, n - 4, -1, n])
+                           if excluded >> i & 1} or None
+                assert db.query(vector, k, exclude) == _exhaustive_query(added, vector, k,
+                                                                         exclude)
+            elif stray < len(outside):
+                with pytest.raises(CorpusConsistencyError, match="outside vocabulary"):
+                    db.add(vector)
+                audit(db, added)
+            else:
+                assert db.add(vector) == len(added)
+                added.append(BowVector(dict(entries)))
+                audit(db, added)
+
+    check()
 
 
 def test_query_matches_exhaustive_oracle_on_generated_databases():

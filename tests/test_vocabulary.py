@@ -129,8 +129,12 @@ def test_tree_shape_and_metadata():
         assert vocab.descriptor_bits == 64
         assert vocab.parent[0] == -1 and vocab.word_of_node[0] == -1
         assert _kids(vocab, 0).size > 0
+        # the descent table: children ascending, padded with the first
+        # child; a leaf's row holds only the leaf
         for nid, row in enumerate(vocab.children):
-            assert row[row >= 0].tolist() == _kids(vocab, nid).tolist()
+            kids = _kids(vocab, nid).tolist()
+            assert row.tolist() == kids + kids[:1] * (row.size - len(kids)) if kids \
+                else row.tolist() == [nid] * row.size
         assert vocab.word_count == len(_leaf_ids(vocab)) == vocab.word_weight.size
         validate_structure(vocab)
 
@@ -281,14 +285,21 @@ def test_descent_on_a_hand_built_uneven_tree():
     # root 0 -> leaf 1, node 2, leaf 3 (the widest fan-out, 3);
     # node 2 -> node 4, node 5 (a narrower row, padded with one -1);
     # node 4 -> leaves 6, 7, 8; node 5 -> leaf 9, the last node, which a
-    # -1 child slot would read if it were not masked. Words number the leaves
-    # in node order: 1, 3, 6, 7, 8, 9
+    # -1 child slot would read if the table were padded with -1. Words number
+    # the leaves in node order: 1, 3, 6, 7, 8, 9
     parent = [-1, 0, 0, 0, 2, 2, 4, 4, 4, 5]
     centroids = np.vstack([_bits72(), _bits72(*range(8)), _bits72(), _bits72(*range(64, 72)),
                            _bits72(8), _bits72(9), _bits72(8, 10), _bits72(8, 11), _bits72(8, 12),
                            _bits72(20, 21, 22, 23)])
     vocab = Vocabulary(3, 3, None, parent, centroids, np.arange(10) / 10.0)
     assert vocab.height == 3
+    # the descent table pads a narrower row with its first child and fills
+    # a leaf's row with the leaf. Padding with the last child descends the
+    # same on every tree, and rows of leaves 1 and 3 pointing at the root
+    # descend the same on this one (two spare steps: up and back), so the
+    # layout itself is pinned here
+    assert vocab.children.tolist() == [[1, 2, 3], [1, 1, 1], [4, 5, 4], [3, 3, 3], [6, 7, 8],
+                                       [9, 9, 9], [6, 6, 6], [7, 7, 7], [8, 8, 8], [9, 9, 9]]
     with pytest.raises(InternalInvariantError):  # a root alone has no word to descend to
         Vocabulary(3, 3, None, [-1], centroids[:1], [0.0])
     assert vocab.word_of_node.tolist() == [-1, 0, -1, 1, -1, -1, 2, 3, 4, 5]
