@@ -30,8 +30,9 @@ distance), and the repair picks its farthest member by the integer
 n^2*|x| + M. So no assignment, repair or objective depends on the BLAS
 kernel or its thread count: the integers come out the same in any summation
 order, and the division and comparisons are IEEE operations on them. Seeding
-runs in Hamming on the packed codes, and the updates come from one grouped
-pass of per-cluster bit counts (`_cluster_sums`), exact integers as well.
+runs in Hamming on the codes cut into word-major 64-bit words, with int64
+distances and running sums, and the updates come from one grouped pass of
+per-cluster bit counts (`_cluster_sums`), exact integers as well.
 
 Every step is non-increasing in the respective objective (sum of distances
 to the assigned centroid), including the repair move: the stolen point's new
@@ -50,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import _as_codes, binarize_matrix, hamming_to_all, realize_matrix
+from .descriptors import _as_codes, _word_distances, _word_major, binarize_matrix, \
+    realize_matrix
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 
 # A float32 sum of integers is exact while every partial sum stays below 2**24.
@@ -110,18 +112,25 @@ def kmeanspp_seed(codes, k: int, rng: np.random.Generator) -> np.ndarray:
         raise ConfigError(f"k must be >= 1, got {k}")
     if n < k:
         raise InsufficientPointsError(f"cannot seed {k} clusters from {n} points")
+    pts = _as_codes(pts)
+    words = _word_major(pts)
+    scratch = np.empty_like(words)
 
     def dist_to(idx: int) -> np.ndarray:
-        return hamming_to_all(pts[idx], pts).astype(np.float64)
+        return _word_distances(words, words[:, idx:idx + 1], scratch)
 
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = int(rng.integers(n))
     dist = dist_to(int(chosen[0]))
+    cum = np.empty_like(dist)
     for j in range(1, k):
-        total = float(dist.sum())
-        if total > 0.0:
+        np.cumsum(dist, out=cum)
+        total = int(cum[-1])
+        if total > 0:
+            # the partial sums are exact integers, so the first one above the
+            # draw is the first one above its integer part
             r = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(dist), r, side="right"))
+            idx = int(np.searchsorted(cum, int(r), side="right"))
             idx = min(idx, n - 1)
         else:
             unchosen = np.ones(n, dtype=bool)
@@ -130,7 +139,7 @@ def kmeanspp_seed(codes, k: int, rng: np.random.Generator) -> np.ndarray:
             idx = int(candidates[rng.integers(candidates.size)])
         chosen[j] = idx
         np.minimum(dist, dist_to(idx), out=dist)
-    return pts[chosen].copy()
+    return pts[chosen]
 
 
 def _row_dtype(bits: int, max_members: int) -> type:

@@ -9,7 +9,9 @@ packbits/unpackbits convention, so bit i of a descriptor is
 Hamming distances are exact integer popcounts. The squared Euclidean
 distance between two relaxed bit vectors equals the Hamming distance between
 the originals, so the clusterers seed on packed codes and assign on relaxed
-rows with one distance.
+rows with one distance. Seeding, `hamming_to_all` and the vocabulary descent
+read the codes as word-major 64-bit words (`_word_major`), so one XOR and
+one popcount cover 8 octets.
 
 `hamming_cdist` has no caller inside the package; it stays public because
 `perfbench/tracing.py` binds it by name.
@@ -25,6 +27,8 @@ from .errors import CorpusConsistencyError, InsufficientPointsError
 
 # Cap on a temporary XOR block: the (rows x rows x octets) block of
 # hamming_cdist and the (words x rows x fan-out) block of vocabulary.lookup_words.
+# The (words x rows) scratch of `_word_distances` is the size of its codes and
+# needs no cap.
 _CDIST_BLOCK_BYTES = 1 << 26
 
 
@@ -55,12 +59,34 @@ def _check_same_width(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
+def _word_major(codes: np.ndarray) -> np.ndarray:
+    """Packed rows as a C-contiguous (ceil(octets/8), rows) uint64 array: row
+    i holds every row's i-th 64-bit word in native byte order, the last word
+    zero-padded."""
+    octets = codes.shape[1]
+    if octets % 8:
+        padded = np.zeros((codes.shape[0], -(-octets // 8) * 8), dtype=np.uint8)
+        padded[:, :octets] = codes
+        codes = padded
+    return np.ascontiguousarray(codes.view(np.uint64).T)
+
+
+def _word_distances(words: np.ndarray, word: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Hamming distance (int64) from one descriptor `word`, a (words, 1)
+    column, to every column of the word-major matrix `words`: one XOR into
+    `scratch`, an array shaped like `words` that it overwrites, an in-place
+    popcount and a sum over the short words axis."""
+    np.bitwise_xor(words, word, out=scratch)
+    return np.bitwise_count(scratch, out=scratch).sum(axis=0, dtype=np.int64)
+
+
 def hamming_to_all(code, codes) -> np.ndarray:
     """Hamming distance from one packed descriptor to every row of a code matrix."""
     code = _as_code(code)
     codes = _as_codes(codes)
     _check_same_width(code, codes)
-    return np.bitwise_count(np.bitwise_xor(codes, code)).sum(axis=1, dtype=np.int64)
+    words = _word_major(codes)
+    return _word_distances(words, _word_major(code[None, :]), np.empty_like(words))
 
 
 def hamming_cdist(a, b) -> np.ndarray:

@@ -42,7 +42,8 @@ from time import perf_counter
 import numpy as np
 
 from .clustering import ClusterConfig, _config_int, brb_kmeans, kmajority, lloyd_real
-from .descriptors import _CDIST_BLOCK_BYTES, DescriptorSet, _as_codes, majority_centroid
+from .descriptors import _CDIST_BLOCK_BYTES, DescriptorSet, _as_codes, _word_major, \
+    majority_centroid
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError, \
     InternalInvariantError
 
@@ -159,18 +160,6 @@ def _child_table(parent: np.ndarray) -> np.ndarray:
     return table
 
 
-def _word_major(codes: np.ndarray) -> np.ndarray:
-    """Packed rows as a C-contiguous (ceil(octets/8), rows) uint64 array: row
-    i holds every row's i-th 64-bit word in native byte order, the last word
-    zero-padded."""
-    octets = codes.shape[1]
-    if octets % 8:
-        padded = np.zeros((codes.shape[0], -(-octets // 8) * 8), dtype=np.uint8)
-        padded[:, :octets] = codes
-        codes = padded
-    return np.ascontiguousarray(codes.view(np.uint64).T)
-
-
 def _height(parent: np.ndarray) -> int:
     """Depth of the deepest node: every node's ancestors followed up a level
     at a time until each has reached the root."""
@@ -242,8 +231,13 @@ def _grow(codes: np.ndarray,
         next_level = []
         for nid, members, path in level:
             node_codes = codes[members]
-            # each row viewed as one opaque byte string: a 1-d unique, not the slower axis=0
-            distinct = np.unique(node_codes.view(np.dtype((np.void, codes.shape[1])))).size
+            # only min(k, distinct rows) matters. Rows whose first words differ
+            # are distinct, so k distinct first words settle it; fewer leave it
+            # to a unique over whole rows, each viewed as one opaque byte string
+            first = np.sort(_word_major(node_codes[:, :8])[0])
+            distinct = 1 + int(np.count_nonzero(first[1:] != first[:-1]))
+            if distinct < cfg.k:
+                distinct = np.unique(node_codes.view(np.dtype((np.void, codes.shape[1])))).size
             if path and distinct <= 1:  # the root always splits, into one child if degenerate
                 continue
             ccfg = ClusterConfig(k=min(cfg.k, distinct), max_iters=cfg.max_iters)

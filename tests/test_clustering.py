@@ -69,19 +69,44 @@ def test_seeding_errors():
         kmeanspp_seed(pts[0], 1, np.random.default_rng(0))
 
 
+def test_seeding_rejects_rows_that_are_not_octets():
+    # a uint64 view of float64 or int16 rows would seed without complaint
+    rng = np.random.default_rng(2)
+    for dtype in (np.float64, np.int16):
+        pts = rng.integers(0, 256, size=(6, 8)).astype(dtype)
+        with pytest.raises(CorpusConsistencyError, match="uint8"):
+            kmeanspp_seed(pts, 2, np.random.default_rng(0))
+
+
+def test_seeding_a_strided_view_picks_what_its_copy_picks():
+    rng = np.random.default_rng(8)
+    codes = rng.integers(0, 256, size=(300, 40), dtype=np.uint8)
+    codes[::3, :8] = codes[0, :8]  # shared first words, so later words decide
+    for view in (codes[:, 3:20], codes[:, 8:16], codes[::2], codes[1::3, ::2]):
+        assert not view.flags.c_contiguous
+        for seed in range(10):
+            got = kmeanspp_seed(view, 7, np.random.default_rng(seed))
+            want = kmeanspp_seed(np.ascontiguousarray(view), 7, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
+
 def test_hamming_seeding_picks_the_rows_float_seeding_picks():
     # squared Euclidean on relaxed rows is the Hamming distance, so the same
-    # RNG draws choose the same rows, including the zero-mass fallback
+    # RNG draws choose the same rows, including the zero-mass fallback. The
+    # widths cover a zero-padded last 64-bit word and several words, and n up
+    # to 2,000 large integer partial sums.
     rng = np.random.default_rng(15)
-    for trial in range(40):
-        n = int(rng.integers(1, 40))
-        codes = rng.integers(0, 256, size=(int(rng.integers(1, 6)), 3), dtype=np.uint8)
-        codes = codes[rng.integers(codes.shape[0], size=n)]
-        k = int(rng.integers(1, n + 1))
+    for octets, trial in itertools.product((1, 3, 8, 9, 32, 40), range(8)):
+        n = int(rng.integers(1, 40 if trial % 2 else 2000))
+        pool = int(rng.integers(1, 6)) if trial % 4 < 2 else n  # duplicates, or random rows
+        codes = rng.integers(0, 256, size=(pool, octets), dtype=np.uint8)
+        codes = codes[rng.integers(pool, size=n)]
+        k = int(rng.integers(1, min(n, 12) + 1))
+        seed = octets * 100 + trial
         for dtype in (np.float32, np.float64):
-            got = kmeanspp_seed(codes, k, np.random.default_rng(trial))
+            got = kmeanspp_seed(codes, k, np.random.default_rng(seed))
             want = kmeanspp_seed_sqeuclidean(realize_matrix(codes, dtype), k,
-                                             np.random.default_rng(trial))
+                                             np.random.default_rng(seed))
             assert np.array_equal(realize_matrix(got, dtype), want)
 
 

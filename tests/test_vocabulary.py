@@ -781,14 +781,19 @@ def test_train_matches_reference_builder_on_generated_corpora():
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
-    @hypothesis.given(n=st.integers(1, 500), octets=st.sampled_from([1, 3, 8, 32]),
-                      pool=st.integers(1, 80), k=st.integers(2, 5), L=st.integers(1, 4),
-                      max_iters=st.integers(1, 10), seed=st.integers(0, 2 ** 16))
-    def check(n, octets, pool, k, L, max_iters, seed):
+    @hypothesis.given(n=st.integers(1, 500), octets=st.sampled_from([1, 3, 8, 9, 32, 40]),
+                      pool=st.integers(1, 80), shared_first=st.booleans(), k=st.integers(2, 5),
+                      L=st.integers(1, 4), max_iters=st.integers(1, 10),
+                      seed=st.integers(0, 2 ** 16))
+    def check(n, octets, pool, shared_first, k, L, max_iters, seed):
         # a small pool repeats values: single-value nodes, fewer distinct
-        # values than k, and ties in every clusterer's assignment
+        # values than k, and ties in every clusterer's assignment. Rows that
+        # share their first 8 octets are distinct only in later words, which
+        # the training's distinct-value check must read.
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 256, size=(pool, octets), dtype=np.uint8)
+        if shared_first:
+            values[:, :8] = values[0, :8]
         ds = DescriptorSet(values[rng.integers(pool, size=n)])
         for strategy in ALL_STRATEGIES:
             cfg = _cfg(k, L, strategy, seed=seed % 7, max_iters=max_iters)
@@ -799,6 +804,29 @@ def test_train_matches_reference_builder_on_generated_corpora():
             assert np.array_equal(res.member_word_ids, member_words)
 
     check()
+
+
+def test_distinct_check_reads_whole_rows_only_below_k_first_words(monkeypatch):
+    # Rows whose first 64-bit words differ are distinct, so a node whose
+    # first words take k values splits into k without a unique over whole
+    # rows. Both paths give the same tree, so this counts the whole-row
+    # uniques (rows viewed as void byte strings) that training runs.
+    whole_row_uniques = []
+    real_unique = np.unique
+
+    def spy(ar, *args, **kwargs):
+        if np.asarray(ar).dtype.kind == "V":
+            whole_row_uniques.append(np.asarray(ar).size)
+        return real_unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    values = np.zeros((3, 40), dtype=np.uint8)
+    values[:, 0] = [1, 2, 3]  # three first words; every later word is shared
+    res = train_result(DescriptorSet(np.repeat(values, 4, axis=0)),
+                       _cfg(3, 2, Strategy.KMAJORITY))
+    assert res.vocabulary.word_count == 3
+    # the root's three first words settle its split; each one-value child reads its rows
+    assert whole_row_uniques == [4, 4, 4]
 
 
 # ---------------------------------------------------------------- validation
