@@ -1,15 +1,15 @@
 """Flat k-clustering primitives for binary descriptors.
 
-Every clusterer takes packed codes, relaxes them once to 0/1 rows, and runs
-one loop, `_lloyd`: k-means++ seeding, then alternate (update centroids,
-reassign, repair empty clusters) until the post-repair assignment vector
-reaches a fixpoint or `max_iters` passes run out. They differ only in the
-centroid update they pass:
+Every clusterer is `(codes, ClusterConfig) -> ClusterResult`: it relaxes the
+codes once to 0/1 rows and runs one loop, `_lloyd`: k-means++ seeding from
+the config's seed, then alternate (update centroids, reassign, repair empty
+clusters) until the post-repair assignment vector reaches a fixpoint or
+`max_iters` passes run out. They differ only in the centroid update they pass:
 
 * `kmajority`: per-bit majority-vote centroids, packed once on return.
 * `lloyd_real`: arithmetic-mean centroids.
 * `brb_kmeans`: run the same mean loop, binarize its converged centroids
-  once, then reassign and repair against those 0/1 rows.
+  once, then reassign and repair the mean loop's own rows against them.
 
 A centroid is held as its integer bit counts S and its member count n; its
 real value is the mean S/n. A seed, a repaired centroid and a majority-vote
@@ -20,10 +20,10 @@ kernel, `_numerators`:
 
 x . S^T is one gemm over integers, each at most bits*max(n): the rows are
 relaxed to float32 while that bound is below 2**24 and to float64 above, so
-the gemm is exact in any summation order. kmajority's centroids and brb's
-final binary centroids all have n = 1, so their rows are float32 at any node
-size; the mean loop's centroids have up to `rows` members, so its rows are
-float64 once rows*bits reaches 2**24. M is combined in int64. Each row goes
+the gemm is exact in any summation order. kmajority's centroids have n = 1,
+so its rows are float32 at any node size; the mean loop's centroids have up
+to `rows` members, so its rows are float64 once rows*bits reaches 2**24, and
+brb's binary pass (n = 1) reuses them. M is combined in int64. Each row goes
 to the centroid of least M_ij / n_j^2, one correctly rounded division of the
 exact integer (none when every n_j is 1, where |x_i| + M_ij is the Hamming
 distance), and the repair picks its farthest member by the integer
@@ -72,19 +72,24 @@ def _config_int(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class ClusterConfig:
+    """`seed` is what `np.random.default_rng` takes: an int >= 0 or a tuple of them."""
+
     k: int
     max_iters: int = 100
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
 
     def __post_init__(self) -> None:
-        for name in ("k", "max_iters", "seed"):
+        for name in ("k", "max_iters"):
             object.__setattr__(self, name, _config_int(getattr(self, name), name))
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.seed < 0:
+        many = isinstance(self.seed, tuple)
+        parts = tuple(_config_int(s, "seed") for s in (self.seed if many else (self.seed,)))
+        if any(s < 0 for s in parts):
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", parts if many else parts[0])
 
 
 @dataclass
@@ -93,6 +98,7 @@ class ClusterResult:
     assignments: np.ndarray
     objective: float
     iterations_run: int
+    objectives: list[float]  # the loop's objective after seeding and after every pass
 
 
 def kmeanspp_seed(codes, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -153,8 +159,8 @@ def _row_dtype(bits: int, max_members: int) -> type:
 def _relax(codes: np.ndarray, max_members: int) -> tuple[np.ndarray, np.ndarray]:
     """The 0/1 rows of a code matrix, in `_row_dtype` for centroids of at
     most `max_members` members, and their popcounts |x| (int64)."""
-    dtype = _row_dtype(codes.shape[1] * 8, max_members)
-    return realize_matrix(codes, dtype), np.bitwise_count(codes).sum(axis=1, dtype=np.int64)
+    x1 = np.bitwise_count(_word_major(codes)).sum(axis=0, dtype=np.int64)
+    return realize_matrix(codes, _row_dtype(codes.shape[1] * 8, max_members)), x1
 
 
 def _numerators(x: np.ndarray, s: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -226,56 +232,49 @@ def _cluster_sums(bits: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndar
     return onehot @ bits.astype(dtype, copy=False), np.bincount(labels, minlength=k)
 
 
-def _lloyd(codes, x, x1, cfg: ClusterConfig, rng, trace,
-           update) -> tuple[ClusterResult, np.ndarray]:
+def _lloyd(codes, x, x1, cfg: ClusterConfig, update) -> tuple[ClusterResult, np.ndarray]:
     """The loop every clusterer runs on `x`, the 0/1 rows of `codes`, with
-    popcounts `x1`: k-means++ seeding on `codes`, assignment and repair, then
-    (update, assign, repair) passes until the post-repair assignment repeats
-    or `max_iters` passes have run.
+    popcounts `x1`: k-means++ seeding on `codes` with
+    `np.random.default_rng(cfg.seed)`, assignment and repair, then (update,
+    assign, repair) passes until the post-repair assignment repeats or
+    `max_iters` passes have run.
 
     `update(labels)` returns the new centroids as (bit counts S of `x`'s
     dtype, member counts n). Returns the result, whose `centroids` hold the
-    final S, and the final n. The objective is appended to `trace` after
-    seeding and after every pass.
+    final S and whose `objectives` hold the objective after seeding and after
+    every pass, and the final n.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    s = realize_matrix(kmeanspp_seed(codes, cfg.k, rng), x.dtype)
+    s = realize_matrix(kmeanspp_seed(codes, cfg.k, np.random.default_rng(cfg.seed)), x.dtype)
     n = np.ones(cfg.k, dtype=np.int64)
     labels, obj_vec = _assign(x, x1, s, n)
     _repair_empty(x, x1, s, n, labels, obj_vec)
-    if trace is not None:
-        trace.append(float(obj_vec.sum()))
-    iterations = 0
-    while iterations < cfg.max_iters:
+    objectives = [float(obj_vec.sum())]
+    while len(objectives) <= cfg.max_iters:
         s, n = update(labels)
         prev = labels
         labels, obj_vec = _assign(x, x1, s, n)
         _repair_empty(x, x1, s, n, labels, obj_vec)
-        iterations += 1
-        if trace is not None:
-            trace.append(float(obj_vec.sum()))
+        objectives.append(float(obj_vec.sum()))
         if np.array_equal(labels, prev):
             break
-    return ClusterResult(s, labels, float(obj_vec.sum()), iterations), n
+    return ClusterResult(s, labels, objectives[-1], len(objectives) - 1, objectives), n
 
 
-def _mean_lloyd(codes, cfg: ClusterConfig, rng, trace):
+def _mean_lloyd(codes, cfg: ClusterConfig):
     """`_lloyd` with arithmetic-mean updates, for lloyd_real and brb_kmeans:
     returns the 0/1 rows, their popcounts, the result and the member counts."""
     x, x1 = _relax(codes, codes.shape[0])
-    res, n = _lloyd(codes, x, x1, cfg, rng, trace, lambda labels: _cluster_sums(x, labels, cfg.k))
+    res, n = _lloyd(codes, x, x1, cfg, lambda labels: _cluster_sums(x, labels, cfg.k))
     return x, x1, res, n
 
 
-def kmajority(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = None,
-              trace: list | None = None) -> ClusterResult:
+def kmajority(descs, cfg: ClusterConfig) -> ClusterResult:
     """Cluster packed binary descriptors with Hamming distance and per-bit
     majority-vote centroid updates.
 
-    With k = 1 this reduces to a single `majority_centroid`. The integer
-    objective (sum of Hamming distances to assigned centroids) is appended to
-    `trace` after seeding and after every iteration when a list is passed.
+    With k = 1 this reduces to a single `majority_centroid`. The objective is
+    the integer sum of Hamming distances to the assigned centroids, and
+    `objectives` holds it after seeding and after every pass.
     """
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
@@ -286,13 +285,12 @@ def kmajority(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = No
         sums, counts = _cluster_sums(x, labels, cfg.k)
         return (sums * 2 > counts[:, None]).astype(x.dtype), np.ones(cfg.k, dtype=np.int64)
 
-    res, _ = _lloyd(codes, x, x1, cfg, rng, trace, update)
+    res, _ = _lloyd(codes, x, x1, cfg, update)
     res.centroids = binarize_matrix(res.centroids)
     return res
 
 
-def lloyd_real(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = None,
-               trace: list | None = None) -> ClusterResult:
+def lloyd_real(descs, cfg: ClusterConfig) -> ClusterResult:
     """Standard k-means on packed descriptors relaxed to 0/1 reals:
     squared-Euclidean assignment, arithmetic-mean updates, same
     seeding/repair/stopping rules as kmajority.
@@ -305,30 +303,30 @@ def lloyd_real(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = N
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("lloyd_real needs at least one descriptor")
-    _, _, res, n = _mean_lloyd(codes, cfg, rng, trace)
+    _, _, res, n = _mean_lloyd(codes, cfg)
     res.centroids = res.centroids.astype(np.float64) / n[:, None]
     return res
 
 
-def brb_kmeans(descs, cfg: ClusterConfig, *, rng: np.random.Generator | None = None,
-               trace: list | None = None) -> ClusterResult:
+def brb_kmeans(descs, cfg: ClusterConfig) -> ClusterResult:
     """Binary-real-binary k-means on packed descriptors.
 
     The inputs are clustered with `lloyd_real`'s mean loop, and each
     converged centroid is binarized exactly once from its integer counts:
     bit i is 1 iff 2*S_i > n (a mean strictly above 0.5, ties to 0). Points
     are then reassigned to the binary centroids, as (row, 1), and empty
-    clusters repaired on the same 0/1 rows, where the kernel's distance is the
-    Hamming distance, so the reported objective is the Hamming objective.
-    With k = 1 the single centroid equals `majority_centroid(descs)`.
+    clusters repaired on the mean loop's own 0/1 rows, where the kernel's
+    distance is the Hamming distance, so the reported objective is the Hamming
+    objective; `objectives` are the mean loop's. With k = 1 the single
+    centroid equals `majority_centroid(descs)`.
     """
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("brb_kmeans needs at least one descriptor")
-    x, x1, res, n = _mean_lloyd(codes, cfg, rng, trace)
-    x = x.astype(_row_dtype(x.shape[1], 1), copy=False)
+    x, x1, res, n = _mean_lloyd(codes, cfg)
     cents = (res.centroids * 2 > n[:, None]).astype(x.dtype)
     ones = np.ones_like(n)
     labels, obj_vec = _assign(x, x1, cents, ones)
     _repair_empty(x, x1, cents, ones, labels, obj_vec)
-    return ClusterResult(binarize_matrix(cents), labels, float(obj_vec.sum()), res.iterations_run)
+    return ClusterResult(binarize_matrix(cents), labels, float(obj_vec.sum()), res.iterations_run,
+                         res.objectives)

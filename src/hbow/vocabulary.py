@@ -27,9 +27,9 @@ single point, or holds a single distinct value; a node with 2 <= distinct < k
 values splits into exactly `distinct` clusters. The root always splits (into
 one child when the corpus is degenerate).
 
-Training runs on one thread. Each split seeds its own RNG from (train seed,
-node path) and nodes are numbered breadth-first, so a node's clustering does
-not depend on the order in which nodes are split.
+Training runs on one thread. Each split's `ClusterConfig` is seeded with
+(train seed, *node path) and nodes are numbered breadth-first, so a node's
+clustering does not depend on the order in which nodes are split.
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ class TrainConfig:
     """Tree shape, strategy, seed and iteration cap of one training run.
 
     `k` caps each node's fan-out and `L` the depth. Each split clusters into
-    min(k, distinct member values) groups, with an RNG seeded from (`seed`,
-    node path), for at most `max_iters` passes (default 100). `cluster` is a
+    min(k, distinct member values) groups, seeded with (`seed`, *node path),
+    for at most `max_iters` passes (default 100). `cluster` is a
     deprecated alias with no value of its own: it must equal, and is then set
     to, ClusterConfig(k, max_iters, seed), which checks `seed` and
     `max_iters`; an unset `max_iters` is taken from a given `cluster`. The
@@ -199,7 +199,7 @@ class TrainConfig:
         max_iters = self.max_iters
         if max_iters is None:  # 100, or a given cluster's; any other cluster fails below
             max_iters = getattr(self.cluster, "max_iters", 100)
-        cluster = ClusterConfig(k, max_iters, self.seed)
+        cluster = ClusterConfig(k, max_iters, _config_int(self.seed, "seed"))
         if self.cluster not in (None, cluster):
             raise ConfigError(f"cluster {self.cluster} disagrees with {cluster}")
         for name, value in (("k", k), ("L", L), ("cluster", cluster), ("seed", cluster.seed),
@@ -220,9 +220,10 @@ def _grow(codes: np.ndarray,
     (root = 0). Returns the parent list, the centroid rows, and the deepest
     node each corpus row reached (an int64 array with one entry per row).
 
-    Each split seeds its RNG from (train seed, node path), so its result
-    depends only on its members and its place in the tree; the pinned
-    vocabulary files rely on that seeding and on the numbering.
+    Each split calls its clusterer by module-level name (a tracer rebinds it)
+    with `ClusterConfig(min(k, distinct), max_iters, (train seed, *node
+    path))`, so its result depends only on its members and its place in the
+    tree; the pinned vocabulary files rely on that seed and on the numbering.
     """
     parent, centroids = [-1], [np.zeros(codes.shape[1], dtype=np.uint8)]
     node_of_row = np.zeros(codes.shape[0], dtype=np.int64)
@@ -240,14 +241,13 @@ def _grow(codes: np.ndarray,
                 distinct = np.unique(node_codes.view(np.dtype((np.void, codes.shape[1])))).size
             if path and distinct <= 1:  # the root always splits, into one child if degenerate
                 continue
-            ccfg = ClusterConfig(k=min(cfg.k, distinct), max_iters=cfg.max_iters)
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *path]))
+            ccfg = ClusterConfig(min(cfg.k, distinct), cfg.max_iters, (cfg.seed, *path))
             if cfg.strategy is Strategy.KMAJORITY:
-                res = kmajority(node_codes, ccfg, rng=rng)
+                res = kmajority(node_codes, ccfg)
             elif cfg.strategy is Strategy.LOCAL_BRB:
-                res = brb_kmeans(node_codes, ccfg, rng=rng)
+                res = brb_kmeans(node_codes, ccfg)
             else:
-                res = lloyd_real(node_codes, ccfg, rng=rng)
+                res = lloyd_real(node_codes, ccfg)
             for j in range(ccfg.k):
                 child = members[res.assignments == j]
                 if child.size == 0:

@@ -177,19 +177,18 @@ def _repair(x, sums, counts, labels, obj):
         sizes[c] += 1
 
 
-def lloyd_float(x, cfg, *, rng=None, trace=None):
-    """k-means on float 0/1 rows x: `kmeanspp_seed_sqeuclidean`, then (bit
-    sums and sizes of each cluster, reassign by `exact_numerators`, repair)
-    until the assignment repeats or `cfg.max_iters` passes have run. The
-    centroids come back as float64 means, sums / sizes."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+def lloyd_float(x, cfg):
+    """k-means on float 0/1 rows x: `kmeanspp_seed_sqeuclidean` seeded with
+    `cfg.seed`, then (bit sums and sizes of each cluster, reassign by
+    `exact_numerators`, repair) until the assignment repeats or
+    `cfg.max_iters` passes have run. The centroids come back as float64
+    means, sums / sizes, and `objectives` after seeding and every pass."""
+    rng = np.random.default_rng(cfg.seed)
     sums = kmeanspp_seed_sqeuclidean(x, cfg.k, rng).astype(np.int64)
     counts = np.ones(cfg.k, dtype=np.int64)
     labels, obj = _assign(x, sums, counts)
     _repair(x, sums, counts, labels, obj)
-    if trace is not None:
-        trace.append(float(obj.sum()))
+    objectives = [float(obj.sum())]
     iterations = 0
     while iterations < cfg.max_iters:
         for c in range(cfg.k):
@@ -200,8 +199,7 @@ def lloyd_float(x, cfg, *, rng=None, trace=None):
         labels, obj = _assign(x, sums, counts)
         _repair(x, sums, counts, labels, obj)
         iterations += 1
-        if trace is not None:
-            trace.append(float(obj.sum()))
+        objectives.append(float(obj.sum()))
         if np.array_equal(labels, prev):
             break
-    return ClusterResult(sums / counts[:, None], labels, float(obj.sum()), iterations)
+    return ClusterResult(sums / counts[:, None], labels, float(obj.sum()), iterations, objectives)

@@ -124,13 +124,11 @@ def test_clustering_objectives_monotone(capsys):
     for i in range(20):
         rng = np.random.default_rng(300 + i)
         codes = rng.integers(0, 256, size=(400, 16), dtype=np.uint8)
-        trace = []
-        kmajority(codes, ClusterConfig(k=5, max_iters=40, seed=i), trace=trace)
+        trace = kmajority(codes, ClusterConfig(k=5, max_iters=40, seed=i)).objectives
         violations += sum(1 for a, b in zip(trace, trace[1:]) if b > a)
         steps += len(trace) - 1
         codes = rng.integers(0, 256, size=(400, 8), dtype=np.uint8)
-        trace = []
-        lloyd_real(codes, ClusterConfig(k=5, max_iters=40, seed=i), trace=trace)
+        trace = lloyd_real(codes, ClusterConfig(k=5, max_iters=40, seed=i)).objectives
         violations += sum(1 for a, b in zip(trace, trace[1:]) if b > a)
         steps += len(trace) - 1
     elapsed = time.perf_counter() - t0

@@ -204,6 +204,21 @@ def test_query_exclude_window(tmp_path, capsys):
         assert all(m["entry"] != qi for m in entry["matches"])
 
 
+def test_query_rejects_a_bad_top_or_window_as_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "c.hbdc"
+    vocab_path = tmp_path / "v.txt"
+    _write_corpus(corpus)
+    assert main(["train", "--corpus", str(corpus), "--out", str(vocab_path),
+                 "--k", "4", "--L", "2"]) == 0
+    query = ["query", "--vocab", str(vocab_path), "--db", str(corpus), "--queries", str(corpus),
+             "--out", str(tmp_path / "hits.json")]
+    assert main([*query, "--top", "0"]) == 1
+    assert "--top must be >= 1" in capsys.readouterr().err
+    assert main([*query, "--exclude-window", "-1"]) == 1
+    assert "--exclude-window must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "hits.json").exists()
+
+
 def test_convert_round_trip_is_byte_identical(tmp_path, capsys):
     corpus = tmp_path / "c.hbdc"
     txt1 = tmp_path / "v.txt"

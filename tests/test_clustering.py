@@ -117,6 +117,36 @@ def test_cluster_config_validation():
         ClusterConfig(k=2, max_iters=0)
     with pytest.raises(ConfigError):
         ClusterConfig(k=2, seed=-1)
+    # a seed is what np.random.default_rng takes: an int >= 0 or a tuple of them
+    for seed in (True, 1.5, [1, 2], (1, -2), (1, 2.0), (np.bool_(True),)):
+        with pytest.raises(ConfigError, match="seed"):
+            ClusterConfig(k=2, seed=seed)
+    seed = ClusterConfig(k=2, seed=(np.int64(3), np.uint8(1))).seed
+    assert seed == (3, 1) and all(type(s) is int for s in seed)
+
+
+@pytest.mark.parametrize("cluster", [kmajority, lloyd_real, brb_kmeans])
+def test_an_int_seed_and_its_one_tuple_cluster_alike(cluster):
+    # training seeds a root split with (train seed,), which must draw what the int seed draws
+    rng = np.random.default_rng(17)
+    codes = rng.integers(0, 256, size=(150, 4), dtype=np.uint8)
+    for seed in (0, 5):
+        _assert_same_result(cluster(codes, ClusterConfig(k=6, seed=(seed,))),
+                            cluster(codes, ClusterConfig(k=6, seed=seed)))
+    assert cluster(codes, ClusterConfig(k=6, seed=(5, 1))).assignments.tolist() != \
+        cluster(codes, ClusterConfig(k=6, seed=5)).assignments.tolist()
+
+
+def test_brb_objectives_are_the_mean_loops():
+    rng = np.random.default_rng(18)
+    codes = rng.integers(0, 256, size=(200, 8), dtype=np.uint8)
+    for seed in range(5):
+        cfg = ClusterConfig(k=5, seed=seed)
+        brb, real = brb_kmeans(codes, cfg), lloyd_real(codes, cfg)
+        assert brb.objectives == real.objectives
+        assert brb.iterations_run == real.iterations_run == len(brb.objectives) - 1
+        assert brb.objective == sum(hamming(c, brb.centroids[j])
+                                    for c, j in zip(codes, brb.assignments))
 
 
 def test_kmajority_recovers_separated_bundles():
@@ -162,8 +192,8 @@ def test_kmajority_trace_monotone_and_exact():
     rng = np.random.default_rng(5)
     for trial in range(10):
         codes = rng.integers(0, 256, size=(120, 8), dtype=np.uint8)
-        trace = []
-        res = kmajority(codes, ClusterConfig(k=6, seed=trial), trace=trace)
+        res = kmajority(codes, ClusterConfig(k=6, seed=trial))
+        trace = res.objectives
         assert len(trace) == res.iterations_run + 1
         assert all(a >= b for a, b in zip(trace, trace[1:]))
         assert trace[-1] == res.objective
@@ -201,8 +231,8 @@ def test_lloyd_trace_monotone():
     rng = np.random.default_rng(8)
     for trial in range(10):
         codes = rng.integers(0, 256, size=(150, 8), dtype=np.uint8)
-        trace = []
-        res = lloyd_real(codes, ClusterConfig(k=5, seed=trial), trace=trace)
+        res = lloyd_real(codes, ClusterConfig(k=5, seed=trial))
+        trace = res.objectives
         assert len(trace) == res.iterations_run + 1
         assert all(a >= b for a, b in zip(trace, trace[1:]))
         assert res.objective == trace[-1] >= 0.0
@@ -288,17 +318,18 @@ def test_insufficient_points_propagates():
     codes = np.zeros((2, 2), dtype=np.uint8)
     with pytest.raises(InsufficientPointsError):
         kmajority(codes, ClusterConfig(k=3))
-    with pytest.raises(InsufficientPointsError):
-        kmajority(np.empty((0, 2), dtype=np.uint8), ClusterConfig(k=1))
+    for cluster in (kmajority, lloyd_real, brb_kmeans):
+        with pytest.raises(InsufficientPointsError, match=cluster.__name__):
+            cluster(np.empty((0, 2), dtype=np.uint8), ClusterConfig(k=1))
 
 
-def _assert_same_result(got, want, got_trace, want_trace):
+def _assert_same_result(got, want):
     assert got.centroids.dtype == want.centroids.dtype
     assert np.array_equal(got.centroids, want.centroids)
     assert np.array_equal(got.assignments, want.assignments)
     assert got.objective == want.objective
     assert got.iterations_run == want.iterations_run
-    assert got_trace == want_trace
+    assert got.objectives == want.objectives
 
 
 def test_lloyd_real_matches_float_oracle_on_generated_codes():
@@ -320,10 +351,7 @@ def test_lloyd_real_matches_float_oracle_on_generated_codes():
         distinct = np.unique(codes, axis=0).shape[0]
         k = data.draw(st.one_of(st.just(distinct), st.integers(1, n)))
         cfg = ClusterConfig(k=k, max_iters=max_iters, seed=seed % 5)
-        got_trace, want_trace = [], []
-        got = lloyd_real(codes, cfg, trace=got_trace)
-        want = lloyd_float(realize_matrix(codes), cfg, trace=want_trace)
-        _assert_same_result(got, want, got_trace, want_trace)
+        _assert_same_result(lloyd_real(codes, cfg), lloyd_float(realize_matrix(codes), cfg))
 
     check()
 
@@ -332,26 +360,25 @@ def test_float64_grouped_sums_give_the_same_clusters(monkeypatch):
     # a node of 2**24 or more points sums its bit counts in float64, and rows
     # whose x . S products can reach 2**24 (bits times the most members a
     # centroid may have) relax to float64 and assign with a float64 gemm;
-    # lower the limit so these small inputs take those paths
+    # lower the limit so these small inputs take those paths. At 2 * bits the
+    # mean loop's rows are float64 while kmajority's are float32, and brb's
+    # binary pass runs on the mean loop's float64 rows
     rng = np.random.default_rng(16)
     codes = rng.integers(0, 256, size=(300, 8), dtype=np.uint8)[rng.integers(300, size=600)]
     cfg = ClusterConfig(k=7, seed=2)
     runs = {}
-    for limit in (hbow.clustering._F32_EXACT_COUNT, 1):
+    for limit in (hbow.clustering._F32_EXACT_COUNT, 2 * 64, 1):
         monkeypatch.setattr(hbow.clustering, "_F32_EXACT_COUNT", limit)
         labels = np.arange(codes.shape[0]) % cfg.k
         sums, _ = hbow.clustering._cluster_sums(realize_matrix(codes, np.float32), labels, cfg.k)
-        assert sums.dtype == (np.float64 if limit == 1 else np.float32)
-        runs[limit] = []
-        for cluster in (kmajority, lloyd_real, brb_kmeans):
-            trace = []
-            runs[limit].append((cluster(codes, cfg, trace=trace), trace))
-    for (got, got_trace), (want, want_trace) in zip(runs[1], runs[1 << 24]):
-        _assert_same_result(got, want, got_trace, want_trace)
-    want_trace = []
-    want = lloyd_float(realize_matrix(codes), cfg, trace=want_trace)
-    got, got_trace = runs[1][1]
-    _assert_same_result(got, want, got_trace, want_trace)
+        assert sums.dtype == (np.float32 if codes.shape[0] < limit else np.float64)
+        widths = [hbow.clustering._relax(codes, m)[0].dtype for m in (1, codes.shape[0])]
+        assert widths == [np.float32 if 64 * m < limit else np.float64 for m in (1, codes.shape[0])]
+        runs[limit] = [cluster(codes, cfg) for cluster in (kmajority, lloyd_real, brb_kmeans)]
+    for limit in (2 * 64, 1):
+        for got, want in zip(runs[limit], runs[1 << 24]):
+            _assert_same_result(got, want)
+    _assert_same_result(runs[1][1], lloyd_float(realize_matrix(codes), cfg))
 
 
 def test_assignment_kernel_is_exact_under_permutations_and_either_width():

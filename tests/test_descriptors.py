@@ -132,6 +132,12 @@ def test_width_and_dtype_errors():
         hamming_cdist(b(1, 2)[None, :], np.zeros((3, 3), dtype=np.uint8))
     with pytest.raises(InsufficientPointsError):
         majority_centroid(np.empty((0, 4), dtype=np.uint8))
+    with pytest.raises(CorpusConsistencyError, match="1-d octet row"):
+        hamming_to_all(np.zeros((1, 2), dtype=np.uint8), np.zeros((3, 2), dtype=np.uint8))
+    with pytest.raises(CorpusConsistencyError, match="shape mismatch"):
+        hamming_rows(np.zeros((3, 2), dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8))
+    with pytest.raises(CorpusConsistencyError, match="matrix"):
+        DescriptorSet(np.zeros((2, 3, 4), dtype=np.uint8))
 
 
 def test_descriptor_set_group_accounting():
@@ -145,6 +151,9 @@ def test_descriptor_set_group_accounting():
     assert ds.group_codes(1).shape == (0, 4)
     assert ds.group_range(2) == (3, 10)
     assert sum(ds.group_codes(i).shape[0] for i in range(ds.group_count)) == 10
+    for i in (-1, ds.group_count):
+        with pytest.raises(IndexError, match="out of range"):
+            ds.group_range(i)
 
 
 def test_descriptor_set_defaults_and_empty():
@@ -172,3 +181,5 @@ def test_from_groups_concatenates_in_order():
     assert np.array_equal(ds.group_codes(2), parts[2])
     with pytest.raises(CorpusConsistencyError):
         DescriptorSet.from_groups([parts[0], rng.integers(0, 256, size=(2, 5), dtype=np.uint8)])
+    with pytest.raises(InsufficientPointsError, match="at least one group"):
+        DescriptorSet.from_groups([])

@@ -159,6 +159,21 @@ def test_descriptor_write_leaves_no_temp_files(tmp_path):
     assert os.listdir(tmp_path) == ["clean.hbdc"]
 
 
+def test_a_failed_replace_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "kept.hbdc"
+    write_descriptors(path, _random_set(10, 8, seed=0))
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_descriptors(path, _random_set(20, 8, seed=1))
+    assert os.listdir(tmp_path) == ["kept.hbdc"]
+    assert path.read_bytes() == before
+
+
 def test_writes_to_a_pipe_go_in_place(tmp_path):
     # the pipe stands in for /dev/null or /dev/stdout, which a rename would replace
     pipe = tmp_path / "pipe"
@@ -248,6 +263,10 @@ def test_text_parse_errors_carry_line_numbers(tmp_path):
 
     path.write_text("2 x 0 0\n")
     with pytest.raises(VocabularyFileError, match="line 1: header fields"):
+        read_vocab_text(path)
+
+    path.write_text("0 6 0 0\n0 1 7 0.0\n")
+    with pytest.raises(VocabularyFileError, match="line 1: k and L must be >= 1"):
         read_vocab_text(path)
 
     path.write_text("2 2 1 0\n0 1 7 0.0\n")
@@ -597,6 +616,12 @@ def test_json_parse_errors(tmp_path):
 
     with pytest.raises(VocabularyFileError, match="version"):
         read_vocab_json(_dump(path, {**base, "version": 2}))
+
+    with pytest.raises(VocabularyFileError, match="k and L must be >= 1"):
+        read_vocab_json(_dump(path, {**base, "k": 0}))
+
+    with pytest.raises(VocabularyFileError, match="missing vocabulary field 'nodes'"):
+        read_vocab_json(_dump(path, {key: v for key, v in base.items() if key != "nodes"}))
 
     with pytest.raises(VocabularyFileError, match="unknown strategy 'mystery'"):
         read_vocab_json(_dump(path, {**base, "strategy": "mystery"}))

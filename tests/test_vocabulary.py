@@ -707,7 +707,7 @@ def _reference_train(corpus, cfg):
 
     A node splits unless it sits at depth L, holds one point or holds one
     distinct value; the root always splits. A split makes min(k, distinct)
-    groups and seeds its RNG from (train seed, node path). Returns (parent,
+    groups and is seeded with (train seed, *node path). Returns (parent,
     centroids, member word ids), leaves numbered as the breadth-first pass
     dequeues them, which is node order. hbrb clusters slices of the corpus
     relaxed once to float32 rows, with the exact k-means oracle.
@@ -719,14 +719,13 @@ def _reference_train(corpus, cfg):
         return len({bytes(row) for row in codes[idx]})
 
     def split(idx, path):
-        ccfg = replace(cfg.cluster, k=min(cfg.k, distinct(idx)))
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *path]))
+        ccfg = replace(cfg.cluster, k=min(cfg.k, distinct(idx)), seed=(cfg.seed, *path))
         if cfg.strategy is Strategy.KMAJORITY:
-            res = kmajority(codes[idx], ccfg, rng=rng)
+            res = kmajority(codes[idx], ccfg)
         elif cfg.strategy is Strategy.LOCAL_BRB:
-            res = brb_kmeans(codes[idx], ccfg, rng=rng)
+            res = brb_kmeans(codes[idx], ccfg)
         else:
-            res = lloyd_float(real[idx], ccfg, rng=rng)
+            res = lloyd_float(real[idx], ccfg)
         groups = [idx[res.assignments == j] for j in range(ccfg.k)]
         if cfg.strategy is Strategy.GLOBAL_HBRB:
             return [(majority_centroid(codes[g]), g) for g in groups]
@@ -925,6 +924,9 @@ def test_config_validation():
         TrainConfig(k=2, L=0)
     with pytest.raises(ConfigError):
         TrainConfig(k=2, L=1, seed=-1)
+    # a split's ClusterConfig takes a seed tuple; a training seed stays one int
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        TrainConfig(k=2, L=1, seed=(1, 2))
 
 
 def test_config_numbers_must_be_integers(tmp_path):
