@@ -72,24 +72,23 @@ def _config_int(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """`seed` is what `np.random.default_rng` takes: an int >= 0 or a tuple of them."""
+    """`seed` is an int >= 0 or a `np.random.SeedSequence`; `_lloyd` seeds
+    with `np.random.default_rng(seed)`, which takes either."""
 
     k: int
     max_iters: int = 100
-    seed: int | tuple[int, ...] = 0
+    seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self) -> None:
         for name in ("k", "max_iters"):
-            object.__setattr__(self, name, _config_int(getattr(self, name), name))
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        many = isinstance(self.seed, tuple)
-        parts = tuple(_config_int(s, "seed") for s in (self.seed if many else (self.seed,)))
-        if any(s < 0 for s in parts):
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "seed", parts if many else parts[0])
+            value = _config_int(getattr(self, name), name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
+        if not isinstance(self.seed, np.random.SeedSequence):
+            object.__setattr__(self, "seed", _config_int(self.seed, "seed"))
+            if self.seed < 0:
+                raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -27,9 +27,9 @@ single point, or holds a single distinct value; a node with 2 <= distinct < k
 values splits into exactly `distinct` clusters. The root always splits (into
 one child when the corpus is degenerate).
 
-Training runs on one thread. Each split's `ClusterConfig` is seeded with
-(train seed, *node path) and nodes are numbered breadth-first, so a node's
-clustering does not depend on the order in which nodes are split.
+Training runs on one thread. Each split is seeded from its node path in
+NumPy's `SeedSequence` spawn tree and nodes are numbered breadth-first, so a
+node's clustering does not depend on the order in which nodes are split.
 """
 
 from __future__ import annotations
@@ -173,9 +173,10 @@ def _height(parent: np.ndarray) -> int:
 class TrainConfig:
     """Tree shape, strategy, seed and iteration cap of one training run.
 
-    `k` caps each node's fan-out and `L` the depth. Each split clusters into
-    min(k, distinct member values) groups, seeded with (`seed`, *node path),
-    for at most `max_iters` passes (default 100). `cluster` is a
+    `k` caps each node's fan-out and `L` the depth, each below 2**63 so that
+    the int64 file headers hold it. Each split clusters into min(k, distinct
+    member values) groups, seeded with `SeedSequence(seed, spawn_key=node
+    path)`, for at most `max_iters` passes (default 100). `cluster` is a
     deprecated alias with no value of its own: it must equal, and is then set
     to, ClusterConfig(k, max_iters, seed), which checks `seed` and
     `max_iters`; an unset `max_iters` is taken from a given `cluster`. The
@@ -192,10 +193,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", _as_strategy(self.strategy, ConfigError))
         k, L = _config_int(self.k, "k"), _config_int(self.L, "L")
-        if k < 2:
-            raise ConfigError(f"branching factor k must be >= 2, got {k}")
-        if L < 1:
-            raise ConfigError(f"depth L must be >= 1, got {L}")
+        if not 2 <= k < 2 ** 63:
+            raise ConfigError(f"branching factor k must be in [2, 2**63), got {k}")
+        if not 1 <= L < 2 ** 63:
+            raise ConfigError(f"depth L must be in [1, 2**63), got {L}")
         max_iters = self.max_iters
         if max_iters is None:  # 100, or a given cluster's; any other cluster fails below
             max_iters = getattr(self.cluster, "max_iters", 100)
@@ -221,27 +222,27 @@ def _grow(codes: np.ndarray,
     node each corpus row reached (an int64 array with one entry per row).
 
     Each split calls its clusterer by module-level name (a tracer rebinds it)
-    with `ClusterConfig(min(k, distinct), max_iters, (train seed, *node
-    path))`, so its result depends only on its members and its place in the
-    tree; the pinned vocabulary files rely on that seed and on the numbering.
+    with `ClusterConfig(min(k, distinct), max_iters, SeedSequence(train seed,
+    spawn_key=node path))`: its result depends only on its members and its
+    place in the tree. The walk ends at the first empty level.
     """
     parent, centroids = [-1], [np.zeros(codes.shape[1], dtype=np.uint8)]
     node_of_row = np.zeros(codes.shape[0], dtype=np.int64)
     level = [(0, np.arange(codes.shape[0], dtype=np.int64), ())]  # (node id, members, path)
-    for depth in range(1, cfg.L + 1):  # depth of the children made in this pass
+    while level:
         next_level = []
         for nid, members, path in level:
             node_codes = codes[members]
-            # only min(k, distinct rows) matters. Rows whose first words differ
-            # are distinct, so k distinct first words settle it; fewer leave it
-            # to a unique over whole rows, each viewed as one opaque byte string
+            # only min(k, distinct rows) matters: k distinct first words settle
+            # it, and fewer leave it to a unique over whole rows as byte strings
             first = np.sort(_word_major(node_codes[:, :8])[0])
             distinct = 1 + int(np.count_nonzero(first[1:] != first[:-1]))
             if distinct < cfg.k:
                 distinct = np.unique(node_codes.view(np.dtype((np.void, codes.shape[1])))).size
             if path and distinct <= 1:  # the root always splits, into one child if degenerate
                 continue
-            ccfg = ClusterConfig(min(cfg.k, distinct), cfg.max_iters, (cfg.seed, *path))
+            ccfg = ClusterConfig(min(cfg.k, distinct), cfg.max_iters,
+                                 np.random.SeedSequence(cfg.seed, spawn_key=path))
             if cfg.strategy is Strategy.KMAJORITY:
                 res = kmajority(node_codes, ccfg)
             elif cfg.strategy is Strategy.LOCAL_BRB:
@@ -257,7 +258,7 @@ def _grow(codes: np.ndarray,
                 centroids.append(majority_centroid(codes[child])
                                  if cfg.strategy is Strategy.GLOBAL_HBRB else res.centroids[j])
                 node_of_row[child] = cid
-                if depth < cfg.L and child.size > 1:
+                if len(path) + 1 < cfg.L and child.size > 1:  # the child is at depth len(path) + 1
                     next_level.append((cid, child, (*path, j)))
         level = next_level
     return parent, centroids, node_of_row

@@ -1,13 +1,20 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import os
+import signal
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hbow import DescriptorSet, load_vocabulary, write_descriptors
+from hbow import DescriptorSet, Strategy, load_vocabulary, read_descriptors, save_vocabulary, \
+    write_descriptors, write_rows_csv
 from hbow.cli import build_parser, main
 from oracles import synth_clustered
 
@@ -258,3 +265,232 @@ def test_module_entrypoint_runs_in_subprocess():
     assert proc.returncode == 0
     for name in ("train", "transform", "query", "synth", "eval", "convert"):
         assert name in proc.stdout
+
+
+# ---------------------------------------------------------------- argument bounds
+
+
+class _PastTimeLimit(BaseException):
+    """Raised into a call that runs too long; `main` catches only Exception."""
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise _PastTimeLimit(f"the call ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _synth_world(directory):
+    """Frames `f.hbdc` (3 places of 8 descriptors), their training corpus
+    `t.hbdc` and a vocabulary `v.txt` trained on it: small inputs that every
+    subcommand accepts."""
+    frames, protos, vocab = (directory / name for name in ("f.hbdc", "t.hbdc", "v.txt"))
+    assert main(["synth", "--places", "3", "--per-place", "8", "--bits", "64",
+                 "--out", str(frames), "--train-out", str(protos)]) == 0
+    assert main(["train", "--corpus", str(protos), "--out", str(vocab), "--k", "3", "--L", "2",
+                 "--max-iters", "5"]) == 0
+    return frames, protos, vocab
+
+
+def test_train_with_the_largest_L_stops_at_the_deepest_split(tmp_path, capsys):
+    # the tree stops at its first empty level, so L = 2**63 - 1 trains the
+    # tree that L = 100 trains; the walk once ran all L levels, so a
+    # regression hangs, and the timeout fails it instead of the suite
+    frames, protos = tmp_path / "f.hbdc", tmp_path / "t.hbdc"
+    assert main(["synth", "--places", "5", "--per-place", "20", "--out", str(frames),
+                 "--train-out", str(protos)]) == 0
+    capsys.readouterr()
+    vocabs = {}
+    for L in (2 ** 63 - 1, 100):
+        out = tmp_path / f"{L}.txt"
+        proc = subprocess.run([sys.executable, "-m", "hbow", "train", "--corpus", str(protos),
+                               "--out", str(out), "--k", "4", "--L", str(L)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        vocabs[L] = load_vocabulary(out)
+    huge, small = vocabs[2 ** 63 - 1], vocabs[100]
+    assert huge.L == 2 ** 63 - 1 and huge.height == small.height < 100
+    assert np.array_equal(huge.parent, small.parent)
+    assert np.array_equal(huge.centroids, small.centroids)
+
+
+@pytest.mark.parametrize("flag", ["--k", "--L"])
+def test_train_takes_k_and_L_up_to_what_the_loaders_read(tmp_path, capsys, flag):
+    # both loaders hold header integers in int64; a k or L of 2**63 once
+    # trained into a file that neither could read back
+    _, protos, _ = _synth_world(tmp_path)
+    base = ["train", "--corpus", str(protos), "--k", "3", "--L", "2", "--max-iters", "5"]
+    for suffix in (".txt", ".json"):
+        too_big = tmp_path / f"big{suffix}"
+        with _time_limit(60):
+            assert main([*base, flag, str(2 ** 63), "--out", str(too_big)]) == 1
+        assert f"{flag[2:]} must be in [" in capsys.readouterr().err
+        assert not too_big.exists()
+        largest, again = tmp_path / f"largest{suffix}", tmp_path / f"again{suffix}"
+        with _time_limit(60):
+            assert main([*base, flag, str(2 ** 63 - 1), "--out", str(largest)]) == 0
+        save_vocabulary(again, load_vocabulary(largest))
+        assert again.read_bytes() == largest.read_bytes()
+    capsys.readouterr()
+
+
+_INTS = ["-1", "0", "1", str(2 ** 31), str(2 ** 63 - 1), str(2 ** 63), str(2 ** 70)]
+# a count that sizes the synthetic world takes only these, so no call can
+# exhaust memory
+_SIZES = ["-1", "0", "1"]
+_NON_FINITE = ["nan", "inf", "-inf"]
+
+
+def _vocabulary_again(raw, written, scratch):
+    # in the format that save_vocabulary picked by the name it wrote
+    suffix = ".json" if Path(written).suffix == ".json" else ".txt"
+    path, again = scratch / f"written{suffix}", scratch / f"again{suffix}"
+    path.write_bytes(raw)
+    save_vocabulary(again, load_vocabulary(path))
+    return again.read_bytes()
+
+
+def _descriptors_again(raw, written, scratch):
+    path, again = scratch / "written.hbdc", scratch / "again.hbdc"
+    path.write_bytes(raw)
+    write_descriptors(again, read_descriptors(path))
+    return again.read_bytes()
+
+
+def _rows_csv_again(raw, written, scratch):
+    rows = list(csv.DictReader(io.StringIO(raw.decode(), newline="")))
+    write_rows_csv(scratch / "again.csv", rows)
+    return (scratch / "again.csv").read_bytes()
+
+
+def _json_again(indent):
+    return lambda raw, written, scratch: (json.dumps(json.loads(raw), indent=indent)
+                                          + "\n").encode()
+
+
+def _command_flags(world, out):
+    """Per subcommand: a working call as {flag: value}, the values each
+    number flag is tried with, the input path flags (with the file that a
+    pipe in their place is fed) and the output path flags (with a function
+    that loads what was written and returns it saved again)."""
+    frames, protos, vocab = world
+    strategies = ",".join(s.value for s in Strategy)
+    ints = {flag: _INTS for flag in ("--k", "--L", "--max-iters", "--seed")}
+    synth_floats = {"--revisit": _NON_FINITE + ["0", "1"],
+                    "--flip": _NON_FINITE + ["0", repr(float(np.nextafter(0.5, 0))), "0.5"]}
+    sizes = {flag: _SIZES for flag in ("--places", "--per-place", "--bits")}
+    return {
+        "train": ({"--corpus": protos, "--out": out / "v.txt", "--k": "3", "--L": "2",
+                   "--max-iters": "5", "--seed": "0"},
+                  {**ints, "--strategy": [s.value for s in Strategy]},
+                  {"--corpus": protos}, {"--out": _vocabulary_again}),
+        "transform": ({"--vocab": vocab, "--corpus": frames, "--out": out / "bow.json"}, {},
+                      {"--vocab": vocab, "--corpus": frames}, {"--out": _json_again(1)}),
+        "query": ({"--vocab": vocab, "--db": frames, "--queries": frames, "--top": "3",
+                   "--exclude-window": "1", "--out": out / "q.json"},
+                  {"--top": _INTS, "--exclude-window": _INTS},
+                  {"--vocab": vocab, "--db": frames, "--queries": frames},
+                  {"--out": _json_again(1)}),
+        "synth": ({"--places": "3", "--per-place": "8", "--bits": "64", "--seed": "0",
+                   "--revisit": "0.3", "--flip": "0.05", "--out": out / "f.hbdc",
+                   "--train-out": out / "t.hbdc", "--gt": out / "gt.json"},
+                  {**sizes, **synth_floats, "--seed": _INTS}, {},
+                  {"--out": _descriptors_again, "--train-out": _descriptors_again,
+                   "--gt": _json_again(1)}),
+        "eval": ({"--strategies": strategies, "--seeds": "0", "--places": "3",
+                  "--per-place": "8", "--bits": "64", "--revisit": "0.3", "--flip": "0.05",
+                  "--k": "3", "--L": "2", "--max-iters": "5", "--temporal-exclusion": "1",
+                  "--out-csv": out / "rows.csv", "--out-json": out / "rows.json"},
+                 {**sizes, **synth_floats, "--k": _INTS, "--L": _INTS, "--max-iters": _INTS,
+                  "--temporal-exclusion": _INTS, "--seeds": _INTS}, {},
+                 {"--out-csv": _rows_csv_again, "--out-json": _json_again(2)}),
+        "convert": ({"--src": vocab, "--dst": out / "v.json"}, {}, {"--src": vocab},
+                    {"--dst": _vocabulary_again}),
+    }
+
+
+@contextlib.contextmanager
+def _fifo(path, feed):
+    """Make a FIFO at `path` for one call and hold its far end, so that no
+    open() blocks: a thread feeds it the bytes of the file `feed`, or, when
+    `feed` is None, the test holds it open for reading and the yielded list
+    receives what the call wrote. The writes must fit the 64 KiB pipe buffer,
+    as the small inputs' outputs do."""
+    os.mkfifo(path)
+    received = []
+    if feed is None:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            yield received
+            # the call has closed its end, so the reads end at EOF
+            received.append(b"".join(iter(lambda: os.read(fd, 1 << 16), b"")))
+        finally:
+            os.close(fd)
+            path.unlink()
+        return
+
+    def feed_it():
+        try:
+            path.write_bytes(feed.read_bytes())
+        except BrokenPipeError:  # the call stopped reading first
+            pass
+
+    thread = threading.Thread(target=feed_it, daemon=True)
+    thread.start()
+    try:
+        yield received
+    finally:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # frees a feeder the call never read
+        thread.join(timeout=10)
+        os.close(fd)
+        path.unlink()
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("command", ["train", "transform", "query", "synth", "eval", "convert"])
+def test_generated_arguments_exit_with_a_documented_code(tmp_path, monkeypatch, capsys, command):
+    # every subcommand, one flag at a time over its edge values: each call
+    # exits 0, 1 or 2, never 3, within a time limit, and every file it
+    # writes loads back and saves again to the same bytes
+    monkeypatch.chdir(tmp_path)
+    world = _synth_world(tmp_path)
+    (tmp_path / "a-directory").mkdir()
+    calls, pipe = [], tmp_path / "pipe"
+    _, values, inputs, outputs = _command_flags(world, tmp_path)[command]
+    for flag, tried in values.items():
+        calls += [(flag, value, None) for value in tried]
+    for flag in [*inputs, *outputs]:
+        calls += [(flag, tmp_path / "a-directory", None),
+                  (flag, tmp_path / "no-such-dir" / "file", None),
+                  (flag, Path("/dev/null"), None), (flag, pipe, inputs.get(flag))]
+    for i, (flag, value, feed) in enumerate(calls):
+        out = tmp_path / f"out{i}"
+        out.mkdir()
+        base, _, _, outputs = _command_flags(world, out)[command]
+        args = {**base, flag: value}
+        # the time limit makes a hang, such as walking every one of L levels, fail
+        with _fifo(pipe, feed) if value == pipe else contextlib.nullcontext() as received, \
+                _time_limit(60):
+            code = main([command, *(str(part) for item in args.items() for part in item)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (flag, value, err)
+        if code:
+            continue
+        for out_flag, resave in outputs.items():
+            written = args[out_flag]
+            if written == pipe:
+                raw = received[0]
+            elif Path(written).is_file():
+                raw = Path(written).read_bytes()
+            else:
+                assert written == Path("/dev/null"), (flag, value, out_flag)
+                continue
+            assert resave(raw, written, out) == raw, (flag, value, out_flag)

@@ -117,23 +117,27 @@ def test_cluster_config_validation():
         ClusterConfig(k=2, max_iters=0)
     with pytest.raises(ConfigError):
         ClusterConfig(k=2, seed=-1)
-    # a seed is what np.random.default_rng takes: an int >= 0 or a tuple of them
-    for seed in (True, 1.5, [1, 2], (1, -2), (1, 2.0), (np.bool_(True),)):
+    # a seed is an int >= 0 or a SeedSequence, each of which np.random.default_rng takes
+    for seed in (True, 1.5, [1, 2], (1, 2), (3,), np.bool_(True)):
         with pytest.raises(ConfigError, match="seed"):
             ClusterConfig(k=2, seed=seed)
-    seed = ClusterConfig(k=2, seed=(np.int64(3), np.uint8(1))).seed
-    assert seed == (3, 1) and all(type(s) is int for s in seed)
+    assert type(ClusterConfig(k=2, seed=np.uint8(3)).seed) is int
+    seq = np.random.SeedSequence(3, spawn_key=(0, 2))
+    assert ClusterConfig(k=2, seed=seq).seed is seq
 
 
 @pytest.mark.parametrize("cluster", [kmajority, lloyd_real, brb_kmeans])
-def test_an_int_seed_and_its_one_tuple_cluster_alike(cluster):
-    # training seeds a root split with (train seed,), which must draw what the int seed draws
+def test_an_int_seed_and_its_seed_sequence_cluster_alike(cluster):
+    # training seeds a root split with SeedSequence(train seed), whose spawn
+    # key is empty, so it must draw what the int seed draws; a child's spawn
+    # key gives it a stream of its own
     rng = np.random.default_rng(17)
     codes = rng.integers(0, 256, size=(150, 4), dtype=np.uint8)
-    for seed in (0, 5):
-        _assert_same_result(cluster(codes, ClusterConfig(k=6, seed=(seed,))),
+    for seed in (0, 5, 2 ** 32):
+        _assert_same_result(cluster(codes, ClusterConfig(k=6, seed=np.random.SeedSequence(seed))),
                             cluster(codes, ClusterConfig(k=6, seed=seed)))
-    assert cluster(codes, ClusterConfig(k=6, seed=(5, 1))).assignments.tolist() != \
+    first_child = np.random.SeedSequence(5, spawn_key=(0,))
+    assert cluster(codes, ClusterConfig(k=6, seed=first_child)).assignments.tolist() != \
         cluster(codes, ClusterConfig(k=6, seed=5)).assignments.tolist()
 
 

@@ -382,19 +382,19 @@ def test_compare_strategies_duplicate_strategy_gives_identical_rows():
 # trees have leaves at several depths, so these rows also pin that the eval
 # does not depend on how words are numbered
 _PINNED_EVAL_ROWS = [
-    ("kmajority", 0, 47.4625, 82.0, 251, 7.721350615744946, 0.8181818181818182, 0.8571428571428572),
-    ("local-brb", 0, 46.802083333333336, 83.04999999999995, 252, 7.73142230188792,
-     0.9090909090909091, 0.9),
-    ("hbrb", 0, 59.28958333333333, 117.0, 225, 7.583029836671775, 0.8181818181818182,
-     0.6956521739130435),
-    ("kmajority", 1, 47.57083333333333, 85.04999999999995, 248, 7.669852205671527, 1.0,
+    ("kmajority", 0, 47.6875, 80.0, 252, 7.7738089821040965, 1.0, 1.0),
+    ("local-brb", 0, 47.32083333333333, 84.0, 252, 7.718030557321127, 0.9090909090909091,
+     0.9090909090909091),
+    ("hbrb", 0, 59.07083333333333, 118.0, 233, 7.609374353324416, 0.6363636363636364,
+     0.7058823529411764),
+    ("kmajority", 1, 47.78333333333333, 81.04999999999995, 248, 7.730294861616012, 1.0,
      0.8888888888888888),
-    ("local-brb", 1, 48.025, 82.0, 251, 7.729442192869348, 1.0, 1.0),
-    ("hbrb", 1, 57.983333333333334, 118.0, 227, 7.582922205217763, 0.8888888888888888,
-     0.7368421052631577),
-    ("kmajority", 2, 47.225, 84.0, 249, 7.696874353324415, 0.8, 0.761904761904762),
-    ("local-brb", 2, 47.954166666666666, 86.0, 247, 7.666746630331224, 0.5, 0.47058823529411764),
-    ("hbrb", 2, 60.02916666666667, 117.0, 222, 7.549702219927314, 0.8, 0.7777777777777777),
+    ("local-brb", 1, 48.54375, 82.0, 245, 7.713613455042469, 0.7777777777777778,
+     0.7142857142857143),
+    ("hbrb", 1, 60.63333333333333, 118.0, 220, 7.550663989685754, 0.7777777777777778, 0.75),
+    ("kmajority", 2, 47.520833333333336, 82.0, 252, 7.74197589601555, 0.9, 0.8421052631578948),
+    ("local-brb", 2, 47.80833333333333, 80.0, 249, 7.756973682109775, 0.8, 0.8000000000000002),
+    ("hbrb", 2, 60.483333333333334, 118.0, 220, 7.508131751536915, 0.8, 0.8235294117647058),
 ]
 
 

@@ -583,9 +583,9 @@ def test_strategy_is_checked_and_may_be_given_by_name(tmp_path):
 # trained before kmajority and brb's final partition moved from the packed
 # Hamming kernel to the squared-Euclidean pass on 0/1 rows
 _PINNED_TEXT_SHA256 = {
-    Strategy.KMAJORITY: "9806ed0a974a5f51ea423cf7e5a146991d786e0fce508275c0405b71f9dca0f6",
-    Strategy.LOCAL_BRB: "13e10b97b15f5edd84292249142accbaaadbc6fcd473d085d6815e2ba82107bb",
-    Strategy.GLOBAL_HBRB: "82de46ecea4832b93c73ea4713219bdb5bd8cbb686a2c3058b5e9c500cd5b343",
+    Strategy.KMAJORITY: "0cb71b0607f32be37b0401ed923ed87647011238ba45f0df629b205d5a803154",
+    Strategy.LOCAL_BRB: "979b8ae135145dc822c9bcf6f6c4d65e11a3990343a29de531d0e850fa455641",
+    Strategy.GLOBAL_HBRB: "cfa7c070e36c2e86d4e76680e792b3cc11e159cac45501e2cff62dc96ac1adb4",
 }
 
 
@@ -707,10 +707,11 @@ def _reference_train(corpus, cfg):
 
     A node splits unless it sits at depth L, holds one point or holds one
     distinct value; the root always splits. A split makes min(k, distinct)
-    groups and is seeded with (train seed, *node path). Returns (parent,
-    centroids, member word ids), leaves numbered as the breadth-first pass
-    dequeues them, which is node order. hbrb clusters slices of the corpus
-    relaxed once to float32 rows, with the exact k-means oracle.
+    groups and is seeded with SeedSequence(train seed, spawn_key=node path).
+    Returns (parent, centroids, member word ids), leaves numbered as the
+    breadth-first pass dequeues them, which is node order. hbrb clusters
+    slices of the corpus relaxed once to float32 rows, with the exact k-means
+    oracle.
     """
     codes = corpus.codes
     real = realize_matrix(codes, dtype=np.float32)
@@ -719,7 +720,8 @@ def _reference_train(corpus, cfg):
         return len({bytes(row) for row in codes[idx]})
 
     def split(idx, path):
-        ccfg = replace(cfg.cluster, k=min(cfg.k, distinct(idx)), seed=(cfg.seed, *path))
+        ccfg = replace(cfg.cluster, k=min(cfg.k, distinct(idx)),
+                       seed=np.random.SeedSequence(cfg.seed, spawn_key=path))
         if cfg.strategy is Strategy.KMAJORITY:
             res = kmajority(codes[idx], ccfg)
         elif cfg.strategy is Strategy.LOCAL_BRB:
@@ -803,6 +805,26 @@ def test_train_matches_reference_builder_on_generated_corpora():
             assert np.array_equal(res.member_word_ids, member_words)
 
     check()
+
+
+def test_every_split_draws_a_stream_of_its_own(monkeypatch):
+    # SeedSequence pads short entropy with zeros and cuts big ints into
+    # 32-bit words, so seeding a split with the tuple (train seed, *path)
+    # gave the root and its first-child chain one stream, and gave the root
+    # of train seed 2**32 the stream of node (1,) of train seed 0
+    seeds = []
+
+    def record(codes, cfg):
+        seeds.append(cfg.seed)
+        return kmajority(codes, cfg)
+
+    monkeypatch.setattr("hbow.vocabulary.kmajority", record)
+    ds = _random_corpus(400, 8, seed=6)
+    for train_seed in (0, 5, 2 ** 32):
+        train(ds, _cfg(3, 4, Strategy.KMAJORITY, seed=train_seed, max_iters=2))
+    assert len(seeds) == 3 * (1 + 3 + 9 + 27)  # every node above depth 4 splits
+    draws = {tuple(np.random.default_rng(seed).random(4)) for seed in seeds}
+    assert len(draws) == len(seeds)
 
 
 def test_distinct_check_reads_whole_rows_only_below_k_first_words(monkeypatch):
@@ -924,7 +946,7 @@ def test_config_validation():
         TrainConfig(k=2, L=0)
     with pytest.raises(ConfigError):
         TrainConfig(k=2, L=1, seed=-1)
-    # a split's ClusterConfig takes a seed tuple; a training seed stays one int
+    # a split's ClusterConfig takes a SeedSequence; a training seed stays one int
     with pytest.raises(ConfigError, match="seed must be an integer"):
         TrainConfig(k=2, L=1, seed=(1, 2))
 
