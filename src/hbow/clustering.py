@@ -7,32 +7,47 @@ clusters) until the post-repair assignment vector reaches a fixpoint or
 `max_iters` passes run out. They differ only in the centroid update they pass:
 
 * `kmajority`: per-bit majority-vote centroids, packed once on return.
-* `lloyd_real`: arithmetic-mean centroids.
+* `lloyd_real`: arithmetic-mean centroids; it also returns the per-bit
+  majority of each cluster's final members.
 * `brb_kmeans`: run the same mean loop, binarize its converged centroids
   once, then reassign and repair the mean loop's own rows against them.
 
 A centroid is held as its integer bit counts S and its member count n; its
 real value is the mean S/n. A seed, a repaired centroid and a majority-vote
-row are (row, 1). Every assignment and every repair goes through one integer
-kernel, `_numerators`:
+row are (row, 1). Each assignment runs on one of two exact integer kernels:
 
-    |x_i - S_j/n_j|^2 = |x_i| + M_ij / n_j^2,  M_ij = |S_j|^2 - 2*n_j*(x_i . S_j)
+* where every n is 1 (the assignment after seeding, every kmajority pass,
+  brb's binary pass, and a mean pass whose clusters are single rows),
+  `_hamming_assign` takes the Hamming distance on the codes cut into
+  word-major 64-bit words, accumulated one word at a time into (k, rows)
+  integers;
+* elsewhere `_assign` uses
 
-x . S^T is one gemm over integers, each at most bits*max(n): the rows are
-relaxed to float32 while that bound is below 2**24 and to float64 above, so
-the gemm is exact in any summation order. kmajority's centroids have n = 1,
-so its rows are float32 at any node size; the mean loop's centroids have up
-to `rows` members, so its rows are float64 once rows*bits reaches 2**24, and
-brb's binary pass (n = 1) reuses them. M is combined in int64. Each row goes
-to the centroid of least M_ij / n_j^2, one correctly rounded division of the
-exact integer (none when every n_j is 1, where |x_i| + M_ij is the Hamming
-distance), and the repair picks its farthest member by the integer
-n^2*|x| + M. So no assignment, repair or objective depends on the BLAS
-kernel or its thread count: the integers come out the same in any summation
-order, and the division and comparisons are IEEE operations on them. Seeding
-runs in Hamming on the codes cut into word-major 64-bit words, with int64
-distances and running sums, and the updates come from one grouped pass of
-per-cluster bit counts (`_cluster_sums`), exact integers as well.
+      |x_i - S_j/n_j|^2 = |x_i| + M_ij / n_j^2,  M_ij = |S_j|^2 - 2*n_j*(x_i . S_j)
+
+  from `_numerators`, where x . S^T is one gemm over integers, each at most
+  bits*max(n), and M is combined in int64.
+
+For n = 1, M = Hamming - |x|, so the two kernels pick the same centroid and
+report the same objective. The rows are relaxed to float32 while bits*max(n)
+is below 2**24 and to float64 above, so the gemm is exact in any summation
+order: kmajority's centroids have n = 1, so its rows are float32 at any node
+size; the mean loop's centroids have up to `rows` members, so its rows are
+float64 once rows*bits reaches 2**24. Each row goes to the centroid of least
+M_ij / n_j^2, one correctly rounded division of the exact integer, and the
+repair, which always runs on `_numerators`, picks its farthest member by the
+integer n^2*|x| + M. So no assignment, repair or objective depends on the
+BLAS kernel or its thread count: the integers come out the same in any
+summation order, and the division and comparisons are IEEE operations on
+them. Seeding runs in Hamming on the same 64-bit words, with int64 distances
+and running sums.
+
+The loop keeps every cluster's bit counts S and member count n across
+passes. The first update counts all rows in one one-hot gemm
+(`_cluster_sums`); each later one adds the rows that moved in and subtracts
+the rows that moved out, in one +-1 one-hot gemm over the moved rows only
+(`_move_rows`), gathered in blocks of `_MOVED_BLOCK_ROWS`. Every partial sum
+is an integer no larger than the row count, so the counts are exact too.
 
 Every step is non-increasing in the respective objective (sum of distances
 to the assigned centroid), including the repair move: the stolen point's new
@@ -57,6 +72,9 @@ from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 
 # A float32 sum of integers is exact while every partial sum stays below 2**24.
 _F32_EXACT_COUNT = 1 << 24
+# Moved rows gathered per block of `_move_rows`: bounds the gathered copy
+# (2 MiB for float32 rows of 256 bits).
+_MOVED_BLOCK_ROWS = 2048
 
 
 def _config_int(value, name: str) -> int:
@@ -98,6 +116,9 @@ class ClusterResult:
     objective: float
     iterations_run: int
     objectives: list[float]  # the loop's objective after seeding and after every pass
+    # lloyd_real only: each cluster's packed per-bit majority over its final
+    # members, which `majority_centroid` of those members equals
+    member_majorities: np.ndarray | None = None
 
 
 def kmeanspp_seed(codes, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -155,11 +176,13 @@ def _row_dtype(bits: int, max_members: int) -> type:
     return np.float32 if bits * max_members < _F32_EXACT_COUNT else np.float64
 
 
-def _relax(codes: np.ndarray, max_members: int) -> tuple[np.ndarray, np.ndarray]:
+def _relax(codes: np.ndarray, max_members: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 0/1 rows of a code matrix, in `_row_dtype` for centroids of at
-    most `max_members` members, and their popcounts |x| (int64)."""
-    x1 = np.bitwise_count(_word_major(codes)).sum(axis=0, dtype=np.int64)
-    return realize_matrix(codes, _row_dtype(codes.shape[1] * 8, max_members)), x1
+    most `max_members` members, their popcounts |x| (int64), and the codes
+    as word-major 64-bit words (`_word_major`)."""
+    words = _word_major(codes)
+    x1 = np.bitwise_count(words).sum(axis=0, dtype=np.int64)
+    return realize_matrix(codes, _row_dtype(codes.shape[1] * 8, max_members)), x1, words
 
 
 def _numerators(x: np.ndarray, s: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -191,6 +214,37 @@ def _assign(x: np.ndarray, x1: np.ndarray, s: np.ndarray,
         d /= n * n
     labels = d.argmin(axis=1)
     return labels, (x1 + d[np.arange(x.shape[0]), labels]).astype(np.float64)
+
+
+def _hamming_assign(words: np.ndarray,
+                    centroid_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_assign` where every centroid is (row, 1), on packed codes: the
+    nearest column of `centroid_words` (words, k) to every column of `words`
+    (words, rows), both word-major 64-bit words, by Hamming distance with ties
+    to the lowest index, and that distance as float64. `_assign`'s M is the
+    Hamming distance minus |x| there, so both give the same labels and
+    objectives.
+
+    The (k, rows) distances accumulate one 64-bit word at a time: an XOR, a
+    popcount into uint8, and an add into integers wide enough for the bits.
+    """
+    k, rows = centroid_words.shape[1], words.shape[1]
+    dist = np.zeros((k, rows), dtype=np.uint16 if words.shape[0] * 64 < 1 << 16 else np.int64)
+    xor = np.empty((k, rows), dtype=np.uint64)
+    count = np.empty((k, rows), dtype=np.uint8)
+    for w in range(words.shape[0]):
+        np.bitwise_xor(centroid_words[w][:, None], words[w], out=xor)
+        dist += np.bitwise_count(xor, out=count)
+    labels = dist.argmin(axis=0)
+    return labels, dist[labels, np.arange(rows)].astype(np.float64)
+
+
+def _nearest(x, x1, words, s, n) -> tuple[np.ndarray, np.ndarray]:
+    """`_assign` of the rows `x` (popcounts `x1`, packed `words`) to the
+    centroids (s, n), on `_hamming_assign` when every n is 1."""
+    if n.max() == 1:
+        return _hamming_assign(words, _word_major(binarize_matrix(s)))
+    return _assign(x, x1, s, n)
 
 
 def _repair_empty(x, x1, s, n, labels, obj_vec) -> None:
@@ -231,40 +285,71 @@ def _cluster_sums(bits: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndar
     return onehot @ bits.astype(dtype, copy=False), np.bincount(labels, minlength=k)
 
 
-def _lloyd(codes, x, x1, cfg: ClusterConfig, update) -> tuple[ClusterResult, np.ndarray]:
-    """The loop every clusterer runs on `x`, the 0/1 rows of `codes`, with
-    popcounts `x1`: k-means++ seeding on `codes` with
+def _move_rows(x: np.ndarray, sums: np.ndarray, sizes: np.ndarray, old: np.ndarray,
+               new: np.ndarray) -> None:
+    """Turn the `_cluster_sums` counts (sums, sizes) of the rows `x` labelled
+    `old` into those of the labels `new`, in place: one +-1 one-hot product
+    over the rows whose label changed, gathered `_MOVED_BLOCK_ROWS` at a time.
+
+    Each product entry is an integer no larger than the block, and each count
+    one no larger than the row count, so the counts stay exact in `sums`'
+    dtype, as they are in `_cluster_sums`.
+    """
+    moved = np.flatnonzero(old != new)
+    for start in range(0, moved.size, _MOVED_BLOCK_ROWS):
+        rows = moved[start:start + _MOVED_BLOCK_ROWS]
+        cols = np.arange(rows.size)
+        delta = np.zeros((sums.shape[0], rows.size), dtype=sums.dtype)
+        delta[new[rows], cols] = 1.0
+        delta[old[rows], cols] = -1.0
+        sums += delta @ x[rows].astype(sums.dtype, copy=False)
+    sizes += np.bincount(new[moved], minlength=sizes.size)
+    sizes -= np.bincount(old[moved], minlength=sizes.size)
+
+
+def _lloyd(codes, rows, cfg: ClusterConfig, update):
+    """The loop every clusterer runs on `rows`, the `_relax` triple
+    (x, |x|, words) of `codes`: k-means++ seeding on `codes` with
     `np.random.default_rng(cfg.seed)`, assignment and repair, then (update,
     assign, repair) passes until the post-repair assignment repeats or
     `max_iters` passes have run.
 
-    `update(labels)` returns the new centroids as (bit counts S of `x`'s
-    dtype, member counts n). Returns the result, whose `centroids` hold the
-    final S and whose `objectives` hold the objective after seeding and after
-    every pass, and the final n.
+    The loop keeps the clusters' bit counts S (in `_cluster_sums`' dtype)
+    and member counts n: the first pass counts every row, and every later one
+    moves the rows whose label changed (`_move_rows`). `update(S, n)` returns
+    new arrays for the centroids (bit counts S of `x`'s dtype, member counts
+    n), which the repair may overwrite. Returns the result, whose
+    `centroids` hold the final S and whose `objectives` hold the objective
+    after seeding and after every pass, the final n, and the kept (S, n)
+    with the labels they count.
     """
+    x, x1, words = rows
     s = realize_matrix(kmeanspp_seed(codes, cfg.k, np.random.default_rng(cfg.seed)), x.dtype)
     n = np.ones(cfg.k, dtype=np.int64)
-    labels, obj_vec = _assign(x, x1, s, n)
+    labels, obj_vec = _nearest(x, x1, words, s, n)
     _repair_empty(x, x1, s, n, labels, obj_vec)
     objectives = [float(obj_vec.sum())]
+    sums = None
     while len(objectives) <= cfg.max_iters:
-        s, n = update(labels)
+        if sums is None:
+            sums, sizes = _cluster_sums(x, labels, cfg.k)
+        else:
+            _move_rows(x, sums, sizes, prev, labels)
         prev = labels
-        labels, obj_vec = _assign(x, x1, s, n)
+        s, n = update(sums, sizes)
+        labels, obj_vec = _nearest(x, x1, words, s, n)
         _repair_empty(x, x1, s, n, labels, obj_vec)
         objectives.append(float(obj_vec.sum()))
         if np.array_equal(labels, prev):
             break
-    return ClusterResult(s, labels, objectives[-1], len(objectives) - 1, objectives), n
+    result = ClusterResult(s, labels, objectives[-1], len(objectives) - 1, objectives)
+    return result, n, (sums, sizes, prev)
 
 
-def _mean_lloyd(codes, cfg: ClusterConfig):
-    """`_lloyd` with arithmetic-mean updates, for lloyd_real and brb_kmeans:
-    returns the 0/1 rows, their popcounts, the result and the member counts."""
-    x, x1 = _relax(codes, codes.shape[0])
-    res, n = _lloyd(codes, x, x1, cfg, lambda labels: _cluster_sums(x, labels, cfg.k))
-    return x, x1, res, n
+def _mean_update(sums: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arithmetic-mean centroids: copies of the kept counts, which the
+    repair must not overwrite."""
+    return sums.copy(), sizes.copy()
 
 
 def kmajority(descs, cfg: ClusterConfig) -> ClusterResult:
@@ -278,13 +363,12 @@ def kmajority(descs, cfg: ClusterConfig) -> ClusterResult:
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("kmajority needs at least one descriptor")
-    x, x1 = _relax(codes, 1)
+    rows = _relax(codes, 1)
 
-    def update(labels):
-        sums, counts = _cluster_sums(x, labels, cfg.k)
-        return (sums * 2 > counts[:, None]).astype(x.dtype), np.ones(cfg.k, dtype=np.int64)
+    def update(sums, sizes):
+        return (sums * 2 > sizes[:, None]).astype(rows[0].dtype), np.ones(cfg.k, dtype=np.int64)
 
-    res, _ = _lloyd(codes, x, x1, cfg, update)
+    res, _, _ = _lloyd(codes, rows, cfg, update)
     res.centroids = binarize_matrix(res.centroids)
     return res
 
@@ -298,11 +382,16 @@ def lloyd_real(descs, cfg: ClusterConfig) -> ClusterResult:
     and the objective do not depend on a float width or the BLAS kernel. The
     centroids come back as float64 rows, each its members' bit counts divided
     by their number: bit for bit the float64 mean of the relaxed rows.
+    `member_majorities` holds the packed per-bit majority (2*S > n, ties to
+    0) of each cluster's final members, from the loop's kept counts.
     """
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("lloyd_real needs at least one descriptor")
-    _, _, res, n = _mean_lloyd(codes, cfg)
+    rows = _relax(codes, codes.shape[0])
+    res, n, (sums, sizes, counted) = _lloyd(codes, rows, cfg, _mean_update)
+    _move_rows(rows[0], sums, sizes, counted, res.assignments)
+    res.member_majorities = np.packbits(sums * 2 > sizes[:, None], axis=1)
     res.centroids = res.centroids.astype(np.float64) / n[:, None]
     return res
 
@@ -322,10 +411,11 @@ def brb_kmeans(descs, cfg: ClusterConfig) -> ClusterResult:
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("brb_kmeans needs at least one descriptor")
-    x, x1, res, n = _mean_lloyd(codes, cfg)
+    x, x1, words = rows = _relax(codes, codes.shape[0])
+    res, n, _ = _lloyd(codes, rows, cfg, _mean_update)
     cents = (res.centroids * 2 > n[:, None]).astype(x.dtype)
     ones = np.ones_like(n)
-    labels, obj_vec = _assign(x, x1, cents, ones)
+    labels, obj_vec = _nearest(x, x1, words, cents, ones)
     _repair_empty(x, x1, cents, ones, labels, obj_vec)
     return ClusterResult(binarize_matrix(cents), labels, float(obj_vec.sum()), res.iterations_run,
                          res.objectives)

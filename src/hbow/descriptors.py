@@ -8,10 +8,11 @@ packbits/unpackbits convention, so bit i of a descriptor is
 
 Hamming distances are exact integer popcounts. The squared Euclidean
 distance between two relaxed bit vectors equals the Hamming distance between
-the originals, so the clusterers seed on packed codes and assign on relaxed
-rows with one distance. Seeding, `hamming_to_all` and the vocabulary descent
-read the codes as word-major 64-bit words (`_word_major`), so one XOR and
-one popcount cover 8 octets.
+the originals, so the clusterers seed on packed codes, assign on packed codes
+where every centroid is one row, and assign on relaxed rows elsewhere, with
+one distance. Seeding, those assignments, `hamming_to_all` and the vocabulary
+descent read the codes as word-major 64-bit words (`_word_major`), so one XOR
+and one popcount cover 8 octets.
 
 `hamming_cdist` has no caller inside the package; it stays public because
 `perfbench/tracing.py` binds it by name.

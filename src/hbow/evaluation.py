@@ -37,9 +37,19 @@ EVAL_COLUMNS = [
     "recall_at_1", "max_f1", "train_seconds",
 ]
 
+# Most frames a synthetic traversal may have: the frame count sizes every
+# array `synth_sequence` builds, and a revisit_fraction just below 1 would
+# ask for up to 2**53 frames per place.
+MAX_FRAMES = 10_000
+
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """One synthetic world and traversal. The traversal has `frame_count`
+    frames, round(num_places / (1 - revisit_fraction)), and a config whose
+    frame count exceeds `MAX_FRAMES` raises ConfigError before anything is
+    allocated."""
+
     num_places: int = 20
     descriptors_per_place: int = 50
     revisit_fraction: float = 0.3
@@ -58,6 +68,11 @@ class SynthConfig:
             )
         if not 0.0 <= self.revisit_fraction < 1.0:
             raise ConfigError(f"revisit_fraction must lie in [0, 1), got {self.revisit_fraction}")
+        # every place is visited, so more places than MAX_FRAMES need no division
+        if self.num_places > MAX_FRAMES or self.frame_count > MAX_FRAMES:
+            raise ConfigError(
+                f"a traversal may have at most {MAX_FRAMES} frames; {self.num_places} places at "
+                f"revisit_fraction {self.revisit_fraction} make more")
         if not 0.0 <= self.bit_flip_prob < 0.5:
             raise ConfigError(f"bit_flip_prob must lie in [0, 0.5), got {self.bit_flip_prob}")
         if self.descriptor_bits < 8 or self.descriptor_bits % 8 != 0:
@@ -66,6 +81,11 @@ class SynthConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def frame_count(self) -> int:
+        """round(num_places / (1 - revisit_fraction)), the traversal's frames."""
+        return int(round(self.num_places / (1.0 - self.revisit_fraction)))
 
 
 @dataclass
@@ -85,8 +105,9 @@ def _flip_bits(codes: np.ndarray, prob: float, rng: np.random.Generator) -> np.n
 def synth_sequence(cfg: SynthConfig) -> SynthSequence:
     """Generate a traversal with revisits plus its training corpus and ground truth.
 
-    The total frame count is round(P / (1 - revisit_fraction)); the first
-    frame is always a fresh visit. Deterministic for a fixed config.
+    The total frame count is `cfg.frame_count`, round(P / (1 -
+    revisit_fraction)), at most `MAX_FRAMES`; the first frame is always a
+    fresh visit. Deterministic for a fixed config.
     """
     rng = np.random.default_rng(cfg.seed)
     octets = cfg.descriptor_bits // 8
@@ -95,7 +116,7 @@ def synth_sequence(cfg: SynthConfig) -> SynthSequence:
         for _ in range(cfg.num_places)
     ]
     p = cfg.num_places
-    total = int(round(p / (1.0 - cfg.revisit_fraction)))
+    total = cfg.frame_count
     markers = np.array([0] * p + [1] * (total - p), dtype=np.int64)
     rng.shuffle(markers)
     if markers[0] == 1:

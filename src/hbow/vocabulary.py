@@ -19,8 +19,10 @@ in how one node's points are partitioned into k groups:
                     relaxing its own members' codes, and partition
                     children by the real assignments; binary centroids enter
                     only as derived artifacts. A node's stored binary centroid is the
-                    per-bit majority vote of its members, so every leaf
-                    satisfies centroid == majority_centroid(members) exactly.
+                    per-bit majority vote of its members, read from the
+                    split's kept bit counts (`member_majorities`), so every
+                    leaf satisfies centroid == majority_centroid(members)
+                    exactly.
 
 Node splitting rules: a node becomes a leaf when it reaches depth L, holds a
 single point, or holds a single distinct value; a node with 2 <= distinct < k
@@ -42,8 +44,7 @@ from time import perf_counter
 import numpy as np
 
 from .clustering import ClusterConfig, _config_int, brb_kmeans, kmajority, lloyd_real
-from .descriptors import _CDIST_BLOCK_BYTES, DescriptorSet, _as_codes, _word_major, \
-    majority_centroid
+from .descriptors import _CDIST_BLOCK_BYTES, DescriptorSet, _as_codes, _word_major
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError, \
     InternalInvariantError
 
@@ -255,7 +256,7 @@ def _grow(codes: np.ndarray,
                     raise InternalInvariantError("clustering produced an empty cluster after repair")
                 cid = len(parent)
                 parent.append(nid)
-                centroids.append(majority_centroid(codes[child])
+                centroids.append(res.member_majorities[j]
                                  if cfg.strategy is Strategy.GLOBAL_HBRB else res.centroids[j])
                 node_of_row[child] = cid
                 if len(path) + 1 < cfg.L and child.size > 1:  # the child is at depth len(path) + 1

@@ -384,7 +384,10 @@ def _command_flags(world, out):
     frames, protos, vocab = world
     strategies = ",".join(s.value for s in Strategy)
     ints = {flag: _INTS for flag in ("--k", "--L", "--max-iters", "--seed")}
-    synth_floats = {"--revisit": _NON_FINITE + ["0", "1"],
+    # a revisit fraction just below 1 asks for 2.7e16 frames of 3 places,
+    # past the frame cap; 0.99 asks for 300
+    synth_floats = {"--revisit": _NON_FINITE + ["0", "0.99",
+                                                repr(float(np.nextafter(1.0, 0))), "1"],
                     "--flip": _NON_FINITE + ["0", repr(float(np.nextafter(0.5, 0))), "0.5"]}
     sizes = {flag: _SIZES for flag in ("--places", "--per-place", "--bits")}
     return {

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,3 +471,108 @@ def test_repair_steals_the_farthest_member_by_exact_distance():
             assert np.array_equal(g, w)
 
     check()
+
+
+def test_packed_assignment_equals_the_gemm_kernel_where_every_n_is_1():
+    # `_hamming_assign` on word-major codes against `_assign` on 0/1 rows
+    # with (row, 1) centroids: the same labels, ties to the lowest index, and
+    # the same float64 objectives. Rows repeat, and centroids repeat rows and
+    # each other, so exact ties are common; one octet makes them commoner
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    _word_major = hbow.descriptors._word_major
+
+    def both(codes, cents):
+        x = realize_matrix(codes, np.float32)
+        x1 = x.sum(axis=1).astype(np.int64)
+        want = hbow.clustering._assign(x, x1, realize_matrix(cents, np.float32),
+                                       np.ones(cents.shape[0], dtype=np.int64))
+        got = hbow.clustering._hamming_assign(_word_major(codes), _word_major(cents))
+        assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype == np.float64
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        return got
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(octets=st.sampled_from([1, 3, 9, 32]), rows=st.integers(1, 120),
+                      pool=st.integers(1, 40), k=st.integers(1, 12),
+                      from_rows=st.integers(0, 12), seed=st.integers(0, 2 ** 16))
+    def check(octets, rows, pool, k, from_rows, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 256, size=(pool, octets), dtype=np.uint8)
+        codes = values[rng.integers(pool, size=rows)]
+        cents = rng.integers(0, 256, size=(k, octets), dtype=np.uint8)
+        picked = rng.integers(rows, size=min(k, from_rows))
+        cents[:picked.size] = codes[picked]
+        cents = cents[rng.integers(k, size=k)]  # repeated centroids tie exactly
+        labels, obj = both(codes, cents)
+        first = np.array([min(range(k), key=lambda j: hamming(c, cents[j])) for c in codes])
+        assert np.array_equal(labels, first)
+
+    check()
+    # 8,192 octets reach distances past 2**16 - 1, which take a wider accumulator
+    zeros, ones = np.zeros((1, 8192), dtype=np.uint8), np.full((1, 8192), 255, dtype=np.uint8)
+    labels, obj = both(np.vstack([zeros, ones, ones]), np.vstack([ones, zeros]))
+    assert labels.tolist() == [1, 0, 0] and obj.tolist() == [0.0, 0.0, 0.0]
+    labels, obj = both(zeros, ones)
+    assert obj.tolist() == [65536.0]
+
+
+@pytest.mark.parametrize("cluster", [kmajority, lloyd_real, brb_kmeans])
+def test_kept_bit_counts_equal_a_recount_after_every_pass(monkeypatch, cluster):
+    # the loop keeps (S, n) across passes and moves only the rows whose label
+    # changed; after every move they must equal `_cluster_sums` over the new
+    # labels, in the same dtype, and lloyd_real's member majorities must be
+    # those of its final clusters
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    move = hbow.clustering._move_rows
+    moves = []
+
+    def checked_move(x, sums, sizes, old, new):
+        move(x, sums, sizes, old, new)
+        want = hbow.clustering._cluster_sums(x, new, sums.shape[0])
+        assert sums.dtype == want[0].dtype
+        assert np.array_equal(sums, want[0]) and np.array_equal(sizes, want[1])
+        moves.append(int(np.count_nonzero(old != new)))
+
+    monkeypatch.setattr(hbow.clustering, "_move_rows", checked_move)
+    monkeypatch.setattr(hbow.clustering, "_MOVED_BLOCK_ROWS", 7)  # several blocks per move
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(n=st.integers(1, 200), octets=st.sampled_from([1, 3, 9]),
+                      pool=st.integers(1, 200), k=st.integers(1, 12),
+                      max_iters=st.sampled_from([1, 2, 100]), seed=st.integers(0, 2 ** 16))
+    def check(n, octets, pool, k, max_iters, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 256, size=(pool, octets), dtype=np.uint8)
+        codes = values[rng.integers(pool, size=n)]
+        k = min(k, n)
+        moves.clear()
+        res = cluster(codes, ClusterConfig(k=k, max_iters=max_iters, seed=seed % 7))
+        # one move per pass after the first, and lloyd_real's to its final labels
+        assert len(moves) == res.iterations_run - 1 + (cluster is lloyd_real)
+        if cluster is lloyd_real:
+            for j in range(k):
+                want = majority_centroid(codes[res.assignments == j])
+                assert np.array_equal(res.member_majorities[j], want)
+        else:
+            assert res.member_majorities is None
+
+    check()
+
+
+@pytest.mark.parametrize("cluster", [kmajority, lloyd_real, brb_kmeans])
+def test_one_large_split_stays_within_its_memory_bound(cluster):
+    # the float32 0/1 rows of a 25,000 x 32-octet split are 25.6 MB; the
+    # rest of a split (codes in 64-bit words, seeding, distances, the moved
+    # rows gathered in blocks) must stay within 35 % of that
+    rng = np.random.default_rng(21)
+    codes = rng.integers(0, 256, size=(25_000, 32), dtype=np.uint8)
+    rows_bytes = codes.shape[0] * codes.shape[1] * 8 * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        cluster(codes, ClusterConfig(k=10, max_iters=5, seed=7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * rows_bytes, peak / rows_bytes

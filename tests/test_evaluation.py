@@ -26,6 +26,7 @@ from hbow import (
     write_rows_csv,
     write_rows_json,
 )
+from hbow.evaluation import MAX_FRAMES
 from oracles import hamming, lookup_word, synth_clustered
 
 HIER_VALS = (
@@ -144,6 +145,13 @@ def test_synth_config_validation():
         SynthConfig(descriptors_per_place=0)
     with pytest.raises(ConfigError):
         SynthConfig(revisit_fraction=1.0)
+    # the frame cap, round(P / (1 - revisit_fraction)) <= MAX_FRAMES, holds
+    # before anything is allocated, also where the quotient has no float
+    assert SynthConfig(num_places=100, revisit_fraction=0.99).frame_count == MAX_FRAMES
+    for places, revisit in ((101, 0.99), (1, float(np.nextafter(1.0, 0))),
+                            (MAX_FRAMES + 1, 0.0), (10 ** 400, 0.5)):
+        with pytest.raises(ConfigError, match=f"at most {MAX_FRAMES} frames"):
+            SynthConfig(num_places=places, revisit_fraction=revisit)
     with pytest.raises(ConfigError):
         SynthConfig(bit_flip_prob=0.5)
     with pytest.raises(ConfigError):
