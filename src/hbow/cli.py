@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(payload, out_path) -> None:
     text = json.dumps(payload, indent=1)
     if out_path:
-        _atomic_write_bytes(out_path, (text + "\n").encode())
+        _atomic_write_bytes(out_path, [(text + "\n").encode()])
     else:
         print(text)
 

@@ -1,9 +1,9 @@
 """Flat k-clustering primitives for binary descriptors.
 
-Every clusterer is `(codes, ClusterConfig) -> ClusterResult`: it relaxes the
-codes once to 0/1 rows and runs one loop, `_lloyd`: k-means++ seeding from
-the config's seed, then alternate (update centroids, reassign, repair empty
-clusters) until the post-repair assignment vector reaches a fixpoint or
+Every clusterer is `(codes, ClusterConfig) -> ClusterResult`: it reads the
+codes as 0/1 rows (`_Rows`) and runs one loop, `_lloyd`: k-means++ seeding
+from the config's seed, then alternate (update centroids, reassign, repair
+empty clusters) until the post-repair assignment vector reaches a fixpoint or
 `max_iters` passes run out. They differ only in the centroid update they pass:
 
 * `kmajority`: per-bit majority-vote centroids, packed once on return.
@@ -43,11 +43,20 @@ them. Seeding runs in Hamming on the same 64-bit words, with int64 distances
 and running sums.
 
 The loop keeps every cluster's bit counts S and member count n across
-passes. The first update counts all rows in one one-hot gemm
-(`_cluster_sums`); each later one adds the rows that moved in and subtracts
-the rows that moved out, in one +-1 one-hot gemm over the moved rows only
-(`_move_rows`), gathered in blocks of `_MOVED_BLOCK_ROWS`. Every partial sum
-is an integer no larger than the row count, so the counts are exact too.
+passes. The first update counts all rows in one-hot gemms (`_cluster_sums`);
+each later one adds the rows that moved in and subtracts the rows that moved
+out, in +-1 one-hot gemms over the moved rows only (`_move_rows`). Every
+partial sum is an integer no larger than the row count, so the counts are
+exact too.
+
+A split holds its packed codes, per-row bookkeeping (popcounts, 64-bit
+words, labels, distances) and at most one block of relaxed rows,
+`_RELAXED_BLOCK_BYTES`. A node whose rows fit in one block is relaxed once;
+a larger node unpacks its rows from the codes, block by block, on every pass
+that reads them: the mean loop's assignment gemm, the first count, the
+moved rows and the repair's walk over the donor's members. The row dtype
+is picked from the node's size, never the block's, so the blocks change no
+product, label or objective.
 
 Every step is non-increasing in the respective objective (sum of distances
 to the assigned centroid), including the repair move: the stolen point's new
@@ -72,9 +81,11 @@ from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 
 # A float32 sum of integers is exact while every partial sum stays below 2**24.
 _F32_EXACT_COUNT = 1 << 24
-# Moved rows gathered per block of `_move_rows`: bounds the gathered copy
-# (2 MiB for float32 rows of 256 bits).
-_MOVED_BLOCK_ROWS = 2048
+# The most relaxed 0/1 rows of one node held at a time (`_Rows`): 1,024
+# float32 or 512 float64 rows of 256 bits. A block this small stays in cache
+# between its unpacking and its gemm, and the allocator reuses its pages
+# rather than faulting in fresh ones for every block.
+_RELAXED_BLOCK_BYTES = 1 << 20
 
 
 def _config_int(value, name: str) -> int:
@@ -176,13 +187,45 @@ def _row_dtype(bits: int, max_members: int) -> type:
     return np.float32 if bits * max_members < _F32_EXACT_COUNT else np.float64
 
 
-def _relax(codes: np.ndarray, max_members: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 0/1 rows of a code matrix, in `_row_dtype` for centroids of at
-    most `max_members` members, their popcounts |x| (int64), and the codes
-    as word-major 64-bit words (`_word_major`)."""
-    words = _word_major(codes)
-    x1 = np.bitwise_count(words).sum(axis=0, dtype=np.int64)
-    return realize_matrix(codes, _row_dtype(codes.shape[1] * 8, max_members)), x1, words
+class _Rows:
+    """A node's codes read as 0/1 rows in `dtype`, the `_row_dtype` for
+    centroids of at most `max_members` members, with their popcounts `x1`
+    (|x|, int64) and their word-major 64-bit `words` (`_word_major`).
+
+    Rows are read in blocks of `step` rows, `_RELAXED_BLOCK_BYTES` of relaxed
+    rows: a node that fits in one block is relaxed once and kept, and a
+    larger one unpacks each block from its codes at every read. The dtype
+    comes from the node's size, never the block's, so every product is the
+    same exact integer however the rows are cut.
+    """
+
+    def __init__(self, codes: np.ndarray, max_members: int):
+        bits = codes.shape[1] * 8
+        self.codes = codes
+        self.words = _word_major(codes)
+        self.x1 = np.bitwise_count(self.words).sum(axis=0, dtype=np.int64)
+        self.dtype = _row_dtype(bits, max_members)
+        self.step = max(1, _RELAXED_BLOCK_BYTES // (bits * np.dtype(self.dtype).itemsize))
+        self._kept = realize_matrix(codes, self.dtype) if len(self) <= self.step else None
+
+    def __len__(self) -> int:
+        return self.codes.shape[0]
+
+    def take(self, ids) -> np.ndarray:
+        """The 0/1 rows of `codes[ids]` for a slice or an index array."""
+        if self._kept is not None:
+            return self._kept[ids]
+        return realize_matrix(self.codes[ids], self.dtype)
+
+    def blocks(self, index: np.ndarray | None = None):
+        """Yield (ids, rows) for each block of at most `step` of the rows at
+        `index`, or of all rows when it is None: `ids` is that block's slice
+        of consecutive rows or index array, and `rows` is `take(ids)`."""
+        count = len(self) if index is None else index.size
+        for start in range(0, count, self.step):
+            ids = slice(start, min(count, start + self.step)) if index is None \
+                else index[start:start + self.step]
+            yield ids, self.take(ids)
 
 
 def _numerators(x: np.ndarray, s: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -239,30 +282,36 @@ def _hamming_assign(words: np.ndarray,
     return labels, dist[labels, np.arange(rows)].astype(np.float64)
 
 
-def _nearest(x, x1, words, s, n) -> tuple[np.ndarray, np.ndarray]:
-    """`_assign` of the rows `x` (popcounts `x1`, packed `words`) to the
-    centroids (s, n), on `_hamming_assign` when every n is 1."""
+def _nearest(rows: _Rows, s: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_assign` of every row to the centroids (s, n), one block of rows at
+    a time, or `_hamming_assign` on the packed words when every n is 1."""
     if n.max() == 1:
-        return _hamming_assign(words, _word_major(binarize_matrix(s)))
-    return _assign(x, x1, s, n)
+        return _hamming_assign(rows.words, _word_major(binarize_matrix(s)))
+    labels = np.empty(len(rows), dtype=np.int64)
+    obj_vec = np.empty(len(rows))
+    for ids, x in rows.blocks():
+        labels[ids], obj_vec[ids] = _assign(x, rows.x1[ids], s, n)
+    return labels, obj_vec
 
 
-def _repair_empty(x, x1, s, n, labels, obj_vec) -> None:
+def _repair_empty(rows: _Rows, s, n, labels, obj_vec) -> None:
     """Give every empty cluster one point, mutating s/n/labels/obj_vec.
 
     Each empty cluster (ascending index) steals the member of the currently
     largest cluster that lies farthest from the empty cluster's stale
-    centroid, by the exact integer n^2*|x - S/n|^2 = n^2*|x| + M; that row
-    becomes the new centroid (row, 1), so its contribution to the objective
-    drops to zero and the repair never increases the objective.
+    centroid, by the exact integer n^2*|x - S/n|^2 = n^2*|x| + M over the
+    donor's members, read one block at a time; that row becomes the new
+    centroid (row, 1), so its contribution to the objective drops to zero and
+    the repair never increases the objective.
     """
     sizes = np.bincount(labels, minlength=s.shape[0])
     for c in np.flatnonzero(sizes == 0):
         donor = int(np.argmax(sizes))
         members = np.flatnonzero(labels == donor)
-        far = n[c] * n[c] * x1[members] + _numerators(x[members], s[c:c + 1], n[c:c + 1])[:, 0]
+        far = n[c] * n[c] * rows.x1[members] + np.concatenate(
+            [_numerators(x, s[c:c + 1], n[c:c + 1])[:, 0] for _, x in rows.blocks(members)])
         p = int(members[np.argmax(far)])
-        s[c] = x[p]
+        s[c] = rows.take(slice(p, p + 1))[0]
         n[c] = 1
         labels[p] = c
         obj_vec[p] = 0.0
@@ -270,75 +319,79 @@ def _repair_empty(x, x1, s, n, labels, obj_vec) -> None:
         sizes[c] += 1
 
 
-def _cluster_sums(bits: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster bit counts S (k, bits) and member counts n (k,) of a float
-    0/1 matrix, from one one-hot product.
+def _add_rows(rows: _Rows, sums: np.ndarray, index, new: np.ndarray,
+              old: np.ndarray | None = None) -> None:
+    """Add each row at `index` (every row when None) to `sums[new[row]]`
+    and, given `old`, subtract it from `sums[old[row]]`, in place: one +-1
+    one-hot product per block of rows. Each product entry is an integer no
+    larger than the block, so it is exact in `sums`' dtype."""
+    for ids, x in rows.blocks(index):
+        cols = np.arange(x.shape[0])
+        delta = np.zeros((sums.shape[0], x.shape[0]), dtype=sums.dtype)
+        delta[new[ids], cols] = 1.0
+        if old is not None:
+            delta[old[ids], cols] = -1.0
+        sums += delta @ x.astype(sums.dtype, copy=False)
+
+
+def _cluster_sums(rows: _Rows, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster bit counts S (k, bits) and member counts n (k,) of the
+    rows, from one one-hot product per block.
 
     Every partial sum is an integer no larger than the row count, so S is
     exact in any summation order: float32 rows sum in float32 below
     `_F32_EXACT_COUNT` rows and in float64 above; float64 rows sum in float64.
     """
-    small = bits.dtype == np.float32 and bits.shape[0] < _F32_EXACT_COUNT
-    dtype = np.float32 if small else np.float64
-    onehot = np.zeros((k, bits.shape[0]), dtype=dtype)
-    onehot[labels, np.arange(bits.shape[0])] = 1.0
-    return onehot @ bits.astype(dtype, copy=False), np.bincount(labels, minlength=k)
+    small = rows.dtype == np.float32 and len(rows) < _F32_EXACT_COUNT
+    sums = np.zeros((k, rows.codes.shape[1] * 8), dtype=np.float32 if small else np.float64)
+    _add_rows(rows, sums, None, labels)
+    return sums, np.bincount(labels, minlength=k)
 
 
-def _move_rows(x: np.ndarray, sums: np.ndarray, sizes: np.ndarray, old: np.ndarray,
+def _move_rows(rows: _Rows, sums: np.ndarray, sizes: np.ndarray, old: np.ndarray,
                new: np.ndarray) -> None:
-    """Turn the `_cluster_sums` counts (sums, sizes) of the rows `x` labelled
-    `old` into those of the labels `new`, in place: one +-1 one-hot product
-    over the rows whose label changed, gathered `_MOVED_BLOCK_ROWS` at a time.
-
-    Each product entry is an integer no larger than the block, and each count
-    one no larger than the row count, so the counts stay exact in `sums`'
-    dtype, as they are in `_cluster_sums`.
+    """Turn the `_cluster_sums` counts (sums, sizes) of the rows labelled
+    `old` into those of the labels `new`, in place, from the rows whose label
+    changed. Each count stays an integer no larger than the row count, so
+    the counts stay exact in `sums`' dtype, as they are in `_cluster_sums`.
     """
     moved = np.flatnonzero(old != new)
-    for start in range(0, moved.size, _MOVED_BLOCK_ROWS):
-        rows = moved[start:start + _MOVED_BLOCK_ROWS]
-        cols = np.arange(rows.size)
-        delta = np.zeros((sums.shape[0], rows.size), dtype=sums.dtype)
-        delta[new[rows], cols] = 1.0
-        delta[old[rows], cols] = -1.0
-        sums += delta @ x[rows].astype(sums.dtype, copy=False)
+    _add_rows(rows, sums, moved, new, old)
     sizes += np.bincount(new[moved], minlength=sizes.size)
     sizes -= np.bincount(old[moved], minlength=sizes.size)
 
 
-def _lloyd(codes, rows, cfg: ClusterConfig, update):
-    """The loop every clusterer runs on `rows`, the `_relax` triple
-    (x, |x|, words) of `codes`: k-means++ seeding on `codes` with
-    `np.random.default_rng(cfg.seed)`, assignment and repair, then (update,
-    assign, repair) passes until the post-repair assignment repeats or
-    `max_iters` passes have run.
+def _lloyd(rows: _Rows, cfg: ClusterConfig, update):
+    """The loop every clusterer runs on `rows`: k-means++ seeding on the
+    codes with `np.random.default_rng(cfg.seed)`, assignment and repair, then
+    (update, assign, repair) passes until the post-repair assignment repeats
+    or `max_iters` passes have run.
 
     The loop keeps the clusters' bit counts S (in `_cluster_sums`' dtype)
     and member counts n: the first pass counts every row, and every later one
     moves the rows whose label changed (`_move_rows`). `update(S, n)` returns
-    new arrays for the centroids (bit counts S of `x`'s dtype, member counts
-    n), which the repair may overwrite. Returns the result, whose
+    new arrays for the centroids (bit counts S of the rows' dtype, member
+    counts n), which the repair may overwrite. Returns the result, whose
     `centroids` hold the final S and whose `objectives` hold the objective
     after seeding and after every pass, the final n, and the kept (S, n)
     with the labels they count.
     """
-    x, x1, words = rows
-    s = realize_matrix(kmeanspp_seed(codes, cfg.k, np.random.default_rng(cfg.seed)), x.dtype)
+    s = realize_matrix(kmeanspp_seed(rows.codes, cfg.k, np.random.default_rng(cfg.seed)),
+                       rows.dtype)
     n = np.ones(cfg.k, dtype=np.int64)
-    labels, obj_vec = _nearest(x, x1, words, s, n)
-    _repair_empty(x, x1, s, n, labels, obj_vec)
+    labels, obj_vec = _nearest(rows, s, n)
+    _repair_empty(rows, s, n, labels, obj_vec)
     objectives = [float(obj_vec.sum())]
     sums = None
     while len(objectives) <= cfg.max_iters:
         if sums is None:
-            sums, sizes = _cluster_sums(x, labels, cfg.k)
+            sums, sizes = _cluster_sums(rows, labels, cfg.k)
         else:
-            _move_rows(x, sums, sizes, prev, labels)
+            _move_rows(rows, sums, sizes, prev, labels)
         prev = labels
         s, n = update(sums, sizes)
-        labels, obj_vec = _nearest(x, x1, words, s, n)
-        _repair_empty(x, x1, s, n, labels, obj_vec)
+        labels, obj_vec = _nearest(rows, s, n)
+        _repair_empty(rows, s, n, labels, obj_vec)
         objectives.append(float(obj_vec.sum()))
         if np.array_equal(labels, prev):
             break
@@ -363,12 +416,12 @@ def kmajority(descs, cfg: ClusterConfig) -> ClusterResult:
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("kmajority needs at least one descriptor")
-    rows = _relax(codes, 1)
+    rows = _Rows(codes, 1)
 
     def update(sums, sizes):
-        return (sums * 2 > sizes[:, None]).astype(rows[0].dtype), np.ones(cfg.k, dtype=np.int64)
+        return (sums * 2 > sizes[:, None]).astype(rows.dtype), np.ones(cfg.k, dtype=np.int64)
 
-    res, _, _ = _lloyd(codes, rows, cfg, update)
+    res, _, _ = _lloyd(rows, cfg, update)
     res.centroids = binarize_matrix(res.centroids)
     return res
 
@@ -388,9 +441,9 @@ def lloyd_real(descs, cfg: ClusterConfig) -> ClusterResult:
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("lloyd_real needs at least one descriptor")
-    rows = _relax(codes, codes.shape[0])
-    res, n, (sums, sizes, counted) = _lloyd(codes, rows, cfg, _mean_update)
-    _move_rows(rows[0], sums, sizes, counted, res.assignments)
+    rows = _Rows(codes, codes.shape[0])
+    res, n, (sums, sizes, counted) = _lloyd(rows, cfg, _mean_update)
+    _move_rows(rows, sums, sizes, counted, res.assignments)
     res.member_majorities = np.packbits(sums * 2 > sizes[:, None], axis=1)
     res.centroids = res.centroids.astype(np.float64) / n[:, None]
     return res
@@ -411,11 +464,11 @@ def brb_kmeans(descs, cfg: ClusterConfig) -> ClusterResult:
     codes = _as_codes(descs)
     if codes.shape[0] == 0:
         raise InsufficientPointsError("brb_kmeans needs at least one descriptor")
-    x, x1, words = rows = _relax(codes, codes.shape[0])
-    res, n, _ = _lloyd(codes, rows, cfg, _mean_update)
-    cents = (res.centroids * 2 > n[:, None]).astype(x.dtype)
+    rows = _Rows(codes, codes.shape[0])
+    res, n, _ = _lloyd(rows, cfg, _mean_update)
+    cents = (res.centroids * 2 > n[:, None]).astype(rows.dtype)
     ones = np.ones_like(n)
-    labels, obj_vec = _nearest(x, x1, words, cents, ones)
-    _repair_empty(x, x1, cents, ones, labels, obj_vec)
+    labels, obj_vec = _nearest(rows, cents, ones)
+    _repair_empty(rows, cents, ones, labels, obj_vec)
     return ClusterResult(binarize_matrix(cents), labels, float(obj_vec.sum()), res.iterations_run,
                          res.objectives)

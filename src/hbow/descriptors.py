@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import CorpusConsistencyError, InsufficientPointsError
 
-# Cap on a temporary XOR block: the (rows x rows x octets) block of
-# hamming_cdist and the (words x rows x fan-out) block of vocabulary.lookup_words.
-# The (words x rows) scratch of `_word_distances` is the size of its codes and
-# needs no cap.
+# Cap on hamming_cdist's temporary (rows x rows x octets) XOR block. The
+# (words x rows) scratch of `_word_distances` is the size of its codes and
+# needs no cap; `vocabulary.lookup_words` and the clusterers' relaxed rows
+# have caps of their own.
 _CDIST_BLOCK_BYTES = 1 << 26
 
 

@@ -18,6 +18,7 @@ score thresholds.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -126,18 +127,17 @@ def synth_sequence(cfg: SynthConfig) -> SynthSequence:
     frames: list[np.ndarray] = []
     frame_places: list[int] = []
     gt_pairs: set[tuple[int, int]] = set()
-    next_fresh = 0
+    visits: list[list[int]] = []  # the frames of each place so far
     for t, marker in enumerate(markers):
         if marker == 0:
-            place = next_fresh
-            next_fresh += 1
+            place = len(visits)
+            visits.append([])
             observed = protos[place].copy()
         else:
-            place = int(rng.integers(next_fresh))
+            place = int(rng.integers(len(visits)))
             observed = _flip_bits(protos[place], cfg.bit_flip_prob, rng)
-        for s in range(t):
-            if frame_places[s] == place:
-                gt_pairs.add((t, s))
+        gt_pairs.update(zip(itertools.repeat(t), visits[place]))
+        visits[place].append(t)
         frames.append(observed)
         frame_places.append(place)
     training = DescriptorSet.from_groups(protos)
@@ -288,8 +288,8 @@ def write_rows_csv(path, rows) -> None:
     writer = csv.DictWriter(buf, fieldnames=EVAL_COLUMNS)
     writer.writeheader()
     writer.writerows(rows)
-    _atomic_write_bytes(path, buf.getvalue().encode())
+    _atomic_write_bytes(path, [buf.getvalue().encode()])
 
 
 def write_rows_json(path, rows) -> None:
-    _atomic_write_bytes(path, (json.dumps(list(rows), indent=2) + "\n").encode())
+    _atomic_write_bytes(path, [(json.dumps(list(rows), indent=2) + "\n").encode()])

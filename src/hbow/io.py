@@ -69,21 +69,26 @@ WEIGHTING_TFIDF = "tf-idf"
 
 # text vocabularies are read and parsed this many bytes at a time
 _TEXT_BLOCK_BYTES = 1 << 18
+# text vocabularies are formatted this many nodes at a time
+_TEXT_WRITE_NODES = 1 << 14
+# the text of each centroid octet value, " 0" to " 255"
+_OCTET_TEXT = np.array([f" {i}".encode("ascii") for i in range(256)], dtype="S4")
 
 
-def _atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a sibling temp file and os.replace, so readers never see a
-    half-written file. A path that exists but is no regular file, such as a
-    pipe or /dev/null, is written in place: replacing it would put a regular
-    file where the device or pipe was."""
+def _atomic_write_bytes(path, chunks) -> None:
+    """Write an iterable of byte chunks via a sibling temp file and
+    os.replace, so readers never see a half-written file. A path that exists
+    but is no regular file, such as a pipe or /dev/null, is written in place:
+    replacing it would put a regular file where the device or pipe was."""
     path = Path(path)
     if path.exists() and not path.is_file():
-        path.write_bytes(data)
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
         return
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -97,7 +102,7 @@ def write_descriptors(path, dset: DescriptorSet) -> None:
     )
     payload = np.ascontiguousarray(dset.codes).tobytes()
     table = dset.group_ends.astype("<u8").tobytes()
-    _atomic_write_bytes(path, header + payload + table)
+    _atomic_write_bytes(path, (header, payload, table))
 
 
 def read_descriptors(path) -> DescriptorSet:
@@ -141,11 +146,28 @@ def _node_rows(vocab: Vocabulary):
                vocab.centroids[1:].tolist(), vocab.weight[1:].tolist())
 
 
+def _text_chunks(vocab: Vocabulary):
+    """The text file of `vocab` as byte chunks: the header line, then the
+    node lines `_TEXT_WRITE_NODES` nodes at a time. A block fills one
+    fixed-width record per node, each field NUL-padded: the parent id, " 0"
+    or " 1", the octets' `_OCTET_TEXT` and " {weight!r}\n". The format holds
+    no NUL, so the block's bytes with every NUL dropped are its lines."""
+    yield f"{vocab.k} {vocab.L} 0 0\n".encode("ascii")
+    record = np.dtype([("parent", "S20"), ("leaf", "S2"),
+                       ("octets", "S4", (vocab.centroids.shape[1],)), ("weight", "S28")])
+    for start in range(1, vocab.parent.size, _TEXT_WRITE_NODES):
+        block = slice(start, start + _TEXT_WRITE_NODES)
+        parent = vocab.parent[block]
+        rec = np.empty(parent.size, dtype=record)
+        rec["parent"] = parent
+        rec["leaf"] = np.where(vocab.word_of_node[block] >= 0, b" 1", b" 0")
+        rec["octets"] = _OCTET_TEXT[vocab.centroids[block]]
+        rec["weight"] = [f" {weight!r}\n" for weight in vocab.weight[block].tolist()]
+        yield rec.tobytes().replace(b"\0", b"")
+
+
 def write_vocab_text(path, vocab: Vocabulary) -> None:
-    lines = [f"{vocab.k} {vocab.L} 0 0"]
-    for parent, is_leaf, cent, weight in _node_rows(vocab):
-        lines.append(f"{parent} {int(is_leaf)} {' '.join(map(str, cent))} {weight!r}")
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+    _atomic_write_bytes(path, _text_chunks(vocab))
 
 
 def _assemble(k: int, L: int, strategy: Strategy | None, parent: np.ndarray, leaf: np.ndarray,
@@ -298,7 +320,7 @@ def write_vocab_json(path, vocab: Vocabulary) -> None:
             for parent, is_leaf, cent, weight in _node_rows(vocab)
         ],
     }
-    _atomic_write_bytes(path, (json.dumps(obj, indent=1) + "\n").encode("ascii"))
+    _atomic_write_bytes(path, [(json.dumps(obj, indent=1) + "\n").encode("ascii")])
 
 
 def _json_int(value, what: str) -> int:

@@ -44,9 +44,13 @@ from time import perf_counter
 import numpy as np
 
 from .clustering import ClusterConfig, _config_int, brb_kmeans, kmajority, lloyd_real
-from .descriptors import _CDIST_BLOCK_BYTES, DescriptorSet, _as_codes, _word_major
+from .descriptors import DescriptorSet, _as_codes, _word_major
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError, \
     InternalInvariantError
+
+# Cap on the (words x rows x fan-out) uint64 XOR tensor of one `lookup_words`
+# block: 6,553 rows of 256 bits at fan-out 10.
+_DESCENT_BLOCK_BYTES = 1 << 21
 
 
 class Strategy(str, Enum):
@@ -318,7 +322,7 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
     needs no mask: a padding slot repeats the row's first child, which the
     first minimum never prefers over column 0, and a leaf's row holds only
     the leaf. Rows go in blocks that keep that tensor within
-    `_CDIST_BLOCK_BYTES`.
+    `_DESCENT_BLOCK_BYTES`.
     Returns (word_ids, leaf_node_ids), both int64 of length n.
     """
     codes = _as_codes(codes)
@@ -331,7 +335,7 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
     query = _word_major(codes)[:, :, None]  # (words, n, 1)
     n = codes.shape[0]
     node = np.zeros(n, dtype=np.int64)
-    step = max(1, _CDIST_BLOCK_BYTES // (children.shape[1] * table.shape[0] * 8))
+    step = max(1, _DESCENT_BLOCK_BYTES // (children.shape[1] * table.shape[0] * 8))
     for start in range(0, n, step):
         q = query[:, start:start + step]
         cur = node[start:start + step]

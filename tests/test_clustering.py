@@ -375,9 +375,9 @@ def test_float64_grouped_sums_give_the_same_clusters(monkeypatch):
     for limit in (hbow.clustering._F32_EXACT_COUNT, 2 * 64, 1):
         monkeypatch.setattr(hbow.clustering, "_F32_EXACT_COUNT", limit)
         labels = np.arange(codes.shape[0]) % cfg.k
-        sums, _ = hbow.clustering._cluster_sums(realize_matrix(codes, np.float32), labels, cfg.k)
+        sums, _ = hbow.clustering._cluster_sums(hbow.clustering._Rows(codes, 1), labels, cfg.k)
         assert sums.dtype == (np.float32 if codes.shape[0] < limit else np.float64)
-        widths = [hbow.clustering._relax(codes, m)[0].dtype for m in (1, codes.shape[0])]
+        widths = [hbow.clustering._Rows(codes, m).dtype for m in (1, codes.shape[0])]
         assert widths == [np.float32 if 64 * m < limit else np.float64 for m in (1, codes.shape[0])]
         runs[limit] = [cluster(codes, cfg) for cluster in (kmajority, lloyd_real, brb_kmeans)]
     for limit in (2 * 64, 1):
@@ -390,7 +390,7 @@ def test_assignment_kernel_is_exact_under_permutations_and_either_width():
     # generated centroids (bit counts S over n members) up to n = 3 * 2**26,
     # with scaled copies of a neighbour (an exact tie) and copies one count
     # off (a near-tie far below float32's resolution); the rows are in the
-    # width `_relax` would pick for these n, and float64 rows must agree
+    # width `_Rows` would pick for these n, and float64 rows must agree
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -438,35 +438,41 @@ def test_assignment_kernel_is_exact_under_permutations_and_either_width():
     check()
 
 
-def test_repair_steals_the_farthest_member_by_exact_distance():
+def test_repair_steals_the_farthest_member_by_exact_distance(monkeypatch):
     # a stale mean of zeros is equally far from every row in M alone, so the
     # farthest member is the one with the most bits set
-    x = np.array([[1, 0, 0, 0], [1, 1, 1, 0], [1, 1, 0, 0]], dtype=np.float32)
-    s, n = np.array([[2, 1, 0, 0], [0, 0, 0, 0]], dtype=np.float32), np.array([3, 2])
+    codes = np.array([[0b10000000], [0b11100000], [0b11000000]], dtype=np.uint8)
+    s, n = np.zeros((2, 8), dtype=np.float32), np.array([3, 2])
+    s[0, :2] = [2, 1]
     labels, obj = np.zeros(3, dtype=np.int64), np.ones(3)
-    hbow.clustering._repair_empty(x, x.sum(axis=1).astype(np.int64), s, n, labels, obj)
+    hbow.clustering._repair_empty(hbow.clustering._Rows(codes, 3), s, n, labels, obj)
     assert labels.tolist() == [0, 1, 0] and obj.tolist() == [1.0, 0.0, 1.0]
-    assert s[1].tolist() == [1, 1, 1, 0] and n.tolist() == [3, 1]
+    assert s[1].tolist() == [1, 1, 1, 0, 0, 0, 0, 0] and n.tolist() == [3, 1]
 
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
-    @hypothesis.given(rows=st.integers(1, 30), bits=st.integers(1, 40), k=st.integers(2, 8),
-                      n_max=st.sampled_from([1, 5, 1 << 20]), seed=st.integers(0, 2 ** 16))
-    def check(rows, bits, k, n_max, seed):
-        # the oracle's repair on random labels that leave clusters empty
+    @hypothesis.given(rows=st.integers(1, 30), octets=st.integers(1, 5), k=st.integers(2, 8),
+                      n_max=st.sampled_from([1, 5, 1 << 20]), block_rows=st.integers(1, 40),
+                      seed=st.integers(0, 2 ** 16))
+    def check(rows, octets, k, n_max, block_rows, seed):
+        # the oracle's repair on random labels that leave clusters empty,
+        # with the donor's members read in blocks of `block_rows` rows
         rng = np.random.default_rng(seed)
-        x = rng.random((rows, bits)) < rng.random()
+        codes = np.packbits(rng.random((rows, 8 * octets)) < rng.random(), axis=1)
         n = rng.integers(1, n_max + 1, size=k)
-        x = x.astype(hbow.clustering._row_dtype(bits, int(n.max())))
-        sums = np.floor(rng.random((k, bits)) * (n[:, None] + 1))
+        dtype = hbow.clustering._row_dtype(8 * octets, int(n.max()))
+        monkeypatch.setattr(hbow.clustering, "_RELAXED_BLOCK_BYTES",
+                            block_rows * 8 * octets * np.dtype(dtype).itemsize)
+        relaxed = hbow.clustering._Rows(codes, int(n.max()))
+        sums = np.floor(rng.random((k, 8 * octets)) * (n[:, None] + 1))
         labels = rng.integers(int(rng.integers(1, k + 1)), size=rows)
         obj = rng.random(rows)
         want = [sums.astype(np.int64), n.copy(), labels.copy(), obj.copy()]
-        _repair(x, *want)
+        _repair(realize_matrix(codes, relaxed.dtype), *want)
         got = [sums.copy(), n.copy(), labels.copy(), obj.copy()]
-        hbow.clustering._repair_empty(x, x.sum(axis=1).astype(np.int64), *got)
+        hbow.clustering._repair_empty(relaxed, *got)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -517,6 +523,48 @@ def test_packed_assignment_equals_the_gemm_kernel_where_every_n_is_1():
     assert obj.tolist() == [65536.0]
 
 
+def test_streamed_rows_equal_resident_rows(monkeypatch):
+    # a node larger than one relaxed block unpacks its rows a block at a time
+    # wherever they are read; with blocks of a few rows every clusterer must
+    # give what it gives on rows relaxed once, on float32 rows and, with the
+    # exactness limit lowered, on float64 rows
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    default = hbow.clustering._RELAXED_BLOCK_BYTES
+
+    def runs(codes, cfg, block_rows, f64):
+        got = []
+        for block in (default, block_rows * codes.shape[1] * 64):  # block_rows float64 rows
+            with monkeypatch.context() as m:
+                m.setattr(hbow.clustering, "_RELAXED_BLOCK_BYTES", block)
+                if f64:
+                    m.setattr(hbow.clustering, "_F32_EXACT_COUNT", 1)
+                got.append([cluster(codes, cfg) for cluster in (kmajority, lloyd_real, brb_kmeans)])
+        for streamed, resident in zip(*got[::-1]):
+            _assert_same_result(streamed, resident)
+            assert np.array_equal(streamed.member_majorities, resident.member_majorities)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(n=st.integers(1, 150), octets=st.sampled_from([1, 3, 9]),
+                      pool=st.integers(1, 150), k=st.integers(1, 12),
+                      max_iters=st.sampled_from([1, 2, 100]), block_rows=st.integers(1, 5),
+                      f64=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def check(n, octets, pool, k, max_iters, block_rows, f64, seed):
+        # a small pool repeats rows, and a k above the distinct count repairs
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 256, size=(pool, octets), dtype=np.uint8)
+        codes = values[rng.integers(pool, size=n)]
+        runs(codes, ClusterConfig(k=min(k, n), max_iters=max_iters, seed=seed % 7), block_rows, f64)
+
+    check()
+    # three distinct rows and k = 6: the seeds repeat rows, so the first
+    # assignment leaves clusters empty and the repair walks donors of 40 rows
+    rng = np.random.default_rng(3)
+    codes = rng.integers(0, 256, size=(3, 4), dtype=np.uint8)[rng.integers(3, size=120)]
+    for f64 in (False, True):
+        runs(codes, ClusterConfig(k=6, max_iters=20, seed=1), 3, f64)
+
+
 @pytest.mark.parametrize("cluster", [kmajority, lloyd_real, brb_kmeans])
 def test_kept_bit_counts_equal_a_recount_after_every_pass(monkeypatch, cluster):
     # the loop keeps (S, n) across passes and moves only the rows whose label
@@ -536,7 +584,8 @@ def test_kept_bit_counts_equal_a_recount_after_every_pass(monkeypatch, cluster):
         moves.append(int(np.count_nonzero(old != new)))
 
     monkeypatch.setattr(hbow.clustering, "_move_rows", checked_move)
-    monkeypatch.setattr(hbow.clustering, "_MOVED_BLOCK_ROWS", 7)  # several blocks per move
+    # 1 to 31 rows per block, so the rows are read in several blocks
+    monkeypatch.setattr(hbow.clustering, "_RELAXED_BLOCK_BYTES", 1000)
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @hypothesis.given(n=st.integers(1, 200), octets=st.sampled_from([1, 3, 9]),
@@ -563,16 +612,19 @@ def test_kept_bit_counts_equal_a_recount_after_every_pass(monkeypatch, cluster):
 
 @pytest.mark.parametrize("cluster", [kmajority, lloyd_real, brb_kmeans])
 def test_one_large_split_stays_within_its_memory_bound(cluster):
-    # the float32 0/1 rows of a 25,000 x 32-octet split are 25.6 MB; the
-    # rest of a split (codes in 64-bit words, seeding, distances, the moved
-    # rows gathered in blocks) must stay within 35 % of that
+    # a 100,000 x 32-octet split relaxes to 97.7 MiB of float32 rows
+    # (kmajority) or 195.3 MiB of float64 rows (the mean loop); the split
+    # holds its codes, per-row bookkeeping and one block of relaxed rows, and
+    # must peak below a quarter of the rows it would relax
     rng = np.random.default_rng(21)
-    codes = rng.integers(0, 256, size=(25_000, 32), dtype=np.uint8)
-    rows_bytes = codes.shape[0] * codes.shape[1] * 8 * np.dtype(np.float32).itemsize
+    codes = rng.integers(0, 256, size=(100_000, 32), dtype=np.uint8)
+    members = 1 if cluster is kmajority else codes.shape[0]
+    dtype = hbow.clustering._row_dtype(codes.shape[1] * 8, members)
+    rows_bytes = codes.shape[0] * codes.shape[1] * 8 * np.dtype(dtype).itemsize
     tracemalloc.start()
     try:
-        cluster(codes, ClusterConfig(k=10, max_iters=5, seed=7))
+        cluster(codes, ClusterConfig(k=10, max_iters=3, seed=7))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.35 * rows_bytes, peak / rows_bytes
+    assert peak < rows_bytes / 4, peak / rows_bytes

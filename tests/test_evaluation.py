@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -96,17 +97,27 @@ def test_synth_first_frame_is_fresh_and_counts_add_up():
 
 
 def test_synth_ground_truth_pairs_are_complete_and_correct():
-    cfg = SynthConfig(num_places=9, descriptors_per_place=4,
-                      revisit_fraction=0.5, bit_flip_prob=0.02,
-                      descriptor_bits=64, seed=3)
-    seq = synth_sequence(cfg)
-    want = {
-        (t, s)
-        for t in range(len(seq.frames))
-        for s in range(t)
-        if seq.frame_places[t] == seq.frame_places[s]
-    }
-    assert seq.gt_pairs == want
+    # every same-place pair, by a walk over every earlier frame; the last
+    # config is one place seen in 1,500 frames (1,124,250 pairs)
+    for places, per_place, revisit, seed in [(9, 4, 0.5, 3), (1, 2, 0.9, 0), (4, 1, 0.8, 1),
+                                             (30, 3, 0.6, 2), (7, 1, 0.0, 4),
+                                             (1, 1, 1 - 1 / 1500, 5)]:
+        cfg = SynthConfig(num_places=places, descriptors_per_place=per_place,
+                          revisit_fraction=revisit, bit_flip_prob=0.02,
+                          descriptor_bits=64, seed=seed)
+        start = time.perf_counter()
+        seq = synth_sequence(cfg)
+        seconds = time.perf_counter() - start
+        want = {
+            (t, s)
+            for t in range(len(seq.frames))
+            for s in range(t)
+            if seq.frame_places[t] == seq.frame_places[s]
+        }
+        assert seq.gt_pairs == want
+    assert len(seq.frames) == 1500 and len(want) == 1500 * 1499 // 2
+    # the pairs come from each place's earlier frames, in time linear in pairs
+    assert seconds < 1.0, seconds
 
 
 def test_synth_corruption_matches_binomial_rate():

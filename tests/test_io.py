@@ -30,6 +30,7 @@ from hbow import (
     write_vocab_json,
     write_vocab_text,
 )
+import hbow.io
 from hbow.cli import main
 from hbow.io import _TEXT_BLOCK_BYTES
 from oracles import lookup_word
@@ -248,6 +249,55 @@ def test_text_reserialization_is_byte_identical(tmp_path):
     write_vocab_text(p1, vocab)
     write_vocab_text(p2, read_vocab_text(p1))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_text_writer_writes_each_node_as_its_line_in_any_block_size(tmp_path, monkeypatch):
+    # every octet value and float64 spellings repr keeps apart (signed zero,
+    # subnormals, the extremes, integers past 2**53, inf, nan) through the
+    # block writer's fixed-width records, against one formatted line per node
+    rng = np.random.default_rng(8)
+    specials = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 1 / 3, 2.0 ** 53 + 2,
+                1e16, 1.7976931348623157e308, np.inf, np.nan, 123456789.125]
+    n = 300
+    parent = np.append(-1, np.arange(n - 1) // 3)
+    octets = rng.integers(0, 256, size=(n, 33), dtype=np.uint8)
+    octets[1:257, 0] = np.arange(256)
+    weight = rng.choice(np.array(specials), size=n)
+    vocab = Vocabulary(3, 9, None, parent, octets, weight)
+    want = "".join([f"{vocab.k} {vocab.L} 0 0\n"] + [
+        f"{p} {int(leaf)} {' '.join(map(str, cent))} {w!r}\n" for p, leaf, cent, w in
+        zip(parent[1:].tolist(), (vocab.word_of_node[1:] >= 0).tolist(), octets[1:].tolist(),
+            weight[1:].tolist())]).encode("ascii")
+    for nodes in (1, 7, 299, 300, hbow.io._TEXT_WRITE_NODES):
+        monkeypatch.setattr(hbow.io, "_TEXT_WRITE_NODES", nodes)
+        path = tmp_path / f"v{nodes}.txt"
+        write_vocab_text(path, vocab)
+        assert path.read_bytes() == want
+
+
+def test_text_writer_memory_is_bounded_by_one_block(tmp_path, monkeypatch):
+    # a full k=13, L=4 tree of 30,941 256-bit nodes (4.3 MB of text) written
+    # 1,024 nodes at a time holds a few blocks' worth (0.12x the text), where
+    # a writer that joins the whole text peaks at several times its size
+    k, L = 13, 4
+    n = sum(k ** d for d in range(L + 1))
+    rng = np.random.default_rng(0)
+    weight = np.where(np.arange(n) >= n - k ** L, rng.uniform(0.5, 4.0, n), 0.0)
+    vocab = Vocabulary(k, L, None, np.append(-1, np.arange(n - 1) // k),
+                       rng.integers(0, 256, size=(n, 32), dtype=np.uint8), weight)
+    monkeypatch.setattr(hbow.io, "_TEXT_WRITE_NODES", 1024)
+    path = tmp_path / "v.txt"
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        write_vocab_text(path, vocab)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < path.stat().st_size / 5, peak / path.stat().st_size
 
 
 def test_text_parse_errors_carry_line_numbers(tmp_path):

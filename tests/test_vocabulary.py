@@ -37,6 +37,8 @@ from hbow import (
     validate_structure,
     write_descriptors,
 )
+import hbow.clustering
+import hbow.vocabulary
 from hbow.cli import main
 from oracles import binarize, lloyd_float, lookup_word, real_mean, synth_clustered
 
@@ -262,6 +264,44 @@ def test_round_trips_and_descent_on_generated_corpora(tmp_path):
             words, leaves = lookup_words(vocab, probes)
             for probe, word, leaf in zip(probes, words, leaves):
                 assert (word, leaf) == lookup_word(vocab, probe)[::2]
+
+    check()
+
+
+def test_streamed_training_and_descent_equal_resident(tmp_path, monkeypatch):
+    # with relaxed blocks of a few rows every split larger than that streams
+    # its rows, and with a descent cap of one row's tensor every row descends
+    # alone; files, training partitions and looked-up words must not change
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def run(ds, cfg, probes, relaxed_bytes, descent_bytes, path):
+        with monkeypatch.context() as m:
+            m.setattr(hbow.clustering, "_RELAXED_BLOCK_BYTES", relaxed_bytes)
+            m.setattr(hbow.vocabulary, "_DESCENT_BLOCK_BYTES", descent_bytes)
+            res = train_result(ds, cfg)
+            save_vocabulary(path, res.vocabulary)
+            return path.read_bytes(), res.member_word_ids, lookup_words(res.vocabulary, probes)
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(n=st.integers(1, 200), octets=st.sampled_from([1, 3, 9]),
+                      pool=st.integers(1, 100), k=st.integers(2, 4), L=st.integers(1, 3),
+                      block_rows=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+    def check(n, octets, pool, k, L, block_rows, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 256, size=(pool, octets), dtype=np.uint8)
+        codes = values[rng.integers(pool, size=n)]
+        ds = DescriptorSet(codes, np.union1d(rng.integers(0, n + 1, size=3), [n]))
+        probes = np.vstack([codes, rng.integers(0, 256, size=(20, octets), dtype=np.uint8)])
+        for strategy in ALL_STRATEGIES:
+            cfg = _cfg(k, L, strategy, seed=seed % 7, max_iters=10)
+            resident = run(ds, cfg, probes, hbow.clustering._RELAXED_BLOCK_BYTES,
+                           hbow.vocabulary._DESCENT_BLOCK_BYTES, tmp_path / "resident.txt")
+            streamed = run(ds, cfg, probes, block_rows * octets * 64, 1, tmp_path / "streamed.txt")
+            assert streamed[0] == resident[0]
+            assert np.array_equal(streamed[1], resident[1])
+            for got, want in zip(streamed[2], resident[2]):
+                assert np.array_equal(got, want)
 
     check()
 
