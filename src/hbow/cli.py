@@ -71,27 +71,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_query)
 
-    p = sub.add_parser("synth", help="generate a synthetic revisit sequence")
-    p.add_argument("--places", type=int, default=20)
-    p.add_argument("--per-place", type=int, default=50)
-    p.add_argument("--revisit", type=float, default=0.3)
-    p.add_argument("--flip", type=float, default=0.05)
-    p.add_argument("--bits", type=int, default=256)
+    # the synthetic world's flags, shared by synth and eval
+    world = argparse.ArgumentParser(add_help=False)
+    world.add_argument("--places", type=int, default=20)
+    world.add_argument("--per-place", type=int, default=50)
+    world.add_argument("--revisit", type=float, default=0.3)
+    world.add_argument("--flip", type=float, default=0.05)
+    world.add_argument("--bits", type=int, default=256)
+
+    p = sub.add_parser("synth", help="generate a synthetic revisit sequence", parents=[world])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="frame descriptor file, one group per frame")
     p.add_argument("--train-out", default=None, help="also write the prototype corpus here")
     p.add_argument("--gt", default=None, help="also write ground-truth pairs as JSON here")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("eval", help="benchmark strategies on a synthetic sequence")
-    p.add_argument("--strategies", default=",".join(_STRATEGY_NAMES),
-                   help="comma-separated subset of " + ",".join(_STRATEGY_NAMES))
-    p.add_argument("--seeds", default="0", help="comma-separated integer seeds")
-    p.add_argument("--places", type=int, default=20)
-    p.add_argument("--per-place", type=int, default=50)
-    p.add_argument("--revisit", type=float, default=0.3)
-    p.add_argument("--flip", type=float, default=0.05)
-    p.add_argument("--bits", type=int, default=256)
+    # eval lists its grid before the world
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--strategies", default=",".join(_STRATEGY_NAMES),
+                      help="comma-separated subset of " + ",".join(_STRATEGY_NAMES))
+    grid.add_argument("--seeds", default="0", help="comma-separated integer seeds")
+    p = sub.add_parser("eval", help="benchmark strategies on a synthetic sequence",
+                       parents=[grid, world])
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--L", type=int, default=6)
     p.add_argument("--max-iters", type=int, default=100)
@@ -172,21 +173,26 @@ def _cmd_query(args) -> int:
     return 0
 
 
+def _synth_config(args, seed: int = 0) -> SynthConfig:
+    return SynthConfig(num_places=args.places, descriptors_per_place=args.per_place,
+                       revisit_fraction=args.revisit, bit_flip_prob=args.flip,
+                       descriptor_bits=args.bits, seed=seed)
+
+
 def _cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        num_places=args.places, descriptors_per_place=args.per_place,
-        revisit_fraction=args.revisit, bit_flip_prob=args.flip,
-        descriptor_bits=args.bits, seed=args.seed,
-    )
+    cfg = _synth_config(args, args.seed)
     seq = synth_sequence(cfg)
     write_descriptors(args.out, DescriptorSet.from_groups(seq.frames))
     if args.train_out:
         write_descriptors(args.train_out, seq.training)
     if args.gt:
-        _emit({
-            "pairs": sorted(list(p) for p in seq.gt_pairs),
-            "frame_places": seq.frame_places,
-        }, args.gt)
+        # [frame, earlier frame] for every two frames of one place, ascending
+        earlier: dict[int, list[int]] = {}
+        pairs = []
+        for t, place in enumerate(seq.frame_places):
+            pairs.extend([t, s] for s in earlier.setdefault(place, []))
+            earlier[place].append(t)
+        _emit({"pairs": pairs, "frame_places": seq.frame_places}, args.gt)
     print(f"wrote {len(seq.frames)} frames over {cfg.num_places} places to {args.out}",
           file=sys.stderr)
     return 0
@@ -198,13 +204,8 @@ def _cmd_eval(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    synth_cfg = SynthConfig(
-        num_places=args.places, descriptors_per_place=args.per_place,
-        revisit_fraction=args.revisit, bit_flip_prob=args.flip,
-        descriptor_bits=args.bits,
-    )
     rows = compare_strategies(
-        synth_cfg, strategies, seeds, k=args.k, L=args.L,
+        _synth_config(args), strategies, seeds, k=args.k, L=args.L,
         max_iters=args.max_iters, temporal_exclusion=args.temporal_exclusion,
     )
     if args.out_csv:

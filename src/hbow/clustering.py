@@ -249,12 +249,10 @@ def _assign(x: np.ndarray, x1: np.ndarray, s: np.ndarray,
     """Nearest centroid of every row, by M / n^2 with ties to the lowest
     index, and the row's squared Euclidean distance to it, |x| + M / n^2, as
     float64. M / n^2 is one correctly rounded division of the exact integer
-    while |M| < 2**53 (a larger M rounds to float64 first), and none when
-    every n_j is 1, where the distance is the Hamming distance."""
-    d = _numerators(x, s, n)
-    if n.max() > 1:
-        d = d.astype(np.float64)
-        d /= n * n
+    while |M| < 2**53 (a larger M rounds to float64 first); where n_j is 1
+    the division is exact and the distance is the Hamming distance."""
+    d = _numerators(x, s, n).astype(np.float64)
+    d /= n * n
     labels = d.argmin(axis=1)
     return labels, (x1 + d[np.arange(x.shape[0]), labels]).astype(np.float64)
 

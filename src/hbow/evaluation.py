@@ -6,19 +6,17 @@ mixes in revisit frames so that revisits are `revisit_fraction` of all
 frames. A fresh visit observes the prototypes verbatim; a revisit picks a
 uniformly random already-visited place and observes its prototypes with every
 bit flipped independently with probability `bit_flip_prob`. Ground truth is
-the set of (query frame, earlier frame) pairs showing the same place.
+each frame's place: two frames show the same place iff their places are equal.
 
 `retrieval_report` replays such a sequence through a RetrievalDatabase in
 streaming order (transform, query with a temporal exclusion window, then
-add), scoring recall@1 over the ground-truth queries that still have at
-least one admissible correct frame, plus a precision/recall sweep over top-1
-score thresholds.
+add), scoring recall@1 over the queries whose place was first seen before
+the window, plus a precision/recall sweep over top-1 score thresholds.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -29,7 +27,7 @@ import numpy as np
 from .bow import RetrievalDatabase, transform
 from .clustering import _config_int
 from .descriptors import DescriptorSet, _as_codes, hamming_rows
-from .errors import ConfigError, InsufficientPointsError
+from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 from .io import _atomic_write_bytes
 from .vocabulary import TrainConfig, Vocabulary, _as_strategy, lookup_words, train_result
 
@@ -93,8 +91,7 @@ class SynthConfig:
 class SynthSequence:
     training: DescriptorSet            # prototypes, one group per place
     frames: list[np.ndarray]           # observed descriptor matrices, traversal order
-    frame_places: list[int]            # true place of each frame
-    gt_pairs: set[tuple[int, int]]     # (query frame, earlier frame of the same place)
+    frame_places: list[int]            # true place of each frame, the ground truth
 
 
 def _flip_bits(codes: np.ndarray, prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -126,22 +123,19 @@ def synth_sequence(cfg: SynthConfig) -> SynthSequence:
 
     frames: list[np.ndarray] = []
     frame_places: list[int] = []
-    gt_pairs: set[tuple[int, int]] = set()
-    visits: list[list[int]] = []  # the frames of each place so far
-    for t, marker in enumerate(markers):
+    visited = 0
+    for marker in markers:
         if marker == 0:
-            place = len(visits)
-            visits.append([])
+            place = visited
+            visited += 1
             observed = protos[place].copy()
         else:
-            place = int(rng.integers(len(visits)))
+            place = int(rng.integers(visited))
             observed = _flip_bits(protos[place], cfg.bit_flip_prob, rng)
-        gt_pairs.update(zip(itertools.repeat(t), visits[place]))
-        visits[place].append(t)
         frames.append(observed)
         frame_places.append(place)
     training = DescriptorSet.from_groups(protos)
-    return SynthSequence(training, frames, frame_places, gt_pairs)
+    return SynthSequence(training, frames, frame_places)
 
 
 @dataclass
@@ -193,57 +187,62 @@ class RetrievalReport:
     vacuous: bool
 
 
-def retrieval_report(vocab: Vocabulary, frames, gt_pairs,
+def retrieval_report(vocab: Vocabulary, frames, frame_places,
                      temporal_exclusion: int = 1) -> RetrievalReport:
-    """Stream a frame sequence through a fresh database and score it.
+    """Stream a frame sequence through a fresh database and score its top-1
+    entries, which are frame indices, against `frame_places`, one integer
+    place per frame (anything else raises CorpusConsistencyError).
 
     For each frame: transform, query top-1 excluding the previous
-    `temporal_exclusion` entries, then add. A ground-truth query counts
-    toward recall only if at least one correct frame is admissible (already
-    stored and outside the exclusion window); recall@1 is the fraction of
-    those answered with a correct top-1. The PR sweep thresholds the top-1
-    score; with no eligible queries the report is vacuous (both metrics 1.0).
+    `temporal_exclusion` entries, then add. A query counts toward recall
+    only if its place was first seen before that window, so that a frame of
+    its place is admissible; recall@1 is the fraction of those whose top-1
+    shows their place. The PR sweep thresholds the top-1 score; with no
+    eligible queries the report is vacuous (both metrics 1.0).
     """
     temporal_exclusion = _config_int(temporal_exclusion, "temporal_exclusion")
     if temporal_exclusion < 0:
         raise ConfigError(f"temporal_exclusion must be >= 0, got {temporal_exclusion}")
-    gt_pairs = set(map(tuple, gt_pairs))
+    frames = list(frames)
+    try:
+        if isinstance(frame_places, (set, frozenset, dict)):
+            raise TypeError(f"a {type(frame_places).__name__} has no frame order")
+        places = [_config_int(p, "every place") for p in frame_places]
+    except (TypeError, ConfigError) as exc:
+        raise CorpusConsistencyError(
+            f"frame_places must list one integer per frame: {exc}") from None
+    if len(places) != len(frames):
+        raise CorpusConsistencyError(f"{len(places)} frame_places for {len(frames)} frames")
     db = RetrievalDatabase(vocab)
-    top1: dict[int, tuple[int, float]] = {}
-    for t, frame in enumerate(frames):
+    first_frame: dict[int, int] = {}
+    eligible, scores, correct = 0, [], []
+    for t, (frame, place) in enumerate(zip(frames, places)):
         vec = transform(vocab, frame)
         exclude = range(max(0, t - temporal_exclusion), t)
         if len(db):
             res = db.query(vec, 1, exclude)
             if res:
-                top1[t] = res[0]
+                entry, score = res[0]
+                scores.append(score)
+                correct.append(places[entry] == place)
         db.add(vec)
-
-    gt_by_query: dict[int, set[int]] = {}
-    for t, s in gt_pairs:
-        gt_by_query.setdefault(t, set()).add(s)
-    eligible = [
-        t for t, sources in gt_by_query.items()
-        if any(s < t - temporal_exclusion for s in sources)
-    ]
+        eligible += first_frame.setdefault(place, t) < t - temporal_exclusion
     if not eligible:
         return RetrievalReport(1.0, 1.0, [], 0, 0, True)
 
-    hits = sum(1 for t in eligible if t in top1 and (t, top1[t][0]) in gt_pairs)
-    recall_at_1 = hits / len(eligible)
-
-    predictions = [(score, (t, entry) in gt_pairs) for t, (entry, score) in top1.items()]
-    curve: list[tuple[float, float, float]] = []
-    max_f1 = 0.0
-    for threshold in sorted({score for score, _ in predictions}):
-        kept = [(s, ok) for s, ok in predictions if s >= threshold]
-        tp = sum(1 for _, ok in kept if ok)
-        precision = tp / len(kept)
-        recall = tp / len(eligible)
-        curve.append((float(threshold), precision, recall))
-        if precision + recall > 0.0:
-            max_f1 = max(max_f1, 2.0 * precision * recall / (precision + recall))
-    return RetrievalReport(recall_at_1, max_f1, curve, len(eligible), hits, False)
+    # a correct entry lies before the window, so its query is eligible
+    hits = sum(correct)
+    # a threshold at each distinct score keeps the ranked predictions from
+    # its first occurrence on
+    order = np.argsort(scores)
+    thresholds, start = np.unique(np.asarray(scores)[order], return_index=True)
+    tp = hits - np.concatenate(([0], np.cumsum(np.asarray(correct)[order])))[start]
+    precision = tp / (len(scores) - start)
+    recall = tp / eligible
+    f1 = 2.0 * precision * recall / np.where(tp > 0, precision + recall, 1.0)
+    curve = list(zip(thresholds.tolist(), precision.tolist(), recall.tolist()))
+    return RetrievalReport(hits / eligible, float(f1.max(initial=0.0)), curve, eligible, hits,
+                           False)
 
 
 def compare_strategies(synth_cfg: SynthConfig, strategies, seeds, k: int = 10, L: int = 6,
@@ -268,7 +267,7 @@ def compare_strategies(synth_cfg: SynthConfig, strategies, seeds, k: int = 10, L
             result = train_result(seq.training, cfg)
             vocab = result.vocabulary
             quant = quantization_report(vocab, seq.training)
-            retr = retrieval_report(vocab, seq.frames, seq.gt_pairs, temporal_exclusion)
+            retr = retrieval_report(vocab, seq.frames, seq.frame_places, temporal_exclusion)
             rows.append({
                 "strategy": strategy.value,
                 "seed": int(seed),

@@ -3,7 +3,8 @@
 These are helpers hbow itself does not need: scalar Hamming distance and
 binarization, a one-row tree descent, L1 normalization of a bag-of-words
 vector, a full cross-check of a retrieval database, a clustered-corpus
-generator, the relaxed-domain helpers and an exact k-means path. hbow seeds
+generator, the relaxed-domain helpers, an exact k-means path and a retrieval
+report scored against every same-place pair of frames. hbow seeds
 in Hamming on packed codes, updates from integer bit counts and assigns
 through one gemm kernel; each oracle here works one row at a time, on float
 rows the plain way or in Python integers, so a test can demand that the
@@ -12,7 +13,8 @@ packed path gives the same results.
 
 import numpy as np
 
-from hbow import BowVector, ClusterResult, DescriptorSet, InternalInvariantError
+from hbow import BowVector, ClusterResult, DescriptorSet, InternalInvariantError, \
+    RetrievalDatabase, RetrievalReport, transform
 
 
 def hamming(a, b):
@@ -203,3 +205,55 @@ def lloyd_float(x, cfg):
         if np.array_equal(labels, prev):
             break
     return ClusterResult(sums / counts[:, None], labels, float(obj.sum()), iterations, objectives)
+
+
+def same_place_pairs(frame_places):
+    """Every (frame, earlier frame) pair of one place, by a walk over every
+    earlier frame."""
+    return {(t, s) for t in range(len(frame_places)) for s in range(t)
+            if frame_places[t] == frame_places[s]}
+
+
+def retrieval_report(vocab, frames, gt_pairs, temporal_exclusion=1):
+    """The retrieval report scored against a set of (query frame, earlier
+    frame) ground-truth pairs: a query is eligible if one of its sources
+    lies before the exclusion window, a top-1 entry is correct if it forms a
+    pair with its query, and the PR sweep rescans every prediction at each
+    distinct top-1 score."""
+    gt_pairs = set(map(tuple, gt_pairs))
+    db = RetrievalDatabase(vocab)
+    top1 = {}
+    for t, frame in enumerate(frames):
+        vec = transform(vocab, frame)
+        exclude = range(max(0, t - temporal_exclusion), t)
+        if len(db):
+            res = db.query(vec, 1, exclude)
+            if res:
+                top1[t] = res[0]
+        db.add(vec)
+
+    gt_by_query = {}
+    for t, s in gt_pairs:
+        gt_by_query.setdefault(t, set()).add(s)
+    eligible = [
+        t for t, sources in gt_by_query.items()
+        if any(s < t - temporal_exclusion for s in sources)
+    ]
+    if not eligible:
+        return RetrievalReport(1.0, 1.0, [], 0, 0, True)
+
+    hits = sum(1 for t in eligible if t in top1 and (t, top1[t][0]) in gt_pairs)
+    recall_at_1 = hits / len(eligible)
+
+    predictions = [(score, (t, entry) in gt_pairs) for t, (entry, score) in top1.items()]
+    curve = []
+    max_f1 = 0.0
+    for threshold in sorted({score for score, _ in predictions}):
+        kept = [(s, ok) for s, ok in predictions if s >= threshold]
+        tp = sum(1 for _, ok in kept if ok)
+        precision = tp / len(kept)
+        recall = tp / len(eligible)
+        curve.append((float(threshold), precision, recall))
+        if precision + recall > 0.0:
+            max_f1 = max(max_f1, 2.0 * precision * recall / (precision + recall))
+    return RetrievalReport(recall_at_1, max_f1, curve, len(eligible), hits, False)

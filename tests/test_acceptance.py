@@ -210,7 +210,7 @@ def test_retrieval_direction(capsys):
         for strat in recalls:
             cfg = TrainConfig(k=8, L=3, strategy=strat, seed=s, max_iters=50)
             vocab = train(seq.training, cfg)
-            rep = retrieval_report(vocab, seq.frames, seq.gt_pairs,
+            rep = retrieval_report(vocab, seq.frames, seq.frame_places,
                                    temporal_exclusion=1)
             recalls[strat].append(rep.recall_at_1)
     clean = synth_sequence(SynthConfig(
@@ -220,7 +220,7 @@ def test_retrieval_direction(capsys):
     for strat in (Strategy.KMAJORITY, Strategy.LOCAL_BRB, Strategy.GLOBAL_HBRB):
         cfg = TrainConfig(k=8, L=3, strategy=strat, seed=0, max_iters=50)
         vocab = train(clean.training, cfg)
-        rep = retrieval_report(vocab, clean.frames, clean.gt_pairs,
+        rep = retrieval_report(vocab, clean.frames, clean.frame_places,
                                temporal_exclusion=1)
         clean_recalls[strat.value] = rep.recall_at_1
     elapsed = time.perf_counter() - t0

@@ -3,13 +3,16 @@ import json
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hbow.evaluation
 from hbow import (
     BowVector,
     ConfigError,
+    CorpusConsistencyError,
     DescriptorSet,
     EVAL_COLUMNS,
     InsufficientPointsError,
@@ -27,8 +30,10 @@ from hbow import (
     write_rows_csv,
     write_rows_json,
 )
+from hbow.cli import main
 from hbow.evaluation import MAX_FRAMES
-from oracles import hamming, lookup_word, synth_clustered
+from oracles import hamming, lookup_word, same_place_pairs, synth_clustered
+from oracles import retrieval_report as pair_retrieval_report
 
 HIER_VALS = (
     [0x00] * 8,
@@ -75,7 +80,6 @@ def test_synth_zero_revisit_fraction():
                       revisit_fraction=0.0, bit_flip_prob=0.1,
                       descriptor_bits=64, seed=0)
     seq = synth_sequence(cfg)
-    assert seq.gt_pairs == set()
     assert len(seq.frames) == 7
     assert seq.frame_places == list(range(7))
 
@@ -96,28 +100,42 @@ def test_synth_first_frame_is_fresh_and_counts_add_up():
     assert first_seen == list(range(12))
 
 
-def test_synth_ground_truth_pairs_are_complete_and_correct():
-    # every same-place pair, by a walk over every earlier frame; the last
-    # config is one place seen in 1,500 frames (1,124,250 pairs)
+def test_synth_ground_truth_pairs_are_complete_and_correct(tmp_path, capsys):
+    # `hbow synth --gt` writes the places of `synth_sequence` and every
+    # same-place pair, found here by a walk over every earlier frame, in
+    # ascending (frame, earlier frame) order; the last config is one place
+    # seen in 100 frames (4,950 pairs)
     for places, per_place, revisit, seed in [(9, 4, 0.5, 3), (1, 2, 0.9, 0), (4, 1, 0.8, 1),
                                              (30, 3, 0.6, 2), (7, 1, 0.0, 4),
-                                             (1, 1, 1 - 1 / 1500, 5)]:
-        cfg = SynthConfig(num_places=places, descriptors_per_place=per_place,
-                          revisit_fraction=revisit, bit_flip_prob=0.02,
-                          descriptor_bits=64, seed=seed)
-        start = time.perf_counter()
+                                             (1, 1, 0.99, 5)]:
+        gt = tmp_path / "gt.json"
+        assert main(["synth", "--places", str(places), "--per-place", str(per_place),
+                     "--revisit", str(revisit), "--flip", "0.02", "--bits", "64",
+                     "--seed", str(seed), "--out", str(tmp_path / "f.hbdc"),
+                     "--gt", str(gt)]) == 0
+        written = json.loads(gt.read_text())
+        seq = synth_sequence(SynthConfig(num_places=places, descriptors_per_place=per_place,
+                                         revisit_fraction=revisit, bit_flip_prob=0.02,
+                                         descriptor_bits=64, seed=seed))
+        assert written["frame_places"] == seq.frame_places
+        assert written["pairs"] == [list(p) for p in sorted(same_place_pairs(seq.frame_places))]
+    capsys.readouterr()
+    assert len(seq.frames) == 100 and len(written["pairs"]) == 100 * 99 // 2
+
+
+def test_synth_sequence_memory_does_not_grow_with_same_place_pairs():
+    # one place seen in 1,500 frames makes 1,124,250 same-place pairs; the
+    # sequence keeps each frame's place instead, a few hundred KiB in all
+    cfg = SynthConfig(num_places=1, descriptors_per_place=1, revisit_fraction=1 - 1 / 1500,
+                      bit_flip_prob=0.02, descriptor_bits=64, seed=5)
+    tracemalloc.start()
+    try:
         seq = synth_sequence(cfg)
-        seconds = time.perf_counter() - start
-        want = {
-            (t, s)
-            for t in range(len(seq.frames))
-            for s in range(t)
-            if seq.frame_places[t] == seq.frame_places[s]
-        }
-        assert seq.gt_pairs == want
-    assert len(seq.frames) == 1500 and len(want) == 1500 * 1499 // 2
-    # the pairs come from each place's earlier frames, in time linear in pairs
-    assert seconds < 1.0, seconds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seq.frames) == 1500 and set(seq.frame_places) == {0}
+    assert peak < 5 * 2 ** 20, peak
 
 
 def test_synth_corruption_matches_binomial_rate():
@@ -145,7 +163,6 @@ def test_synth_deterministic_per_seed():
     a = synth_sequence(cfg)
     b = synth_sequence(cfg)
     assert a.frame_places == b.frame_places
-    assert a.gt_pairs == b.gt_pairs
     assert all(np.array_equal(x, y) for x, y in zip(a.frames, b.frames))
 
 
@@ -177,7 +194,7 @@ _INTEGER_ARGUMENTS = {
     "descriptors_per_place": (lambda v: SynthConfig(descriptors_per_place=v), 3),
     "descriptor_bits": (lambda v: SynthConfig(descriptor_bits=v), 64),
     "seed": (lambda v: SynthConfig(seed=v), 3),
-    "temporal_exclusion": (lambda v: retrieval_report(_bundle_vocab(), [], set(), v), 3),
+    "temporal_exclusion": (lambda v: retrieval_report(_bundle_vocab(), [], [], v), 3),
     "max_results": (lambda v: RetrievalDatabase(_bundle_vocab()).query(BowVector({0: 1.0}), v),
                     3),
 }
@@ -309,7 +326,7 @@ def test_retrieval_noiseless_recall_is_exact():
                       descriptor_bits=64, seed=2)
     seq = synth_sequence(cfg)
     vocab = train(seq.training, TrainConfig(k=4, L=3, strategy=Strategy.GLOBAL_HBRB, seed=0))
-    report = retrieval_report(vocab, seq.frames, seq.gt_pairs, temporal_exclusion=1)
+    report = retrieval_report(vocab, seq.frames, seq.frame_places, temporal_exclusion=1)
     assert not report.vacuous
     assert report.eligible_queries > 0
     assert report.recall_at_1 == 1.0
@@ -322,7 +339,7 @@ def test_retrieval_vacuous_without_revisits():
                       descriptor_bits=64, seed=0)
     seq = synth_sequence(cfg)
     vocab = train(seq.training, TrainConfig(k=2, L=2, strategy=Strategy.KMAJORITY, seed=0))
-    report = retrieval_report(vocab, seq.frames, seq.gt_pairs)
+    report = retrieval_report(vocab, seq.frames, seq.frame_places)
     assert report.vacuous
     assert report.recall_at_1 == 1.0 and report.max_f1 == 1.0
     assert report.eligible_queries == 0 and report.hits == 0
@@ -333,7 +350,7 @@ def test_retrieval_temporal_exclusion_boundary():
     vocab = _bundle_vocab()
     frame = np.array([v for v in HIER_VALS for _ in range(4)], dtype=np.uint8)
     frames = [frame, frame.copy()]
-    gt = {(1, 0)}
+    gt = [0, 0]
     # the only correct source sits inside the exclusion window: vacuous
     inside = retrieval_report(vocab, frames, gt, temporal_exclusion=1)
     assert inside.vacuous
@@ -351,7 +368,7 @@ def test_retrieval_curve_is_monotone_and_bounded():
                       descriptor_bits=64, seed=6)
     seq = synth_sequence(cfg)
     vocab = train(seq.training, TrainConfig(k=3, L=2, strategy=Strategy.KMAJORITY, seed=0))
-    report = retrieval_report(vocab, seq.frames, seq.gt_pairs)
+    report = retrieval_report(vocab, seq.frames, seq.frame_places)
     assert 0.0 <= report.recall_at_1 <= 1.0
     assert 0.0 <= report.max_f1 <= 1.0
     assert report.hits <= report.eligible_queries
@@ -362,6 +379,107 @@ def test_retrieval_curve_is_monotone_and_bounded():
         assert recalls[i] <= recalls[i - 1] + 1e-12
     for _, precision, recall in report.pr_curve:
         assert 0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0
+
+
+# the vocabulary and prototypes the generated retrieval cases draw from
+_RETRIEVAL_VOCAB = train(synth_clustered(8, 20, 0.1, bits=64, seed=4),
+                         TrainConfig(k=3, L=2, strategy=Strategy.KMAJORITY, seed=0))
+
+
+def _place_frames(places, flip, seed):
+    """One frame per entry of `places`: its place's six prototype
+    descriptors with every bit flipped with probability `flip`."""
+    rng = np.random.default_rng(seed)
+    protos = {p: rng.integers(0, 256, size=(6, 8), dtype=np.uint8) for p in sorted(set(places))}
+    return [np.bitwise_xor(protos[p], np.packbits(rng.random((6, 64)) < flip, axis=1))
+            for p in places]
+
+
+def test_retrieval_report_equals_the_pair_based_oracle():
+    # scoring each frame's place gives, field for field and float for float,
+    # the report scored against every same-place pair, over generated place
+    # labels, one-place and no-revisit sequences and exclusion windows up to
+    # past the last frame
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    def check(places, window, flip, seed):
+        frames = _place_frames(places, flip, seed)
+        exclusion = len(places) + 1 if window == "past" else window
+        got = retrieval_report(_RETRIEVAL_VOCAB, frames, places, exclusion)
+        want = pair_retrieval_report(_RETRIEVAL_VOCAB, frames, same_place_pairs(places),
+                                     exclusion)
+        assert got == want and repr(got) == repr(want)
+        seen.add("vacuous" if got.vacuous else
+                 "miss" if got.hits < got.eligible_queries else "hit")
+        if flip == 0.0 and got.hits >= 2:  # each hit then scores exactly 1.0
+            seen.add("tied scores")
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(places=st.one_of(st.lists(st.integers(-2, 5), max_size=40),
+                                       st.integers(0, 40).map(lambda n: [3] * n),
+                                       st.integers(0, 40).map(lambda n: list(range(n, 0, -1)))),
+                      window=st.sampled_from([0, 1, 3, "past", 2 ** 70]),
+                      flip=st.sampled_from([0.0, 0.05, 0.3]), seed=st.integers(0, 2 ** 16))
+    def generated(places, window, flip, seed):
+        check(places, window, flip, seed)
+
+    generated()
+    for window in (0, 1, 3, "past"):
+        check([0] * 25, window, 0.05, 1)
+        check(list(range(25)), window, 0.05, 1)
+    assert seen == {"vacuous", "miss", "hit", "tied scores"}
+
+
+@pytest.mark.parametrize("frame_places", [
+    {(1, 0), (2, 0)},          # ground-truth pairs
+    [(1, 0), (2, 0), (2, 1)],  # the same pairs in a list
+    np.zeros((3, 1), dtype=np.int64),
+    [0, 1],                    # too few
+    [0, 1, 0, 1],              # too many
+    [0, 1.0, 0],
+    [0, True, 0],
+    [0, "1", 0],
+    {0, 1, 2},                 # no frame order
+    {0: 0, 1: 1, 2: 0},
+    None,
+    3,
+], ids=["pair-set", "pair-list", "column", "short", "long", "float", "bool", "string",
+        "int-set", "dict", "none", "int"])
+def test_retrieval_report_rejects_frame_places_that_are_not_one_integer_per_frame(frame_places):
+    frames = _place_frames([0, 1, 0], 0.0, 0)
+    assert retrieval_report(_RETRIEVAL_VOCAB, frames, [0, 1, 0]) == \
+        retrieval_report(_RETRIEVAL_VOCAB, frames, np.array([0, 1, 0]))
+    with pytest.raises(CorpusConsistencyError, match="frame_places|frames"):
+        retrieval_report(_RETRIEVAL_VOCAB, frames, frame_places)
+
+
+def test_the_pr_sweep_over_10000_top1_scores_takes_well_under_a_second(monkeypatch):
+    # a stand-in database answers every frame at once with a distinct score,
+    # so the time is the report's own; rescanning every prediction at each
+    # threshold takes seconds here
+    class Answers:
+        def __init__(self, vocab):
+            self.count = 0
+
+        def __len__(self):
+            return self.count
+
+        def add(self, vec):
+            self.count += 1
+
+        def query(self, vec, max_results, exclude):
+            return [(vec // 2, (vec * 7919 % 10007 + 1) / 10008)]
+
+    monkeypatch.setattr(hbow.evaluation, "RetrievalDatabase", Answers)
+    monkeypatch.setattr(hbow.evaluation, "transform", lambda vocab, frame: frame)
+    frames = list(range(10_001))
+    start = time.perf_counter()
+    report = retrieval_report(None, frames, [t % 100 for t in frames], temporal_exclusion=0)
+    seconds = time.perf_counter() - start
+    assert len(report.pr_curve) == 10_000 and 0 < report.hits < report.eligible_queries
+    assert seconds < 0.5, seconds
 
 
 # ---------------------------------------------------------------- comparison
