@@ -1,7 +1,9 @@
 """Bag-of-words vectors, L1 similarity, and inverted-index retrieval.
 
-A BowVector maps word ids to strictly positive weights and, after
-`transform`, has unit L1 norm. For positive weights
+A BowVector holds word ids, strictly ascending, and their strictly positive
+weights as two read-only arrays, as DBoW2's `BowVector` is a map ordered by
+word id; construction checks them and adds up the L1 norm once. After
+`transform` the norm is 1. For positive weights
 
     1 - 0.5 * sum_w |a_w - b_w| = 1 - (|a|_1 + |b|_1) / 2 + sum_{w in a and b} min(a_w, b_w)
 
@@ -16,23 +18,23 @@ vectors.
 The RetrievalDatabase keeps its inverted index in flat arrays: two arenas,
 entry ids (int64) and weights (float64), and per word the start, count and
 room of its bucket there, whose postings are contiguous and ascending by
-entry id, plus each entry's L1 norm, all copied at `add`. A full bucket
-moves to the arena's end with twice the room; when the arena has no space
-left, all buckets move into new arenas twice their total room, which drops
-the space moves left behind. A query gathers the postings of its own words
-in ascending word order, sums the shared minima of every entry in that
-order, and scores each entry sharing a word by the same expression, so every
-returned score is the float `score_l1` gives and the ranking equals brute
-force. Zero scores are dropped; ties order by ascending entry id. Each `add`
-and `query` is a fixed number of numpy calls, whatever the vector's length.
+entry id, plus each entry's L1 norm, all copied at `add`. A new word's
+bucket of 2 slots, and a full bucket moved with twice the room, go to the
+arena's end; when the arena has no space left, all buckets move into new
+arenas twice their total room. A query gathers the postings of its own
+words in ascending word order, sums the shared minima of every entry in
+that order, and scores each entry sharing a word by the same expression, so
+every returned score is the float `score_l1` gives and the ranking equals
+brute force. Zero scores are dropped; ties order by ascending entry id.
+Each `add` and `query` is a fixed number of numpy calls.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,35 +43,73 @@ from .errors import ConfigError, CorpusConsistencyError
 from .vocabulary import Vocabulary, lookup_words
 
 _INF = float("inf")
-
-
-@dataclass
-class BowVector:
-    entries: dict[int, float] = field(default_factory=dict)
-
-    @classmethod
-    def empty(cls) -> "BowVector":
-        return cls({})
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    def l1_norm(self) -> float:
-        """Sum of the weights, added one by one in ascending word order."""
-        total = 0.0
-        for _, x in sorted(self.entries.items()):
-            total += x
-        return total
-
-    def __len__(self) -> int:
-        return len(self.entries)
+_FIRST_ROOM = 2     # slots of a word's first bucket
 
 
 def _sum_in_order(x: np.ndarray) -> float:
-    """x[0] + x[1] + ... added one by one, left to right (0.0 if empty), as
-    `BowVector.l1_norm` adds; `np.sum` would add pairwise."""
+    """x[0] + x[1] + ... added one by one, left to right (0.0 if empty);
+    `np.sum` would add pairwise."""
     return float(np.add.accumulate(x)[-1]) if x.size else 0.0
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class BowVector:
+    """Word ids, strictly ascending (int64, or Python ints in an object array
+    when one does not fit int64), and their finite positive weights, as
+    read-only arrays; built from a mapping of word id -> weight."""
+
+    words: np.ndarray
+    weights: np.ndarray
+
+    def __new__(cls, entries: Mapping = MappingProxyType({})):
+        try:
+            words = np.array(list(entries), dtype=np.int64)
+        except OverflowError:  # ids outside int64 stay Python ints
+            words = np.array(list(entries), dtype=object)
+        order = np.argsort(words, kind="stable")
+        words, weights = words[order], np.fromiter(entries.values(), np.float64, words.size)[order]
+        if (bad := np.flatnonzero(~((weights > 0.0) & (weights < _INF)))).size:
+            raise CorpusConsistencyError(f"word {words[bad[0]]} has weight {weights[bad[0]]}; "
+                                         "weights must be finite and > 0")
+        if not (words[1:] > words[:-1]).all():
+            raise CorpusConsistencyError("word ids must be distinct integers")
+        return cls._of(words, weights)
+
+    @classmethod
+    def _of(cls, words: np.ndarray, weights: np.ndarray) -> "BowVector":
+        """A vector of arrays that already hold to the contract, as they are."""
+        words.flags.writeable = weights.flags.writeable = False
+        vector = object.__new__(cls)
+        for name, value in zip(("words", "weights", "_l1"),
+                               (words, weights, _sum_in_order(weights))):
+            object.__setattr__(vector, name, value)
+        return vector
+
+    def __reduce__(self):  # copies and pickles come back read-only
+        return BowVector._of, (self.words, self.weights)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BowVector) and self.entries == other.entries
+
+    @classmethod
+    def empty(cls) -> "BowVector":
+        return cls._of(np.empty(0, dtype=np.int64), np.empty(0))
+
+    @property
+    def entries(self) -> Mapping:
+        """Read-only mapping of word id -> weight, in ascending word order."""
+        return MappingProxyType(dict(zip(self.words.tolist(), self.weights.tolist())))
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.words.size
+
+    def l1_norm(self) -> float:
+        """Sum of the weights, added one by one in ascending word order."""
+        return self._l1
+
+    def __len__(self) -> int:
+        return self.words.size
 
 
 def transform(vocab: Vocabulary, descriptors) -> BowVector:
@@ -81,46 +121,29 @@ def transform(vocab: Vocabulary, descriptors) -> BowVector:
     arr = np.asarray(descriptors)
     if arr.size == 0:
         return BowVector.empty()
-    word_ids, _ = lookup_words(vocab, arr)
-    words, counts = np.unique(word_ids, return_counts=True)
-    tf = counts / counts.sum()
-    weighted = tf * vocab.word_weight[words]
+    ids = np.sort(lookup_words(vocab, arr)[0])
+    first = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    words = ids[first]
+    # term frequency: each word's run length over the descriptor count
+    weighted = np.diff(first, append=ids.size) / ids.size * vocab.word_weight[words]
     keep = weighted > 0.0
     weighted = weighted[keep]
-    if not weighted.size:
-        return BowVector.empty()
     # L1 normalization: each kept weight over their sum, added left to right
     # in ascending word order as `l1_norm` adds
-    return BowVector(dict(zip(words[keep].tolist(),
-                              (weighted / _sum_in_order(weighted)).tolist())))
+    return BowVector._of(words[keep], weighted / _sum_in_order(weighted))
 
 
 def score_l1(a: BowVector, b: BowVector) -> float:
     """L1 similarity as in the module docstring; 0.0 if either vector is
     empty or they share no word."""
-    ax, bx = a.entries, b.entries
-    words = ax.keys() & bx.keys()
-    if not words:
+    if not (a.words.size and b.words.size):
         return 0.0
-    shared = 0.0
-    for w in sorted(words):
-        shared += min(ax[w], bx[w])
-    return min(1.0, max(0.0, (1.0 - (a.l1_norm() + b.l1_norm()) / 2.0) + shared))
-
-
-def _sorted_weights(vector: BowVector) -> tuple[list, np.ndarray]:
-    """The vector's word ids ascending, and their weights in that order."""
-    entries = vector.entries
-    words = sorted(entries)
-    return words, np.fromiter(map(entries.__getitem__, words), np.float64, len(words))
-
-
-def _check_weights(vector: BowVector, weights: np.ndarray) -> None:
-    if not ((weights > 0.0) & (weights < _INF)).all():
-        for w, x in vector.entries.items():  # name the first offender
-            if not 0.0 < x < _INF:
-                raise CorpusConsistencyError(
-                    f"word {w} has weight {x}; weights must be finite and > 0")
+    at = np.searchsorted(b.words, a.words)
+    shared = b.words.take(at, mode="clip") == a.words
+    if not shared.any():
+        return 0.0
+    overlap = _sum_in_order(np.minimum(a.weights[shared], b.weights[at[shared]]))
+    return min(1.0, max(0.0, (1.0 - (a._l1 + b._l1) / 2.0) + overlap))
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -183,6 +206,7 @@ class RetrievalDatabase:
         self._ids = np.empty(0, dtype=np.int64)
         self._weights = np.empty(0, dtype=np.float64)
         self._end = 0                              # arena slots in use
+        self._candidates = 0
 
     def __len__(self) -> int:
         return len(self.norms)
@@ -192,49 +216,52 @@ class RetrievalDatabase:
         """word id -> its postings (`ids`, `weights`; iterates as pairs)."""
         return _PostingIndex(self)
 
+    @property
+    def candidates(self) -> int:
+        """How many entries the last `query` scored: those sharing a word
+        with it, after exclusion (0 before the first query)."""
+        return self._candidates
+
     def add(self, vector: BowVector) -> int:
         """Store a vector and index its words; returns the new entry id.
 
-        Word ids must lie in the vocabulary and weights must be finite and
-        positive. Entry ids are assigned sequentially, so each posting list
-        stays sorted by construction. The database keeps copies of the
-        weights, so changing `vector` afterwards does not change it.
+        Word ids must lie in the vocabulary. Entry ids are assigned
+        sequentially, so each posting list stays sorted by construction. The
+        database keeps copies of the weights.
         """
-        words, weights = _sorted_weights(vector)
+        words, weights = vector.words, vector.weights
         word_count = self.vocab.word_count
-        if words and not (0 <= words[0] and words[-1] < word_count):
-            for w in vector.entries:  # name the first offender
-                if not 0 <= w < word_count:
-                    raise CorpusConsistencyError(
-                        f"word id {w} outside vocabulary of {word_count} words")
-        _check_weights(vector, weights)
-        words = np.fromiter(words, np.int64, len(words))
+        if words.size and not (0 <= words[0] and words[-1] < word_count):
+            bad = words[0] if words[0] < 0 else words[words >= word_count][0]
+            raise CorpusConsistencyError(f"word id {bad} outside vocabulary of {word_count} words")
+        words = words.astype(np.int64, copy=False)
         count = self._count[words]
         full = count == self._room[words]
         if full.any():
-            self._move(words[full], np.maximum(2 * count[full], 1))
+            self._place(words[full], count[full])
         slots = self._start[words] + count
         entry_id = len(self.norms)
         self._ids[slots] = entry_id
         self._weights[slots] = weights
         self._count[words] = count + 1
-        self.norms.append(_sum_in_order(weights))
+        self.norms.append(vector._l1)
         return entry_id
 
-    def _move(self, words: np.ndarray, room: np.ndarray) -> None:
-        """Give each of these words a bucket of `room` slots at the arena's
-        end, holding its postings. When the arena has no space left, every
-        bucket moves instead, into new arenas of twice their total room,
-        which drops the space that earlier moves left behind."""
+    def _place(self, words: np.ndarray, count: np.ndarray) -> None:
+        """Give these words, whose buckets are full, new buckets at the
+        arena's end: `_FIRST_ROOM` slots for a word without postings, twice
+        the room holding its `count` postings otherwise, so only buckets
+        that grow copy anything. When the arena has no space left, every
+        bucket moves instead, into new arenas of twice their total room."""
+        room = np.maximum(count + count, _FIRST_ROOM)
         arenas = self._ids, self._weights
         if self._end + int(room.sum()) > self._ids.size:
             self._room[words] = room
             words = np.flatnonzero(self._room)
-            room = self._room[words]
+            room, count = self._room[words], self._count[words]
             size = 2 * int(room.sum())
             self._ids, self._weights = np.empty(size, dtype=np.int64), np.empty(size)
             self._end = 0
-        count = self._count[words]
         start = self._end + np.cumsum(room) - room
         old = self._start[words]
         src = _ranges(old, count)
@@ -250,33 +277,30 @@ class RetrievalDatabase:
 
         Entries in `exclude` are skipped (ids outside the database are
         ignored); zero scores are dropped; ties order by ascending entry id.
-        Equal to brute force over all entries. Query weights must be finite
-        and positive, as in `add`; words outside the vocabulary match no
-        entry but count in the query's norm.
+        Equal to brute force over all entries. Words outside the vocabulary
+        match no entry but count in the query's norm.
         """
         max_results = _config_int(max_results, "max_results")
         if max_results < 1:
             raise ConfigError(f"max_results must be >= 1, got {max_results}")
         n = len(self.norms)
-        words, weights = _sorted_weights(vector)
-        _check_weights(vector, weights)
-        lo, hi = bisect_left(words, 0), bisect_left(words, self.vocab.word_count)
-        words = np.fromiter(words[lo:hi], np.int64, hi - lo)
+        lo, hi = np.searchsorted(vector.words, (0, self.vocab.word_count))
+        words = vector.words[lo:hi].astype(np.int64, copy=False)
+        weights = vector.weights[lo:hi]
         counts = self._count[words]
         # shared[e] = sum over the words of both of min(a_w, b_w), added in
         # ascending word order: the query words' postings gathered end to
         # end, which bincount sums one element at a time
         slots = _ranges(self._start[words], counts)
-        if not slots.size:
-            return []
         shared = np.bincount(self._ids[slots], minlength=n, weights=np.minimum(
-            self._weights[slots], np.repeat(weights[lo:hi], counts)))
+            self._weights[slots], np.repeat(weights, counts)))
         if exclude:
-            shared[np.array([e for e in exclude if 0 <= e < n], dtype=np.intp)] = 0.0
+            ids = np.array(list(exclude))
+            shared[ids[(ids >= 0) & (ids < n)].astype(np.intp)] = 0.0
         candidates = np.flatnonzero(shared > 0.0)
+        self._candidates = candidates.size
         norms = np.frombuffer(self.norms)[candidates]
-        scores = np.clip((1.0 - (_sum_in_order(weights) + norms) / 2.0) + shared[candidates],
-                         0.0, 1.0)
+        scores = np.clip((1.0 - (vector._l1 + norms) / 2.0) + shared[candidates], 0.0, 1.0)
         # a stable sort keeps equal scores in ascending entry id
         order = np.argsort(-scores, kind="stable")[:max_results]
         order = order[scores[order] > 0.0]

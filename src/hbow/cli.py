@@ -179,6 +179,23 @@ def _synth_config(args, seed: int = 0) -> SynthConfig:
                        descriptor_bits=args.bits, seed=seed)
 
 
+def _gt_chunks(frame_places: list[int]):
+    """`json.dumps({"pairs": pairs, "frame_places": frame_places}, indent=1)`
+    and a newline as bytes, one frame's pairs at a time; `pairs` is [frame,
+    earlier frame] for every two frames of one place, ascending."""
+    earlier: dict[int, list[int]] = {}
+    sep = "\n"
+    yield b'{\n "pairs": ['
+    for t, place in enumerate(frame_places):
+        if seen := earlier.setdefault(place, []):
+            head = "  [\n   %d,\n   " % t
+            yield (sep + head + ("\n  ],\n" + head).join(map(str, seen)) + "\n  ]").encode()
+            sep = ",\n"
+        seen.append(t)
+    tail = json.dumps({"frame_places": frame_places}, indent=1)[1:]
+    yield (("]" if sep == "\n" else "\n ]") + "," + tail + "\n").encode()
+
+
 def _cmd_synth(args) -> int:
     cfg = _synth_config(args, args.seed)
     seq = synth_sequence(cfg)
@@ -186,13 +203,7 @@ def _cmd_synth(args) -> int:
     if args.train_out:
         write_descriptors(args.train_out, seq.training)
     if args.gt:
-        # [frame, earlier frame] for every two frames of one place, ascending
-        earlier: dict[int, list[int]] = {}
-        pairs = []
-        for t, place in enumerate(seq.frame_places):
-            pairs.extend([t, s] for s in earlier.setdefault(place, []))
-            earlier[place].append(t)
-        _emit({"pairs": pairs, "frame_places": seq.frame_places}, args.gt)
+        _atomic_write_bytes(args.gt, _gt_chunks(seq.frame_places))
     print(f"wrote {len(seq.frames)} frames over {cfg.num_places} places to {args.out}",
           file=sys.stderr)
     return 0

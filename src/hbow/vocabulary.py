@@ -48,8 +48,8 @@ from .descriptors import DescriptorSet, _as_codes, _word_major
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError, \
     InternalInvariantError
 
-# Cap on the (words x rows x fan-out) uint64 XOR tensor of one `lookup_words`
-# block: 6,553 rows of 256 bits at fan-out 10.
+# Cap on the buffers of one `lookup_words` block: 4,369 rows of 256 bits at
+# fan-out 10.
 _DESCENT_BLOCK_BYTES = 1 << 21
 
 
@@ -314,16 +314,14 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
     All rows descend together one tree level at a time: each row at an
     internal node moves to the child with the smallest Hamming distance, ties
     to the lowest-index child, and a row at a leaf stays there, so every row
-    takes `vocab.height` steps. One level gathers the current nodes' rows of
-    the descent table `vocab.children`, takes those nodes' 64-bit centroid
-    words from `vocab.centroid_words` into a (words, rows, fan-out) tensor,
-    XORs it with the rows' own words, popcounts, sums over the short words
-    axis, and moves each row to the node of its first minimum. The table
-    needs no mask: a padding slot repeats the row's first child, which the
-    first minimum never prefers over column 0, and a leaf's row holds only
-    the leaf. Rows go in blocks that keep that tensor within
-    `_DESCENT_BLOCK_BYTES`.
-    Returns (word_ids, leaf_node_ids), both int64 of length n.
+    takes `vocab.height` steps. A level gathers the current nodes' children's
+    64-bit centroid words through the transposed rows of `vocab.children`
+    into a (words, fan-out, rows) block, XORs it with the rows' own words,
+    popcounts into uint8, sums over words into uint16 (uint32 from 65,536
+    bits) and moves each row to its first minimum over the fan-out axis. A
+    padding slot repeats the first child and a leaf's row holds the leaf, so
+    nothing needs a mask. Rows go in blocks whose buffers stay within
+    `_DESCENT_BLOCK_BYTES`. Returns (word_ids, leaf_node_ids), int64 each.
     """
     codes = _as_codes(codes)
     if codes.shape[1] * 8 != vocab.descriptor_bits:
@@ -332,20 +330,22 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
             f"{vocab.descriptor_bits}"
         )
     children, table = vocab.children, vocab.centroid_words
-    query = _word_major(codes)[:, :, None]  # (words, n, 1)
+    query = _word_major(codes)[:, None, :]  # (words, 1, n)
+    total = np.uint16 if vocab.descriptor_bits < 1 << 16 else np.uint32
     n = codes.shape[0]
     node = np.zeros(n, dtype=np.int64)
-    step = max(1, _DESCENT_BLOCK_BYTES // (children.shape[1] * table.shape[0] * 8))
+    # a row's XOR words, their bit counts, its sums and its children
+    step = max(1, _DESCENT_BLOCK_BYTES // (children.shape[1] * (9 * table.shape[0] + 12)))
     for start in range(0, n, step):
-        q = query[:, start:start + step]
+        q = query[:, :, start:start + step]
         cur = node[start:start + step]
         rows = np.arange(0, cur.size * children.shape[1], children.shape[1])
         for _ in range(vocab.height):
             kids = children[cur]
-            xor = table.take(kids, axis=1)
+            xor = table.take(kids.T, axis=1)
             np.bitwise_xor(xor, q, out=xor)
-            dist = np.bitwise_count(xor, out=xor).sum(axis=0)
-            cur = kids.take(rows + dist.argmin(axis=1))
+            dist = np.bitwise_count(xor).sum(axis=0, dtype=total)
+            cur = kids.take(rows + dist.argmin(axis=0))
         node[start:start + step] = cur
     return vocab.word_of_node[node], node
 

@@ -2,7 +2,9 @@
 
 These are helpers hbow itself does not need: scalar Hamming distance and
 binarization, a one-row tree descent, L1 normalization of a bag-of-words
-vector, a full cross-check of a retrieval database, a clustered-corpus
+vector, the dict-based `transform`, `score_l1` and L1 norm that the
+array-backed `BowVector` replaced, a database's query candidates read from
+its postings, a full cross-check of a retrieval database, a clustered-corpus
 generator, the relaxed-domain helpers, an exact k-means path and a retrieval
 report scored against every same-place pair of frames. hbow seeds
 in Hamming on packed codes, updates from integer bit counts and assigns
@@ -40,16 +42,65 @@ def lookup_word(vocab, code):
 
 
 def normalize_l1(v):
-    """Scale a BowVector to unit L1 norm: each weight over their total, added
-    one by one in ascending word order (not the built-in `sum`, which some
-    Python versions compensate); an all-zero or empty vector becomes the
-    empty vector. `transform` does the same over its words."""
-    total = 0.0
-    for w in sorted(v.entries):
-        total += v.entries[w]
+    """Scale a BowVector, or a mapping of word id -> weight, to unit L1 norm:
+    each weight over their total, added one by one in ascending word order
+    (not the built-in `sum`, which some Python versions compensate); an
+    all-zero or empty one becomes the empty vector. `transform` does the same
+    over its words."""
+    entries = v.entries if isinstance(v, BowVector) else v
+    total = reference_l1_norm(entries)
     if total <= 0.0:
         return BowVector.empty()
-    return BowVector({w: val / total for w, val in v.entries.items()})
+    return BowVector({w: val / total for w, val in entries.items()})
+
+
+def reference_l1_norm(entries):
+    """Sum of a mapping's weights, added one by one in ascending word order:
+    the dict-based `BowVector.l1_norm` of old."""
+    total = 0.0
+    for _, x in sorted(entries.items()):
+        total += x
+    return total
+
+
+def reference_transform(vocab, descriptors):
+    """The dict-based `transform` of old, as {word id: weight}: the words of
+    the one-row descent counted by `np.unique`, tf as count over total, times
+    idf, zero weights dropped, each weight over the left-to-right total of
+    the kept ones."""
+    arr = np.asarray(descriptors, dtype=np.uint8)
+    if arr.size == 0:
+        return {}
+    ids = [lookup_word(vocab, row)[0] for row in arr.reshape(-1, arr.shape[-1])]
+    words, counts = np.unique(ids, return_counts=True)
+    weighted = counts / counts.sum() * vocab.word_weight[words]
+    keep = weighted > 0.0
+    kept = dict(zip(words[keep].tolist(), weighted[keep].tolist()))
+    total = reference_l1_norm(kept)
+    return {w: x / total for w, x in kept.items()}
+
+
+def reference_score_l1(a, b):
+    """The dict-based `score_l1` of old over two mappings: the shared words'
+    minima summed in ascending word order, then the clamped expression of
+    the module docstring of `hbow.bow`."""
+    words = a.keys() & b.keys()
+    if not words:
+        return 0.0
+    shared = 0.0
+    for w in sorted(words):
+        shared += min(a[w], b[w])
+    return min(1.0, max(0.0, (1.0 - (reference_l1_norm(a) + reference_l1_norm(b)) / 2.0)
+                        + shared))
+
+
+def query_candidates(db, vector, exclude=None):
+    """The entries of `db` that share a word with `vector` and are not
+    excluded, read from the public postings one word at a time."""
+    found = set()
+    for w in vector.entries:
+        found.update(e for e, _ in db.postings.get(w, ()))
+    return found - set(exclude or ())
 
 
 def audit(db, vectors):
@@ -72,9 +123,9 @@ def audit(db, vectors):
     for e, vector in enumerate(vectors):
         if seen.get(e, {}) != vector.entries:
             raise InternalInvariantError(f"entry {e} disagrees with the inverted index")
-        if db.norms[e] != vector.l1_norm():
+        if db.norms[e] != reference_l1_norm(vector.entries):
             raise InternalInvariantError(f"entry {e} stores norm {db.norms[e]}, "
-                                         f"not {vector.l1_norm()}")
+                                         f"not {reference_l1_norm(vector.entries)}")
 
 
 def synth_clustered(num_clusters, per_cluster, flip_prob, bits=256, seed=0):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 from collections import Counter
 from functools import reduce
 from operator import add
@@ -153,7 +156,7 @@ def test_normalize_idempotent():
 
 def test_normalize_empty_and_zero():
     assert normalize_l1(BowVector.empty()).is_empty
-    assert normalize_l1(BowVector({1: 0.0})).is_empty
+    assert normalize_l1({1: 0.0}).is_empty
 
 
 # ---------------------------------------------------------------- transform
@@ -375,18 +378,26 @@ def test_query_ranks_near_ties_as_brute_force_does():
 
 
 def test_query_reads_the_vectors_as_they_were_added():
-    # the database keeps its own copy: changing the caller's dict after add
-    # changes neither the candidates nor the score
+    # a vector copies the caller's mapping and cannot be written, and the
+    # database keeps its own copy of the weights
     vocab = _random_vocab(seed=4)
     db = RetrievalDatabase(vocab)
-    v = BowVector({0: 0.5, 1: 0.5})
+    raw = {1: 0.5, 0: 0.5}
+    v = BowVector(raw)
     db.add(v)
-    q = BowVector(dict(v.entries))
-    assert db.query(q) == [(0, 1.0)]
-    v.entries[2] = 0.75
-    assert db.query(q) == [(0, 1.0)]
-    del v.entries[0], v.entries[1]
-    assert db.query(q) == [(0, 1.0)]
+    raw[2] = 0.75
+    del raw[0], raw[1]
+    assert list(v.entries.items()) == [(0, 0.5), (1, 0.5)]
+    assert db.query(v) == [(0, 1.0)]
+    with pytest.raises(TypeError):
+        v.entries[2] = 0.75
+    for arr in (v.words, v.weights, copy.deepcopy(v).words, pickle.loads(pickle.dumps(v)).weights):
+        with pytest.raises(ValueError):
+            arr[0] = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.words = np.array([5])
+    assert copy.deepcopy(v) == v != BowVector({0: 0.5, 1: 0.25}) and v.l1_norm() == 1.0
+    assert db.query(BowVector({0: 0.5, 1: 0.5})) == [(0, 1.0)]
 
 
 def test_query_with_exclusions_matches_oracle():
@@ -582,3 +593,123 @@ def test_query_matches_exhaustive_oracle_on_generated_databases():
             assert [score_l1(q, v) for v in stored] == [_oracle_score(q, v) for v in stored]
 
     check()
+
+
+# ------------------------------------------------- array path vs references
+
+
+def _generated_vocab(rng):
+    # an uneven tree: each node's parent is any earlier node; centroids from
+    # a pool, a small one so that siblings tie; some leaves weigh 0 (idf 0)
+    # or a tiny amount, so words drop out and the normalizing sum rounds
+    nodes, octets = int(rng.integers(2, 61)), int(rng.choice([1, 3, 8, 9]))
+    pool = rng.integers(0, 256, size=(int(rng.choice([1, 3, 64])), octets), dtype=np.uint8)
+    parent = [-1] + [int(rng.integers(0, i)) for i in range(1, nodes)]
+    weights = rng.choice([0.0, 2.0 ** -53, 0.1, 1.0 / 3, 1.0, math.log(3.0), 7.5], size=nodes)
+    return Vocabulary(7, 40, None, parent, pool[rng.integers(0, len(pool), size=nodes)],
+                      weights), pool
+
+
+def test_transform_equals_the_dict_reference_on_generated_vocabularies():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from oracles import reference_l1_norm, reference_transform
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        rng = np.random.default_rng(seed)
+        vocab, pool = _generated_vocab(rng)
+        # random rows reach many words, rows of the pool tie
+        codes = rng.integers(0, 256, size=(int(rng.choice([0, 1, 7, 80])), pool.shape[1]),
+                             dtype=np.uint8)
+        tied = rng.random(len(codes)) < 0.3
+        codes[tied] = pool[rng.integers(0, len(pool), size=int(tied.sum()))]
+        got, want = transform(vocab, codes), reference_transform(vocab, codes)
+        assert list(got.entries.items()) == sorted(want.items())
+        assert got.words.dtype == np.int64 and got.weights.dtype == np.float64
+        assert got.l1_norm() == reference_l1_norm(want)
+        assert not (got.words.flags.writeable or got.weights.flags.writeable)
+
+    check()
+
+
+def test_score_and_norm_equal_the_dict_references_on_generated_pairs():
+    # ids outside int64 keep an object array of Python ints: they order,
+    # count in the norm and share like any other id
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from oracles import reference_l1_norm, reference_score_l1
+    ids = st.one_of(st.integers(0, 24), st.sampled_from(
+        [-2 ** 70, -2 ** 64, -2 ** 63, -1, 2 ** 63 - 1, 2 ** 63, 2 ** 64, 2 ** 70]))
+    weights = st.one_of(
+        st.floats(min_value=5e-324, max_value=1e300, allow_nan=False, allow_infinity=False),
+        st.sampled_from([1.0 / 64, 0.1, 1.0 / 3, 0.5, 1.0]))
+    dicts = st.one_of(st.dictionaries(ids, weights, max_size=20), st.lists(
+        weights, min_size=8, max_size=30).map(lambda xs: dict(enumerate(xs))))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(da=dicts, db=dicts, same=st.booleans())
+    def check(da, db, same):
+        if same:  # shared words with other weights
+            db = {w: x / 3.0 or x for w, x in da.items()}
+        a, b = BowVector(da), BowVector(db)
+        assert list(a.entries.items()) == sorted(da.items())
+        assert a.l1_norm() == reference_l1_norm(da) and len(a) == len(da)
+        assert score_l1(a, b) == score_l1(b, a) == reference_score_l1(da, db)
+        assert BowVector(da) == a
+
+    check()
+
+
+def test_generated_streams_place_grow_and_regrow_buckets():
+    # adds over a vocabulary of many words: a word new to the index takes
+    # fresh room, a full bucket grows, a full arena regrows; the index passes
+    # `audit` after every add, and each query scores the entries that share
+    # a word with it, as read from the postings
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from oracles import query_candidates
+    vocab = _random_vocab(seed=4, k=7, L=3, n=6000)
+    seen = set()
+    weights = st.sampled_from([1.0 / 64, 0.1, 1.0 / 3, 0.5, 1.0, 3.0])
+    vectors = st.dictionaries(st.one_of(st.integers(0, 5), st.integers(0, vocab.word_count - 1)),
+                              weights, max_size=12).map(BowVector)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(stream=st.lists(st.tuples(st.booleans(), vectors, st.integers(0, 4)),
+                                      min_size=1, max_size=80))
+    def check(stream):
+        db, added = RetrievalDatabase(vocab), []
+        for query, v, window in stream:
+            if query:
+                exclude = range(max(0, len(added) - window), len(added) + 1)
+                assert db.query(v, 3, exclude) == _exhaustive_query(added, v, 3, exclude)
+                assert db.candidates == len(query_candidates(db, v, exclude))
+                continue
+            count, room, size = db._count[v.words], db._room[v.words], db._ids.size
+            db.add(v)
+            added.append(v)
+            audit(db, added)
+            seen.update({"fresh"} if (count == 0).any() else set())
+            seen.update({"grown"} if ((count == room) & (count > 0)).any() else set())
+            seen.update({"regrown"} if size and db._ids.size > size else set())
+
+    check()
+    assert seen == {"fresh", "grown", "regrown"}
+
+
+def test_query_candidates_count_the_entries_sharing_a_word():
+    vocab = _random_vocab(seed=4)
+    db = RetrievalDatabase(vocab)
+    assert db.candidates == 0
+    for v in ({0: 0.5, 1: 0.5}, {1: 1.0}, {2: 1.0}, {0: 0.25, 2: 0.75}):
+        db.add(BowVector(v))
+    assert db.query(BowVector({0: 0.5, 1: 0.5})) and db.candidates == 3
+    db.query(BowVector({0: 0.5, 1: 0.5}), exclude=[0, 7, -1, 2 ** 70])
+    assert db.candidates == 2
+    assert db.query(BowVector({3: 1.0})) == [] and db.candidates == 0
+    with pytest.raises(AttributeError):
+        db.candidates = 5

@@ -103,24 +103,43 @@ def test_synth_first_frame_is_fresh_and_counts_add_up():
 def test_synth_ground_truth_pairs_are_complete_and_correct(tmp_path, capsys):
     # `hbow synth --gt` writes the places of `synth_sequence` and every
     # same-place pair, found here by a walk over every earlier frame, in
-    # ascending (frame, earlier frame) order; the last config is one place
-    # seen in 100 frames (4,950 pairs)
+    # ascending (frame, earlier frame) order, as the bytes of one
+    # json.dumps(..., indent=1) of the whole object, though it writes a
+    # frame's pairs at a time; the console-script config, one place seen in
+    # 400 frames (79,800 pairs) and the last config, one place seen in 100
+    # frames (4,950 pairs), are among them
     for places, per_place, revisit, seed in [(9, 4, 0.5, 3), (1, 2, 0.9, 0), (4, 1, 0.8, 1),
-                                             (30, 3, 0.6, 2), (7, 1, 0.0, 4),
-                                             (1, 1, 0.99, 5)]:
+                                             (30, 3, 0.6, 2), (7, 1, 0.0, 4), (4, 5, 0.6, 2),
+                                             (1, 1, 1 - 1 / 400, 6), (1, 1, 0.99, 5)]:
         gt = tmp_path / "gt.json"
         assert main(["synth", "--places", str(places), "--per-place", str(per_place),
-                     "--revisit", str(revisit), "--flip", "0.02", "--bits", "64",
+                     "--revisit", repr(revisit), "--flip", "0.02", "--bits", "64",
                      "--seed", str(seed), "--out", str(tmp_path / "f.hbdc"),
                      "--gt", str(gt)]) == 0
-        written = json.loads(gt.read_text())
         seq = synth_sequence(SynthConfig(num_places=places, descriptors_per_place=per_place,
                                          revisit_fraction=revisit, bit_flip_prob=0.02,
                                          descriptor_bits=64, seed=seed))
-        assert written["frame_places"] == seq.frame_places
-        assert written["pairs"] == [list(p) for p in sorted(same_place_pairs(seq.frame_places))]
+        pairs = [list(p) for p in sorted(same_place_pairs(seq.frame_places))]
+        assert gt.read_bytes() == (json.dumps({"pairs": pairs, "frame_places": seq.frame_places},
+                                              indent=1) + "\n").encode()
     capsys.readouterr()
-    assert len(seq.frames) == 100 and len(written["pairs"]) == 100 * 99 // 2
+    assert len(seq.frames) == 100 and len(pairs) == 100 * 99 // 2
+
+
+def test_synth_ground_truth_is_written_in_bounded_memory(tmp_path, capsys):
+    # one place seen in 1,500 frames: 1,124,250 pairs, 27.6 MB of JSON, which
+    # one list and one string of them would hold whole
+    tracemalloc.start()
+    try:
+        assert main(["synth", "--places", "1", "--per-place", "1", "--revisit",
+                     repr(1 - 1 / 1500), "--flip", "0.02", "--bits", "64", "--seed", "5",
+                     "--out", str(tmp_path / "f.hbdc"), "--gt", str(tmp_path / "gt.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert (tmp_path / "gt.json").stat().st_size == 27_574_150
+    assert peak < 6 * 2 ** 20, peak
 
 
 def test_synth_sequence_memory_does_not_grow_with_same_place_pairs():

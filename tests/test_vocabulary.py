@@ -362,6 +362,50 @@ def test_descent_on_a_hand_built_uneven_tree():
         assert (word, leaf) == lookup_word(vocab, probe)[::2]
 
 
+def test_lookup_equals_the_one_row_oracle_on_generated_trees(monkeypatch):
+    # uneven trees, widths that are no multiple of 64 bits, centroids from a
+    # small pool so siblings tie, probes near them, and block caps that cut
+    # the rows into blocks of one row upwards
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    default = hbow.vocabulary._DESCENT_BLOCK_BYTES
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(data=st.data())
+    def check(data):
+        nodes = data.draw(st.integers(2, 40))
+        parent = [-1] + [data.draw(st.integers(0, i - 1)) for i in range(1, nodes)]
+        octets = data.draw(st.sampled_from([1, 3, 8, 9, 17, 33]))
+        pool = data.draw(st.lists(st.binary(min_size=octets, max_size=octets), min_size=1,
+                                  max_size=5))
+        centroids = np.frombuffer(b"".join(data.draw(st.sampled_from(pool))
+                                           for _ in range(nodes)), np.uint8).reshape(nodes, -1)
+        vocab = Vocabulary(2, 40, None, parent, centroids, np.ones(nodes))
+        rows = data.draw(st.integers(1, 60))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        flips = np.packbits(rng.random((rows, octets * 8)) < 0.1, axis=1)
+        probes = centroids[rng.integers(0, nodes, size=rows)] ^ flips
+        cap = data.draw(st.sampled_from([1, 200, 3000, default]))
+        monkeypatch.setattr(hbow.vocabulary, "_DESCENT_BLOCK_BYTES", cap)
+        words, leaves = lookup_words(vocab, probes)
+        monkeypatch.setattr(hbow.vocabulary, "_DESCENT_BLOCK_BYTES", default)
+        for probe, word, leaf in zip(probes, words, leaves):
+            assert (word, leaf) == lookup_word(vocab, probe)[::2]
+
+    check()
+
+
+def test_lookup_sums_distances_of_65536_bits_without_wrapping():
+    # a child that differs in all 65,536 bits is farther than one that
+    # differs in one; a uint16 sum would wrap its distance to 0
+    query = np.zeros((1, 8192), dtype=np.uint8)
+    one = query.copy()
+    one[0, 0] = 1
+    vocab = Vocabulary(2, 1, None, [-1, 0, 0], np.vstack([query, ~query, one]), [0.0, 1.0, 1.0])
+    assert lookup_words(vocab, query)[1].tolist() == [2]
+
+
 def test_lookup_width_mismatch_raises():
     ds = _random_corpus(100, 8, seed=0)
     vocab = train(ds, _cfg(2, 1, Strategy.KMAJORITY))
