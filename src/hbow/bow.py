@@ -56,16 +56,20 @@ def _sum_in_order(x: np.ndarray) -> float:
 class BowVector:
     """Word ids, strictly ascending (int64, or Python ints in an object array
     when one does not fit int64), and their finite positive weights, as
-    read-only arrays; built from a mapping of word id -> weight."""
+    read-only arrays; built from a mapping of word id -> weight whose ids are
+    Python or NumPy integers, not bools."""
 
     words: np.ndarray
     weights: np.ndarray
 
     def __new__(cls, entries: Mapping = MappingProxyType({})):
+        ids = list(entries)
+        if bad := [w for w in ids if isinstance(w, bool) or not isinstance(w, (int, np.integer))]:
+            raise CorpusConsistencyError(f"word ids must be integers, got {bad[0]!r}")
         try:
-            words = np.array(list(entries), dtype=np.int64)
+            words = np.array(ids, dtype=np.int64)
         except OverflowError:  # ids outside int64 stay Python ints
-            words = np.array(list(entries), dtype=object)
+            words = np.array(ids, dtype=object)
         order = np.argsort(words, kind="stable")
         words, weights = words[order], np.fromiter(entries.values(), np.float64, words.size)[order]
         if (bad := np.flatnonzero(~((weights > 0.0) & (weights < _INF)))).size:
@@ -275,10 +279,10 @@ class RetrievalDatabase:
               exclude=None) -> list[tuple[int, float]]:
         """Top `max_results` entries by `score_l1`, descending.
 
-        Entries in `exclude` are skipped (ids outside the database are
-        ignored); zero scores are dropped; ties order by ascending entry id.
-        Equal to brute force over all entries. Words outside the vocabulary
-        match no entry but count in the query's norm.
+        Entries in `exclude`, any iterable of ids, are skipped (ids outside
+        the database are ignored); zero scores are dropped; ties order by
+        ascending entry id. Equal to brute force over all entries. Words
+        outside the vocabulary match no entry but count in the query's norm.
         """
         max_results = _config_int(max_results, "max_results")
         if max_results < 1:
@@ -294,7 +298,7 @@ class RetrievalDatabase:
         slots = _ranges(self._start[words], counts)
         shared = np.bincount(self._ids[slots], minlength=n, weights=np.minimum(
             self._weights[slots], np.repeat(weights, counts)))
-        if exclude:
+        if exclude is not None:
             ids = np.array(list(exclude))
             shared[ids[(ids >= 0) & (ids < n)].astype(np.intp)] = 0.0
         candidates = np.flatnonzero(shared > 0.0)

@@ -18,9 +18,9 @@ row are (row, 1). Each assignment runs on one of two exact integer kernels:
 
 * where every n is 1 (the assignment after seeding, every kmajority pass,
   brb's binary pass, and a mean pass whose clusters are single rows),
-  `_hamming_assign` takes the Hamming distance on the codes cut into
-  word-major 64-bit words, accumulated one word at a time into (k, rows)
-  integers;
+  `_nearest` takes the Hamming distance on the codes cut into word-major
+  64-bit words, as a (k, rows) table from `descriptors._hamming_table`,
+  which walks the rows in blocks;
 * elsewhere `_assign` uses
 
       |x_i - S_j/n_j|^2 = |x_i| + M_ij / n_j^2,  M_ij = |S_j|^2 - 2*n_j*(x_i . S_j)
@@ -39,8 +39,8 @@ repair, which always runs on `_numerators`, picks its farthest member by the
 integer n^2*|x| + M. So no assignment, repair or objective depends on the
 BLAS kernel or its thread count: the integers come out the same in any
 summation order, and the division and comparisons are IEEE operations on
-them. Seeding runs in Hamming on the same 64-bit words, with int64 distances
-and running sums.
+them. Seeding runs in Hamming on the same 64-bit words, one k = 1 table per
+seed, with int64 running minima and sums.
 
 The loop keeps every cluster's bit counts S and member count n across
 passes. The first update counts all rows in one-hot gemms (`_cluster_sums`);
@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import _as_codes, _word_distances, _word_major, binarize_matrix, \
+from .descriptors import _as_codes, _hamming_table, _word_major, binarize_matrix, \
     realize_matrix
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 
@@ -151,14 +151,13 @@ def kmeanspp_seed(codes, k: int, rng: np.random.Generator) -> np.ndarray:
         raise InsufficientPointsError(f"cannot seed {k} clusters from {n} points")
     pts = _as_codes(pts)
     words = _word_major(pts)
-    scratch = np.empty_like(words)
 
     def dist_to(idx: int) -> np.ndarray:
-        return _word_distances(words, words[:, idx:idx + 1], scratch)
+        return _hamming_table(words, words[:, idx:idx + 1])[0]
 
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = int(rng.integers(n))
-    dist = dist_to(int(chosen[0]))
+    dist = dist_to(int(chosen[0])).astype(np.int64)
     cum = np.empty_like(dist)
     for j in range(1, k):
         np.cumsum(dist, out=cum)
@@ -257,34 +256,16 @@ def _assign(x: np.ndarray, x1: np.ndarray, s: np.ndarray,
     return labels, (x1 + d[np.arange(x.shape[0]), labels]).astype(np.float64)
 
 
-def _hamming_assign(words: np.ndarray,
-                    centroid_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_assign` where every centroid is (row, 1), on packed codes: the
-    nearest column of `centroid_words` (words, k) to every column of `words`
-    (words, rows), both word-major 64-bit words, by Hamming distance with ties
-    to the lowest index, and that distance as float64. `_assign`'s M is the
-    Hamming distance minus |x| there, so both give the same labels and
-    objectives.
-
-    The (k, rows) distances accumulate one 64-bit word at a time: an XOR, a
-    popcount into uint8, and an add into integers wide enough for the bits.
-    """
-    k, rows = centroid_words.shape[1], words.shape[1]
-    dist = np.zeros((k, rows), dtype=np.uint16 if words.shape[0] * 64 < 1 << 16 else np.int64)
-    xor = np.empty((k, rows), dtype=np.uint64)
-    count = np.empty((k, rows), dtype=np.uint8)
-    for w in range(words.shape[0]):
-        np.bitwise_xor(centroid_words[w][:, None], words[w], out=xor)
-        dist += np.bitwise_count(xor, out=count)
-    labels = dist.argmin(axis=0)
-    return labels, dist[labels, np.arange(rows)].astype(np.float64)
-
-
 def _nearest(rows: _Rows, s: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_assign` of every row to the centroids (s, n), one block of rows at
-    a time, or `_hamming_assign` on the packed words when every n is 1."""
+    a time. Where every n is 1 it takes the Hamming table of the packed words
+    instead: `_assign`'s M is the Hamming distance minus |x| there, so both
+    give the same labels, ties to the lowest index, and the same float64
+    objectives."""
     if n.max() == 1:
-        return _hamming_assign(rows.words, _word_major(binarize_matrix(s)))
+        dist = _hamming_table(rows.words, _word_major(binarize_matrix(s)))
+        labels = dist.argmin(axis=0)
+        return labels, dist[labels, np.arange(len(rows))].astype(np.float64)
     labels = np.empty(len(rows), dtype=np.int64)
     obj_vec = np.empty(len(rows))
     for ids, x in rows.blocks():

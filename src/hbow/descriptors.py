@@ -10,9 +10,12 @@ Hamming distances are exact integer popcounts. The squared Euclidean
 distance between two relaxed bit vectors equals the Hamming distance between
 the originals, so the clusterers seed on packed codes, assign on packed codes
 where every centroid is one row, and assign on relaxed rows elsewhere, with
-one distance. Seeding, those assignments, `hamming_to_all` and the vocabulary
-descent read the codes as word-major 64-bit words (`_word_major`), so one XOR
-and one popcount cover 8 octets.
+one distance. Seeding, those assignments, the vocabulary descent,
+`hamming_to_all` and `hamming_cdist` all take their distances from one
+kernel on word-major 64-bit words (`_word_major`): `_xor_distances` on one
+block, which the descent calls per level, and `_hamming_table` over fixed
+candidates. The table and the descent walk their queries in blocks of
+`_block_columns`.
 
 `hamming_cdist` has no caller inside the package; it stays public because
 `perfbench/tracing.py` binds it by name.
@@ -26,11 +29,9 @@ import numpy as np
 
 from .errors import CorpusConsistencyError, InsufficientPointsError
 
-# Cap on hamming_cdist's temporary (rows x rows x octets) XOR block. The
-# (words x rows) scratch of `_word_distances` is the size of its codes and
-# needs no cap; `vocabulary.lookup_words` and the clusterers' relaxed rows
-# have caps of their own.
-_CDIST_BLOCK_BYTES = 1 << 26
+# Cap on the buffers of one block of query columns against k candidates
+# (`_block_columns`): 4,369 columns of 256 bits at k = 10.
+_HAMMING_BLOCK_BYTES = 1 << 21
 
 
 def _as_code(code) -> np.ndarray:
@@ -72,13 +73,43 @@ def _word_major(codes: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(codes.view(np.uint64).T)
 
 
-def _word_distances(words: np.ndarray, word: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Hamming distance (int64) from one descriptor `word`, a (words, 1)
-    column, to every column of the word-major matrix `words`: one XOR into
-    `scratch`, an array shaped like `words` that it overwrites, an in-place
-    popcount and a sum over the short words axis."""
-    np.bitwise_xor(words, word, out=scratch)
-    return np.bitwise_count(scratch, out=scratch).sum(axis=0, dtype=np.int64)
+def _block_columns(k: int, words: int) -> int:
+    """Query columns per block against `k` candidates of `words` 64-bit
+    words, at least 1: each (candidate, column) pair holds 9 bytes per word
+    (XOR and bit count) and up to 12 more (its sum, the descent's child id),
+    within `_HAMMING_BLOCK_BYTES` in all."""
+    return max(1, _HAMMING_BLOCK_BYTES // max(1, k * (9 * words + 12)))
+
+
+def _sum_dtype(words: int) -> type:
+    """The dtype of Hamming distances over `words` 64-bit words: uint16
+    below 65,536 bits, uint32 from there, so no sum wraps."""
+    return np.uint16 if words * 64 < 1 << 16 else np.uint32
+
+
+def _xor_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Hamming distances between the word-major 64-bit words `a` and `b`,
+    which broadcast to `out`'s shape (words, ...): XOR into the uint64 buffer
+    `out`, which may be `a` itself, a popcount into uint8 and a sum over the
+    words axis into `_sum_dtype`."""
+    np.bitwise_xor(a, b, out=out)
+    return np.bitwise_count(out).sum(axis=0, dtype=_sum_dtype(out.shape[0]))
+
+
+def _hamming_table(words: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """(k, rows) Hamming distances from every column of `candidates` (words,
+    k) to every column of `words` (words, rows), both word-major 64-bit
+    words, in `_xor_distances`' sum dtype. The rows go in blocks of
+    `_block_columns`, all through one XOR buffer."""
+    k, rows = candidates.shape[1], words.shape[1]
+    step = _block_columns(k, words.shape[0])
+    table = np.empty((k, rows), dtype=_sum_dtype(words.shape[0]))
+    buf = np.empty((words.shape[0], k, min(step, rows)), dtype=np.uint64)
+    for start in range(0, rows, step):
+        stop = min(rows, start + step)
+        table[:, start:stop] = _xor_distances(candidates[:, :, None], words[:, None, start:stop],
+                                              buf[:, :, :stop - start])
+    return table
 
 
 def hamming_to_all(code, codes) -> np.ndarray:
@@ -86,27 +117,15 @@ def hamming_to_all(code, codes) -> np.ndarray:
     code = _as_code(code)
     codes = _as_codes(codes)
     _check_same_width(code, codes)
-    words = _word_major(codes)
-    return _word_distances(words, _word_major(code[None, :]), np.empty_like(words))
+    return _hamming_table(_word_major(codes), _word_major(code[None, :]))[0].astype(np.int64)
 
 
 def hamming_cdist(a, b) -> np.ndarray:
-    """All-pairs Hamming distances between two code matrices, shape (len(a), len(b)).
-
-    Processes `a` in row blocks so the intermediate XOR tensor stays bounded.
-    """
+    """All-pairs Hamming distances between two code matrices, shape (len(a), len(b))."""
     a = _as_codes(a)
     b = _as_codes(b)
     _check_same_width(a, b)
-    n, octets = a.shape
-    m = b.shape[0]
-    out = np.empty((n, m), dtype=np.int64)
-    step = max(1, _CDIST_BLOCK_BYTES // max(1, m * octets))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        block = np.bitwise_xor(a[start:stop, None, :], b[None, :, :])
-        out[start:stop] = np.bitwise_count(block, out=block).sum(axis=2, dtype=np.int64)
-    return out
+    return _hamming_table(_word_major(b), _word_major(a)).astype(np.int64)
 
 
 def hamming_rows(a, b) -> np.ndarray:

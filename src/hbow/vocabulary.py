@@ -44,13 +44,9 @@ from time import perf_counter
 import numpy as np
 
 from .clustering import ClusterConfig, _config_int, brb_kmeans, kmajority, lloyd_real
-from .descriptors import DescriptorSet, _as_codes, _word_major
+from .descriptors import DescriptorSet, _as_codes, _block_columns, _word_major, _xor_distances
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError, \
     InternalInvariantError
-
-# Cap on the buffers of one `lookup_words` block: 4,369 rows of 256 bits at
-# fan-out 10.
-_DESCENT_BLOCK_BYTES = 1 << 21
 
 
 class Strategy(str, Enum):
@@ -316,12 +312,12 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
     to the lowest-index child, and a row at a leaf stays there, so every row
     takes `vocab.height` steps. A level gathers the current nodes' children's
     64-bit centroid words through the transposed rows of `vocab.children`
-    into a (words, fan-out, rows) block, XORs it with the rows' own words,
-    popcounts into uint8, sums over words into uint16 (uint32 from 65,536
-    bits) and moves each row to its first minimum over the fan-out axis. A
-    padding slot repeats the first child and a leaf's row holds the leaf, so
-    nothing needs a mask. Rows go in blocks whose buffers stay within
-    `_DESCENT_BLOCK_BYTES`. Returns (word_ids, leaf_node_ids), int64 each.
+    into a (words, fan-out, rows) block, takes `descriptors._xor_distances`
+    of it and the rows' own words, XORing in place into the gathered block,
+    and moves each row to its first minimum over the fan-out axis. A padding
+    slot repeats the first child and a leaf's row holds the leaf, so nothing
+    needs a mask. Rows go in blocks of `descriptors._block_columns` for the
+    fan-out. Returns (word_ids, leaf_node_ids), int64 each.
     """
     codes = _as_codes(codes)
     if codes.shape[1] * 8 != vocab.descriptor_bits:
@@ -331,11 +327,9 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
         )
     children, table = vocab.children, vocab.centroid_words
     query = _word_major(codes)[:, None, :]  # (words, 1, n)
-    total = np.uint16 if vocab.descriptor_bits < 1 << 16 else np.uint32
     n = codes.shape[0]
     node = np.zeros(n, dtype=np.int64)
-    # a row's XOR words, their bit counts, its sums and its children
-    step = max(1, _DESCENT_BLOCK_BYTES // (children.shape[1] * (9 * table.shape[0] + 12)))
+    step = _block_columns(children.shape[1], table.shape[0])
     for start in range(0, n, step):
         q = query[:, :, start:start + step]
         cur = node[start:start + step]
@@ -343,8 +337,7 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(vocab.height):
             kids = children[cur]
             xor = table.take(kids.T, axis=1)
-            np.bitwise_xor(xor, q, out=xor)
-            dist = np.bitwise_count(xor).sum(axis=0, dtype=total)
+            dist = _xor_distances(xor, q, xor)
             cur = kids.take(rows + dist.argmin(axis=0))
         node[start:start + step] = cur
     return vocab.word_of_node[node], node

@@ -1,12 +1,13 @@
 """Reference implementations and data generators the tests use.
 
-These are helpers hbow itself does not need: scalar Hamming distance and
-binarization, a one-row tree descent, L1 normalization of a bag-of-words
-vector, the dict-based `transform`, `score_l1` and L1 norm that the
-array-backed `BowVector` replaced, a database's query candidates read from
-its postings, a full cross-check of a retrieval database, a clustered-corpus
-generator, the relaxed-domain helpers, an exact k-means path and a retrieval
-report scored against every same-place pair of frames. hbow seeds
+These are helpers hbow itself does not need: scalar and octet-wise
+all-pairs Hamming distance, binarization, a one-row tree descent, L1
+normalization of a bag-of-words vector, the dict-based `transform`,
+`score_l1` and L1 norm that the array-backed `BowVector` replaced, a
+database's query candidates read from its postings, a full cross-check of a
+retrieval database, a clustered-corpus generator, the relaxed-domain
+helpers, an exact k-means path and a retrieval report scored against every
+same-place pair of frames. hbow seeds
 in Hamming on packed codes, updates from integer bit counts and assigns
 through one gemm kernel; each oracle here works one row at a time, on float
 rows the plain way or in Python integers, so a test can demand that the
@@ -23,6 +24,17 @@ def hamming(a, b):
     """Number of differing bits between two packed descriptors."""
     return int(np.count_nonzero(np.unpackbits(np.asarray(a, dtype=np.uint8))
                                 != np.unpackbits(np.asarray(b, dtype=np.uint8))))
+
+
+def octet_cdist(a, b):
+    """All-pairs Hamming distances (int64) between two packed code
+    matrices, shape (len(a), len(b)), on octets: every row of `a` XORed with
+    every row of `b`, popcounted and summed, one row of `a` at a time."""
+    a, b = np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
+    for i, row in enumerate(a):
+        out[i] = np.bitwise_count(np.bitwise_xor(row[None, :], b)).sum(axis=1, dtype=np.int64)
+    return out
 
 
 def binarize(values):

@@ -279,6 +279,42 @@ def test_add_rejects_out_of_range_word():
         db.add(BowVector({-1: 1.0}))
 
 
+def test_word_ids_must_be_integers():
+    # a float id was once stored and matched as its integer part; Python and
+    # NumPy integers, ids outside int64 and the empty vector still build
+    for bad in (1.5, 1.0, np.float64(2.0), "1", b"1", True, np.True_, None, (1,)):
+        with pytest.raises(CorpusConsistencyError, match="word ids must be integers"):
+            BowVector({bad: 1.0})
+        with pytest.raises(CorpusConsistencyError, match="word ids must be integers"):
+            BowVector({0: 0.5, bad: 0.5})
+    v = BowVector({np.int64(1): 0.25, np.uint8(0): 0.25, np.int32(2): 0.5})
+    assert v.words.tolist() == [0, 1, 2] and v.words.dtype == np.int64
+    assert BowVector({2 ** 70: 1.0, 1: 1.0}).words.tolist() == [1, 2 ** 70]
+    assert BowVector({}) == BowVector.empty()
+
+
+def test_query_takes_exclude_as_any_iterable_of_ids():
+    # NumPy arrays of any length, ranges and sets exclude what the same ids
+    # in a list exclude; ids outside the database are ignored
+    vocab = _random_vocab(seed=4)
+    db = RetrievalDatabase(vocab)
+    rng = np.random.default_rng(3)
+    vectors = [_random_vector(rng, 8) for _ in range(12)]
+    for v in vectors:
+        db.add(v)
+    for ids in ([], [0], [0, 1], [3, 5, 7, 11], [2, 2 ** 70], [-1, 12, 4]):
+        forms = [np.array(ids), set(ids), tuple(ids)]
+        if ids == sorted(ids) and ids and ids[-1] - ids[0] == len(ids) - 1:
+            forms.append(range(ids[0], ids[-1] + 1))
+        for q in vectors[:4]:
+            want = db.query(q, 5, list(ids))
+            assert want == _exhaustive_query(vectors, q, 5, ids)
+            for form in forms:
+                assert db.query(q, 5, form) == want
+    assert db.query(vectors[0], 5, np.array([], dtype=np.int64)) == db.query(vectors[0], 5)
+    assert db.query(vectors[0], 5, range(12)) == []
+
+
 def test_add_and_query_reject_weights_that_are_not_finite_and_positive():
     vocab = _random_vocab(seed=1)
     db = RetrievalDatabase(vocab)

@@ -480,20 +480,20 @@ def test_repair_steals_the_farthest_member_by_exact_distance(monkeypatch):
 
 
 def test_packed_assignment_equals_the_gemm_kernel_where_every_n_is_1():
-    # `_hamming_assign` on word-major codes against `_assign` on 0/1 rows
-    # with (row, 1) centroids: the same labels, ties to the lowest index, and
-    # the same float64 objectives. Rows repeat, and centroids repeat rows and
-    # each other, so exact ties are common; one octet makes them commoner
+    # `_nearest` with every n = 1, which takes the Hamming table of the
+    # word-major codes, against `_assign` on 0/1 rows with (row, 1)
+    # centroids: the same labels, ties to the lowest index, and the same
+    # float64 objectives. Rows repeat, and centroids repeat rows and each
+    # other, so exact ties are common; one octet makes them commoner
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    _word_major = hbow.descriptors._word_major
 
     def both(codes, cents):
         x = realize_matrix(codes, np.float32)
         x1 = x.sum(axis=1).astype(np.int64)
-        want = hbow.clustering._assign(x, x1, realize_matrix(cents, np.float32),
-                                       np.ones(cents.shape[0], dtype=np.int64))
-        got = hbow.clustering._hamming_assign(_word_major(codes), _word_major(cents))
+        s, n = realize_matrix(cents, np.float32), np.ones(cents.shape[0], dtype=np.int64)
+        want = hbow.clustering._assign(x, x1, s, n)
+        got = hbow.clustering._nearest(hbow.clustering._Rows(codes, 1), s, n)
         assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype == np.float64
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         return got
@@ -614,17 +614,15 @@ def test_kept_bit_counts_equal_a_recount_after_every_pass(monkeypatch, cluster):
 def test_one_large_split_stays_within_its_memory_bound(cluster):
     # a 100,000 x 32-octet split relaxes to 97.7 MiB of float32 rows
     # (kmajority) or 195.3 MiB of float64 rows (the mean loop); the split
-    # holds its codes, per-row bookkeeping and one block of relaxed rows, and
-    # must peak below a quarter of the rows it would relax
+    # holds its 64-bit words (3.1 MiB), per-row bookkeeping, one block of
+    # relaxed rows and one block of Hamming buffers, and must peak below
+    # 12 MiB, under an eighth of the float32 rows
     rng = np.random.default_rng(21)
     codes = rng.integers(0, 256, size=(100_000, 32), dtype=np.uint8)
-    members = 1 if cluster is kmajority else codes.shape[0]
-    dtype = hbow.clustering._row_dtype(codes.shape[1] * 8, members)
-    rows_bytes = codes.shape[0] * codes.shape[1] * 8 * np.dtype(dtype).itemsize
     tracemalloc.start()
     try:
         cluster(codes, ClusterConfig(k=10, max_iters=3, seed=7))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < rows_bytes / 4, peak / rows_bytes
+    assert peak < 12 * 2 ** 20, peak / 2 ** 20

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hbow
 from hbow import (
     CorpusConsistencyError,
     DescriptorSet,
@@ -121,6 +122,51 @@ def test_hamming_to_all_and_cdist_match_scalar():
         for j in range(9):
             assert d[i, j] == hamming(a[i], c[j])
     assert np.array_equal(hamming_rows(a[:9], c), d[np.arange(9), np.arange(9)])
+
+
+def test_hamming_kernel_equals_the_octet_reference(monkeypatch):
+    # the fixed-candidate table and the per-block core, XORing in place into
+    # a gathered buffer as the descent does, against the octet loop: widths
+    # that are no multiple of 64 bits (a padded last word), 65,544 bits
+    # (uint32 sums), repeated candidates (first-minimum ties) and block caps
+    # from one column upward
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from oracles import octet_cdist
+    kernel = hbow.descriptors
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(octets=st.sampled_from([o for o in range(1, 34) if o % 8] + [8193]),
+                      rows=st.integers(0, 40), k=st.integers(1, 12), pool=st.integers(1, 12),
+                      cap=st.sampled_from([1, 64, 2000, kernel._HAMMING_BLOCK_BYTES]),
+                      seed=st.integers(0, 2 ** 16))
+    def check(octets, rows, k, pool, cap, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 256, size=(pool, octets), dtype=np.uint8)
+        values[rng.random(pool) < 0.3] = 255  # all-ones and all-zeros rows are
+        values[rng.random(pool) < 0.3] = 0    # the farthest apart
+        codes = values[rng.integers(pool, size=rows)]
+        cands = values[rng.integers(pool, size=k)]
+        want = octet_cdist(cands, codes)
+        words, cwords = kernel._word_major(codes), kernel._word_major(cands)
+        wide = np.uint32 if octets * 8 > 65536 else np.uint16
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "_HAMMING_BLOCK_BYTES", cap)
+            table = kernel._hamming_table(words, cwords)
+            gathered = cwords.take(np.repeat(np.arange(k)[:, None], rows, axis=1), axis=1)
+            block = kernel._xor_distances(gathered, words[:, None, :], gathered)
+            got_cdist, got_all = hamming_cdist(cands, codes), hamming_to_all(cands[0], codes)
+        assert table.dtype == block.dtype == wide
+        assert np.array_equal(table, want) and np.array_equal(block, want)
+        assert got_cdist.dtype == got_all.dtype == np.int64
+        assert np.array_equal(got_cdist, want) and np.array_equal(got_all, want[0])
+        first = [min(range(k), key=lambda j: want[j, i]) for i in range(rows)]
+        assert table.argmin(axis=0).tolist() == block.argmin(axis=0).tolist() == first
+
+    check()
+    # a distance past 2**16 - 1 keeps its value
+    ones, zeros = np.full((1, 8193), 255, np.uint8), np.zeros((1, 8193), np.uint8)
+    assert hamming_cdist(ones, np.vstack([zeros, ones])).tolist() == [[65544, 0]]
 
 
 def test_width_and_dtype_errors():

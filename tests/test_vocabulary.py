@@ -270,15 +270,16 @@ def test_round_trips_and_descent_on_generated_corpora(tmp_path):
 
 def test_streamed_training_and_descent_equal_resident(tmp_path, monkeypatch):
     # with relaxed blocks of a few rows every split larger than that streams
-    # its rows, and with a descent cap of one row's tensor every row descends
-    # alone; files, training partitions and looked-up words must not change
+    # its rows, and with a Hamming block cap below one column's buffers every
+    # row is seeded, assigned and descends alone; files, training partitions
+    # and looked-up words must not change
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    def run(ds, cfg, probes, relaxed_bytes, descent_bytes, path):
+    def run(ds, cfg, probes, relaxed_bytes, hamming_bytes, path):
         with monkeypatch.context() as m:
             m.setattr(hbow.clustering, "_RELAXED_BLOCK_BYTES", relaxed_bytes)
-            m.setattr(hbow.vocabulary, "_DESCENT_BLOCK_BYTES", descent_bytes)
+            m.setattr(hbow.descriptors, "_HAMMING_BLOCK_BYTES", hamming_bytes)
             res = train_result(ds, cfg)
             save_vocabulary(path, res.vocabulary)
             return path.read_bytes(), res.member_word_ids, lookup_words(res.vocabulary, probes)
@@ -296,7 +297,7 @@ def test_streamed_training_and_descent_equal_resident(tmp_path, monkeypatch):
         for strategy in ALL_STRATEGIES:
             cfg = _cfg(k, L, strategy, seed=seed % 7, max_iters=10)
             resident = run(ds, cfg, probes, hbow.clustering._RELAXED_BLOCK_BYTES,
-                           hbow.vocabulary._DESCENT_BLOCK_BYTES, tmp_path / "resident.txt")
+                           hbow.descriptors._HAMMING_BLOCK_BYTES, tmp_path / "resident.txt")
             streamed = run(ds, cfg, probes, block_rows * octets * 64, 1, tmp_path / "streamed.txt")
             assert streamed[0] == resident[0]
             assert np.array_equal(streamed[1], resident[1])
@@ -368,7 +369,7 @@ def test_lookup_equals_the_one_row_oracle_on_generated_trees(monkeypatch):
     # the rows into blocks of one row upwards
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    default = hbow.vocabulary._DESCENT_BLOCK_BYTES
+    default = hbow.descriptors._HAMMING_BLOCK_BYTES
 
     @hypothesis.settings(max_examples=120, deadline=None, derandomize=True,
                          suppress_health_check=list(hypothesis.HealthCheck))
@@ -387,9 +388,9 @@ def test_lookup_equals_the_one_row_oracle_on_generated_trees(monkeypatch):
         flips = np.packbits(rng.random((rows, octets * 8)) < 0.1, axis=1)
         probes = centroids[rng.integers(0, nodes, size=rows)] ^ flips
         cap = data.draw(st.sampled_from([1, 200, 3000, default]))
-        monkeypatch.setattr(hbow.vocabulary, "_DESCENT_BLOCK_BYTES", cap)
+        monkeypatch.setattr(hbow.descriptors, "_HAMMING_BLOCK_BYTES", cap)
         words, leaves = lookup_words(vocab, probes)
-        monkeypatch.setattr(hbow.vocabulary, "_DESCENT_BLOCK_BYTES", default)
+        monkeypatch.setattr(hbow.descriptors, "_HAMMING_BLOCK_BYTES", default)
         for probe, word, leaf in zip(probes, words, leaves):
             assert (word, leaf) == lookup_word(vocab, probe)[::2]
 
