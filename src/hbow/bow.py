@@ -279,10 +279,11 @@ class RetrievalDatabase:
               exclude=None) -> list[tuple[int, float]]:
         """Top `max_results` entries by `score_l1`, descending.
 
-        Entries in `exclude`, any iterable of ids, are skipped (ids outside
-        the database are ignored); zero scores are dropped; ties order by
-        ascending entry id. Equal to brute force over all entries. Words
-        outside the vocabulary match no entry but count in the query's norm.
+        Entries in `exclude`, any iterable of integer ids, are skipped (ids
+        outside the database are ignored; a float, string, bool or None
+        raises ConfigError); zero scores are dropped; ties order by ascending
+        entry id. Equal to brute force over all entries. Words outside the
+        vocabulary match no entry but count in the query's norm.
         """
         max_results = _config_int(max_results, "max_results")
         if max_results < 1:
@@ -299,7 +300,9 @@ class RetrievalDatabase:
         shared = np.bincount(self._ids[slots], minlength=n, weights=np.minimum(
             self._weights[slots], np.repeat(weights, counts)))
         if exclude is not None:
-            ids = np.array(list(exclude))
+            # a range holds only integers; any other iterable is checked id by id
+            ids = np.array(list(exclude) if isinstance(exclude, range)
+                           else [_config_int(e, "exclude id") for e in exclude])
             shared[ids[(ids >= 0) & (ids < n)].astype(np.intp)] = 0.0
         candidates = np.flatnonzero(shared > 0.0)
         self._candidates = candidates.size

@@ -43,20 +43,20 @@ them. Seeding runs in Hamming on the same 64-bit words, one k = 1 table per
 seed, with int64 running minima and sums.
 
 The loop keeps every cluster's bit counts S and member count n across
-passes. The first update counts all rows in one-hot gemms (`_cluster_sums`);
-each later one adds the rows that moved in and subtracts the rows that moved
-out, in +-1 one-hot gemms over the moved rows only (`_move_rows`). Every
-partial sum is an integer no larger than the row count, so the counts are
-exact too.
+passes, and one function changes them, `_move_rows`: from zero counts, each
+update adds the rows that moved in and subtracts the rows that moved out, in
++-1 one-hot gemms over the moved rows only, and moves n by the row sums of
+the same one-hot matrix. The first update moves every row in. Every partial
+sum is an integer no larger than the row count, so the counts are exact too.
 
 A split holds its packed codes, per-row bookkeeping (popcounts, 64-bit
 words, labels, distances) and at most one block of relaxed rows,
 `_RELAXED_BLOCK_BYTES`. A node whose rows fit in one block is relaxed once;
 a larger node unpacks its rows from the codes, block by block, on every pass
-that reads them: the mean loop's assignment gemm, the first count, the
-moved rows and the repair's walk over the donor's members. The row dtype
-is picked from the node's size, never the block's, so the blocks change no
-product, label or objective.
+that reads them: the mean loop's assignment gemm, the moved rows (all of
+them on the first pass) and the repair's walk over the donor's members. The
+row dtype is picked from the node's size, never the block's, so the blocks
+change no product, label or objective.
 
 Every step is non-increasing in the respective objective (sum of distances
 to the assigned centroid), including the repair move: the stolen point's new
@@ -145,6 +145,7 @@ def kmeanspp_seed(codes, k: int, rng: np.random.Generator) -> np.ndarray:
     if pts.ndim != 2:
         raise CorpusConsistencyError(f"expected an (n, octets) matrix, got shape {pts.shape}")
     n = pts.shape[0]
+    k = _config_int(k, "k")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if n < k:
@@ -191,6 +192,10 @@ class _Rows:
     centroids of at most `max_members` members, with their popcounts `x1`
     (|x|, int64) and their word-major 64-bit `words` (`_word_major`).
 
+    `sum_dtype` holds the clusters' bit counts, integers of at most the row
+    count: float32 for float32 rows below `_F32_EXACT_COUNT` rows, else
+    float64, so every partial sum is exact.
+
     Rows are read in blocks of `step` rows, `_RELAXED_BLOCK_BYTES` of relaxed
     rows: a node that fits in one block is relaxed once and kept, and a
     larger one unpacks each block from its codes at every read. The dtype
@@ -204,6 +209,8 @@ class _Rows:
         self.words = _word_major(codes)
         self.x1 = np.bitwise_count(self.words).sum(axis=0, dtype=np.int64)
         self.dtype = _row_dtype(bits, max_members)
+        small = self.dtype == np.float32 and len(self) < _F32_EXACT_COUNT
+        self.sum_dtype = np.float32 if small else np.float64
         self.step = max(1, _RELAXED_BLOCK_BYTES // (bits * np.dtype(self.dtype).itemsize))
         self._kept = realize_matrix(codes, self.dtype) if len(self) <= self.step else None
 
@@ -298,46 +305,24 @@ def _repair_empty(rows: _Rows, s, n, labels, obj_vec) -> None:
         sizes[c] += 1
 
 
-def _add_rows(rows: _Rows, sums: np.ndarray, index, new: np.ndarray,
-              old: np.ndarray | None = None) -> None:
-    """Add each row at `index` (every row when None) to `sums[new[row]]`
-    and, given `old`, subtract it from `sums[old[row]]`, in place: one +-1
-    one-hot product per block of rows. Each product entry is an integer no
-    larger than the block, so it is exact in `sums`' dtype."""
-    for ids, x in rows.blocks(index):
+def _move_rows(rows: _Rows, sums: np.ndarray, sizes: np.ndarray, old: np.ndarray | None,
+               new: np.ndarray) -> None:
+    """Turn the counts (sums, sizes) of the rows labelled `old` into those of
+    the labels `new`, in place, from the rows whose label changed; `old` None
+    means no row is counted yet, so every row moves in. Per block of moved
+    rows, a +-1 one-hot matrix (+1 at the new cluster, -1 at the old) times
+    the rows moves the bit counts and its row sums move the member counts,
+    every entry an integer no larger than the row count: exact in `sums`'
+    dtype."""
+    moved = None if old is None else np.flatnonzero(old != new)
+    for ids, x in rows.blocks(moved):
         cols = np.arange(x.shape[0])
         delta = np.zeros((sums.shape[0], x.shape[0]), dtype=sums.dtype)
         delta[new[ids], cols] = 1.0
         if old is not None:
             delta[old[ids], cols] = -1.0
         sums += delta @ x.astype(sums.dtype, copy=False)
-
-
-def _cluster_sums(rows: _Rows, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster bit counts S (k, bits) and member counts n (k,) of the
-    rows, from one one-hot product per block.
-
-    Every partial sum is an integer no larger than the row count, so S is
-    exact in any summation order: float32 rows sum in float32 below
-    `_F32_EXACT_COUNT` rows and in float64 above; float64 rows sum in float64.
-    """
-    small = rows.dtype == np.float32 and len(rows) < _F32_EXACT_COUNT
-    sums = np.zeros((k, rows.codes.shape[1] * 8), dtype=np.float32 if small else np.float64)
-    _add_rows(rows, sums, None, labels)
-    return sums, np.bincount(labels, minlength=k)
-
-
-def _move_rows(rows: _Rows, sums: np.ndarray, sizes: np.ndarray, old: np.ndarray,
-               new: np.ndarray) -> None:
-    """Turn the `_cluster_sums` counts (sums, sizes) of the rows labelled
-    `old` into those of the labels `new`, in place, from the rows whose label
-    changed. Each count stays an integer no larger than the row count, so
-    the counts stay exact in `sums`' dtype, as they are in `_cluster_sums`.
-    """
-    moved = np.flatnonzero(old != new)
-    _add_rows(rows, sums, moved, new, old)
-    sizes += np.bincount(new[moved], minlength=sizes.size)
-    sizes -= np.bincount(old[moved], minlength=sizes.size)
+        sizes += delta.sum(axis=1).astype(np.int64)
 
 
 def _lloyd(rows: _Rows, cfg: ClusterConfig, update):
@@ -346,14 +331,14 @@ def _lloyd(rows: _Rows, cfg: ClusterConfig, update):
     (update, assign, repair) passes until the post-repair assignment repeats
     or `max_iters` passes have run.
 
-    The loop keeps the clusters' bit counts S (in `_cluster_sums`' dtype)
-    and member counts n: the first pass counts every row, and every later one
-    moves the rows whose label changed (`_move_rows`). `update(S, n)` returns
-    new arrays for the centroids (bit counts S of the rows' dtype, member
-    counts n), which the repair may overwrite. Returns the result, whose
-    `centroids` hold the final S and whose `objectives` hold the objective
-    after seeding and after every pass, the final n, and the kept (S, n)
-    with the labels they count.
+    The loop keeps the clusters' bit counts S (in `rows.sum_dtype`) and
+    member counts n from zero, and only `_move_rows` changes them: the first
+    pass moves every row in, every later one the rows whose label changed.
+    `update(S, n)` returns new arrays for the centroids (bit counts S of the
+    rows' dtype, member counts n), which the repair may overwrite. Returns
+    the result, whose `centroids` hold the final S and whose `objectives`
+    hold the objective after seeding and after every pass, the final n, and
+    the kept (S, n) with the labels they count.
     """
     s = realize_matrix(kmeanspp_seed(rows.codes, cfg.k, np.random.default_rng(cfg.seed)),
                        rows.dtype)
@@ -361,12 +346,11 @@ def _lloyd(rows: _Rows, cfg: ClusterConfig, update):
     labels, obj_vec = _nearest(rows, s, n)
     _repair_empty(rows, s, n, labels, obj_vec)
     objectives = [float(obj_vec.sum())]
-    sums = None
+    sums = np.zeros((cfg.k, rows.codes.shape[1] * 8), dtype=rows.sum_dtype)
+    sizes = np.zeros(cfg.k, dtype=np.int64)
+    prev = None
     while len(objectives) <= cfg.max_iters:
-        if sums is None:
-            sums, sizes = _cluster_sums(rows, labels, cfg.k)
-        else:
-            _move_rows(rows, sums, sizes, prev, labels)
+        _move_rows(rows, sums, sizes, prev, labels)
         prev = labels
         s, n = update(sums, sizes)
         labels, obj_vec = _nearest(rows, s, n)

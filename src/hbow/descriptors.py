@@ -23,6 +23,7 @@ candidates. The table and the descent walk their queries in blocks of
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,8 +191,14 @@ class DescriptorSet:
     def __post_init__(self) -> None:
         codes = self.codes = _as_codes(self.codes)
         n = codes.shape[0]
-        ends = np.asarray(() if self.group_ends is None else self.group_ends,
-                          dtype=np.int64).ravel()
+        ends = np.asarray(() if self.group_ends is None else self.group_ends).ravel()
+        # an empty sequence reads as float64; anything else must be integers
+        # that fit int64, with no float, string or overflow slipping through
+        if ends.size and (ends.dtype.kind not in "iu" or int(ends.max()) >= 2 ** 63):
+            raise CorpusConsistencyError(
+                f"group end offsets must be integers within int64, got "
+                f"{reprlib.repr(self.group_ends)}")
+        ends = ends.astype(np.int64)
         if ends.size == 0 and n > 0:
             ends = np.array([n], dtype=np.int64)
         if ends.size:

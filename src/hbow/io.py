@@ -71,6 +71,8 @@ WEIGHTING_TFIDF = "tf-idf"
 _TEXT_BLOCK_BYTES = 1 << 18
 # text vocabularies are formatted this many nodes at a time
 _TEXT_WRITE_NODES = 1 << 14
+# JSON vocabularies are formatted this many nodes at a time
+_JSON_WRITE_NODES = 1 << 10
 # the text of each centroid octet value, " 0" to " 255"
 _OCTET_TEXT = np.array([f" {i}".encode("ascii") for i in range(256)], dtype="S4")
 
@@ -137,13 +139,6 @@ def read_descriptors(path) -> DescriptorSet:
         raise DescriptorFileError("group_ends are not ascending offsets ending at descriptor_count")
     # no group table means one group (DescriptorSet's default)
     return DescriptorSet(codes.reshape(count, octets), ends.astype(np.int64))
-
-
-def _node_rows(vocab: Vocabulary):
-    """(parent, is_leaf, centroid octets, weight) of every node but the root,
-    in stored order, as Python values."""
-    return zip(vocab.parent[1:].tolist(), (vocab.word_of_node[1:] >= 0).tolist(),
-               vocab.centroids[1:].tolist(), vocab.weight[1:].tolist())
 
 
 def _text_chunks(vocab: Vocabulary):
@@ -305,8 +300,15 @@ def read_vocab_text(path) -> Vocabulary:
                      lambda i: f"line {i + 2}")
 
 
-def write_vocab_json(path, vocab: Vocabulary) -> None:
-    obj = {
+def _json_chunks(vocab: Vocabulary):
+    """The JSON file of `vocab` as byte chunks, byte for byte
+    `json.dumps(obj, indent=1) + "\n"` of the whole object, with the node
+    list formatted `_JSON_WRITE_NODES` nodes at a time. The head and tail
+    come from the metadata dumped with a one-element node list, split at its
+    last `null` (a text-loaded vocabulary's strategy is `null` too). Each
+    block is its own list dumped without the brackets and indented one more
+    space, and the blocks are joined as the list's items are."""
+    meta = {
         "format": VOCAB_JSON_FORMAT,
         "version": VOCAB_JSON_VERSION,
         "k": vocab.k,
@@ -315,12 +317,24 @@ def write_vocab_json(path, vocab: Vocabulary) -> None:
         "descriptor_bits": vocab.descriptor_bits,
         "scoring": SCORING_L1,
         "weighting": WEIGHTING_TFIDF,
-        "nodes": [
-            {"parent": parent, "leaf": is_leaf, "centroid": cent, "weight": weight}
-            for parent, is_leaf, cent, weight in _node_rows(vocab)
-        ],
+        "nodes": [None],
     }
-    _atomic_write_bytes(path, [(json.dumps(obj, indent=1) + "\n").encode("ascii")])
+    head, _, tail = json.dumps(meta, indent=1).rpartition("null")
+    yield head.encode("ascii")
+    for start in range(1, vocab.parent.size, _JSON_WRITE_NODES):
+        block = slice(start, start + _JSON_WRITE_NODES)
+        nodes = [{"parent": parent, "leaf": is_leaf, "centroid": cent, "weight": weight}
+                 for parent, is_leaf, cent, weight in zip(
+                     vocab.parent[block].tolist(), (vocab.word_of_node[block] >= 0).tolist(),
+                     vocab.centroids[block].tolist(), vocab.weight[block].tolist())]
+        # "[\n {...},\n {...}\n]" -> "{...},\n  {...}"
+        text = json.dumps(nodes, indent=1)[3:-2].replace("\n", "\n ")
+        yield (text if start == 1 else ",\n  " + text).encode("ascii")
+    yield (tail + "\n").encode("ascii")
+
+
+def write_vocab_json(path, vocab: Vocabulary) -> None:
+    _atomic_write_bytes(path, _json_chunks(vocab))
 
 
 def _json_int(value, what: str) -> int:

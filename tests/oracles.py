@@ -5,13 +5,13 @@ all-pairs Hamming distance, binarization, a one-row tree descent, L1
 normalization of a bag-of-words vector, the dict-based `transform`,
 `score_l1` and L1 norm that the array-backed `BowVector` replaced, a
 database's query candidates read from its postings, a full cross-check of a
-retrieval database, a clustered-corpus generator, the relaxed-domain
-helpers, an exact k-means path and a retrieval report scored against every
-same-place pair of frames. hbow seeds
-in Hamming on packed codes, updates from integer bit counts and assigns
-through one gemm kernel; each oracle here works one row at a time, on float
-rows the plain way or in Python integers, so a test can demand that the
-packed path gives the same results.
+retrieval database, a clustered-corpus generator, a per-cluster recount
+of bit and member counts, the relaxed-domain helpers, an exact k-means path
+and a retrieval report scored against every same-place pair of frames. hbow
+seeds in Hamming on packed codes, updates from integer bit counts and
+assigns through one gemm kernel; each oracle here works one row at a
+time, on float rows the plain way or in Python integers, so a test can
+demand that the packed path gives the same results.
 """
 
 import numpy as np
@@ -158,6 +158,20 @@ def synth_clustered(num_clusters, per_cluster, flip_prob, bits=256, seed=0):
 def realize(code):
     """A packed descriptor as a float64 0/1 vector, one entry per bit."""
     return np.unpackbits(np.asarray(code, dtype=np.uint8)).astype(np.float64)
+
+
+def cluster_counts(codes, labels, k):
+    """Each cluster's per-bit counts (int64, (k, bits)) and member counts
+    (int64, (k,)): one cluster at a time, the column sums of its members'
+    `np.unpackbits` rows and their number."""
+    bits = np.unpackbits(np.asarray(codes, dtype=np.uint8), axis=1)
+    sums = np.zeros((k, bits.shape[1]), dtype=np.int64)
+    sizes = np.zeros(k, dtype=np.int64)
+    for j in range(k):
+        members = bits[np.asarray(labels) == j]
+        sums[j] = members.sum(axis=0, dtype=np.int64)
+        sizes[j] = members.shape[0]
+    return sums, sizes
 
 
 def real_mean(points):

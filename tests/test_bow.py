@@ -315,6 +315,30 @@ def test_query_takes_exclude_as_any_iterable_of_ids():
     assert db.query(vectors[0], 5, range(12)) == []
 
 
+def test_query_rejects_exclude_ids_that_are_not_integers():
+    # 0.5 once excluded entry 0 (its self-match of score 1.0) and a string
+    # raised NumPy's own error; every id that is not an integer raises
+    # ConfigError, while empty exclusions, ranges and integers outside the
+    # database pass as before
+    vocab = _random_vocab(seed=4)
+    db = RetrievalDatabase(vocab)
+    rng = np.random.default_rng(3)
+    vectors = [_random_vector(rng, 8) for _ in range(6)]
+    for v in vectors:
+        db.add(v)
+    want = db.query(vectors[0], 5)
+    assert want[0] == (0, 1.0)
+    for bad in ([0.5], [1, 2.0], ["0"], "0", [True], [np.True_], [None], np.array([0.5]),
+                [0, np.float64(1)]):
+        with pytest.raises(ConfigError, match="exclude id"):
+            db.query(vectors[0], 5, bad)
+    for passes in ([], (), set(), np.array([]), range(0), range(3, 3), [2 ** 70], [-1, 6, 10 ** 30],
+                   np.array([-5, 99]), range(6, 9)):
+        assert db.query(vectors[0], 5, passes) == want
+    assert db.query(vectors[0], 5, [np.int32(0)]) == db.query(vectors[0], 5, range(1)) \
+        == db.query(vectors[0], 6)[1:]
+
+
 def test_add_and_query_reject_weights_that_are_not_finite_and_positive():
     vocab = _random_vocab(seed=1)
     db = RetrievalDatabase(vocab)

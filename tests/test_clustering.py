@@ -17,7 +17,8 @@ from hbow import (
     majority_centroid,
     realize_matrix,
 )
-from oracles import _repair, exact_numerators, hamming, kmeanspp_seed_sqeuclidean, lloyd_float
+from oracles import _repair, cluster_counts, exact_numerators, hamming, kmeanspp_seed_sqeuclidean, \
+    lloyd_float
 
 
 def _hamming_objective(codes, centroids, assignments):
@@ -68,6 +69,17 @@ def test_seeding_errors():
         kmeanspp_seed(pts, 0, np.random.default_rng(0))
     with pytest.raises(CorpusConsistencyError):
         kmeanspp_seed(pts[0], 1, np.random.default_rng(0))
+
+
+def test_seeding_takes_k_as_an_integer():
+    # a float, bool, string or None k raises ConfigError, as ClusterConfig.k
+    # does, rather than NumPy's TypeError; a NumPy integer is an integer
+    pts = np.arange(12, dtype=np.uint8).reshape(6, 2)
+    for bad in (2.0, True, "2", None):
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            kmeanspp_seed(pts, bad, np.random.default_rng(0))
+    assert np.array_equal(kmeanspp_seed(pts, np.int64(3), np.random.default_rng(4)),
+                          kmeanspp_seed(pts, 3, np.random.default_rng(4)))
 
 
 def test_seeding_rejects_rows_that_are_not_octets():
@@ -374,9 +386,8 @@ def test_float64_grouped_sums_give_the_same_clusters(monkeypatch):
     runs = {}
     for limit in (hbow.clustering._F32_EXACT_COUNT, 2 * 64, 1):
         monkeypatch.setattr(hbow.clustering, "_F32_EXACT_COUNT", limit)
-        labels = np.arange(codes.shape[0]) % cfg.k
-        sums, _ = hbow.clustering._cluster_sums(hbow.clustering._Rows(codes, 1), labels, cfg.k)
-        assert sums.dtype == (np.float32 if codes.shape[0] < limit else np.float64)
+        sum_dtype = hbow.clustering._Rows(codes, 1).sum_dtype
+        assert sum_dtype == (np.float32 if codes.shape[0] < limit else np.float64)
         widths = [hbow.clustering._Rows(codes, m).dtype for m in (1, codes.shape[0])]
         assert widths == [np.float32 if 64 * m < limit else np.float64 for m in (1, codes.shape[0])]
         runs[limit] = [cluster(codes, cfg) for cluster in (kmajority, lloyd_real, brb_kmeans)]
@@ -567,10 +578,11 @@ def test_streamed_rows_equal_resident_rows(monkeypatch):
 
 @pytest.mark.parametrize("cluster", [kmajority, lloyd_real, brb_kmeans])
 def test_kept_bit_counts_equal_a_recount_after_every_pass(monkeypatch, cluster):
-    # the loop keeps (S, n) across passes and moves only the rows whose label
-    # changed; after every move they must equal `_cluster_sums` over the new
-    # labels, in the same dtype, and lloyd_real's member majorities must be
-    # those of its final clusters
+    # the loop keeps (S, n) across passes, from zero, and moves only the rows
+    # whose label changed (every row on the first pass); after every move
+    # they must equal an independent recount over the new labels, in the
+    # rows' sum dtype, and lloyd_real's member majorities must be those of
+    # its final clusters
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     move = hbow.clustering._move_rows
@@ -578,10 +590,11 @@ def test_kept_bit_counts_equal_a_recount_after_every_pass(monkeypatch, cluster):
 
     def checked_move(x, sums, sizes, old, new):
         move(x, sums, sizes, old, new)
-        want = hbow.clustering._cluster_sums(x, new, sums.shape[0])
-        assert sums.dtype == want[0].dtype
-        assert np.array_equal(sums, want[0]) and np.array_equal(sizes, want[1])
-        moves.append(int(np.count_nonzero(old != new)))
+        want_sums, want_sizes = cluster_counts(x.codes, new, sums.shape[0])
+        assert sums.dtype == (np.float32 if x.dtype == np.float32 else np.float64)
+        assert sizes.dtype == np.int64
+        assert np.array_equal(sums, want_sums) and np.array_equal(sizes, want_sizes)
+        moves.append(len(new) if old is None else int(np.count_nonzero(old != new)))
 
     monkeypatch.setattr(hbow.clustering, "_move_rows", checked_move)
     # 1 to 31 rows per block, so the rows are read in several blocks
@@ -598,8 +611,10 @@ def test_kept_bit_counts_equal_a_recount_after_every_pass(monkeypatch, cluster):
         k = min(k, n)
         moves.clear()
         res = cluster(codes, ClusterConfig(k=k, max_iters=max_iters, seed=seed % 7))
-        # one move per pass after the first, and lloyd_real's to its final labels
-        assert len(moves) == res.iterations_run - 1 + (cluster is lloyd_real)
+        # one move per pass, the first of every row, and lloyd_real's to its
+        # final labels
+        assert len(moves) == res.iterations_run + (cluster is lloyd_real)
+        assert moves[0] == n
         if cluster is lloyd_real:
             for j in range(k):
                 want = majority_centroid(codes[res.assignments == j])

@@ -219,6 +219,23 @@ def test_descriptor_set_validation():
         DescriptorSet(np.zeros((4, 2), dtype=np.int32))
 
 
+def test_group_ends_must_be_integers_within_int64():
+    # 1.5 once truncated to 1, "1" parsed and 2**63 raised a plain
+    # OverflowError; ranges, integer arrays of any width and the empty
+    # default keep working
+    codes = np.zeros((3, 2), dtype=np.uint8)
+    for bad in ([1.5, 3], ["1", "3"], [2 ** 63, 3], [2 ** 64, 3], np.array([1.0, 3.0]),
+                np.array([2 ** 63, 3], dtype=np.uint64), [True, True, True], [None]):
+        with pytest.raises(CorpusConsistencyError, match="integers within int64"):
+            DescriptorSet(codes, bad)
+    for good, want in ((range(1, 4), [1, 2, 3]), (np.array([1, 3], dtype=np.int32), [1, 3]),
+                       (np.array([0, 3], dtype=np.uint64), [0, 3]), ([np.int16(3)], [3]),
+                       (None, [3]), ([], [3]), (np.array([]), [3]), (range(0), [3])):
+        ends = DescriptorSet(codes, good).group_ends
+        assert ends.dtype == np.int64 and ends.tolist() == want
+    assert DescriptorSet(np.zeros((0, 2), dtype=np.uint8), []).group_count == 0
+
+
 def test_from_groups_concatenates_in_order():
     rng = np.random.default_rng(13)
     parts = [rng.integers(0, 256, size=(m, 3), dtype=np.uint8) for m in (4, 0, 7)]

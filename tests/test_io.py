@@ -646,6 +646,69 @@ def test_json_round_trip_preserves_everything(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _json_object(vocab):
+    """The whole JSON file of `vocab` as one Python object."""
+    return {
+        "format": "hbow-vocabulary", "version": 1, "k": vocab.k, "L": vocab.L,
+        "strategy": None if vocab.strategy is None else vocab.strategy.value,
+        "descriptor_bits": vocab.descriptor_bits, "scoring": "L1", "weighting": "tf-idf",
+        "nodes": [{"parent": p, "leaf": leaf, "centroid": cent, "weight": w} for p, leaf, cent, w
+                  in zip(vocab.parent[1:].tolist(), (vocab.word_of_node[1:] >= 0).tolist(),
+                         vocab.centroids[1:].tolist(), vocab.weight[1:].tolist())],
+    }
+
+
+@pytest.mark.parametrize("strategy", [Strategy.GLOBAL_HBRB, None])
+def test_json_writer_writes_the_dumped_object_in_any_block_size(tmp_path, monkeypatch, strategy):
+    # the node list is written in blocks; the file must be byte for byte the
+    # whole object dumped at once, whether the strategy is set or `null` (a
+    # second `null` before the nodes), for one node per block, uneven blocks,
+    # a last block of one node, one block of every node and the default
+    rng = np.random.default_rng(5)
+    specials = [0.0, -0.0, 5e-324, 1e-05, 1 / 3, 2.0 ** 53 + 2, 1e16, np.inf, 123456789.125]
+    n = 301
+    vocab = Vocabulary(3, 9, strategy, np.append(-1, np.arange(n - 1) // 3),
+                       rng.integers(0, 256, size=(n, 5), dtype=np.uint8),
+                       rng.choice(np.array(specials), size=n))
+    want = (json.dumps(_json_object(vocab), indent=1) + "\n").encode("ascii")
+    for nodes in (1, 7, 299, 300, hbow.io._JSON_WRITE_NODES):
+        monkeypatch.setattr(hbow.io, "_JSON_WRITE_NODES", nodes)
+        path = tmp_path / f"v{nodes}.json"
+        write_vocab_json(path, vocab)
+        assert path.read_bytes() == want
+    # a single-node tree is one block of one node
+    single = Vocabulary(1, 1, strategy, [-1, 0], [[1], [2]], [0.0, 1.5])
+    write_vocab_json(tmp_path / "one.json", single)
+    assert (tmp_path / "one.json").read_bytes() == \
+        (json.dumps(_json_object(single), indent=1) + "\n").encode("ascii")
+
+
+def test_json_writer_memory_is_bounded_by_one_block(tmp_path):
+    # a full k=16, L=3 tree of 4,369 256-bit nodes, five blocks of the
+    # default 1,024 nodes: written a block at a time it peaks at about
+    # 4 MiB under tracemalloc, where dumping the whole object at once peaks
+    # near 16 MiB and grows with the tree
+    k, L = 16, 3
+    n = sum(k ** d for d in range(L + 1))
+    rng = np.random.default_rng(0)
+    weight = np.where(np.arange(n) >= n - k ** L, rng.uniform(0.5, 4.0, n), 0.0)
+    vocab = Vocabulary(k, L, Strategy.GLOBAL_HBRB, np.append(-1, np.arange(n - 1) // k),
+                       rng.integers(0, 256, size=(n, 32), dtype=np.uint8), weight)
+    path = tmp_path / "v.json"
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        write_vocab_json(path, vocab)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20
+    assert path.read_bytes() == (json.dumps(_json_object(vocab), indent=1) + "\n").encode("ascii")
+
+
 def test_json_parse_errors(tmp_path):
     path = tmp_path / "bad.json"
 
