@@ -39,6 +39,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .clustering import _config_int
+from .descriptors import _integer_array
 from .errors import ConfigError, CorpusConsistencyError
 from .vocabulary import Vocabulary, lookup_words
 
@@ -300,9 +301,7 @@ class RetrievalDatabase:
         shared = np.bincount(self._ids[slots], minlength=n, weights=np.minimum(
             self._weights[slots], np.repeat(weights, counts)))
         if exclude is not None:
-            # a range holds only integers; any other iterable is checked id by id
-            ids = np.array(list(exclude) if isinstance(exclude, range)
-                           else [_config_int(e, "exclude id") for e in exclude])
+            ids = _integer_array(list(exclude), ConfigError, "exclude ids must be integers")
             shared[ids[(ids >= 0) & (ids < n)].astype(np.intp)] = 0.0
         candidates = np.flatnonzero(shared > 0.0)
         self._candidates = candidates.size

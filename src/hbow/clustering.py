@@ -70,13 +70,12 @@ farthest member.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import _as_codes, _hamming_table, _word_major, binarize_matrix, \
-    realize_matrix
+from .descriptors import _as_codes, _hamming_table, _index, _word_major, \
+    binarize_matrix, realize_matrix
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 
 # A float32 sum of integers is exact while every partial sum stays below 2**24.
@@ -92,9 +91,7 @@ def _config_int(value, name: str) -> int:
     """`value` as a Python int: a numpy integer is one, but a bool, a float
     such as 2.0 or a string such as "3" raises ConfigError."""
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
+        return _index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 

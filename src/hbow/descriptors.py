@@ -23,6 +23,7 @@ candidates. The table and the descent walk their queries in blocks of
 
 from __future__ import annotations
 
+import operator
 import reprlib
 from dataclasses import dataclass
 
@@ -33,6 +34,32 @@ from .errors import CorpusConsistencyError, InsufficientPointsError
 # Cap on the buffers of one block of query columns against k candidates
 # (`_block_columns`): 4,369 columns of 256 bits at k = 10.
 _HAMMING_BLOCK_BYTES = 1 << 21
+
+
+def _index(value) -> int:
+    """`value` as a Python int: a numpy integer is one, but a bool, a float
+    such as 2.0, a string such as "3" or None raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError
+    return operator.index(value)
+
+
+def _integer_array(values, error: type[Exception], message: str) -> np.ndarray:
+    """`values`, a sequence or array of integers, as a 1-d integer array;
+    anything else raises `error(message)`. An integer array passes as it is
+    and an empty input (which NumPy reads as float64) as int64. Any other
+    input is checked value by value, so a float, string, bool or None raises
+    while a Python int beyond int64 (which NumPy reads as float64 or object)
+    stays exact in an object array."""
+    arr = np.asarray(values).ravel()
+    if arr.dtype.kind in "iu":
+        return arr
+    if arr.size == 0:
+        return arr.astype(np.int64)
+    try:
+        return np.array([_index(v) for v in values], dtype=object)
+    except TypeError:
+        raise error(f"{message}, got {reprlib.repr(values)}") from None
 
 
 def _as_code(code) -> np.ndarray:
@@ -191,13 +218,11 @@ class DescriptorSet:
     def __post_init__(self) -> None:
         codes = self.codes = _as_codes(self.codes)
         n = codes.shape[0]
-        ends = np.asarray(() if self.group_ends is None else self.group_ends).ravel()
-        # an empty sequence reads as float64; anything else must be integers
-        # that fit int64, with no float, string or overflow slipping through
-        if ends.size and (ends.dtype.kind not in "iu" or int(ends.max()) >= 2 ** 63):
-            raise CorpusConsistencyError(
-                f"group end offsets must be integers within int64, got "
-                f"{reprlib.repr(self.group_ends)}")
+        message = "group end offsets must be integers within int64"
+        ends = _integer_array(() if self.group_ends is None else self.group_ends,
+                              CorpusConsistencyError, message)
+        if ends.size and not (-2 ** 63 <= int(ends.min()) and int(ends.max()) < 2 ** 63):
+            raise CorpusConsistencyError(f"{message}, got {reprlib.repr(self.group_ends)}")
         ends = ends.astype(np.int64)
         if ends.size == 0 and n > 0:
             ends = np.array([n], dtype=np.int64)

@@ -329,14 +329,20 @@ def test_query_rejects_exclude_ids_that_are_not_integers():
     want = db.query(vectors[0], 5)
     assert want[0] == (0, 1.0)
     for bad in ([0.5], [1, 2.0], ["0"], "0", [True], [np.True_], [None], np.array([0.5]),
-                [0, np.float64(1)]):
+                [0, np.float64(1)], np.array([0.0, 1.0]), np.array([True]), [2 ** 70, 0.5],
+                [1, None]):
         with pytest.raises(ConfigError, match="exclude id"):
             db.query(vectors[0], 5, bad)
+    # NumPy reads [2**63, 7] as float64; its ids are integers all the same
     for passes in ([], (), set(), np.array([]), range(0), range(3, 3), [2 ** 70], [-1, 6, 10 ** 30],
-                   np.array([-5, 99]), range(6, 9)):
+                   [2 ** 63, 7], np.array([-5, 99]), np.arange(6, 9, dtype=np.uint64), range(6, 9)):
         assert db.query(vectors[0], 5, passes) == want
-    assert db.query(vectors[0], 5, [np.int32(0)]) == db.query(vectors[0], 5, range(1)) \
-        == db.query(vectors[0], 6)[1:]
+    without_0 = db.query(vectors[0], 6)[1:]
+    for ids in ([np.int32(0)], range(1), np.array([0], dtype=np.int64), np.array([0, 2 ** 40]),
+                [0, 2 ** 70], np.array([0], dtype=np.uint8)):
+        assert db.query(vectors[0], 5, ids) == without_0
+    kept = [hit for hit in db.query(vectors[0], 6) if hit[0] not in (0, 2, 4)]
+    assert db.query(vectors[0], 6, np.arange(0, 6, 2, dtype=np.int64)) == kept
 
 
 def test_add_and_query_reject_weights_that_are_not_finite_and_positive():

@@ -225,7 +225,8 @@ def test_group_ends_must_be_integers_within_int64():
     # default keep working
     codes = np.zeros((3, 2), dtype=np.uint8)
     for bad in ([1.5, 3], ["1", "3"], [2 ** 63, 3], [2 ** 64, 3], np.array([1.0, 3.0]),
-                np.array([2 ** 63, 3], dtype=np.uint64), [True, True, True], [None]):
+                np.array([2 ** 63, 3], dtype=np.uint64), [True, True, True], [None],
+                [-2 ** 70, 3], [1, None], np.array([1, 3], dtype=object) + 0.5):
         with pytest.raises(CorpusConsistencyError, match="integers within int64"):
             DescriptorSet(codes, bad)
     for good, want in ((range(1, 4), [1, 2, 3]), (np.array([1, 3], dtype=np.int32), [1, 3]),
