@@ -38,8 +38,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .clustering import _config_int
-from .descriptors import _integer_array
+from .descriptors import _integer, _integer_array, _real
 from .errors import ConfigError, CorpusConsistencyError
 from .vocabulary import Vocabulary, lookup_words
 
@@ -58,7 +57,8 @@ class BowVector:
     """Word ids, strictly ascending (int64, or Python ints in an object array
     when one does not fit int64), and their finite positive weights, as
     read-only arrays; built from a mapping of word id -> weight whose ids are
-    Python or NumPy integers, not bools."""
+    Python or NumPy integers and whose weights are real numbers, not bools or
+    strings."""
 
     words: np.ndarray
     weights: np.ndarray
@@ -72,7 +72,9 @@ class BowVector:
         except OverflowError:  # ids outside int64 stay Python ints
             words = np.array(ids, dtype=object)
         order = np.argsort(words, kind="stable")
-        words, weights = words[order], np.fromiter(entries.values(), np.float64, words.size)[order]
+        weights = np.fromiter((_real(w, "every weight", error=CorpusConsistencyError)
+                               for w in entries.values()), np.float64, words.size)
+        words, weights = words[order], weights[order]
         if (bad := np.flatnonzero(~((weights > 0.0) & (weights < _INF)))).size:
             raise CorpusConsistencyError(f"word {words[bad[0]]} has weight {weights[bad[0]]}; "
                                          "weights must be finite and > 0")
@@ -286,9 +288,7 @@ class RetrievalDatabase:
         entry id. Equal to brute force over all entries. Words outside the
         vocabulary match no entry but count in the query's norm.
         """
-        max_results = _config_int(max_results, "max_results")
-        if max_results < 1:
-            raise ConfigError(f"max_results must be >= 1, got {max_results}")
+        max_results = _integer(max_results, "max_results", 1)
         n = len(self.norms)
         lo, hi = np.searchsorted(vector.words, (0, self.vocab.word_count))
         words = vector.words[lo:hi].astype(np.int64, copy=False)

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .bow import RetrievalDatabase, transform
-from .descriptors import DescriptorSet
+from .descriptors import DescriptorSet, _integer
 from .errors import (
     ConfigError,
     CorpusConsistencyError,
@@ -146,10 +146,9 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    if args.top < 1:
-        raise ConfigError(f"--top must be >= 1, got {args.top}")
-    if args.exclude_window is not None and args.exclude_window < 0:
-        raise ConfigError(f"--exclude-window must be >= 0, got {args.exclude_window}")
+    _integer(args.top, "--top", 1)
+    if args.exclude_window is not None:
+        _integer(args.exclude_window, "--exclude-window", 0)
     vocab = load_vocabulary(args.vocab)
     db_set = read_descriptors(args.db)
     query_set = read_descriptors(args.queries)

@@ -74,9 +74,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import _as_codes, _hamming_table, _index, _word_major, \
+from .descriptors import _as_codes, _hamming_table, _integer, _word_major, \
     binarize_matrix, realize_matrix
-from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
+from .errors import CorpusConsistencyError, InsufficientPointsError
 
 # A float32 sum of integers is exact while every partial sum stays below 2**24.
 _F32_EXACT_COUNT = 1 << 24
@@ -85,15 +85,6 @@ _F32_EXACT_COUNT = 1 << 24
 # between its unpacking and its gemm, and the allocator reuses its pages
 # rather than faulting in fresh ones for every block.
 _RELAXED_BLOCK_BYTES = 1 << 20
-
-
-def _config_int(value, name: str) -> int:
-    """`value` as a Python int: a numpy integer is one, but a bool, a float
-    such as 2.0 or a string such as "3" raises ConfigError."""
-    try:
-        return _index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -107,14 +98,9 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         for name in ("k", "max_iters"):
-            value = _config_int(getattr(self, name), name)
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         if not isinstance(self.seed, np.random.SeedSequence):
-            object.__setattr__(self, "seed", _config_int(self.seed, "seed"))
-            if self.seed < 0:
-                raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
 
 @dataclass
@@ -142,9 +128,7 @@ def kmeanspp_seed(codes, k: int, rng: np.random.Generator) -> np.ndarray:
     if pts.ndim != 2:
         raise CorpusConsistencyError(f"expected an (n, octets) matrix, got shape {pts.shape}")
     n = pts.shape[0]
-    k = _config_int(k, "k")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    k = _integer(k, "k", 1)
     if n < k:
         raise InsufficientPointsError(f"cannot seed {k} clusters from {n} points")
     pts = _as_codes(pts)

@@ -23,25 +23,56 @@ candidates. The table and the descent walk their queries in blocks of
 
 from __future__ import annotations
 
+import numbers
 import operator
 import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorpusConsistencyError, InsufficientPointsError
+from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 
 # Cap on the buffers of one block of query columns against k candidates
 # (`_block_columns`): 4,369 columns of 256 bits at k = 10.
 _HAMMING_BLOCK_BYTES = 1 << 21
 
 
-def _index(value) -> int:
-    """`value` as a Python int: a numpy integer is one, but a bool, a float
-    such as 2.0, a string such as "3" or None raises TypeError."""
-    if isinstance(value, bool):
-        raise TypeError
-    return operator.index(value)
+def _in_range(value, name: str, low, high, error: type[Exception]):
+    """`value` if it lies in [low, high), or at or above `low` when `high` is
+    None (NaN lies in no range); else `error`."""
+    if high is not None and not low <= value < high:
+        raise error(f"{name} must be in [{low}, {high}), got {value}")
+    if low is not None and not value >= low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _integer(value, name: str, low: int | None = None, high: int | None = None,
+             error: type[Exception] = ConfigError) -> int:
+    """`value`, a number from outside, as a Python int within `_in_range`'s
+    bounds: a numpy integer is one, but a bool, a float such as 2.0, a string
+    such as "3" or None raises `error`, as does a value out of range."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    return _in_range(value, name, low, high, error)
+
+
+def _real(value, name: str, low: float | None = None, high: float | None = None,
+          error: type[Exception] = ConfigError) -> float:
+    """`value`, a real number from outside (a Python or numpy int or float),
+    as a Python float within `_in_range`'s bounds: a bool, a string such as
+    "0.5" or None raises `error`, as does a value out of range or an int
+    beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(_in_range(value, name, low, high, error))
+    except OverflowError:
+        raise error(f"{name} must be a finite real number, got {value}") from None
 
 
 def _integer_array(values, error: type[Exception], message: str) -> np.ndarray:
@@ -57,7 +88,7 @@ def _integer_array(values, error: type[Exception], message: str) -> np.ndarray:
     if arr.size == 0:
         return arr.astype(np.int64)
     try:
-        return np.array([_index(v) for v in values], dtype=object)
+        return np.array([_integer(v, message, error=TypeError) for v in values], dtype=object)
     except TypeError:
         raise error(f"{message}, got {reprlib.repr(values)}") from None
 

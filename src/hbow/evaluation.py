@@ -25,8 +25,7 @@ from io import StringIO
 import numpy as np
 
 from .bow import RetrievalDatabase, transform
-from .clustering import _config_int
-from .descriptors import DescriptorSet, _as_codes, hamming_rows
+from .descriptors import DescriptorSet, _as_codes, _integer, _real, hamming_rows
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 from .io import _atomic_write_bytes
 from .vocabulary import TrainConfig, Vocabulary, _as_strategy, lookup_words, train_result
@@ -57,29 +56,20 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("num_places", "descriptors_per_place", "descriptor_bits", "seed"):
-            object.__setattr__(self, name, _config_int(getattr(self, name), name))
-        if self.num_places < 1:
-            raise ConfigError(f"num_places must be >= 1, got {self.num_places}")
-        if self.descriptors_per_place < 1:
-            raise ConfigError(
-                f"descriptors_per_place must be >= 1, got {self.descriptors_per_place}"
-            )
-        if not 0.0 <= self.revisit_fraction < 1.0:
-            raise ConfigError(f"revisit_fraction must lie in [0, 1), got {self.revisit_fraction}")
+        for name, low in (("num_places", 1), ("descriptors_per_place", 1),
+                          ("descriptor_bits", None), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
+        for name, high in (("revisit_fraction", 1), ("bit_flip_prob", 0.5)):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0, high))
         # every place is visited, so more places than MAX_FRAMES need no division
         if self.num_places > MAX_FRAMES or self.frame_count > MAX_FRAMES:
             raise ConfigError(
                 f"a traversal may have at most {MAX_FRAMES} frames; {self.num_places} places at "
                 f"revisit_fraction {self.revisit_fraction} make more")
-        if not 0.0 <= self.bit_flip_prob < 0.5:
-            raise ConfigError(f"bit_flip_prob must lie in [0, 0.5), got {self.bit_flip_prob}")
         if self.descriptor_bits < 8 or self.descriptor_bits % 8 != 0:
             raise ConfigError(
                 f"descriptor_bits must be a positive multiple of 8, got {self.descriptor_bits}"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def frame_count(self) -> int:
@@ -200,14 +190,12 @@ def retrieval_report(vocab: Vocabulary, frames, frame_places,
     shows their place. The PR sweep thresholds the top-1 score; with no
     eligible queries the report is vacuous (both metrics 1.0).
     """
-    temporal_exclusion = _config_int(temporal_exclusion, "temporal_exclusion")
-    if temporal_exclusion < 0:
-        raise ConfigError(f"temporal_exclusion must be >= 0, got {temporal_exclusion}")
+    temporal_exclusion = _integer(temporal_exclusion, "temporal_exclusion", 0)
     frames = list(frames)
     try:
         if isinstance(frame_places, (set, frozenset, dict)):
             raise TypeError(f"a {type(frame_places).__name__} has no frame order")
-        places = [_config_int(p, "every place") for p in frame_places]
+        places = [_integer(p, "every place") for p in frame_places]
     except (TypeError, ConfigError) as exc:
         raise CorpusConsistencyError(
             f"frame_places must list one integer per frame: {exc}") from None
@@ -255,6 +243,7 @@ def compare_strategies(synth_cfg: SynthConfig, strategies, seeds, k: int = 10, L
     """
     strategies = [_as_strategy(s, ConfigError) for s in strategies]
     seeds = list(seeds)
+    temporal_exclusion = _integer(temporal_exclusion, "temporal_exclusion", 0)
     if not strategies:
         raise ConfigError("need at least one strategy")
     if not seeds:

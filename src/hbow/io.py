@@ -40,15 +40,20 @@ keep node order, so a save/load round trip preserves every lookup result.
 
 The JSON format is this library's native serialization; it additionally
 carries the training strategy tag.
+
+Every writer goes through `_atomic_write_bytes`: a new file gets the mode a
+plain `open` gives under the process umask (0644 under umask 022), and a
+replaced file keeps its mode.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import secrets
+import stat
 import struct
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
@@ -79,17 +84,27 @@ _OCTET_TEXT = np.array([f" {i}".encode("ascii") for i in range(256)], dtype="S4"
 
 def _atomic_write_bytes(path, chunks) -> None:
     """Write an iterable of byte chunks via a sibling temp file and
-    os.replace, so readers never see a half-written file. A path that exists
-    but is no regular file, such as a pipe or /dev/null, is written in place:
-    replacing it would put a regular file where the device or pipe was."""
+    os.replace, so readers never see a half-written file. A new file gets the
+    mode a plain `open` gives, 0666 less the umask, and a replaced regular
+    file keeps its mode. A path that exists but is no regular file, such as a
+    pipe or /dev/null, is written in place: replacing it would put a regular
+    file where the device or pipe was."""
     path = Path(path)
     if path.exists() and not path.is_file():
         with open(path, "wb") as fh:
             fh.writelines(chunks)
         return
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    while True:
+        tmp = path.parent / f"{path.name}.{secrets.token_hex(4)}"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
+            if path.is_file():
+                os.fchmod(fh.fileno(), stat.S_IMODE(path.stat().st_mode))
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

@@ -43,8 +43,9 @@ from time import perf_counter
 
 import numpy as np
 
-from .clustering import ClusterConfig, _config_int, brb_kmeans, kmajority, lloyd_real
-from .descriptors import DescriptorSet, _as_codes, _block_columns, _word_major, _xor_distances
+from .clustering import ClusterConfig, brb_kmeans, kmajority, lloyd_real
+from .descriptors import DescriptorSet, _as_codes, _block_columns, _integer, _word_major, \
+    _xor_distances
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError, \
     InternalInvariantError
 
@@ -193,15 +194,11 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", _as_strategy(self.strategy, ConfigError))
-        k, L = _config_int(self.k, "k"), _config_int(self.L, "L")
-        if not 2 <= k < 2 ** 63:
-            raise ConfigError(f"branching factor k must be in [2, 2**63), got {k}")
-        if not 1 <= L < 2 ** 63:
-            raise ConfigError(f"depth L must be in [1, 2**63), got {L}")
+        k, L = _integer(self.k, "k", 2, 2 ** 63), _integer(self.L, "L", 1, 2 ** 63)
         max_iters = self.max_iters
         if max_iters is None:  # 100, or a given cluster's; any other cluster fails below
             max_iters = getattr(self.cluster, "max_iters", 100)
-        cluster = ClusterConfig(k, max_iters, _config_int(self.seed, "seed"))
+        cluster = ClusterConfig(k, max_iters, _integer(self.seed, "seed"))
         if self.cluster not in (None, cluster):
             raise ConfigError(f"cluster {self.cluster} disagrees with {cluster}")
         for name, value in (("k", k), ("L", L), ("cluster", cluster), ("seed", cluster.seed),

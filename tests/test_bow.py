@@ -2,7 +2,10 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -291,6 +294,22 @@ def test_word_ids_must_be_integers():
     assert v.words.tolist() == [0, 1, 2] and v.words.dtype == np.int64
     assert BowVector({2 ** 70: 1.0, 1: 1.0}).words.tolist() == [1, 2 ** 70]
     assert BowVector({}) == BowVector.empty()
+
+
+def test_weights_must_be_real_numbers():
+    # "0.5" was once stored as 0.5 and True as 1.0, though ids reject both;
+    # ints, numpy reals and fractions are real numbers, and a Decimal is not
+    for bad in ("0.5", b"1", True, np.True_, None, [0.5], 1j, Decimal("0.5")):
+        with pytest.raises(CorpusConsistencyError,
+                           match=re.escape(f"every weight must be a real number, got {bad!r}")):
+            BowVector({1: bad})
+        with pytest.raises(CorpusConsistencyError, match="every weight must be a real number"):
+            BowVector({0: 0.5, 2: bad})
+    # an int beyond the float range once raised a bare OverflowError
+    with pytest.raises(CorpusConsistencyError, match="every weight must be a finite real number"):
+        BowVector({1: 10 ** 400})
+    v = BowVector({2: 1, 0: np.float32(0.25), 1: np.int8(3), 3: Fraction(1, 2)})
+    assert v.weights.tolist() == [0.25, 3.0, 1.0, 0.5] and v.weights.dtype == np.float64
 
 
 def test_query_takes_exclude_as_any_iterable_of_ids():

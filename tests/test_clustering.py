@@ -78,6 +78,8 @@ def test_seeding_takes_k_as_an_integer():
     for bad in (2.0, True, "2", None):
         with pytest.raises(ConfigError, match="k must be an integer"):
             kmeanspp_seed(pts, bad, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
+        kmeanspp_seed(pts, 0, np.random.default_rng(0))
     assert np.array_equal(kmeanspp_seed(pts, np.int64(3), np.random.default_rng(4)),
                           kmeanspp_seed(pts, 3, np.random.default_rng(4)))
 

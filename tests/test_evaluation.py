@@ -207,15 +207,19 @@ def test_synth_config_validation():
         SynthConfig(seed=-1)
 
 
-# each integer argument: a call taking it, and a value that call accepts
+# each integer argument: a call taking it, a value that call accepts, and a
+# value below its bound with the message that value raises
 _INTEGER_ARGUMENTS = {
-    "num_places": (lambda v: SynthConfig(num_places=v), 3),
-    "descriptors_per_place": (lambda v: SynthConfig(descriptors_per_place=v), 3),
-    "descriptor_bits": (lambda v: SynthConfig(descriptor_bits=v), 64),
-    "seed": (lambda v: SynthConfig(seed=v), 3),
-    "temporal_exclusion": (lambda v: retrieval_report(_bundle_vocab(), [], [], v), 3),
+    "num_places": (lambda v: SynthConfig(num_places=v), 3, 0, "num_places must be >= 1, got 0"),
+    "descriptors_per_place": (lambda v: SynthConfig(descriptors_per_place=v), 3, 0,
+                              "descriptors_per_place must be >= 1, got 0"),
+    "descriptor_bits": (lambda v: SynthConfig(descriptor_bits=v), 64, 0,
+                        "descriptor_bits must be a positive multiple of 8, got 0"),
+    "seed": (lambda v: SynthConfig(seed=v), 3, -1, "seed must be >= 0, got -1"),
+    "temporal_exclusion": (lambda v: retrieval_report(_bundle_vocab(), [], [], v), 3, -1,
+                           "temporal_exclusion must be >= 0, got -1"),
     "max_results": (lambda v: RetrievalDatabase(_bundle_vocab()).query(BowVector({0: 1.0}), v),
-                    3),
+                    3, 0, "max_results must be >= 1, got 0"),
 }
 
 
@@ -223,14 +227,33 @@ _INTEGER_ARGUMENTS = {
 def test_integer_arguments_must_be_integers(name):
     # unchecked, a float fails later with a bare TypeError (the exit code of
     # an hbow bug), and a bool passes as 0 or 1
-    make, good = _INTEGER_ARGUMENTS[name]
+    make, good, below, below_message = _INTEGER_ARGUMENTS[name]
     for value in (2.5, np.float64(3.0), "3", True, np.bool_(True)):
         message = re.escape(f"{name} must be an integer, got {value!r}")
         with pytest.raises(ConfigError, match=message):
             make(value)
+    with pytest.raises(ConfigError, match=re.escape(below_message)):
+        make(below)
     made = make(np.int64(good))
     if isinstance(made, SynthConfig):
         assert getattr(made, name) == good and type(getattr(made, name)) is int
+
+
+def test_synth_config_real_fields_must_be_real_numbers():
+    # a string or None once reached `<=` and raised a bare TypeError (the
+    # exit code of an hbow bug); ints and numpy reals count as real numbers
+    for name, high in (("revisit_fraction", 1), ("bit_flip_prob", 0.5)):
+        for value in ("0.3", None, True, np.bool_(False), b"0", [0.1], 1j):
+            with pytest.raises(ConfigError,
+                               match=re.escape(f"{name} must be a real number, got {value!r}")):
+                SynthConfig(**{name: value})
+        for value in (-0.1, high, float("nan"), float("inf")):
+            with pytest.raises(ConfigError,
+                               match=re.escape(f"{name} must be in [0, {high}), got {value}")):
+                SynthConfig(**{name: value})
+        for value, want in ((0, 0.0), (np.float32(0.25), 0.25), (np.float64(0.125), 0.125)):
+            made = getattr(SynthConfig(**{name: value}), name)
+            assert made == want and type(made) is float
 
 
 # ---------------------------------------------------------------- quantization

@@ -26,10 +26,12 @@ from hbow import (
     Vocabulary,
     train,
     write_descriptors,
+    write_rows_csv,
     write_rows_json,
     write_vocab_json,
     write_vocab_text,
 )
+import hbow.cli
 import hbow.io
 from hbow.cli import main
 from hbow.io import _TEXT_BLOCK_BYTES
@@ -187,6 +189,39 @@ def test_writes_to_a_pipe_go_in_place(tmp_path):
     assert stat.S_ISFIFO(os.stat(pipe).st_mode)
     assert got == [b'[\n  {\n    "seed": 1\n  }\n]\n']
     assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_written_files_get_the_mode_a_plain_open_gives(tmp_path):
+    # the temporary file once came from mkstemp, whose mode 0600 the rename
+    # kept, so every written file was its owner's alone whatever the umask
+    vocab = _grouped_vocab(k=3, L=2, n=300)
+    writers = {
+        "d.hbdc": lambda p: write_descriptors(p, _random_set(10, 8, seed=0)),
+        "v.txt": lambda p: write_vocab_text(p, vocab),
+        "v.json": lambda p: write_vocab_json(p, vocab),
+        "e.csv": lambda p: write_rows_csv(p, [{"seed": 1}]),
+        "e.json": lambda p: write_rows_json(p, [{"seed": 1}]),
+        "bow.json": lambda p: hbow.cli._emit({"groups": []}, p),
+    }
+    old = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o077):
+            os.umask(umask)
+            folder = tmp_path / f"umask{umask:03o}"
+            folder.mkdir()
+            (folder / "plain").open("wb").close()
+            plain = stat.S_IMODE(os.stat(folder / "plain").st_mode)
+            assert plain == 0o666 & ~umask
+            for name, write in writers.items():
+                write(folder / name)
+                assert stat.S_IMODE(os.stat(folder / name).st_mode) == plain, name
+                # a replaced file keeps its own mode
+                os.chmod(folder / name, 0o640)
+                write(folder / name)
+                assert stat.S_IMODE(os.stat(folder / name).st_mode) == 0o640, name
+            assert sorted(os.listdir(folder)) == sorted([*writers, "plain"])
+    finally:
+        os.umask(old)
 
 
 # ---------------------------------------------------------------- text format

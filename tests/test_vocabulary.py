@@ -1046,6 +1046,16 @@ def test_config_numbers_must_be_integers(tmp_path):
     for name, value in [("k", 2.5), ("k", "3"), ("max_iters", 2.5), ("seed", 1.5)]:
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             ClusterConfig(**{"k": 2, name: value})
+    # a value out of its range raises with the bound it breaks
+    for name, value, bound in [("k", 1, "in [2, 9223372036854775808)"),
+                               ("k", 2 ** 63, "in [2, 9223372036854775808)"),
+                               ("L", 0, "in [1, 9223372036854775808)"),
+                               ("max_iters", 0, ">= 1"), ("seed", -1, ">= 0")]:
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be {bound}, got {value}")):
+            TrainConfig(**{"k": 3, "L": 2, name: value})
+    for name, value, bound in [("k", 0, ">= 1"), ("max_iters", 0, ">= 1"), ("seed", -1, ">= 0")]:
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be {bound}, got {value}")):
+            ClusterConfig(**{"k": 2, name: value})
     # numpy integers still count, and train the same bytes as Python ints
     ds = _random_corpus(200, 8, seed=1)
     numpy_cfg = TrainConfig(k=np.int64(3), L=np.int32(2), seed=np.uint8(1),
