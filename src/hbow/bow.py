@@ -64,13 +64,7 @@ class BowVector:
     weights: np.ndarray
 
     def __new__(cls, entries: Mapping = MappingProxyType({})):
-        ids = list(entries)
-        if bad := [w for w in ids if isinstance(w, bool) or not isinstance(w, (int, np.integer))]:
-            raise CorpusConsistencyError(f"word ids must be integers, got {bad[0]!r}")
-        try:
-            words = np.array(ids, dtype=np.int64)
-        except OverflowError:  # ids outside int64 stay Python ints
-            words = np.array(ids, dtype=object)
+        words = _integer_array(list(entries), CorpusConsistencyError, "word ids must be integers")
         order = np.argsort(words, kind="stable")
         weights = np.fromiter((_real(w, "every weight", error=CorpusConsistencyError)
                                for w in entries.values()), np.float64, words.size)
@@ -241,7 +235,6 @@ class RetrievalDatabase:
         if words.size and not (0 <= words[0] and words[-1] < word_count):
             bad = words[0] if words[0] < 0 else words[words >= word_count][0]
             raise CorpusConsistencyError(f"word id {bad} outside vocabulary of {word_count} words")
-        words = words.astype(np.int64, copy=False)
         count = self._count[words]
         full = count == self._room[words]
         if full.any():
@@ -301,7 +294,7 @@ class RetrievalDatabase:
         shared = np.bincount(self._ids[slots], minlength=n, weights=np.minimum(
             self._weights[slots], np.repeat(weights, counts)))
         if exclude is not None:
-            ids = _integer_array(list(exclude), ConfigError, "exclude ids must be integers")
+            ids = _integer_array(exclude, ConfigError, "exclude ids must be integers")
             shared[ids[(ids >= 0) & (ids < n)].astype(np.intp)] = 0.0
         candidates = np.flatnonzero(shared > 0.0)
         self._candidates = candidates.size

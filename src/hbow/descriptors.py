@@ -76,21 +76,25 @@ def _real(value, name: str, low: float | None = None, high: float | None = None,
 
 
 def _integer_array(values, error: type[Exception], message: str) -> np.ndarray:
-    """`values`, a sequence or array of integers, as a 1-d integer array;
-    anything else raises `error(message)`. An integer array passes as it is
-    and an empty input (which NumPy reads as float64) as int64. Any other
-    input is checked value by value, so a float, string, bool or None raises
-    while a Python int beyond int64 (which NumPy reads as float64 or object)
-    stays exact in an object array."""
-    arr = np.asarray(values).ravel()
-    if arr.dtype.kind in "iu":
-        return arr
-    if arr.size == 0:
-        return arr.astype(np.int64)
+    """`values`, a list of integers from outside, as a new 1-d array: int64,
+    or exact Python ints in an object array when one lies outside int64. A
+    1-d integer array or a range passes by its dtype; anything else is
+    checked value by value with `_integer`, so a bool, float, string, None,
+    nested list or bare number raises `error(message + ", got ...")`."""
+    if isinstance(values, (np.ndarray, range)):
+        arr = np.asarray(values)
+        # a uint64 above int64 goes on to the object array
+        if arr.ndim == 1 and (arr.dtype.kind == "i"
+                              or arr.dtype.kind == "u" and arr.max(initial=0) < 2 ** 63):
+            return arr.astype(np.int64)
     try:
-        return np.array([_integer(v, message, error=TypeError) for v in values], dtype=object)
+        ints = [_integer(v, message, error=TypeError) for v in values]
     except TypeError:
         raise error(f"{message}, got {reprlib.repr(values)}") from None
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
 
 
 def _as_code(code) -> np.ndarray:
@@ -252,9 +256,8 @@ class DescriptorSet:
         message = "group end offsets must be integers within int64"
         ends = _integer_array(() if self.group_ends is None else self.group_ends,
                               CorpusConsistencyError, message)
-        if ends.size and not (-2 ** 63 <= int(ends.min()) and int(ends.max()) < 2 ** 63):
+        if ends.dtype == object:
             raise CorpusConsistencyError(f"{message}, got {reprlib.repr(self.group_ends)}")
-        ends = ends.astype(np.int64)
         if ends.size == 0 and n > 0:
             ends = np.array([n], dtype=np.int64)
         if ends.size:

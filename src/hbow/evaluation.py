@@ -25,7 +25,7 @@ from io import StringIO
 import numpy as np
 
 from .bow import RetrievalDatabase, transform
-from .descriptors import DescriptorSet, _as_codes, _integer, _real, hamming_rows
+from .descriptors import DescriptorSet, _as_codes, _integer, _integer_array, _real, hamming_rows
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 from .io import _atomic_write_bytes
 from .vocabulary import TrainConfig, Vocabulary, _as_strategy, lookup_words, train_result
@@ -192,13 +192,11 @@ def retrieval_report(vocab: Vocabulary, frames, frame_places,
     """
     temporal_exclusion = _integer(temporal_exclusion, "temporal_exclusion", 0)
     frames = list(frames)
-    try:
-        if isinstance(frame_places, (set, frozenset, dict)):
-            raise TypeError(f"a {type(frame_places).__name__} has no frame order")
-        places = [_integer(p, "every place") for p in frame_places]
-    except (TypeError, ConfigError) as exc:
+    message = "frame_places must list one integer per frame"
+    if isinstance(frame_places, (set, frozenset, dict)):
         raise CorpusConsistencyError(
-            f"frame_places must list one integer per frame: {exc}") from None
+            f"{message}: a {type(frame_places).__name__} has no frame order")
+    places = _integer_array(frame_places, CorpusConsistencyError, message).tolist()
     if len(places) != len(frames):
         raise CorpusConsistencyError(f"{len(places)} frame_places for {len(frames)} frames")
     db = RetrievalDatabase(vocab)
@@ -242,15 +240,16 @@ def compare_strategies(synth_cfg: SynthConfig, strategies, seeds, k: int = 10, L
     EVAL_COLUMNS; everything except train_seconds is deterministic.
     """
     strategies = [_as_strategy(s, ConfigError) for s in strategies]
-    seeds = list(seeds)
+    seeds = _integer_array(seeds, ConfigError, "seeds must be integers").tolist()
     temporal_exclusion = _integer(temporal_exclusion, "temporal_exclusion", 0)
     if not strategies:
         raise ConfigError("need at least one strategy")
     if not seeds:
         raise ConfigError("need at least one seed")
+    worlds = [replace(synth_cfg, seed=seed) for seed in seeds]  # every seed checked first
     rows: list[dict] = []
-    for seed in seeds:
-        seq = synth_sequence(replace(synth_cfg, seed=seed))
+    for world in worlds:
+        seq, seed = synth_sequence(world), world.seed
         for strategy in strategies:
             cfg = TrainConfig(k=k, L=L, strategy=strategy, seed=seed, max_iters=max_iters)
             result = train_result(seq.training, cfg)
@@ -259,7 +258,7 @@ def compare_strategies(synth_cfg: SynthConfig, strategies, seeds, k: int = 10, L
             retr = retrieval_report(vocab, seq.frames, seq.frame_places, temporal_exclusion)
             rows.append({
                 "strategy": strategy.value,
-                "seed": int(seed),
+                "seed": seed,
                 "mean_qe": quant.mean_qe,
                 "p95_qe": quant.p95_qe,
                 "words_used": quant.words_used,

@@ -335,10 +335,11 @@ def test_query_takes_exclude_as_any_iterable_of_ids():
 
 
 def test_query_rejects_exclude_ids_that_are_not_integers():
-    # 0.5 once excluded entry 0 (its self-match of score 1.0) and a string
-    # raised NumPy's own error; every id that is not an integer raises
-    # ConfigError, while empty exclusions, ranges and integers outside the
-    # database pass as before
+    # 0.5 once excluded entry 0 (its self-match of score 1.0), a string
+    # raised NumPy's own error and [True, 5] excluded entry 1; every id that
+    # is not an integer raises ConfigError, as do a nested list and a bare
+    # id, while empty exclusions, ranges and integers outside the database
+    # pass as before
     vocab = _random_vocab(seed=4)
     db = RetrievalDatabase(vocab)
     rng = np.random.default_rng(3)
@@ -349,12 +350,13 @@ def test_query_rejects_exclude_ids_that_are_not_integers():
     assert want[0] == (0, 1.0)
     for bad in ([0.5], [1, 2.0], ["0"], "0", [True], [np.True_], [None], np.array([0.5]),
                 [0, np.float64(1)], np.array([0.0, 1.0]), np.array([True]), [2 ** 70, 0.5],
-                [1, None]):
+                [1, None], [True, 5], [np.True_, 1], np.array([[0, 1]]), [[0], [1]], 0):
         with pytest.raises(ConfigError, match="exclude id"):
             db.query(vectors[0], 5, bad)
     # NumPy reads [2**63, 7] as float64; its ids are integers all the same
     for passes in ([], (), set(), np.array([]), range(0), range(3, 3), [2 ** 70], [-1, 6, 10 ** 30],
-                   [2 ** 63, 7], np.array([-5, 99]), np.arange(6, 9, dtype=np.uint64), range(6, 9)):
+                   [2 ** 63, 7], np.array([-5, 99]), np.arange(6, 9, dtype=np.uint64), range(6, 9),
+                   np.array([2 ** 63, 7], dtype=np.uint64), range(2 ** 63, 2 ** 63 + 2)):
         assert db.query(vectors[0], 5, passes) == want
     without_0 = db.query(vectors[0], 6)[1:]
     for ids in ([np.int32(0)], range(1), np.array([0], dtype=np.int64), np.array([0, 2 ** 40]),

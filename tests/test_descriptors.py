@@ -221,12 +221,14 @@ def test_descriptor_set_validation():
 
 def test_group_ends_must_be_integers_within_int64():
     # 1.5 once truncated to 1, "1" parsed and 2**63 raised a plain
-    # OverflowError; ranges, integer arrays of any width and the empty
+    # OverflowError; [True, 3] was read as [1, 3], [[1], [3]] flattened and a
+    # bare 3 read as [3]; ranges, integer arrays of any width and the empty
     # default keep working
     codes = np.zeros((3, 2), dtype=np.uint8)
     for bad in ([1.5, 3], ["1", "3"], [2 ** 63, 3], [2 ** 64, 3], np.array([1.0, 3.0]),
                 np.array([2 ** 63, 3], dtype=np.uint64), [True, True, True], [None],
-                [-2 ** 70, 3], [1, None], np.array([1, 3], dtype=object) + 0.5):
+                [-2 ** 70, 3], [1, None], np.array([1, 3], dtype=object) + 0.5,
+                [True, 3], [[1], [3]], 3, np.array([[1, 3]]), range(2 ** 63, 2 ** 63 + 1)):
         with pytest.raises(CorpusConsistencyError, match="integers within int64"):
             DescriptorSet(codes, bad)
     for good, want in ((range(1, 4), [1, 2, 3]), (np.array([1, 3], dtype=np.int32), [1, 3]),

@@ -596,6 +596,20 @@ def test_compare_strategies_rejects_empty_inputs():
         compare_strategies(cfg, ["kmajority", "nope"], seeds=[0])
 
 
+def test_compare_strategies_checks_every_seed_before_training(monkeypatch):
+    # a bad last seed once failed only after every earlier seed had trained
+    trained = []
+    monkeypatch.setattr(hbow.evaluation, "train_result",
+                        lambda *args: trained.append(args) or pytest.fail("trained"))
+    cfg = SynthConfig(num_places=4, descriptors_per_place=10, descriptor_bits=64)
+    for seeds, message in (([0, 1.5], "seeds must be integers"), ([0, True], "seeds"),
+                           ([0, -1], "seed must be >= 0"), (3, "seeds must be integers"),
+                           ([[0], [1]], "seeds")):
+        with pytest.raises(ConfigError, match=message):
+            compare_strategies(cfg, ["kmajority"], seeds)
+    assert trained == []
+
+
 def test_row_writers_round_trip(tmp_path):
     cfg = SynthConfig(num_places=5, descriptors_per_place=10,
                       revisit_fraction=0.2, bit_flip_prob=0.05,
