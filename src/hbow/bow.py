@@ -38,7 +38,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .descriptors import _integer, _integer_array, _real
+from .descriptors import _integer, _integer_array, _quote, _real
 from .errors import ConfigError, CorpusConsistencyError
 from .vocabulary import Vocabulary, lookup_words
 
@@ -70,8 +70,8 @@ class BowVector:
                                for w in entries.values()), np.float64, words.size)
         words, weights = words[order], weights[order]
         if (bad := np.flatnonzero(~((weights > 0.0) & (weights < _INF)))).size:
-            raise CorpusConsistencyError(f"word {words[bad[0]]} has weight {weights[bad[0]]}; "
-                                         "weights must be finite and > 0")
+            raise CorpusConsistencyError(f"word {_quote(words.item(bad[0]))} has weight "
+                                         f"{weights[bad[0]]}; weights must be finite and > 0")
         if not (words[1:] > words[:-1]).all():
             raise CorpusConsistencyError("word ids must be distinct integers")
         return cls._of(words, weights)
@@ -234,7 +234,8 @@ class RetrievalDatabase:
         word_count = self.vocab.word_count
         if words.size and not (0 <= words[0] and words[-1] < word_count):
             bad = words[0] if words[0] < 0 else words[words >= word_count][0]
-            raise CorpusConsistencyError(f"word id {bad} outside vocabulary of {word_count} words")
+            raise CorpusConsistencyError(
+                f"word id {_quote(int(bad))} outside vocabulary of {word_count} words")
         count = self._count[words]
         full = count == self._room[words]
         if full.any():

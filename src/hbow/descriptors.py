@@ -37,13 +37,30 @@ from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 _HAMMING_BLOCK_BYTES = 1 << 21
 
 
+class _Quote(reprlib.Repr):
+    """reprlib's bounded repr, where an int of more than 128 bits shows as
+    its sign and size: `repr` refuses an int of more than 4,300 digits."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxother = 100  # room for a whole ClusterConfig, where reprlib keeps 30
+
+    def repr_int(self, x, level):
+        if x.bit_length() <= 128:
+            return repr(x)
+        return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+
+
+_quote = _Quote().repr  # a value from outside as a message shows it, without raising
+
+
 def _in_range(value, name: str, low, high, error: type[Exception]):
     """`value` if it lies in [low, high), or at or above `low` when `high` is
     None (NaN lies in no range); else `error`."""
     if high is not None and not low <= value < high:
-        raise error(f"{name} must be in [{low}, {high}), got {value}")
+        raise error(f"{name} must be in [{low}, {high}), got {_quote(value)}")
     if low is not None and not value >= low:
-        raise error(f"{name} must be >= {low}, got {value}")
+        raise error(f"{name} must be >= {low}, got {_quote(value)}")
     return value
 
 
@@ -57,7 +74,7 @@ def _integer(value, name: str, low: int | None = None, high: int | None = None,
             raise TypeError
         value = operator.index(value)
     except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {_quote(value)}") from None
     return _in_range(value, name, low, high, error)
 
 
@@ -68,11 +85,11 @@ def _real(value, name: str, low: float | None = None, high: float | None = None,
     "0.5" or None raises `error`, as does a value out of range or an int
     beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {_quote(value)}")
     try:
         return float(_in_range(value, name, low, high, error))
     except OverflowError:
-        raise error(f"{name} must be a finite real number, got {value}") from None
+        raise error(f"{name} must be a finite real number, got {_quote(value)}") from None
 
 
 def _integer_array(values, error: type[Exception], message: str) -> np.ndarray:
@@ -90,7 +107,7 @@ def _integer_array(values, error: type[Exception], message: str) -> np.ndarray:
     try:
         ints = [_integer(v, message, error=TypeError) for v in values]
     except TypeError:
-        raise error(f"{message}, got {reprlib.repr(values)}") from None
+        raise error(f"{message}, got {_quote(values)}") from None
     try:
         return np.array(ints, dtype=np.int64)
     except OverflowError:
@@ -257,7 +274,7 @@ class DescriptorSet:
         ends = _integer_array(() if self.group_ends is None else self.group_ends,
                               CorpusConsistencyError, message)
         if ends.dtype == object:
-            raise CorpusConsistencyError(f"{message}, got {reprlib.repr(self.group_ends)}")
+            raise CorpusConsistencyError(f"{message}, got {_quote(self.group_ends)}")
         if ends.size == 0 and n > 0:
             ends = np.array([n], dtype=np.int64)
         if ends.size:

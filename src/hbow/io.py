@@ -362,7 +362,7 @@ def _json_int(value, what: str) -> int:
 def read_vocab_json(path) -> Vocabulary:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # also a decode error, or an int too long for Python to read
         raise VocabularyFileError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or obj.get("format") != VOCAB_JSON_FORMAT:
         raise VocabularyFileError(f"missing or wrong format tag, expected {VOCAB_JSON_FORMAT!r}")

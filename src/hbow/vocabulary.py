@@ -36,7 +36,7 @@ node's clustering does not depend on the order in which nodes are split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from decimal import Context, Decimal
 from enum import Enum
 from time import perf_counter
@@ -44,8 +44,8 @@ from time import perf_counter
 import numpy as np
 
 from .clustering import ClusterConfig, brb_kmeans, kmajority, lloyd_real
-from .descriptors import DescriptorSet, _as_codes, _block_columns, _integer, _word_major, \
-    _xor_distances
+from .descriptors import DescriptorSet, _as_codes, _block_columns, _integer, _quote, \
+    _word_major, _xor_distances
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError, \
     InternalInvariantError
 
@@ -61,7 +61,7 @@ def _as_strategy(value, error: type[Exception]) -> Strategy:
     try:
         return Strategy(value)
     except ValueError:
-        raise error(f"unknown strategy {value!r}, expected one of "
+        raise error(f"unknown strategy {_quote(value)}, expected one of "
                     f"{', '.join(s.value for s in Strategy)}") from None
 
 
@@ -178,31 +178,30 @@ class TrainConfig:
     `k` caps each node's fan-out and `L` the depth, each below 2**63 so that
     the int64 file headers hold it. Each split clusters into min(k, distinct
     member values) groups, seeded with `SeedSequence(seed, spawn_key=node
-    path)`, for at most `max_iters` passes (default 100). `cluster` is a
-    deprecated alias with no value of its own: it must equal, and is then set
-    to, ClusterConfig(k, max_iters, seed), which checks `seed` and
-    `max_iters`; an unset `max_iters` is taken from a given `cluster`. The
-    four numbers must be integers (numpy's too) and are kept as Python ints.
+    path)`, for at most `max_iters` passes (default 100). The four numbers
+    must be integers (numpy's too) and are kept as Python ints. `cluster` is
+    a deprecated init-only alias, checked but not stored: it must equal
+    ClusterConfig(k, max_iters, seed), which checks `seed` and `max_iters`,
+    and an unset `max_iters` is taken from it.
     """
 
     k: int = 10
     L: int = 6
     strategy: Strategy = Strategy.GLOBAL_HBRB
-    cluster: ClusterConfig | None = None
+    cluster: InitVar[ClusterConfig | None] = None
     seed: int = 0
     max_iters: int | None = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, cluster: ClusterConfig | None) -> None:
         object.__setattr__(self, "strategy", _as_strategy(self.strategy, ConfigError))
         k, L = _integer(self.k, "k", 2, 2 ** 63), _integer(self.L, "L", 1, 2 ** 63)
         max_iters = self.max_iters
         if max_iters is None:  # 100, or a given cluster's; any other cluster fails below
-            max_iters = getattr(self.cluster, "max_iters", 100)
-        cluster = ClusterConfig(k, max_iters, _integer(self.seed, "seed"))
-        if self.cluster not in (None, cluster):
-            raise ConfigError(f"cluster {self.cluster} disagrees with {cluster}")
-        for name, value in (("k", k), ("L", L), ("cluster", cluster), ("seed", cluster.seed),
-                            ("max_iters", cluster.max_iters)):
+            max_iters = getattr(cluster, "max_iters", 100)
+        want = ClusterConfig(k, max_iters, _integer(self.seed, "seed"))
+        if cluster not in (None, want):
+            raise ConfigError(f"cluster {_quote(cluster)} disagrees with {_quote(want)}")
+        for name, value in (("k", k), ("L", L), ("seed", want.seed), ("max_iters", want.max_iters)):
             object.__setattr__(self, name, value)
 
 
@@ -392,5 +391,5 @@ def train(corpus: DescriptorSet, cfg: TrainConfig, *, threads: int = 1) -> Vocab
     raises ConfigError.
     """
     if threads != 1:
-        raise ConfigError(f"training runs on one thread, got threads={threads!r}")
+        raise ConfigError(f"training runs on one thread, got threads={_quote(threads)}")
     return train_result(corpus, cfg).vocabulary

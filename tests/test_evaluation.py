@@ -256,6 +256,37 @@ def test_synth_config_real_fields_must_be_real_numbers():
             assert made == want and type(made) is float
 
 
+_HUGE = 10 ** 5000  # Python prints no int of more than 4,300 digits
+_HUGE_ARGUMENTS = {
+    "TrainConfig k": (lambda: TrainConfig(k=_HUGE), ConfigError, "k must be in"),
+    "ClusterConfig k": (lambda: hbow.ClusterConfig(k=-_HUGE), ConfigError, "k must be >= 1"),
+    "num_places": (lambda: SynthConfig(num_places=-_HUGE), ConfigError, "num_places must be"),
+    "revisit_fraction": (lambda: SynthConfig(revisit_fraction=_HUGE), ConfigError,
+                         "revisit_fraction must be in"),
+    "k in a list": (lambda: TrainConfig(k=[_HUGE]), ConfigError, "k must be an integer"),
+    "strategy": (lambda: TrainConfig(strategy=_HUGE), ConfigError, "unknown strategy"),
+    "cluster": (lambda: TrainConfig(cluster=_HUGE), ConfigError, "disagrees"),
+    "weight": (lambda: BowVector({1: _HUGE}), CorpusConsistencyError, "finite real number"),
+    "word id": (lambda: BowVector({_HUGE: 0.0}), CorpusConsistencyError, "has weight 0.0"),
+    "added word id": (lambda: RetrievalDatabase(_bundle_vocab()).add(BowVector({_HUGE: 1.0})),
+                      CorpusConsistencyError, "outside vocabulary"),
+    "group end": (lambda: DescriptorSet(np.zeros((2, 4), np.uint8), [_HUGE]),
+                  CorpusConsistencyError, "within int64"),
+    "group ends": (lambda: DescriptorSet(np.zeros((2, 4), np.uint8), [_HUGE, 1.5]),
+                   CorpusConsistencyError, "within int64"),
+}
+
+
+@pytest.mark.parametrize("name", list(_HUGE_ARGUMENTS))
+def test_a_huge_int_raises_its_documented_class(name):
+    # each message once raised a plain ValueError (the exit code of an hbow
+    # bug) while quoting the int; now it gives the int's sign and size
+    make, error, message = _HUGE_ARGUMENTS[name]
+    with pytest.raises(error, match=message) as raised:
+        make()
+    assert re.search(r"<(negative )?int of 16610 bits>", str(raised.value))
+
+
 # ---------------------------------------------------------------- quantization
 
 

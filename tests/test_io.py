@@ -762,6 +762,16 @@ def test_json_parse_errors(tmp_path):
     }
     assert read_vocab_json(_dump(path, base)).word_count == 1
 
+    # json.loads refuses an int of more than 4,300 digits with a plain
+    # ValueError, which once made `hbow convert` exit 3
+    for field in ('"k": 2', '"weight": 0.0'):
+        name = field.split(":")[0]
+        path.write_text(json.dumps(base).replace(field, f"{name}: {'9' * 5000}"))
+        with pytest.raises(VocabularyFileError, match="not valid JSON"):
+            read_vocab_json(path)
+        assert main(["convert", "--src", str(path), "--dst", str(tmp_path / "out.txt")]) == 2
+        assert not (tmp_path / "out.txt").exists()
+
     with pytest.raises(VocabularyFileError, match="version"):
         read_vocab_json(_dump(path, {**base, "version": 2}))
 

@@ -620,13 +620,17 @@ def test_max_iters_is_the_only_clustering_setting_and_cluster_an_alias(tmp_path,
     assert TrainConfig().max_iters == 100
     for strategy in ALL_STRATEGIES:
         cfg = TrainConfig(k=4, L=2, strategy=strategy, seed=3, max_iters=20)
-        assert cfg.cluster == ClusterConfig(4, 20, 3)
         want = _text_bytes(tmp_path, ds, cfg)
         for alias in (TrainConfig(k=4, L=2, strategy=strategy, seed=3,
                                   cluster=ClusterConfig(4, 20, 3)),
                       TrainConfig(4, 2, strategy, ClusterConfig(4, 20, 3), 3, 20)):
             assert alias == cfg
             assert _text_bytes(tmp_path, ds, alias) == want, strategy
+        # the alias is checked, not stored, so replace works however a config was built
+        for built in (cfg, TrainConfig(k=4, L=2, strategy=strategy, seed=3,
+                                       cluster=ClusterConfig(4, 20, 3))):
+            assert replace(built, seed=4) == TrainConfig(k=4, L=2, strategy=strategy, seed=4,
+                                                         max_iters=20)
         assert _text_bytes(tmp_path, ds, replace(cfg, cluster=None, max_iters=1)) != want
         for cluster in (ClusterConfig(9, 20, 3), ClusterConfig(4, 20, 99)):
             with pytest.raises(ConfigError, match="disagrees"):
@@ -805,8 +809,8 @@ def _reference_train(corpus, cfg):
         return len({bytes(row) for row in codes[idx]})
 
     def split(idx, path):
-        ccfg = replace(cfg.cluster, k=min(cfg.k, distinct(idx)),
-                       seed=np.random.SeedSequence(cfg.seed, spawn_key=path))
+        ccfg = ClusterConfig(min(cfg.k, distinct(idx)), cfg.max_iters,
+                             np.random.SeedSequence(cfg.seed, spawn_key=path))
         if cfg.strategy is Strategy.KMAJORITY:
             res = kmajority(codes[idx], ccfg)
         elif cfg.strategy is Strategy.LOCAL_BRB:
