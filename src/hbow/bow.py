@@ -123,15 +123,16 @@ def transform(vocab: Vocabulary, descriptors) -> BowVector:
     if arr.size == 0:
         return BowVector.empty()
     ids = np.sort(lookup_words(vocab, arr)[0])
-    first = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    words = ids[first]
+    # where each run of equal ids starts, and the end of the last
+    runs = np.concatenate(([True], ids[1:] != ids[:-1], [True])).nonzero()[0]
+    words = ids[runs[:-1]]
     # term frequency: each word's run length over the descriptor count
-    weighted = np.diff(first, append=ids.size) / ids.size * vocab.word_weight[words]
-    keep = weighted > 0.0
-    weighted = weighted[keep]
+    weighted = (runs[1:] - runs[:-1]) / ids.size * vocab.word_weight[words]
+    if not (keep := weighted > 0.0).all():
+        words, weighted = words[keep], weighted[keep]
     # L1 normalization: each kept weight over their sum, added left to right
     # in ascending word order as `l1_norm` adds
-    return BowVector._of(words[keep], weighted / _sum_in_order(weighted))
+    return BowVector._of(words, weighted / _sum_in_order(weighted))
 
 
 def score_l1(a: BowVector, b: BowVector) -> float:
@@ -284,9 +285,10 @@ class RetrievalDatabase:
         """
         max_results = _integer(max_results, "max_results", 1)
         n = len(self.norms)
-        lo, hi = np.searchsorted(vector.words, (0, self.vocab.word_count))
-        words = vector.words[lo:hi].astype(np.int64, copy=False)
-        weights = vector.weights[lo:hi]
+        words, weights = vector.words, vector.weights
+        if words.size and not (0 <= words[0] and words[-1] < self.vocab.word_count):
+            lo, hi = np.searchsorted(words, (0, self.vocab.word_count))
+            words, weights = words[lo:hi].astype(np.int64, copy=False), weights[lo:hi]
         counts = self._count[words]
         # shared[e] = sum over the words of both of min(a_w, b_w), added in
         # ascending word order: the query words' postings gathered end to
@@ -301,7 +303,14 @@ class RetrievalDatabase:
         self._candidates = candidates.size
         norms = np.frombuffer(self.norms)[candidates]
         scores = np.clip((1.0 - (vector._l1 + norms) / 2.0) + shared[candidates], 0.0, 1.0)
-        # a stable sort keeps equal scores in ascending entry id
-        order = np.argsort(-scores, kind="stable")[:max_results]
+        # a stable sort keeps equal scores in ascending entry id. With more
+        # candidates than places it sorts only those scoring at least the
+        # k-th largest score, still in ascending entry id: their stable
+        # order begins with the whole sort's first k, ties at the cut included
+        if (cut := candidates.size - max_results) > 0:
+            top = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
+            order = top[np.argsort(-scores[top], kind="stable")[:max_results]]
+        else:
+            order = np.argsort(-scores, kind="stable")
         order = order[scores[order] > 0.0]
         return list(zip(candidates[order].tolist(), scores[order].tolist()))

@@ -23,6 +23,7 @@ candidates. The table and the descent walk their queries in blocks of
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
 import operator
 import reprlib
@@ -50,18 +51,36 @@ class _Quote(reprlib.Repr):
             return repr(x)
         return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
 
+    def repr_instance(self, x, level):
+        # where an object's own repr raises (an array or a dataclass holding
+        # a huge int), reprlib would show its memory address
+        try:
+            repr(x)
+        except Exception:
+            if isinstance(x, np.ndarray):
+                return f"array({self.repr1(x.tolist(), level - 1)})"
+            if dataclasses.is_dataclass(x) and not isinstance(x, type):
+                return f"{type(x).__name__}(" + ", ".join(
+                    f"{f.name}={self.repr1(getattr(x, f.name), level - 1)}"
+                    for f in dataclasses.fields(x) if f.repr) + ")"
+            return f"<{type(x).__name__} with no repr>"
+        return super().repr_instance(x, level)
+
 
 _quote = _Quote().repr  # a value from outside as a message shows it, without raising
 
 
-def _in_range(value, name: str, low, high, error: type[Exception]):
+def _in_range(value, name: str, low, high, error: type[Exception], shown=None):
     """`value` if it lies in [low, high), or at or above `low` when `high` is
-    None (NaN lies in no range); else `error`."""
+    None (NaN lies in no range); else `error`, quoting `shown` (the value as
+    the caller gave it) if given, else `value`."""
     if high is not None and not low <= value < high:
-        raise error(f"{name} must be in [{low}, {high}), got {_quote(value)}")
-    if low is not None and not value >= low:
-        raise error(f"{name} must be >= {low}, got {_quote(value)}")
-    return value
+        bound = f"in [{low}, {high})"
+    elif low is not None and not value >= low:
+        bound = f">= {low}"
+    else:
+        return value
+    raise error(f"{name} must be {bound}, got {_quote(value if shown is None else shown)}")
 
 
 def _integer(value, name: str, low: int | None = None, high: int | None = None,
@@ -87,9 +106,11 @@ def _real(value, name: str, low: float | None = None, high: float | None = None,
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {_quote(value)}")
     try:
-        return float(_in_range(value, name, low, high, error))
+        real = float(_in_range(value, name, low, high, error))
     except OverflowError:
         raise error(f"{name} must be a finite real number, got {_quote(value)}") from None
+    # a value just inside a bound can round onto it as a float
+    return _in_range(real, name, low, high, error, shown=value)
 
 
 def _integer_array(values, error: type[Exception], message: str) -> np.ndarray:

@@ -67,7 +67,8 @@ def _as_strategy(value, error: type[Exception]) -> Strategy:
 
 @dataclass(frozen=True, eq=False)
 class Vocabulary:
-    """A vocabulary tree as read-only flat arrays with one row per node.
+    """A vocabulary tree as read-only flat arrays with one row per node, and
+    descent tables with one row per node above the deepest level.
 
     Node 0 is the root and every other node's parent is an earlier node.
     Training numbers nodes breadth-first; the loaders keep file order.
@@ -80,19 +81,27 @@ class Vocabulary:
     Derived once at construction:
 
     * `descriptor_bits` 8 * octets;
-    * `children`     (nodes, widest fan-out) int64, the descent table: an
-                     internal node's child ids ascending, padded with its
-                     first child; a leaf's row holds the leaf itself;
     * `word_of_node` (nodes,) int64, word id of each leaf, -1 elsewhere: the
                      leaves numbered 0..W-1 in node order (`assign_word_ids`);
     * `word_weight`  (word_count,) float64, the weight of each word;
-    * `centroid_words` (ceil(bits/64), nodes) uint64, the centroids in 64-bit
-                     words, word-major, the last word zero-padded: the
-                     table `lookup_words` descends on;
-    * `height`       the depth of the deepest leaf.
+    * `height`       the depth of the deepest leaf;
+    * the descent tables, one row per *slot*: a node above depth `height`
+      (every internal node and any shallower leaf), numbered in node order
+      from the root's slot 0:
+      * `descent_children` (slots, widest fan-out) int64: an internal
+                     node's child ids ascending, padded with its first child;
+                     a leaf's row holds the leaf itself, so a descent that
+                     has reached it stays;
+      * `descent_words` (ceil(bits/64), slots, widest fan-out) uint64, the
+                     centroids of those children in 64-bit words, word-major,
+                     the last word zero-padded;
+      * `descent_slot` (nodes,) int64, each node's slot, -1 for the leaves
+                     at depth `height`.
 
-    Construction copies the given arrays. No array can be written; derive a
-    changed vocabulary with `dataclasses.replace`.
+    Construction copies the given arrays; the whole tree's child table
+    (`_child_table`) and 64-bit word copy it derives the descent tables from
+    are not kept. No array can be written; derive a changed vocabulary with
+    `dataclasses.replace`.
     """
 
     k: int
@@ -102,10 +111,11 @@ class Vocabulary:
     centroids: np.ndarray = field(repr=False)
     weight: np.ndarray = field(repr=False)
     descriptor_bits: int = field(init=False)
-    children: np.ndarray = field(init=False, repr=False)
     word_of_node: np.ndarray = field(init=False, repr=False)
     word_weight: np.ndarray = field(init=False, repr=False)
-    centroid_words: np.ndarray = field(init=False, repr=False)
+    descent_words: np.ndarray = field(init=False, repr=False)
+    descent_children: np.ndarray = field(init=False, repr=False)
+    descent_slot: np.ndarray = field(init=False, repr=False)
     word_count: int = field(init=False)
     height: int = field(init=False)
 
@@ -128,15 +138,23 @@ class Vocabulary:
         children = _child_table(parent)
         word_of_node = assign_word_ids(children)
         word_weight = weight[word_of_node >= 0]
+        depth = _depth(parent)
+        height = int(depth.max())
+        slots = np.flatnonzero(depth < height)
+        descent_children = children[slots]
+        del children, depth  # only the slots' rows are kept
+        descent_slot = np.full(n, -1, dtype=np.int64)
+        descent_slot[slots] = np.arange(slots.size)
         arrays = {"parent": parent, "centroids": centroids, "weight": weight,
-                  "children": children, "word_of_node": word_of_node,
-                  "word_weight": word_weight, "centroid_words": _word_major(centroids)}
+                  "word_of_node": word_of_node, "word_weight": word_weight,
+                  "descent_words": _word_major(centroids).take(descent_children, axis=1),
+                  "descent_children": descent_children, "descent_slot": descent_slot}
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "descriptor_bits", centroids.shape[1] * 8)
         object.__setattr__(self, "word_count", word_weight.size)
-        object.__setattr__(self, "height", _height(parent))
+        object.__setattr__(self, "height", height)
 
     def __reduce__(self):
         # Deep copies and pickles go through the constructor; numpy would
@@ -146,29 +164,37 @@ class Vocabulary:
 
 
 def _child_table(parent: np.ndarray) -> np.ndarray:
-    """(nodes, widest fan-out) descent table: an internal node's child ids
+    """(nodes, widest fan-out) child table: an internal node's child ids
     ascending, padded with its first child, which `argmin` never prefers
     over column 0; a leaf's row holds the leaf itself, so a descent that has
-    reached it stays."""
+    reached it stays. Every row starts as its first child (the leaf, for a
+    leaf) repeated, and one scatter writes each child into its column."""
     n = parent.size
     counts = np.bincount(parent[1:], minlength=n)
-    table = np.repeat(np.arange(n)[:, None], max(1, int(counts.max())), axis=1)
+    fan = max(1, int(counts.max()))
     order = np.argsort(parent[1:], kind="stable") + 1   # child ids grouped by parent
     first = np.cumsum(counts) - counts
-    internal = counts > 0
-    table[internal] = order[first[internal], None]
+    head = np.where(counts > 0, order.take(first, mode="clip"), np.arange(n))
+    table = np.repeat(head, fan).reshape(n, fan)
     owner = parent[order]
-    table[owner, np.arange(n - 1) - first[owner]] = order
+    table.reshape(-1)[owner * fan + (np.arange(n - 1) - first[owner])] = order
     return table
 
 
-def _height(parent: np.ndarray) -> int:
-    """Depth of the deepest node: every node's ancestors followed up a level
-    at a time until each has reached the root."""
-    ancestors, height = parent[1:], 0
-    while ancestors.size:
-        ancestors, height = parent[ancestors[ancestors > 0]], height + 1
-    return height
+def _depth(parent: np.ndarray) -> np.ndarray:
+    """Depth of every node (the root's is 0), from one walk up the
+    ancestors that doubles its stride each pass: `up` holds an ancestor of
+    each node, `depth` the levels to it, and each pass adds the ancestor's
+    own count and jumps to the ancestor's ancestor, until every node's
+    ancestor is the root. A tree of height h takes ceil(log2(h)) passes."""
+    depth = np.ones(parent.size, dtype=np.int64)
+    depth[0] = 0
+    up = parent.copy()
+    up[0] = 0
+    while up.any():
+        depth += depth.take(up)
+        up = up.take(up)
+    return depth
 
 
 @dataclass(frozen=True)
@@ -262,10 +288,10 @@ def _grow(codes: np.ndarray,
 
 
 def assign_word_ids(children: np.ndarray) -> np.ndarray:
-    """Word id of every node given the descent table, whose leaf rows hold
-    the leaf itself: leaves numbered 0..W-1 in node order, which is file
-    order, as DBoW2's `TemplatedVocabulary::loadFromTextFile` numbers them;
-    -1 for the root and every internal node.
+    """Word id of every node given the child table (`_child_table`), whose
+    leaf rows hold the leaf itself: leaves numbered 0..W-1 in node order,
+    which is file order, as DBoW2's `TemplatedVocabulary::loadFromTextFile`
+    numbers them; -1 for the root and every internal node.
     """
     is_leaf = children[:, 0] == np.arange(children.shape[0])
     return np.where(is_leaf, np.cumsum(is_leaf) - 1, -1)
@@ -306,14 +332,16 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
     All rows descend together one tree level at a time: each row at an
     internal node moves to the child with the smallest Hamming distance, ties
     to the lowest-index child, and a row at a leaf stays there, so every row
-    takes `vocab.height` steps. A level gathers the current nodes' children's
-    64-bit centroid words through the transposed rows of `vocab.children`
-    into a (words, fan-out, rows) block, takes `descriptors._xor_distances`
-    of it and the rows' own words, XORing in place into the gathered block,
-    and moves each row to its first minimum over the fan-out axis. A padding
-    slot repeats the first child and a leaf's row holds the leaf, so nothing
-    needs a mask. Rows go in blocks of `descriptors._block_columns` for the
-    fan-out. Returns (word_ids, leaf_node_ids), int64 each.
+    takes `vocab.height` steps. A row is tracked by its node's slot in the
+    descent tables. One level is one gather, `vocab.descent_words.take` of
+    the rows' slots, into a (words, rows, fan-out) block; then
+    `descriptors._xor_distances` of it and the rows' own words, XORing in
+    place into the gathered block; then the first minimum over the fan-out
+    axis, whose child `descent_children` names and whose slot
+    `descent_slot` gives. A padding column repeats the first child and a
+    shallow leaf's row holds the leaf, so nothing needs a mask. Rows go in
+    blocks of `descriptors._block_columns` for the fan-out. Returns
+    (word_ids, leaf_node_ids), int64 each.
     """
     codes = _as_codes(codes)
     if codes.shape[1] * 8 != vocab.descriptor_bits:
@@ -321,22 +349,22 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
             f"descriptor width {codes.shape[1] * 8} does not match vocabulary width "
             f"{vocab.descriptor_bits}"
         )
-    children, table = vocab.children, vocab.centroid_words
-    query = _word_major(codes)[:, None, :]  # (words, 1, n)
+    table, children, slot_of = vocab.descent_words, vocab.descent_children, vocab.descent_slot
+    fan = children.shape[1]
+    query = _word_major(codes)[:, :, None]  # (words, n, 1)
     n = codes.shape[0]
-    node = np.zeros(n, dtype=np.int64)
-    step = _block_columns(children.shape[1], table.shape[0])
+    leaf = np.empty(n, dtype=np.int64)
+    step = _block_columns(fan, table.shape[0])
     for start in range(0, n, step):
-        q = query[:, :, start:start + step]
-        cur = node[start:start + step]
-        rows = np.arange(0, cur.size * children.shape[1], children.shape[1])
+        q = query[:, start:start + step]
+        cur = np.zeros(q.shape[1], dtype=np.int64)  # the root's slot
         for _ in range(vocab.height):
-            kids = children[cur]
-            xor = table.take(kids.T, axis=1)
+            xor = table.take(cur, axis=1)
             dist = _xor_distances(xor, q, xor)
-            cur = kids.take(rows + dist.argmin(axis=0))
-        node[start:start + step] = cur
-    return vocab.word_of_node[node], node
+            kid = children.take(cur * fan + dist.argmin(axis=1))
+            cur = slot_of.take(kid)
+        leaf[start:start + step] = kid
+    return vocab.word_of_node[leaf], leaf
 
 
 def validate_structure(vocab: Vocabulary) -> None:

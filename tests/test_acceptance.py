@@ -326,7 +326,8 @@ def test_format_round_trips(tmp_path, capsys):
     struct_ok = (loaded.k == vocab.k and loaded.L == vocab.L
                  and loaded.word_count == vocab.word_count
                  and vpath.read_bytes() == vpath2.read_bytes())
-    for name in ("parent", "children", "centroids", "weight", "word_of_node", "word_weight"):
+    for name in ("parent", "centroids", "weight", "word_of_node", "word_weight", "descent_words",
+                 "descent_children", "descent_slot"):
         struct_ok = struct_ok and np.array_equal(getattr(vocab, name), getattr(loaded, name))
     probes = rng.integers(0, 256, size=(10_000, 32), dtype=np.uint8)
     words_a, leaves_a = lookup_words(vocab, probes)

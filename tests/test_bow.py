@@ -682,6 +682,51 @@ def test_query_matches_exhaustive_oracle_on_generated_databases():
     check()
 
 
+def test_top_k_equals_brute_force_at_every_cut_through_ties():
+    # copies of a few vectors tie exactly and one-ulp nudges tie nearly, so
+    # equal scores straddle the k-th place for some k; a heavy copy shares
+    # the query's words but its norm clips its score to 0. Every k from 1
+    # to len(db) + 1, with and without exclusions, equals brute force over
+    # score_l1: descending score, ties by ascending entry id, zeros dropped
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    vocab = _random_vocab(seed=4)
+    vectors = st.dictionaries(st.integers(0, 5), st.sampled_from([1.0 / 64, 0.1, 1.0 / 3, 0.5, 3.0]),
+                              min_size=1, max_size=4)
+    straddled, clipped = [], []
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(bases=st.lists(vectors, min_size=1, max_size=4),
+                      entries=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(
+                          ("copy", "copy", "nudged", "heavy"))), min_size=1, max_size=24),
+                      which=st.integers(0, 3), excluded=st.sets(st.integers(-1, 25), max_size=6))
+    def check(bases, entries, which, excluded):
+        stored = []
+        for base, kind in entries:
+            entry = dict(bases[base % len(bases)])
+            if kind == "nudged":
+                entry[min(entry)] = float(np.nextafter(entry[min(entry)], np.inf))
+            elif kind == "heavy":
+                entry = dict.fromkeys(entry, 1e6)
+            stored.append(BowVector(entry))
+        db = RetrievalDatabase(vocab)
+        for v in stored:
+            db.add(v)
+        q = normalize_l1(BowVector(bases[which % len(bases)]))
+        for exclude in (None, excluded):
+            brute = sorted(((e, score_l1(q, v)) for e, v in enumerate(stored)
+                            if e not in (exclude or ())), key=lambda t: (-t[1], t[0]))
+            brute = [(e, s) for e, s in brute if s > 0.0]
+            for k in range(1, len(stored) + 2):
+                assert db.query(q, k, exclude) == brute[:k]
+                straddled.append(k < len(brute) and brute[k - 1][1] == brute[k][1])
+                clipped.append(db.candidates > len(brute))
+
+    check()
+    assert any(straddled) and any(clipped)
+
+
 # ------------------------------------------------- array path vs references
 
 

@@ -256,6 +256,22 @@ def test_synth_config_real_fields_must_be_real_numbers():
             assert made == want and type(made) is float
 
 
+def test_a_real_that_rounds_onto_its_bound_raises_quoting_the_given_value():
+    # each lies just below its bound and rounds onto it as a float: a
+    # revisit_fraction of 1.0 once built, after which frame_count raised a
+    # plain ZeroDivisionError (an hbow bug's exit code). A value that stays
+    # below the bound as a float still passes
+    from fractions import Fraction
+    for name, high in (("revisit_fraction", 1), ("bit_flip_prob", 0.5)):
+        for value in (Fraction(high) - Fraction(1, 2 ** 62),
+                      np.longdouble(high) - np.longdouble(2.0) ** -62):
+            with pytest.raises(ConfigError,
+                               match=re.escape(f"{name} must be in [0, {high}), got {value!r}")):
+                SynthConfig(num_places=3, **{name: value})
+    made = SynthConfig(bit_flip_prob=Fraction(1, 2) - Fraction(1, 2 ** 54))
+    assert made.bit_flip_prob == 0.5 - 2.0 ** -54
+
+
 _HUGE = 10 ** 5000  # Python prints no int of more than 4,300 digits
 _HUGE_ARGUMENTS = {
     "TrainConfig k": (lambda: TrainConfig(k=_HUGE), ConfigError, "k must be in"),
@@ -285,6 +301,29 @@ def test_a_huge_int_raises_its_documented_class(name):
     with pytest.raises(error, match=message) as raised:
         make()
     assert re.search(r"<(negative )?int of 16610 bits>", str(raised.value))
+
+
+def test_a_value_whose_repr_raises_is_quoted_without_a_memory_address():
+    # an object array and a dataclass holding a huge int: their own repr
+    # raises, and reprlib's fallback once showed `<... instance at 0x...>`
+    cases = (
+        (lambda: DescriptorSet(np.zeros((2, 4), np.uint8), np.array([_HUGE], dtype=object)),
+         CorpusConsistencyError, "got array([<int of 16610 bits>])"),
+        (lambda: TrainConfig(cluster=hbow.ClusterConfig(2, _HUGE, 0)), ConfigError,
+         "cluster ClusterConfig(k=2, max_iters=<int of 16610 bits>, seed=0) disagrees"),
+    )
+    for make, error, message in cases:
+        with pytest.raises(error, match=re.escape(message)) as raised:
+            make()
+        assert "0x" not in str(raised.value)
+
+    class NoRepr:
+        def __repr__(self):
+            raise RuntimeError("no repr")
+
+    with pytest.raises(ConfigError, match=r"got <NoRepr with no repr>$") as raised:
+        TrainConfig(k=NoRepr())
+    assert "0x" not in str(raised.value)
 
 
 # ---------------------------------------------------------------- quantization

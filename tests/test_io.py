@@ -265,7 +265,7 @@ def test_text_round_trip_preserves_structure_and_lookups(tmp_path):
     assert back.descriptor_bits == vocab.descriptor_bits
     assert back.word_count == vocab.word_count
     assert np.array_equal(back.parent, vocab.parent)
-    assert np.array_equal(back.children, vocab.children)
+    assert np.array_equal(back.descent_children, vocab.descent_children)
     assert np.array_equal(back.centroids, vocab.centroids)
     assert np.array_equal(back.word_of_node, vocab.word_of_node)
     assert np.array_equal(back.weight, vocab.weight)
@@ -655,8 +655,8 @@ def test_text_loader_memory_is_bounded_by_the_loaded_arrays(tmp_path):
         if not tracing:
             tracemalloc.stop()
     kept = sum(getattr(vocab, name).nbytes for name in (
-        "parent", "centroids", "weight", "children", "word_of_node", "word_weight",
-        "centroid_words"))
+        "parent", "centroids", "weight", "word_of_node", "word_weight", "descent_words",
+        "descent_children", "descent_slot"))
     assert vocab.word_count == k ** L
     assert peak <= 3 * kept + 2 * 2 ** 20, (peak / kept, kept)
 
@@ -886,8 +886,8 @@ def _arrays(obj):
     if isinstance(obj, DescriptorSet):
         return [obj.codes, obj.group_ends]
     return [obj.k, obj.L, obj.strategy, obj.descriptor_bits, obj.height, obj.parent,
-            obj.centroids, obj.weight, obj.word_of_node, obj.word_weight, obj.children,
-            obj.centroid_words]
+            obj.centroids, obj.weight, obj.word_of_node, obj.word_weight, obj.descent_words,
+            obj.descent_children, obj.descent_slot]
 
 
 def _fuzz(tmp_path, rng, suffix, objs, write, read, good_vocab) -> set:

@@ -39,6 +39,7 @@ from hbow import (
 )
 import hbow.clustering
 import hbow.vocabulary
+from hbow.descriptors import _word_major
 from hbow.cli import main
 from oracles import binarize, lloyd_float, lookup_word, real_mean, synth_clustered
 
@@ -131,12 +132,23 @@ def test_tree_shape_and_metadata():
         assert vocab.descriptor_bits == 64
         assert vocab.parent[0] == -1 and vocab.word_of_node[0] == -1
         assert _kids(vocab, 0).size > 0
-        # the descent table: children ascending, padded with the first
-        # child; a leaf's row holds only the leaf
-        for nid, row in enumerate(vocab.children):
+        # the descent tables: a slot for every node above the deepest level,
+        # numbered in node order; a slot's children ascending, padded with
+        # the first child, a shallow leaf's row holding only the leaf, and
+        # the children's centroids in 64-bit words
+        depth = np.zeros(vocab.parent.size, dtype=np.int64)
+        for nid in range(1, vocab.parent.size):
+            depth[nid] = depth[vocab.parent[nid]] + 1
+        slots = np.flatnonzero(depth < vocab.height)
+        assert vocab.height == depth.max()
+        assert vocab.descent_slot[slots].tolist() == list(range(slots.size))
+        assert (vocab.descent_slot[depth == vocab.height] == -1).all()
+        for nid, row in zip(slots.tolist(), vocab.descent_children, strict=True):
             kids = _kids(vocab, nid).tolist()
             assert row.tolist() == kids + kids[:1] * (row.size - len(kids)) if kids \
                 else row.tolist() == [nid] * row.size
+        assert np.array_equal(vocab.descent_words,
+                              _word_major(vocab.centroids)[:, vocab.descent_children])
         assert vocab.word_count == len(_leaf_ids(vocab)) == vocab.word_weight.size
         validate_structure(vocab)
 
@@ -334,13 +346,18 @@ def test_descent_on_a_hand_built_uneven_tree():
                            _bits72(20, 21, 22, 23)])
     vocab = Vocabulary(3, 3, None, parent, centroids, np.arange(10) / 10.0)
     assert vocab.height == 3
-    # the descent table pads a narrower row with its first child and fills
-    # a leaf's row with the leaf. Padding with the last child descends the
-    # same on every tree, and rows of leaves 1 and 3 pointing at the root
-    # descend the same on this one (two spare steps: up and back), so the
-    # layout itself is pinned here
-    assert vocab.children.tolist() == [[1, 2, 3], [1, 1, 1], [4, 5, 4], [3, 3, 3], [6, 7, 8],
-                                       [9, 9, 9], [6, 6, 6], [7, 7, 7], [8, 8, 8], [9, 9, 9]]
+    # nodes 0-5 lie above depth 3, so they are slots 0-5, shallow leaves 1
+    # and 3 included; leaves 6-9 have none. The descent table pads a
+    # narrower row with its first child and fills a shallow leaf's row with
+    # the leaf. Padding with the last child descends the same on every tree,
+    # and rows of leaves 1 and 3 pointing at the root descend the same on
+    # this one (two spare steps: up and back), so the layout itself is
+    # pinned here
+    assert vocab.descent_slot.tolist() == [0, 1, 2, 3, 4, 5, -1, -1, -1, -1]
+    assert vocab.descent_children.tolist() == [[1, 2, 3], [1, 1, 1], [4, 5, 4], [3, 3, 3],
+                                               [6, 7, 8], [9, 9, 9]]
+    assert vocab.descent_words.shape == (2, 6, 3)
+    assert vocab.descent_words[1, 0].tolist() == [0, 0, 0xFF]  # the second word of 1, 2, 3
     with pytest.raises(InternalInvariantError):  # a root alone has no word to descend to
         Vocabulary(3, 3, None, [-1], centroids[:1], [0.0])
     assert vocab.word_of_node.tolist() == [-1, 0, -1, 1, -1, -1, 2, 3, 4, 5]
@@ -994,12 +1011,14 @@ def test_vocabulary_is_immutable_and_lookup_agrees_with_transform():
     for v in (vocab, copy.deepcopy(vocab), pickle.loads(pickle.dumps(vocab)), reweighted):
         if v is not reweighted:
             assert _fingerprint(v) == _fingerprint(vocab)
-        assert v is vocab or not np.shares_memory(v.centroid_words, vocab.centroid_words)
-        assert np.array_equal(v.centroid_words, vocab.centroid_words)
-        assert v.centroid_words.shape == (1, vocab.parent.size)
+        assert v is vocab or not np.shares_memory(v.descent_words, vocab.descent_words)
+        for name in ("descent_words", "descent_children", "descent_slot"):
+            assert np.array_equal(getattr(v, name), getattr(vocab, name))
+        # a full-depth root and its children: slots 0 to 3, fan-out 3
+        assert v.descent_words.shape == (1, 4, 3)
         assert v.height == vocab.height == 2
-        for name in ("parent", "centroids", "weight", "children", "word_of_node", "word_weight",
-                     "centroid_words"):
+        for name in ("parent", "centroids", "weight", "word_of_node", "word_weight",
+                     "descent_words", "descent_children", "descent_slot"):
             arr = getattr(v, name)
             with pytest.raises(ValueError):
                 arr[-1] = 0
