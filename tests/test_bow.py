@@ -691,8 +691,8 @@ def test_top_k_equals_brute_force_at_every_cut_through_ties():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     vocab = _random_vocab(seed=4)
-    vectors = st.dictionaries(st.integers(0, 5), st.sampled_from([1.0 / 64, 0.1, 1.0 / 3, 0.5, 3.0]),
-                              min_size=1, max_size=4)
+    weights = st.sampled_from([1.0 / 64, 0.1, 1.0 / 3, 0.5, 3.0])
+    vectors = st.dictionaries(st.integers(0, 5), weights, min_size=1, max_size=4)
     straddled, clipped = [], []
 
     @hypothesis.settings(max_examples=80, deadline=None, derandomize=True,
