@@ -319,6 +319,7 @@ class DescriptorSet:
         return int(self.group_ends.size)
 
     def group_range(self, i: int) -> tuple[int, int]:
+        i = _integer(i, "group", error=IndexError)
         if not 0 <= i < self.group_count:
             raise IndexError(f"group {i} out of range [0, {self.group_count})")
         start = 0 if i == 0 else int(self.group_ends[i - 1])

@@ -98,9 +98,9 @@ class Vocabulary:
       * `descent_slot` (nodes,) int64, each node's slot, -1 for the leaves
                      at depth `height`.
 
-    Construction copies the given arrays; the whole tree's child table
-    (`_child_table`) and 64-bit word copy it derives the descent tables from
-    are not kept. No array can be written; derive a changed vocabulary with
+    Construction copies the given arrays and builds child rows for the slots
+    only; the whole tree's 64-bit word copy it gathers `descent_words` from
+    is not kept. No array can be written; derive a changed vocabulary with
     `dataclasses.replace`.
     """
 
@@ -135,16 +135,16 @@ class Vocabulary:
                 or weight.shape != (n,):
             raise InternalInvariantError(f"centroids {centroids.shape} and weights "
                                          f"{weight.shape} do not fit {n} nodes of >= 1 octet")
-        children = _child_table(parent)
-        word_of_node = assign_word_ids(children)
+        word_of_node = assign_word_ids(parent)
         word_weight = weight[word_of_node >= 0]
         depth = _depth(parent)
         height = int(depth.max())
         slots = np.flatnonzero(depth < height)
-        descent_children = children[slots]
-        del children, depth  # only the slots' rows are kept
+        del depth
         descent_slot = np.full(n, -1, dtype=np.int64)
         descent_slot[slots] = np.arange(slots.size)
+        descent_children = _slot_table(parent, slots, descent_slot)
+        del slots  # the gather below sets the peak on deep trees
         arrays = {"parent": parent, "centroids": centroids, "weight": weight,
                   "word_of_node": word_of_node, "word_weight": word_weight,
                   "descent_words": _word_major(centroids).take(descent_children, axis=1),
@@ -163,21 +163,20 @@ class Vocabulary:
                             self.weight)
 
 
-def _child_table(parent: np.ndarray) -> np.ndarray:
-    """(nodes, widest fan-out) child table: an internal node's child ids
-    ascending, padded with its first child, which `argmin` never prefers
+def _slot_table(parent: np.ndarray, slots: np.ndarray, slot_of: np.ndarray) -> np.ndarray:
+    """(slots, widest fan-out) `descent_children`: an internal node's child
+    ids ascending, padded with its first child, which `argmin` never prefers
     over column 0; a leaf's row holds the leaf itself, so a descent that has
-    reached it stays. Every row starts as its first child (the leaf, for a
-    leaf) repeated, and one scatter writes each child into its column."""
-    n = parent.size
-    counts = np.bincount(parent[1:], minlength=n)
-    fan = max(1, int(counts.max()))
+    reached it stays. Each row starts as its first child (the leaf, for a
+    leaf) repeated; one scatter writes each child into its parent's row."""
+    counts = np.bincount(parent[1:], minlength=parent.size)
+    fan = int(counts.max())
     order = np.argsort(parent[1:], kind="stable") + 1   # child ids grouped by parent
     first = np.cumsum(counts) - counts
-    head = np.where(counts > 0, order.take(first, mode="clip"), np.arange(n))
-    table = np.repeat(head, fan).reshape(n, fan)
+    head = np.where(counts[slots] > 0, order.take(first[slots], mode="clip"), slots)
+    table = np.repeat(head, fan).reshape(slots.size, fan)
     owner = parent[order]
-    table.reshape(-1)[owner * fan + (np.arange(n - 1) - first[owner])] = order
+    table.reshape(-1)[slot_of[owner] * fan + (np.arange(order.size) - first[owner])] = order
     return table
 
 
@@ -287,13 +286,13 @@ def _grow(codes: np.ndarray,
     return parent, centroids, node_of_row
 
 
-def assign_word_ids(children: np.ndarray) -> np.ndarray:
-    """Word id of every node given the child table (`_child_table`), whose
-    leaf rows hold the leaf itself: leaves numbered 0..W-1 in node order,
-    which is file order, as DBoW2's `TemplatedVocabulary::loadFromTextFile`
-    numbers them; -1 for the root and every internal node.
+def assign_word_ids(parent: np.ndarray) -> np.ndarray:
+    """Word id of every node: a leaf, a node no other node names as its
+    parent, gets its rank among the leaves in node order, which is file
+    order, as DBoW2's `TemplatedVocabulary::loadFromTextFile` numbers them;
+    -1 for the root and every internal node.
     """
-    is_leaf = children[:, 0] == np.arange(children.shape[0])
+    is_leaf = np.bincount(parent[1:], minlength=parent.size) == 0
     return np.where(is_leaf, np.cumsum(is_leaf) - 1, -1)
 
 

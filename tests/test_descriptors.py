@@ -202,6 +202,17 @@ def test_descriptor_set_group_accounting():
             ds.group_range(i)
 
 
+def test_descriptor_set_group_index_must_be_an_integer():
+    # a bool, a float, a string or None is no group index; numpy's int is one
+    ds = DescriptorSet(np.arange(40, dtype=np.uint8).reshape(10, 4), np.array([3, 3, 10]))
+    for bad in (True, np.True_, 1.0, "1", None):
+        for get in (ds.group_range, ds.group_codes):
+            with pytest.raises(IndexError, match="group must be an integer"):
+                get(bad)
+    assert ds.group_range(np.int64(2)) == (3, 10)
+    assert ds.group_codes(np.int64(1)).shape == (0, 4)
+
+
 def test_descriptor_set_defaults_and_empty():
     codes = np.zeros((5, 2), dtype=np.uint8)
     assert DescriptorSet(codes).group_count == 1  # no metadata = one group

@@ -637,8 +637,9 @@ def test_text_loader_memory_is_bounded_by_the_loaded_arrays(tmp_path):
     # a full k=13, L=4 tree of 30,941 256-bit nodes (4.3 MB of text): the
     # whole-file loader peaked at 4.9x the arrays the vocabulary kept, the
     # block loader at 2.3x; numpy reports its buffers to tracemalloc. The
-    # block loader's peak of 10.8 MiB is 3.3x the 3.3 MiB kept since the
-    # descent tables hold only the nodes above the deepest level
+    # block loader's peak of 8.4 MiB is 2.6x the 3.3 MiB kept since the
+    # descent tables hold only the nodes above the deepest level and are
+    # built without a whole-tree child table
     k, L = 13, 4
     n = sum(k ** d for d in range(L + 1))
     rng = np.random.default_rng(0)

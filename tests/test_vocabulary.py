@@ -22,6 +22,7 @@ from hbow import (
     Strategy,
     TrainConfig,
     Vocabulary,
+    assign_word_ids,
     brb_kmeans,
     compute_idf,
     kmajority,
@@ -89,6 +90,34 @@ def _leaf_ids(vocab):
     return leaves[np.argsort(vocab.word_of_node[leaves])]
 
 
+def _check_derived_arrays(vocab):
+    """Check the word ids and descent tables against a scan of `parent`, one
+    node at a time. Word ids: each leaf's rank among the leaves in node
+    order. Descent tables: a slot for every node above the deepest level,
+    numbered in node order; a slot's children ascending, padded with the
+    first child, a shallow leaf's row holding only the leaf, and the
+    children's centroids in 64-bit words."""
+    n = vocab.parent.size
+    leaves = [nid for nid in range(n) if _kids(vocab, nid).size == 0]
+    want = np.full(n, -1)
+    want[leaves] = np.arange(len(leaves))
+    assert vocab.word_of_node.tolist() == want.tolist()
+    assert assign_word_ids(vocab.parent).tolist() == want.tolist()
+    depth = np.zeros(n, dtype=np.int64)
+    for nid in range(1, n):
+        depth[nid] = depth[vocab.parent[nid]] + 1
+    slots = np.flatnonzero(depth < vocab.height)
+    assert vocab.height == depth.max()
+    assert vocab.descent_slot[slots].tolist() == list(range(slots.size))
+    assert (vocab.descent_slot[depth == vocab.height] == -1).all()
+    for nid, row in zip(slots.tolist(), vocab.descent_children, strict=True):
+        kids = _kids(vocab, nid).tolist()
+        assert row.tolist() == kids + kids[:1] * (row.size - len(kids)) if kids \
+            else row.tolist() == [nid] * row.size
+    assert np.array_equal(vocab.descent_words,
+                          _word_major(vocab.centroids)[:, vocab.descent_children])
+
+
 # ---------------------------------------------------------------- structure
 
 
@@ -132,23 +161,7 @@ def test_tree_shape_and_metadata():
         assert vocab.descriptor_bits == 64
         assert vocab.parent[0] == -1 and vocab.word_of_node[0] == -1
         assert _kids(vocab, 0).size > 0
-        # the descent tables: a slot for every node above the deepest level,
-        # numbered in node order; a slot's children ascending, padded with
-        # the first child, a shallow leaf's row holding only the leaf, and
-        # the children's centroids in 64-bit words
-        depth = np.zeros(vocab.parent.size, dtype=np.int64)
-        for nid in range(1, vocab.parent.size):
-            depth[nid] = depth[vocab.parent[nid]] + 1
-        slots = np.flatnonzero(depth < vocab.height)
-        assert vocab.height == depth.max()
-        assert vocab.descent_slot[slots].tolist() == list(range(slots.size))
-        assert (vocab.descent_slot[depth == vocab.height] == -1).all()
-        for nid, row in zip(slots.tolist(), vocab.descent_children, strict=True):
-            kids = _kids(vocab, nid).tolist()
-            assert row.tolist() == kids + kids[:1] * (row.size - len(kids)) if kids \
-                else row.tolist() == [nid] * row.size
-        assert np.array_equal(vocab.descent_words,
-                              _word_major(vocab.centroids)[:, vocab.descent_children])
+        _check_derived_arrays(vocab)
         assert vocab.word_count == len(_leaf_ids(vocab)) == vocab.word_weight.size
         validate_structure(vocab)
 
@@ -400,6 +413,7 @@ def test_lookup_equals_the_one_row_oracle_on_generated_trees(monkeypatch):
         centroids = np.frombuffer(b"".join(data.draw(st.sampled_from(pool))
                                            for _ in range(nodes)), np.uint8).reshape(nodes, -1)
         vocab = Vocabulary(2, 40, None, parent, centroids, np.ones(nodes))
+        _check_derived_arrays(vocab)
         rows = data.draw(st.integers(1, 60))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         flips = np.packbits(rng.random((rows, octets * 8)) < 0.1, axis=1)
