@@ -49,7 +49,7 @@ _FIRST_ROOM = 2     # slots of a word's first bucket
 def _sum_in_order(x: np.ndarray) -> float:
     """x[0] + x[1] + ... added one by one, left to right (0.0 if empty);
     `np.sum` would add pairwise."""
-    return float(np.add.accumulate(x)[-1]) if x.size else 0.0
+    return np.add.accumulate(x).item(-1) if x.size else 0.0
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -81,9 +81,9 @@ class BowVector:
         """A vector of arrays that already hold to the contract, as they are."""
         words.flags.writeable = weights.flags.writeable = False
         vector = object.__new__(cls)
-        for name, value in zip(("words", "weights", "_l1"),
-                               (words, weights, _sum_in_order(weights))):
-            object.__setattr__(vector, name, value)
+        object.__setattr__(vector, "words", words)
+        object.__setattr__(vector, "weights", weights)
+        object.__setattr__(vector, "_l1", _sum_in_order(weights))
         return vector
 
     def __reduce__(self):  # copies and pickles come back read-only
@@ -122,17 +122,23 @@ def transform(vocab: Vocabulary, descriptors) -> BowVector:
     arr = np.asarray(descriptors)
     if arr.size == 0:
         return BowVector.empty()
-    ids = np.sort(lookup_words(vocab, arr)[0])
+    ids = lookup_words(vocab, arr)[0]
+    ids.sort()
     # where each run of equal ids starts, and the end of the last
-    runs = np.concatenate(([True], ids[1:] != ids[:-1], [True])).nonzero()[0]
-    words = ids[runs[:-1]]
+    edge = np.empty(ids.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(ids[1:], ids[:-1], out=edge[1:-1])
+    runs = edge.nonzero()[0]
+    words = ids.take(runs[:-1])
     # term frequency: each word's run length over the descriptor count
-    weighted = (runs[1:] - runs[:-1]) / ids.size * vocab.word_weight[words]
+    weighted = (runs[1:] - runs[:-1]) / ids.size
+    weighted *= vocab.word_weight.take(words)
     if not (keep := weighted > 0.0).all():
         words, weighted = words[keep], weighted[keep]
     # L1 normalization: each kept weight over their sum, added left to right
     # in ascending word order as `l1_norm` adds
-    return BowVector._of(words, weighted / _sum_in_order(weighted))
+    weighted /= _sum_in_order(weighted)
+    return BowVector._of(words, weighted)
 
 
 def score_l1(a: BowVector, b: BowVector) -> float:
@@ -148,10 +154,25 @@ def score_l1(a: BowVector, b: BowVector) -> float:
     return min(1.0, max(0.0, (1.0 - (a._l1 + b._l1) / 2.0) + overlap))
 
 
+def _in_database(ids: range, n: int) -> slice:
+    """The ids of a range that lie in [0, n), as a slice, ascending. Worked
+    out from the range's bounds, which may lie beyond int64, without
+    listing its ids."""
+    if ids.step < 0:
+        ids = ids[::-1]
+    start = ids.start % ids.step if ids.start < 0 else ids.start  # its first id >= 0
+    return slice(start, max(0, min(ids.stop, n)), ids.step)
+
+
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The index ranges [start, start + count) end to end, in the given order."""
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+    """The index ranges [start, start + count) end to end, in the given order.
+    Overwrites `starts` with each range's start less the output position of
+    its first index."""
+    starts -= counts.cumsum()
+    starts += counts
+    index = starts.repeat(counts)
+    index += np.arange(index.size)
+    return index
 
 
 class _WordPostings:
@@ -237,15 +258,17 @@ class RetrievalDatabase:
             bad = words[0] if words[0] < 0 else words[words >= word_count][0]
             raise CorpusConsistencyError(
                 f"word id {_quote(int(bad))} outside vocabulary of {word_count} words")
-        count = self._count[words]
-        full = count == self._room[words]
-        if full.any():
-            self._place(words[full], count[full])
-        slots = self._start[words] + count
+        count = self._count.take(words)
+        full = (count == self._room.take(words)).nonzero()[0]
+        if full.size:
+            self._place(words.take(full), count.take(full))
+        slots = self._start.take(words)
+        slots += count
         entry_id = len(self.norms)
         self._ids[slots] = entry_id
         self._weights[slots] = weights
-        self._count[words] = count + 1
+        count += 1
+        self._count[words] = count
         self.norms.append(vector._l1)
         return entry_id
 
@@ -255,23 +278,29 @@ class RetrievalDatabase:
         the room holding its `count` postings otherwise, so only buckets
         that grow copy anything. When the arena has no space left, every
         bucket moves instead, into new arenas of twice their total room."""
-        room = np.maximum(count + count, _FIRST_ROOM)
+        room = count + count
+        np.maximum(room, _FIRST_ROOM, out=room)
+        ends = room.cumsum()
         arenas = self._ids, self._weights
-        if self._end + int(room.sum()) > self._ids.size:
+        if self._end + ends.item(-1) > self._ids.size:
             self._room[words] = room
-            words = np.flatnonzero(self._room)
-            room, count = self._room[words], self._count[words]
-            size = 2 * int(room.sum())
+            words = self._room.nonzero()[0]
+            room, count = self._room.take(words), self._count.take(words)
+            ends = room.cumsum()
+            size = 2 * ends.item(-1)
             self._ids, self._weights = np.empty(size, dtype=np.int64), np.empty(size)
             self._end = 0
-        start = self._end + np.cumsum(room) - room
-        old = self._start[words]
+        # each bucket's new start: the arena's end plus the room before it
+        start = ends - room
+        start += self._end
+        old = self._start.take(words)
+        dst = (start - old).repeat(count)
         src = _ranges(old, count)
-        dst = src + np.repeat(start - old, count)
-        self._ids[dst] = arenas[0][src]
-        self._weights[dst] = arenas[1][src]
+        dst += src
+        self._ids[dst] = arenas[0].take(src)
+        self._weights[dst] = arenas[1].take(src)
         self._start[words], self._room[words] = start, room
-        self._end = int(start[-1] + room[-1])
+        self._end += ends.item(-1)
 
     def query(self, vector: BowVector, max_results: int = 10,
               exclude=None) -> list[tuple[int, float]]:
@@ -287,30 +316,40 @@ class RetrievalDatabase:
         n = len(self.norms)
         words, weights = vector.words, vector.weights
         if words.size and not (0 <= words[0] and words[-1] < self.vocab.word_count):
-            lo, hi = np.searchsorted(words, (0, self.vocab.word_count))
+            lo, hi = words.searchsorted((0, self.vocab.word_count))
             words, weights = words[lo:hi].astype(np.int64, copy=False), weights[lo:hi]
-        counts = self._count[words]
+        counts = self._count.take(words)
         # shared[e] = sum over the words of both of min(a_w, b_w), added in
         # ascending word order: the query words' postings gathered end to
         # end, which bincount sums one element at a time
-        slots = _ranges(self._start[words], counts)
-        shared = np.bincount(self._ids[slots], minlength=n, weights=np.minimum(
-            self._weights[slots], np.repeat(weights, counts)))
-        if exclude is not None:
+        slots = _ranges(self._start.take(words), counts)
+        overlap = self._weights.take(slots)
+        np.minimum(overlap, weights.repeat(counts), out=overlap)
+        shared = np.bincount(self._ids.take(slots), minlength=n, weights=overlap)
+        if isinstance(exclude, range):
+            shared[_in_database(exclude, n)] = 0.0
+        elif exclude is not None:
             ids = _integer_array(exclude, ConfigError, "exclude ids must be integers")
             shared[ids[(ids >= 0) & (ids < n)].astype(np.intp)] = 0.0
-        candidates = np.flatnonzero(shared > 0.0)
+        # positive exactly where an entry shares a word and is not excluded
+        candidates = shared.nonzero()[0]
         self._candidates = candidates.size
-        norms = np.frombuffer(self.norms)[candidates]
-        scores = np.clip((1.0 - (vector._l1 + norms) / 2.0) + shared[candidates], 0.0, 1.0)
+        # (1 - (|a|_1 + |b|_1) / 2) + shared, clamped to [0, 1], step by step
+        # in place: x / -2.0 + 1.0 is exactly 1.0 - x / 2.0
+        scores = np.frombuffer(self.norms).take(candidates)
+        scores += vector._l1
+        scores /= -2.0
+        scores += 1.0
+        scores += shared.take(candidates)
+        scores.clip(0.0, 1.0, out=scores)
         # a stable sort keeps equal scores in ascending entry id. With more
         # candidates than places it sorts only those scoring at least the
         # k-th largest score, still in ascending entry id: their stable
         # order begins with the whole sort's first k, ties at the cut included
         if (cut := candidates.size - max_results) > 0:
-            top = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
-            order = top[np.argsort(-scores[top], kind="stable")[:max_results]]
+            top = (scores >= np.partition(scores, cut)[cut]).nonzero()[0]
+            order = top.take((-scores.take(top)).argsort(kind="stable")[:max_results])
         else:
-            order = np.argsort(-scores, kind="stable")
-        order = order[scores[order] > 0.0]
-        return list(zip(candidates[order].tolist(), scores[order].tolist()))
+            order = (-scores).argsort(kind="stable")
+        return [(e, s) for e, s in zip(candidates.take(order).tolist(),
+                                       scores.take(order).tolist()) if s > 0.0]

@@ -34,7 +34,9 @@ import numpy as np
 from .errors import ConfigError, CorpusConsistencyError, InsufficientPointsError
 
 # Cap on the buffers of one block of query columns against k candidates
-# (`_block_columns`): 4,369 columns of 256 bits at k = 10.
+# (`_block_columns`): at k = 10 and 256 bits, 4,369 columns for
+# `_hamming_table` and 2,621 for the descent, which also holds its query
+# words repeated k times.
 _HAMMING_BLOCK_BYTES = 1 << 21
 
 
@@ -174,12 +176,13 @@ def _word_major(codes: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(codes.view(np.uint64).T)
 
 
-def _block_columns(k: int, words: int) -> int:
-    """Query columns per block against `k` candidates of `words` 64-bit
-    words, at least 1: each (candidate, column) pair holds 9 bytes per word
-    (XOR and bit count) and up to 12 more (its sum, the descent's child id),
-    within `_HAMMING_BLOCK_BYTES` in all."""
-    return max(1, _HAMMING_BLOCK_BYTES // max(1, k * (9 * words + 12)))
+def _block_columns(k: int, pair_bytes: int) -> int:
+    """Query columns per block against `k` candidates, at least 1, when each
+    (candidate, column) pair holds `pair_bytes` bytes of buffers, within
+    `_HAMMING_BLOCK_BYTES` in all. `_xor_distances` alone holds 9 bytes per
+    64-bit word per pair (XOR and bit count) and up to 4 for the sum; each
+    caller counts what it keeps besides."""
+    return max(1, _HAMMING_BLOCK_BYTES // max(1, k * pair_bytes))
 
 
 def _sum_dtype(words: int) -> type:
@@ -194,7 +197,7 @@ def _xor_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     `out`, which may be `a` itself, a popcount into uint8 and a sum over the
     words axis into `_sum_dtype`."""
     np.bitwise_xor(a, b, out=out)
-    return np.bitwise_count(out).sum(axis=0, dtype=_sum_dtype(out.shape[0]))
+    return np.add.reduce(np.bitwise_count(out), axis=0, dtype=_sum_dtype(out.shape[0]))
 
 
 def _hamming_table(words: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -203,7 +206,9 @@ def _hamming_table(words: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     words, in `_xor_distances`' sum dtype. The rows go in blocks of
     `_block_columns`, all through one XOR buffer."""
     k, rows = candidates.shape[1], words.shape[1]
-    step = _block_columns(k, words.shape[0])
+    # per (candidate, column): XOR and bit count per word, the sum and the
+    # table's entry, up to 12 bytes
+    step = _block_columns(k, 9 * words.shape[0] + 12)
     table = np.empty((k, rows), dtype=_sum_dtype(words.shape[0]))
     buf = np.empty((words.shape[0], k, min(step, rows)), dtype=np.uint64)
     for start in range(0, rows, step):
@@ -292,6 +297,11 @@ class DescriptorSet:
         codes = self.codes = _as_codes(self.codes)
         n = codes.shape[0]
         message = "group end offsets must be integers within int64"
+        if isinstance(self.group_ends, range) and self.group_ends[n + 1:]:
+            # n + 2 distinct offsets cannot all lie in [0, n]; checked on the
+            # range itself, which may be too long to list
+            raise CorpusConsistencyError(f"group end offsets {_quote(self.group_ends)} hold more "
+                                         f"than {n + 1} values and cannot ascend to {n}")
         ends = _integer_array(() if self.group_ends is None else self.group_ends,
                               CorpusConsistencyError, message)
         if ends.dtype == object:

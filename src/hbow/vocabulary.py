@@ -331,16 +331,19 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
     All rows descend together one tree level at a time: each row at an
     internal node moves to the child with the smallest Hamming distance, ties
     to the lowest-index child, and a row at a leaf stays there, so every row
-    takes `vocab.height` steps. A row is tracked by its node's slot in the
-    descent tables. One level is one gather, `vocab.descent_words.take` of
-    the rows' slots, into a (words, rows, fan-out) block; then
-    `descriptors._xor_distances` of it and the rows' own words, XORing in
-    place into the gathered block; then the first minimum over the fan-out
-    axis, whose child `descent_children` names and whose slot
-    `descent_slot` gives. A padding column repeats the first child and a
-    shallow leaf's row holds the leaf, so nothing needs a mask. Rows go in
-    blocks of `descriptors._block_columns` for the fan-out. Returns
-    (word_ids, leaf_node_ids), int64 each.
+    takes `vocab.height` steps. A row is tracked by its node, starting at the
+    root. A block of rows first repeats its own 64-bit words across the
+    fan-out, once, into a contiguous (words, rows, fan-out) array. One level
+    is then one gather, `vocab.descent_words.take` of the rows' slots
+    (`descent_slot`), into an array of that same shape; then
+    `descriptors._xor_distances` of it and the repeated words, XORing two
+    equal-shaped arrays in place into the gathered one; then the first
+    minimum over the fan-out axis. The slot times the fan-out plus that
+    column indexes `descent_children` flat and names the row's next node. A
+    padding column repeats the first child and a shallow leaf's row holds the
+    leaf, so nothing needs a mask. Rows go in blocks of
+    `descriptors._block_columns` for the fan-out, counting the repeated
+    words. Returns (word_ids, leaf_node_ids), int64 each.
     """
     codes = _as_codes(codes)
     if codes.shape[1] * 8 != vocab.descriptor_bits:
@@ -350,19 +353,27 @@ def lookup_words(vocab: Vocabulary, codes) -> tuple[np.ndarray, np.ndarray]:
         )
     table, children, slot_of = vocab.descent_words, vocab.descent_children, vocab.descent_slot
     fan = children.shape[1]
-    query = _word_major(codes)[:, :, None]  # (words, n, 1)
+    query = _word_major(codes)
     n = codes.shape[0]
     leaf = np.empty(n, dtype=np.int64)
-    step = _block_columns(fan, table.shape[0])
+    # per (row, child): 8 bytes per word each for the repeated query words
+    # and the gathered ones, 1 for their bit counts, and up to 12 for the sum
+    # and the row's indices
+    step = _block_columns(fan, 17 * table.shape[0] + 12)
     for start in range(0, n, step):
-        q = query[:, start:start + step]
-        cur = np.zeros(q.shape[1], dtype=np.int64)  # the root's slot
+        q = query[:, start:start + step, None].repeat(fan, axis=2)  # (words, rows, fan)
+        xor = np.empty_like(q)
+        kid = np.zeros(q.shape[1], dtype=np.int64)  # the root
         for _ in range(vocab.height):
-            xor = table.take(cur, axis=1)
-            dist = _xor_distances(xor, q, xor)
-            kid = children.take(cur * fan + dist.argmin(axis=1))
             cur = slot_of.take(kid)
+            # "clip" gathers straight into xor, where "raise" would buffer;
+            # every slot is in range
+            table.take(cur, axis=1, out=xor, mode="clip")
+            cur *= fan
+            cur += _xor_distances(xor, q, xor).argmin(axis=1)
+            kid = children.take(cur)
         leaf[start:start + step] = kid
+        del q, xor  # before the next block's are made
     return vocab.word_of_node[leaf], leaf
 
 

@@ -332,6 +332,19 @@ def test_query_takes_exclude_as_any_iterable_of_ids():
                 assert db.query(q, 5, form) == want
     assert db.query(vectors[0], 5, np.array([], dtype=np.int64)) == db.query(vectors[0], 5)
     assert db.query(vectors[0], 5, range(12)) == []
+    # a range excludes its ids within the database, worked out from its
+    # bounds without listing them, so range(1, 2**40) costs no more than a
+    # short one
+    big = 2 ** 70
+    for ids in (range(1, 2 ** 40), range(0, 12, 3), range(11, -1, -2), range(-7, 5, 3),
+                range(5, 40, 4), range(4, 100, 50), range(-big, big, 3), range(-big, 3),
+                range(big + 5, -big, -(2 ** 66 + 1)), range(big, 2 * big), range(-5, -1),
+                range(5, 0), range(3, 3), range(0, 2 ** 64, 2 ** 63 + 1)):
+        clipped = [i for i in range(len(vectors)) if i in ids]
+        for q in vectors[:4]:
+            want = db.query(q, 5, clipped)
+            assert want == _exhaustive_query(vectors, q, 5, clipped)
+            assert db.query(q, 5, ids) == want, ids
 
 
 def test_query_rejects_exclude_ids_that_are_not_integers():

@@ -226,6 +226,12 @@ def test_descriptor_set_validation():
         DescriptorSet(codes, np.array([3, 2, 4]))  # not ascending
     with pytest.raises(CorpusConsistencyError):
         DescriptorSet(codes, np.array([2, 3]))  # last end != n
+    # more than n + 1 distinct offsets cannot ascend to n; a range is
+    # checked by its length, without listing it
+    for too_long in (range(1, 2 ** 40), range(0, 6), range(2 ** 70, -1, -1), range(-2 ** 70, 4)):
+        with pytest.raises(CorpusConsistencyError, match="more than 5 values"):
+            DescriptorSet(codes, too_long)
+    assert DescriptorSet(codes, range(0, 5)).group_ends.tolist() == [0, 1, 2, 3, 4]
     with pytest.raises(CorpusConsistencyError):
         DescriptorSet(np.zeros((4, 2), dtype=np.int32))
 

@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from decimal import Context, Decimal
 
@@ -426,6 +427,32 @@ def test_lookup_equals_the_one_row_oracle_on_generated_trees(monkeypatch):
             assert (word, leaf) == lookup_word(vocab, probe)[::2]
 
     check()
+
+
+def test_lookup_of_many_rows_stays_within_its_block_budget():
+    # 20,000 rows of 256 bits down a full k=10 tree hold their 64-bit words
+    # (625 KiB), the two outputs (313 KiB) and one block of descent buffers:
+    # the query words repeated across the fan-out, the gathered and XORed
+    # words, their bit counts and sums, within _HAMMING_BLOCK_BYTES. Blocks
+    # sized without the repeated words overrun it by over 40 %
+    rows, octets = 20_000, 32
+    parent = [-1] + [0] * 10 + [1 + i // 10 for i in range(100)]
+    rng = np.random.default_rng(4)
+    centroids = rng.integers(0, 256, size=(len(parent), octets), dtype=np.uint8)
+    vocab = Vocabulary(10, 2, None, parent, centroids, np.ones(len(parent)))
+    codes = rng.integers(0, 256, size=(rows, octets), dtype=np.uint8)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        words, leaves = lookup_words(vocab, codes)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert words.shape == leaves.shape == (rows,)
+    assert peak <= hbow.descriptors._HAMMING_BLOCK_BYTES + codes.nbytes + 2 * rows * 8, peak
 
 
 def test_lookup_sums_distances_of_65536_bits_without_wrapping():
