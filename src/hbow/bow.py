@@ -116,11 +116,12 @@ class BowVector:
 def transform(vocab: Vocabulary, descriptors) -> BowVector:
     """Quantize one image's descriptors into an L1-normalized tf-idf vector.
 
-    Words with zero idf weight drop out; if everything drops (or the input
-    is empty) the result is the empty vector.
+    An empty sequence gives the empty vector; a matrix, one with no rows
+    included, goes through `lookup_words` and its checks. Words with zero idf
+    weight drop out; if everything drops the result is the empty vector.
     """
     arr = np.asarray(descriptors)
-    if arr.size == 0:
+    if arr.size == 0 and arr.ndim < 2:
         return BowVector.empty()
     ids = lookup_words(vocab, arr)[0]
     ids.sort()

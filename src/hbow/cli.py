@@ -160,9 +160,7 @@ def _cmd_query(args) -> int:
         vec = transform(vocab, query_set.group_codes(qi))
         exclude = None
         if args.exclude_window is not None:
-            # clipped to the database, so a huge window costs nothing extra
-            exclude = range(max(0, qi - args.exclude_window),
-                            min(len(db), qi + args.exclude_window + 1))
+            exclude = range(qi - args.exclude_window, qi + args.exclude_window + 1)
         matches = db.query(vec, args.top, exclude)
         results.append({
             "query": qi,

@@ -17,8 +17,8 @@ block, which the descent calls per level, and `_hamming_table` over fixed
 candidates. The table and the descent walk their queries in blocks of
 `_block_columns`.
 
-`hamming_cdist` has no caller inside the package; it stays public because
-`perfbench/tracing.py` binds it by name.
+`hamming_cdist` has no caller inside the package; README lists it among the
+names kept for the benchmark.
 """
 
 from __future__ import annotations

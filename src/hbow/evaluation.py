@@ -192,6 +192,8 @@ def retrieval_report(vocab: Vocabulary, frames, frame_places,
     """
     temporal_exclusion = _integer(temporal_exclusion, "temporal_exclusion", 0)
     frames = list(frames)
+    if isinstance(frame_places, range):  # listed only as far as the length check needs
+        frame_places = frame_places[:len(frames) + 1]
     message = "frame_places must list one integer per frame"
     if isinstance(frame_places, (set, frozenset, dict)):
         raise CorpusConsistencyError(
@@ -204,9 +206,8 @@ def retrieval_report(vocab: Vocabulary, frames, frame_places,
     eligible, scores, correct = 0, [], []
     for t, (frame, place) in enumerate(zip(frames, places)):
         vec = transform(vocab, frame)
-        exclude = range(max(0, t - temporal_exclusion), t)
         if len(db):
-            res = db.query(vec, 1, exclude)
+            res = db.query(vec, 1, range(t - temporal_exclusion, t))
             if res:
                 entry, score = res[0]
                 scores.append(score)

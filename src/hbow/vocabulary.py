@@ -307,10 +307,6 @@ def compute_idf(vocab: Vocabulary, corpus: DescriptorSet) -> Vocabulary:
     does not depend on which CPU-specific `log` NumPy dispatches to."""
     if corpus.group_count < 1:
         raise InsufficientPointsError("idf needs a corpus with at least one group")
-    if corpus.bits != vocab.descriptor_bits:
-        raise CorpusConsistencyError(
-            f"corpus width {corpus.bits} does not match vocabulary width {vocab.descriptor_bits}"
-        )
     W = vocab.word_count
     word_ids, _ = lookup_words(vocab, corpus.codes)
     group = np.repeat(np.arange(corpus.group_count), np.diff(corpus.group_ends, prepend=0))

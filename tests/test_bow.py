@@ -4,6 +4,7 @@ import math
 import pickle
 import re
 from collections import Counter
+from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
@@ -22,6 +23,7 @@ from hbow import (
     Strategy,
     TrainConfig,
     Vocabulary,
+    lookup_words,
     score_l1,
     train,
     transform,
@@ -242,6 +244,13 @@ def test_transform_width_mismatch_raises():
     vocab, _ = _idf_fixture()
     with pytest.raises(CorpusConsistencyError):
         transform(vocab, np.zeros((3, 16), dtype=np.uint8))
+    # a matrix with no rows is checked like any other: the wrong width, or
+    # the right width in the wrong dtype, raises what lookup_words raises
+    for empty in (np.zeros((0, 16), dtype=np.uint8), np.zeros((0, 8), dtype=np.float64)):
+        with pytest.raises(CorpusConsistencyError) as raised:
+            transform(vocab, empty)
+        with pytest.raises(CorpusConsistencyError, match=re.escape(str(raised.value))):
+            lookup_words(vocab, empty)
 
 
 # ---------------------------------------------------------------- database
@@ -294,6 +303,22 @@ def test_word_ids_must_be_integers():
     assert v.words.tolist() == [0, 1, 2] and v.words.dtype == np.int64
     assert BowVector({2 ** 70: 1.0, 1: 1.0}).words.tolist() == [1, 2 ** 70]
     assert BowVector({}) == BowVector.empty()
+
+
+def test_word_ids_must_be_distinct():
+    # a dict cannot repeat a key, but any Mapping can name one id twice
+    class Twice(Mapping):
+        def __getitem__(self, word):
+            return 0.5
+
+        def __iter__(self):
+            return iter((3, 3))
+
+        def __len__(self):
+            return 2
+
+    with pytest.raises(CorpusConsistencyError, match="word ids must be distinct integers"):
+        BowVector(Twice())
 
 
 def test_weights_must_be_real_numbers():

@@ -202,13 +202,37 @@ def test_query_exclude_window(tmp_path, capsys):
     _write_corpus(corpus)
     assert main(["train", "--corpus", str(corpus), "--out", str(vocab_path),
                  "--k", "4", "--L", "3"]) == 0
-    assert main(["query", "--vocab", str(vocab_path), "--db", str(corpus),
-                 "--queries", str(corpus), "--top", "3",
-                 "--exclude-window", "0", "--out", str(out)]) == 0
+    query = ["query", "--vocab", str(vocab_path), "--db", str(corpus),
+             "--queries", str(corpus), "--top", "3", "--out", str(out)]
+    assert main([*query, "--exclude-window", "0"]) == 0
     capsys.readouterr()
     payload = json.loads(out.read_text())
     for qi, entry in enumerate(payload["queries"]):
         assert all(m["entry"] != qi for m in entry["matches"])
+    # the command passes the whole window and the database clips it, so the
+    # largest window excludes every entry without listing its ids
+    with _time_limit(10):
+        assert main([*query, "--exclude-window", str(2 ** 63 - 1)]) == 0
+    capsys.readouterr()
+    payload = json.loads(out.read_text())
+    assert [entry["matches"] for entry in payload["queries"]] == [[]] * 6
+
+
+def test_transform_and_query_print_their_file_to_stdout(tmp_path, capsys):
+    corpus = tmp_path / "c.hbdc"
+    vocab_path = tmp_path / "v.txt"
+    _write_corpus(corpus)
+    assert main(["train", "--corpus", str(corpus), "--out", str(vocab_path),
+                 "--k", "3", "--L", "2"]) == 0
+    capsys.readouterr()
+    for command in (["transform", "--corpus", str(corpus)],
+                    ["query", "--db", str(corpus), "--queries", str(corpus)]):
+        args = [command[0], "--vocab", str(vocab_path), *command[1:]]
+        out = tmp_path / f"{command[0]}.json"
+        assert main([*args, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(args) == 0
+        assert capsys.readouterr().out == out.read_text()
 
 
 def test_query_rejects_a_bad_top_or_window_as_usage_error(tmp_path, capsys):

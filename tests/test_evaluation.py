@@ -557,8 +557,9 @@ def test_retrieval_report_equals_the_pair_based_oracle():
     {0: 0, 1: 1, 2: 0},
     None,
     3,
+    range(2 ** 40),            # too many, and too many to list
 ], ids=["pair-set", "pair-list", "column", "short", "long", "float", "bool", "string",
-        "int-set", "dict", "none", "int"])
+        "int-set", "dict", "none", "int", "huge-range"])
 def test_retrieval_report_rejects_frame_places_that_are_not_one_integer_per_frame(frame_places):
     frames = _place_frames([0, 1, 0], 0.0, 0)
     assert retrieval_report(_RETRIEVAL_VOCAB, frames, [0, 1, 0]) == \
