@@ -16,17 +16,18 @@ the score is bit-exact symmetric, and exactly 1 for identical normalized
 vectors.
 
 The RetrievalDatabase keeps its inverted index in flat arrays: two arenas,
-entry ids (int64) and weights (float64), and per word the start, count and
-room of its bucket there, whose postings are contiguous and ascending by
-entry id, plus each entry's L1 norm, all copied at `add`. A new word's
-bucket of 2 slots, and a full bucket moved with twice the room, go to the
-arena's end; when the arena has no space left, all buckets move into new
-arenas twice their total room. A query gathers the postings of its own
-words in ascending word order, sums the shared minima of every entry in
-that order, and scores each entry sharing a word by the same expression, so
-every returned score is the float `score_l1` gives and the ranking equals
-brute force. Zero scores are dropped; ties order by ascending entry id.
-Each `add` and `query` is a fixed number of numpy calls.
+entry ids (int64) and weights (float64), and per word the start and count of
+its bucket there, whose postings are contiguous and ascending by entry id,
+plus each entry's L1 norm, all copied at `add`. A bucket holds the next power
+of two >= its count, so it is full at count 0 or a power of two; then it moves
+to twice the slots (1 for a first posting) at the arena's end. A full arena
+grows to twice the slots in use. Buckets left behind are never reclaimed, so
+the slots in use stay under 4 per posting and the arenas under 8. A query
+gathers the postings of its own words in ascending word order, sums the
+shared minima of every entry in that order, and scores each entry sharing a
+word by the same expression, so every returned score is the float `score_l1`
+gives and the ranking equals brute force. Zero scores are dropped; ties order
+by ascending entry id. Each `add` and `query` is a fixed number of numpy calls.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .errors import ConfigError, CorpusConsistencyError
 from .vocabulary import Vocabulary, lookup_words
 
 _INF = float("inf")
-_FIRST_ROOM = 2     # slots of a word's first bucket
 
 
 def _sum_in_order(x: np.ndarray) -> float:
@@ -223,10 +223,9 @@ class RetrievalDatabase:
         self.vocab = vocab
         self.norms = array("d")                    # L1 norm of each entry
         # word w's postings are _ids/_weights[_start[w]:_start[w] + _count[w]],
-        # in a bucket of _room[w] slots
+        # in a bucket of the next power of two >= _count[w] slots
         self._start = np.zeros(vocab.word_count, dtype=np.int64)
         self._count = np.zeros(vocab.word_count, dtype=np.int64)
-        self._room = np.zeros(vocab.word_count, dtype=np.int64)
         self._ids = np.empty(0, dtype=np.int64)
         self._weights = np.empty(0, dtype=np.float64)
         self._end = 0                              # arena slots in use
@@ -260,7 +259,7 @@ class RetrievalDatabase:
             raise CorpusConsistencyError(
                 f"word id {_quote(int(bad))} outside vocabulary of {word_count} words")
         count = self._count.take(words)
-        full = (count == self._room.take(words)).nonzero()[0]
+        full = ((count & (count - 1)) == 0).nonzero()[0]   # count 0 or a power of two
         if full.size:
             self._place(words.take(full), count.take(full))
         slots = self._start.take(words)
@@ -274,23 +273,18 @@ class RetrievalDatabase:
         return entry_id
 
     def _place(self, words: np.ndarray, count: np.ndarray) -> None:
-        """Give these words, whose buckets are full, new buckets at the
-        arena's end: `_FIRST_ROOM` slots for a word without postings, twice
-        the room holding its `count` postings otherwise, so only buckets
-        that grow copy anything. When the arena has no space left, every
-        bucket moves instead, into new arenas of twice their total room."""
+        """Give these words, whose buckets are full, new buckets of twice the
+        slots (1 for a word without postings) at the arena's end and move
+        their `count` postings there. When the arena has no space left, both
+        arenas first grow to twice the slots in use, new buckets included."""
         room = count + count
-        np.maximum(room, _FIRST_ROOM, out=room)
+        np.maximum(room, 1, out=room)
         ends = room.cumsum()
-        arenas = self._ids, self._weights
-        if self._end + ends.item(-1) > self._ids.size:
-            self._room[words] = room
-            words = self._room.nonzero()[0]
-            room, count = self._room.take(words), self._count.take(words)
-            ends = room.cumsum()
-            size = 2 * ends.item(-1)
-            self._ids, self._weights = np.empty(size, dtype=np.int64), np.empty(size)
-            self._end = 0
+        end = self._end + ends.item(-1)
+        if end > self._ids.size:
+            ids, weights = np.empty(2 * end, dtype=np.int64), np.empty(2 * end)
+            ids[:self._end], weights[:self._end] = self._ids[:self._end], self._weights[:self._end]
+            self._ids, self._weights = ids, weights
         # each bucket's new start: the arena's end plus the room before it
         start = ends - room
         start += self._end
@@ -298,10 +292,10 @@ class RetrievalDatabase:
         dst = (start - old).repeat(count)
         src = _ranges(old, count)
         dst += src
-        self._ids[dst] = arenas[0].take(src)
-        self._weights[dst] = arenas[1].take(src)
-        self._start[words], self._room[words] = start, room
-        self._end += ends.item(-1)
+        self._ids[dst] = self._ids.take(src)
+        self._weights[dst] = self._weights.take(src)
+        self._start[words] = start
+        self._end = end
 
     def query(self, vector: BowVector, max_results: int = 10,
               exclude=None) -> list[tuple[int, float]]:

@@ -241,16 +241,19 @@ def compare_strategies(synth_cfg: SynthConfig, strategies, seeds, k: int = 10, L
     EVAL_COLUMNS; everything except train_seconds is deterministic.
     """
     strategies = [_as_strategy(s, ConfigError) for s in strategies]
-    seeds = _integer_array(seeds, ConfigError, "seeds must be integers").tolist()
+    if not isinstance(seeds, range):  # a range is checked from its bounds, never listed
+        seeds = _integer_array(seeds, ConfigError, "seeds must be integers").tolist()
     temporal_exclusion = _integer(temporal_exclusion, "temporal_exclusion", 0)
     if not strategies:
         raise ConfigError("need at least one strategy")
     if not seeds:
         raise ConfigError("need at least one seed")
-    worlds = [replace(synth_cfg, seed=seed) for seed in seeds]  # every seed checked first
+    # every seed checked before any training; a range's smallest id is one of its ends
+    for seed in (seeds[0], seeds[-1]) if isinstance(seeds, range) else seeds:
+        replace(synth_cfg, seed=seed)
     rows: list[dict] = []
-    for world in worlds:
-        seq, seed = synth_sequence(world), world.seed
+    for seed in seeds:
+        seq = synth_sequence(replace(synth_cfg, seed=seed))
         for strategy in strategies:
             cfg = TrainConfig(k=k, L=L, strategy=strategy, seed=seed, max_iters=max_iters)
             result = train_result(seq.training, cfg)

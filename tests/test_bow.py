@@ -833,9 +833,22 @@ def test_score_and_norm_equal_the_dict_references_on_generated_pairs():
     check()
 
 
+def test_index_memory_is_bounded_per_posting():
+    # words that get a posting at every add come nearest both bounds, which
+    # the generated streams stay far below: up to 3.99 slots in use and 7.98
+    # arena slots per posting here
+    vocab = _random_vocab(seed=4)
+    for words in ([0], list(range(20))):
+        db, postings = RetrievalDatabase(vocab), 0
+        for _ in range(600):
+            db.add(BowVector(dict.fromkeys(words, 1.0)))
+            postings += len(words)
+            assert db._end < 4 * postings and db._ids.size < 8 * postings
+
+
 def test_generated_streams_place_grow_and_regrow_buckets():
     # adds over a vocabulary of many words: a word new to the index takes
-    # fresh room, a full bucket grows, a full arena regrows; the index passes
+    # a fresh bucket, a full bucket grows, a full arena regrows; the index passes
     # `audit` after every add, and each query scores the entries that share
     # a word with it, as read from the postings
     hypothesis = pytest.importorskip("hypothesis")
@@ -859,13 +872,20 @@ def test_generated_streams_place_grow_and_regrow_buckets():
                 assert db.query(v, 3, exclude) == _exhaustive_query(added, v, 3, exclude)
                 assert db.candidates == len(query_candidates(db, v, exclude))
                 continue
-            count, room, size = db._count[v.words], db._room[v.words], db._ids.size
+            count, size = db._count[v.words], db._ids.size
             db.add(v)
             added.append(v)
             audit(db, added)
+            # a bucket holds the next power of two >= its count, so it is
+            # full at a count that is a power of two
             seen.update({"fresh"} if (count == 0).any() else set())
-            seen.update({"grown"} if ((count == room) & (count > 0)).any() else set())
+            seen.update({"grown"} if ((count > 0) & (count & (count - 1) == 0)).any() else set())
             seen.update({"regrown"} if size and db._ids.size > size else set())
+            # buckets left behind are never reclaimed, yet the slots in use
+            # stay under 4 per posting and the arenas under 8
+            postings = int(db._count.sum())
+            assert db._end < 4 * postings or db._end == postings == 0
+            assert db._ids.size < 8 * postings or db._ids.size == postings == 0
 
     check()
     assert seen == {"fresh", "grown", "regrown"}

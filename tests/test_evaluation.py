@@ -681,6 +681,21 @@ def test_compare_strategies_checks_every_seed_before_training(monkeypatch):
     assert trained == []
 
 
+def test_compare_strategies_checks_a_range_of_seeds_from_its_bounds(monkeypatch):
+    # a range of 2**40 seeds was once listed first, and raised a bare MemoryError
+    cfg = SynthConfig(num_places=4, descriptors_per_place=10, descriptor_bits=64)
+    rows = compare_strategies(cfg, ["kmajority"], range(3, 4), k=2, L=2)
+    assert _strip_seconds(rows) == _strip_seconds(
+        compare_strategies(cfg, ["kmajority"], [3], k=2, L=2))
+    monkeypatch.setattr(hbow.evaluation, "train_result",
+                        lambda *args: pytest.fail("trained"))
+    for seeds in (range(-1, 2 ** 40), range(2 ** 40, -2, -1)):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            compare_strategies(cfg, ["kmajority"], seeds)
+    with pytest.raises(ConfigError, match="need at least one seed"):
+        compare_strategies(cfg, ["kmajority"], range(5, 5))
+
+
 def test_row_writers_round_trip(tmp_path):
     cfg = SynthConfig(num_places=5, descriptors_per_place=10,
                       revisit_fraction=0.2, bit_flip_prob=0.05,
