@@ -7,7 +7,7 @@ into tf-idf weighted bag-of-words vectors, and retrieve matches through an
 inverted index with L1 scoring.
 """
 
-from .bow import BowVector, RetrievalDatabase, score_l1, transform
+from .bow import BowVector, RetrievalDatabase, score_l1, transform, transform_set
 from .clustering import (
     ClusterConfig,
     ClusterResult,
@@ -73,7 +73,7 @@ from .vocabulary import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BowVector", "RetrievalDatabase", "score_l1", "transform",
+    "BowVector", "RetrievalDatabase", "score_l1", "transform", "transform_set",
     "ClusterConfig", "ClusterResult", "brb_kmeans", "kmajority", "kmeanspp_seed", "lloyd_real",
     "DescriptorSet", "binarize_matrix",
     "hamming_cdist", "hamming_rows", "hamming_to_all", "majority_centroid", "realize_matrix",

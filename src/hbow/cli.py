@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .bow import RetrievalDatabase, transform
+from .bow import RetrievalDatabase, transform_set
 from .descriptors import DescriptorSet, _integer
 from .errors import (
     ConfigError,
@@ -136,11 +136,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_transform(args) -> int:
     vocab = load_vocabulary(args.vocab)
-    corpus = read_descriptors(args.corpus)
-    groups = []
-    for i in range(corpus.group_count):
-        vec = transform(vocab, corpus.group_codes(i))
-        groups.append({"group": i, "words": {str(w): v for w, v in vec.entries.items()}})
+    vectors = transform_set(vocab, read_descriptors(args.corpus))
+    groups = [{"group": i, "words": {str(w): v for w, v in vec.entries.items()}}
+              for i, vec in enumerate(vectors)]
     _emit({"groups": groups}, args.out)
     return 0
 
@@ -153,11 +151,10 @@ def _cmd_query(args) -> int:
     db_set = read_descriptors(args.db)
     query_set = read_descriptors(args.queries)
     db = RetrievalDatabase(vocab)
-    for i in range(db_set.group_count):
-        db.add(transform(vocab, db_set.group_codes(i)))
+    for vec in transform_set(vocab, db_set):
+        db.add(vec)
     results = []
-    for qi in range(query_set.group_count):
-        vec = transform(vocab, query_set.group_codes(qi))
+    for qi, vec in enumerate(transform_set(vocab, query_set)):
         exclude = None
         if args.exclude_window is not None:
             exclude = range(qi - args.exclude_window, qi + args.exclude_window + 1)

@@ -16,8 +16,9 @@ PUBLIC_NAMES = [
     "load_vocabulary", "lookup_words", "majority_centroid",
     "quantization_report", "read_descriptors", "read_vocab_json", "read_vocab_text",
     "realize_matrix", "retrieval_report", "save_vocabulary", "score_l1", "synth_sequence",
-    "train", "train_result", "transform", "validate_structure", "write_descriptors",
-    "write_rows_csv", "write_rows_json", "write_vocab_json", "write_vocab_text",
+    "train", "train_result", "transform", "transform_set", "validate_structure",
+    "write_descriptors", "write_rows_csv", "write_rows_json", "write_vocab_json",
+    "write_vocab_text",
 ]
 
 

@@ -27,6 +27,7 @@ from hbow import (
     score_l1,
     train,
     transform,
+    transform_set,
 )
 from oracles import audit, lookup_word, normalize_l1
 
@@ -781,9 +782,12 @@ def _generated_vocab(rng):
 
 
 def test_transform_equals_the_dict_reference_on_generated_vocabularies():
+    # transform against the dict reference, and transform_set of the same
+    # rows cut into groups against transform of each group, bit for bit
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from oracles import reference_l1_norm, reference_transform
+    group_counts, group_sizes = [], []
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
                          suppress_health_check=list(hypothesis.HealthCheck))
@@ -801,8 +805,29 @@ def test_transform_equals_the_dict_reference_on_generated_vocabularies():
         assert got.words.dtype == np.int64 and got.weights.dtype == np.float64
         assert got.l1_norm() == reference_l1_norm(want)
         assert not (got.words.flags.writeable or got.weights.flags.writeable)
+        # cuts anywhere, so groups may be empty; no rows and no cuts is a set
+        # with no groups
+        ends = np.sort(rng.integers(0, len(codes) + 1, size=int(rng.integers(0, 6))))
+        dset = DescriptorSet(codes, np.append(ends, len(codes)) if len(codes) else ends)
+        vectors = transform_set(vocab, dset)
+        group_counts.append(len(vectors))
+        group_sizes.extend(np.diff(dset.group_ends, prepend=0).tolist())
+        assert len(vectors) == dset.group_count
+        for i, vec in enumerate(vectors):
+            one = transform(vocab, dset.group_codes(i))
+            for a, b in ((vec.words, one.words), (vec.weights, one.weights)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+            assert vec.l1_norm().hex() == one.l1_norm().hex()
+        # a set with no rows is checked like a matrix with none
+        wrong = DescriptorSet(np.zeros((0, pool.shape[1] + 1), dtype=np.uint8), ends * 0)
+        with pytest.raises(CorpusConsistencyError) as raised:
+            lookup_words(vocab, wrong.codes)
+        with pytest.raises(CorpusConsistencyError, match=re.escape(str(raised.value))):
+            transform_set(vocab, wrong)
 
     check()
+    assert 0 in group_counts and max(group_counts) == 6 and 0 in group_sizes
 
 
 def test_score_and_norm_equal_the_dict_references_on_generated_pairs():

@@ -235,6 +235,30 @@ def test_transform_and_query_print_their_file_to_stdout(tmp_path, capsys):
         assert capsys.readouterr().out == out.read_text()
 
 
+@pytest.mark.parametrize("command", ["transform", "query"])
+def test_a_wrong_width_file_with_no_descriptors_is_a_data_error(tmp_path, capsys, command):
+    # the width is checked once per file, so a file of no groups fails as one
+    # of empty groups does
+    corpus = tmp_path / "c.hbdc"
+    vocab_path = tmp_path / "v.txt"
+    _write_corpus(corpus)
+    assert main(["train", "--corpus", str(corpus), "--out", str(vocab_path),
+                 "--k", "3", "--L", "2"]) == 0
+    capsys.readouterr()
+    for ends in ([], [0], [0, 0]):
+        wrong = tmp_path / f"wrong{len(ends)}.hbdc"
+        write_descriptors(wrong, DescriptorSet(np.zeros((0, 16), dtype=np.uint8), ends))
+        places = ([["--corpus", wrong]] if command == "transform" else
+                  [["--db", wrong, "--queries", corpus], ["--db", corpus, "--queries", wrong]])
+        for files in places:
+            out = tmp_path / "out.json"
+            assert main([command, "--vocab", str(vocab_path), *map(str, files),
+                         "--out", str(out)]) == 2
+            assert "descriptor width 128 does not match vocabulary width 64" in \
+                capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_query_rejects_a_bad_top_or_window_as_usage_error(tmp_path, capsys):
     corpus = tmp_path / "c.hbdc"
     vocab_path = tmp_path / "v.txt"
