@@ -1,10 +1,10 @@
 """Flat k-clustering primitives for binary descriptors.
 
 Every clusterer is `(codes, ClusterConfig) -> ClusterResult`: it reads the
-codes as 0/1 rows (`_Rows`) and runs one loop, `_lloyd`: k-means++ seeding
-from the config's seed, then alternate (update centroids, reassign, repair
-empty clusters) until the post-repair assignment vector reaches a fixpoint or
-`max_iters` passes run out. They differ only in the centroid update they pass:
+codes as checked 0/1 rows (`_Rows`) and runs one loop, `_lloyd`: k-means++
+seeding from the config's seed, then (assign, repair empty clusters) passes,
+each after the first led by a centroid update, until the assignment vector
+repeats or `max_iters` passes run out. They differ only in the update they pass:
 
 * `kmajority`: per-bit majority-vote centroids, packed once on return.
 * `lloyd_real`: arithmetic-mean centroids; it also returns the per-bit
@@ -169,9 +169,10 @@ def _row_dtype(bits: int, max_members: int) -> type:
 
 
 class _Rows:
-    """A node's codes read as 0/1 rows in `dtype`, the `_row_dtype` for
-    centroids of at most `max_members` members, with their popcounts `x1`
-    (|x|, int64) and their word-major 64-bit `words` (`_word_major`).
+    """A clusterer's descriptors, checked by `_as_codes` (no rows raise
+    InsufficientPointsError naming the clusterer) and read as 0/1 rows in `dtype`,
+    the `_row_dtype` for centroids of at most `max_members` members (default: all
+    rows), with popcounts `x1` (|x|, int64) and word-major 64-bit `words`.
 
     `sum_dtype` holds the clusters' bit counts, integers of at most the row
     count: float32 for float32 rows below `_F32_EXACT_COUNT` rows, else
@@ -184,12 +185,15 @@ class _Rows:
     same exact integer however the rows are cut.
     """
 
-    def __init__(self, codes: np.ndarray, max_members: int):
+    def __init__(self, descs, name: str, max_members: int | None = None):
+        codes = _as_codes(descs)
+        if codes.shape[0] == 0:
+            raise InsufficientPointsError(f"{name} needs at least one descriptor")
         bits = codes.shape[1] * 8
         self.codes = codes
         self.words = _word_major(codes)
         self.x1 = np.bitwise_count(self.words).sum(axis=0, dtype=np.int64)
-        self.dtype = _row_dtype(bits, max_members)
+        self.dtype = _row_dtype(bits, len(self) if max_members is None else max_members)
         small = self.dtype == np.float32 and len(self) < _F32_EXACT_COUNT
         self.sum_dtype = np.float32 if small else np.float64
         self.step = max(1, _RELAXED_BLOCK_BYTES // (bits * np.dtype(self.dtype).itemsize))
@@ -308,13 +312,14 @@ def _move_rows(rows: _Rows, sums: np.ndarray, sizes: np.ndarray, old: np.ndarray
 
 def _lloyd(rows: _Rows, cfg: ClusterConfig, update):
     """The loop every clusterer runs on `rows`: k-means++ seeding on the
-    codes with `np.random.default_rng(cfg.seed)`, assignment and repair, then
-    (update, assign, repair) passes until the post-repair assignment repeats
-    or `max_iters` passes have run.
+    codes with `np.random.default_rng(cfg.seed)`, then (assign, repair)
+    passes, the first to the seeds as (row, 1) and each later one after an
+    update, until the post-repair assignment repeats or `max_iters` passes
+    follow the first.
 
     The loop keeps the clusters' bit counts S (in `rows.sum_dtype`) and
     member counts n from zero, and only `_move_rows` changes them: the first
-    pass moves every row in, every later one the rows whose label changed.
+    update moves every row in, every later one the rows whose label changed.
     `update(S, n)` returns new arrays for the centroids (bit counts S of the
     rows' dtype, member counts n), which the repair may overwrite. Returns
     the result, whose `centroids` hold the final S and whose `objectives`
@@ -324,23 +329,20 @@ def _lloyd(rows: _Rows, cfg: ClusterConfig, update):
     s = realize_matrix(kmeanspp_seed(rows.codes, cfg.k, np.random.default_rng(cfg.seed)),
                        rows.dtype)
     n = np.ones(cfg.k, dtype=np.int64)
-    labels, obj_vec = _nearest(rows, s, n)
-    _repair_empty(rows, s, n, labels, obj_vec)
-    objectives = [float(obj_vec.sum())]
     sums = np.zeros((cfg.k, rows.codes.shape[1] * 8), dtype=rows.sum_dtype)
     sizes = np.zeros(cfg.k, dtype=np.int64)
-    prev = None
-    while len(objectives) <= cfg.max_iters:
-        _move_rows(rows, sums, sizes, prev, labels)
-        prev = labels
-        s, n = update(sums, sizes)
+    objectives, counted = [], None
+    while True:
         labels, obj_vec = _nearest(rows, s, n)
         _repair_empty(rows, s, n, labels, obj_vec)
         objectives.append(float(obj_vec.sum()))
-        if np.array_equal(labels, prev):
+        if len(objectives) > cfg.max_iters or np.array_equal(labels, counted):
             break
+        _move_rows(rows, sums, sizes, counted, labels)
+        counted = labels
+        s, n = update(sums, sizes)
     result = ClusterResult(s, labels, objectives[-1], len(objectives) - 1, objectives)
-    return result, n, (sums, sizes, prev)
+    return result, n, (sums, sizes, counted)
 
 
 def _mean_update(sums: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -357,10 +359,7 @@ def kmajority(descs, cfg: ClusterConfig) -> ClusterResult:
     the integer sum of Hamming distances to the assigned centroids, and
     `objectives` holds it after seeding and after every pass.
     """
-    codes = _as_codes(descs)
-    if codes.shape[0] == 0:
-        raise InsufficientPointsError("kmajority needs at least one descriptor")
-    rows = _Rows(codes, 1)
+    rows = _Rows(descs, "kmajority", 1)
 
     def update(sums, sizes):
         return (sums * 2 > sizes[:, None]).astype(rows.dtype), np.ones(cfg.k, dtype=np.int64)
@@ -382,10 +381,7 @@ def lloyd_real(descs, cfg: ClusterConfig) -> ClusterResult:
     `member_majorities` holds the packed per-bit majority (2*S > n, ties to
     0) of each cluster's final members, from the loop's kept counts.
     """
-    codes = _as_codes(descs)
-    if codes.shape[0] == 0:
-        raise InsufficientPointsError("lloyd_real needs at least one descriptor")
-    rows = _Rows(codes, codes.shape[0])
+    rows = _Rows(descs, "lloyd_real")
     res, n, (sums, sizes, counted) = _lloyd(rows, cfg, _mean_update)
     _move_rows(rows, sums, sizes, counted, res.assignments)
     res.member_majorities = np.packbits(sums * 2 > sizes[:, None], axis=1)
@@ -405,10 +401,7 @@ def brb_kmeans(descs, cfg: ClusterConfig) -> ClusterResult:
     objective; `objectives` are the mean loop's. With k = 1 the single
     centroid equals `majority_centroid(descs)`.
     """
-    codes = _as_codes(descs)
-    if codes.shape[0] == 0:
-        raise InsufficientPointsError("brb_kmeans needs at least one descriptor")
-    rows = _Rows(codes, codes.shape[0])
+    rows = _Rows(descs, "brb_kmeans")
     res, n, _ = _lloyd(rows, cfg, _mean_update)
     cents = (res.centroids * 2 > n[:, None]).astype(rows.dtype)
     ones = np.ones_like(n)

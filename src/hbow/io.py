@@ -117,7 +117,7 @@ def write_descriptors(path, dset: DescriptorSet) -> None:
     header = _HEADER.pack(
         DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, dset.bits, len(dset), dset.group_count
     )
-    payload = np.ascontiguousarray(dset.codes).tobytes()
+    payload = np.ascontiguousarray(dset.codes).data  # a view: no copy of the payload
     table = dset.group_ends.astype("<u8").tobytes()
     _atomic_write_bytes(path, (header, payload, table))
 
@@ -183,16 +183,18 @@ def write_vocab_text(path, vocab: Vocabulary) -> None:
 def _assemble(k: int, L: int, strategy: Strategy | None, parent: np.ndarray, leaf: np.ndarray,
               octets: np.ndarray, weight: np.ndarray, where) -> Vocabulary:
     """Shared tail of the text and JSON loaders. Takes the node columns, root
-    excluded: `parent` int64, `leaf` bool, `octets` an integer (nodes, width)
-    matrix and `weight` float64. Makes each semantic node check once, on the
-    whole table, naming the first offending row as `where(row)`; then builds
-    the vocabulary and validates it."""
+    excluded: `parent` int64, `leaf` 0/1 integers or bool, `octets` an
+    integer (nodes, width) matrix and `weight` float64. Makes every node check
+    once, on the whole table, naming the first offending row as `where(row)`;
+    then builds the vocabulary and validates it."""
     def check(bad: np.ndarray, message: str) -> None:
         rows = np.flatnonzero(bad)
         if rows.size:
             i = int(rows[0])
             raise VocabularyFileError(f"{where(i)}: " + message.format(parent=parent[i]))
 
+    check((leaf != 0) & (leaf != 1), "is_leaf flag must be 0 or 1")
+    leaf = leaf == 1
     n = parent.size + 1
     check((parent < 0) | (parent >= np.arange(1, n)), "parent {parent} is not an already-defined node")
     check(np.append(False, leaf)[parent], "parent {parent} is a leaf")
@@ -307,11 +309,7 @@ def read_vocab_text(path) -> Vocabulary:
         raise VocabularyFileError("vocabulary file defines no nodes")
     nodes = np.concatenate(tables)
     del tables  # else the block tables stay alive through _assemble, a second node table
-    flag = nodes["leaf"]
-    bad = np.flatnonzero((flag < 0) | (flag > 1))
-    if bad.size:
-        raise VocabularyFileError(f"line {bad[0] + 2}: is_leaf flag must be 0 or 1")
-    return _assemble(k, L, None, nodes["parent"], flag == 1, nodes["octets"], nodes["weight"],
+    return _assemble(k, L, None, nodes["parent"], nodes["leaf"], nodes["octets"], nodes["weight"],
                      lambda i: f"line {i + 2}")
 
 

@@ -36,6 +36,7 @@ node's clustering does not depend on the order in which nodes are split.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import InitVar, dataclass, field, replace
 from decimal import Context, Decimal
 from enum import Enum
@@ -239,50 +240,50 @@ class TrainResult:
 
 def _grow(codes: np.ndarray,
           cfg: TrainConfig) -> tuple[list[int], list[np.ndarray], np.ndarray]:
-    """Grow the tree one level at a time, numbering nodes breadth-first
-    (root = 0). Returns the parent list, the centroid rows, and the deepest
-    node each corpus row reached (an int64 array with one entry per row).
-
-    Each split calls its clusterer by module-level name (a tracer rebinds it)
+    """Grow the tree from one first-in first-out queue, in level order, so
+    nodes are numbered breadth-first (root = 0). A split numbers and queues
+    each child, every leaf test runs where a node leaves the queue, and the
+    walk ends when it empties. Returns the parent list, the centroid rows,
+    and the deepest node each corpus row reached (int64, one per row). Each
+    split calls its clusterer by module-level name (a tracer rebinds it)
     with `ClusterConfig(min(k, distinct), max_iters, SeedSequence(train seed,
-    spawn_key=node path))`: its result depends only on its members and its
-    place in the tree. The walk ends at the first empty level.
+    spawn_key=node path))`, so its result depends only on its members and path.
     """
     parent, centroids = [-1], [np.zeros(codes.shape[1], dtype=np.uint8)]
     node_of_row = np.zeros(codes.shape[0], dtype=np.int64)
-    level = [(0, np.arange(codes.shape[0], dtype=np.int64), ())]  # (node id, members, path)
-    while level:
-        next_level = []
-        for nid, members, path in level:
-            node_codes = codes[members]
-            # only min(k, distinct rows) matters: k distinct first words settle
-            # it, and fewer leave it to a unique over whole rows as byte strings
-            first = np.sort(_word_major(node_codes[:, :8])[0])
-            distinct = 1 + int(np.count_nonzero(first[1:] != first[:-1]))
-            if distinct < cfg.k:
-                distinct = np.unique(node_codes.view(np.dtype((np.void, codes.shape[1])))).size
-            if path and distinct <= 1:  # the root always splits, into one child if degenerate
-                continue
-            ccfg = ClusterConfig(min(cfg.k, distinct), cfg.max_iters,
-                                 np.random.SeedSequence(cfg.seed, spawn_key=path))
-            if cfg.strategy is Strategy.KMAJORITY:
-                res = kmajority(node_codes, ccfg)
-            elif cfg.strategy is Strategy.LOCAL_BRB:
-                res = brb_kmeans(node_codes, ccfg)
-            else:
-                res = lloyd_real(node_codes, ccfg)
-            for j in range(ccfg.k):
-                child = members[res.assignments == j]
-                if child.size == 0:
-                    raise InternalInvariantError("clustering produced an empty cluster after repair")
-                cid = len(parent)
-                parent.append(nid)
-                centroids.append(res.member_majorities[j]
-                                 if cfg.strategy is Strategy.GLOBAL_HBRB else res.centroids[j])
-                node_of_row[child] = cid
-                if len(path) + 1 < cfg.L and child.size > 1:  # the child is at depth len(path) + 1
-                    next_level.append((cid, child, (*path, j)))
-        level = next_level
+    queue = deque([(0, np.arange(codes.shape[0], dtype=np.int64), ())])  # (node id, members, path)
+    while queue:
+        nid, members, path = queue.popleft()
+        # below the root, depth L makes a leaf; so does one point, a shortcut for one distinct value
+        if path and (len(path) == cfg.L or members.size == 1):
+            continue
+        node_codes = codes[members]
+        # only min(k, distinct rows) matters: k distinct first words settle
+        # it, and fewer leave it to a unique over whole rows as byte strings
+        first = np.sort(_word_major(node_codes[:, :8])[0])
+        distinct = 1 + int(np.count_nonzero(first[1:] != first[:-1]))
+        if distinct < cfg.k:
+            distinct = np.unique(node_codes.view(np.dtype((np.void, codes.shape[1])))).size
+        if path and distinct <= 1:  # the root always splits, into one child if degenerate
+            continue
+        ccfg = ClusterConfig(min(cfg.k, distinct), cfg.max_iters,
+                             np.random.SeedSequence(cfg.seed, spawn_key=path))
+        if cfg.strategy is Strategy.KMAJORITY:
+            res = kmajority(node_codes, ccfg)
+        elif cfg.strategy is Strategy.LOCAL_BRB:
+            res = brb_kmeans(node_codes, ccfg)
+        else:
+            res = lloyd_real(node_codes, ccfg)
+        for j in range(ccfg.k):
+            child = members[res.assignments == j]
+            if child.size == 0:
+                raise InternalInvariantError("clustering produced an empty cluster after repair")
+            cid = len(parent)
+            parent.append(nid)
+            centroids.append(res.member_majorities[j]
+                             if cfg.strategy is Strategy.GLOBAL_HBRB else res.centroids[j])
+            node_of_row[child] = cid
+            queue.append((cid, child, (*path, j)))
     return parent, centroids, node_of_row
 
 

@@ -388,10 +388,12 @@ def test_float64_grouped_sums_give_the_same_clusters(monkeypatch):
     runs = {}
     for limit in (hbow.clustering._F32_EXACT_COUNT, 2 * 64, 1):
         monkeypatch.setattr(hbow.clustering, "_F32_EXACT_COUNT", limit)
-        sum_dtype = hbow.clustering._Rows(codes, 1).sum_dtype
+        sum_dtype = hbow.clustering._Rows(codes, "test", 1).sum_dtype
         assert sum_dtype == (np.float32 if codes.shape[0] < limit else np.float64)
-        widths = [hbow.clustering._Rows(codes, m).dtype for m in (1, codes.shape[0])]
+        widths = [hbow.clustering._Rows(codes, "test", m).dtype for m in (1, codes.shape[0])]
         assert widths == [np.float32 if 64 * m < limit else np.float64 for m in (1, codes.shape[0])]
+        # the default, which lloyd_real and brb_kmeans take, is the row count
+        assert hbow.clustering._Rows(codes, "test").dtype == widths[1]
         runs[limit] = [cluster(codes, cfg) for cluster in (kmajority, lloyd_real, brb_kmeans)]
     for limit in (2 * 64, 1):
         for got, want in zip(runs[limit], runs[1 << 24]):
@@ -458,7 +460,7 @@ def test_repair_steals_the_farthest_member_by_exact_distance(monkeypatch):
     s, n = np.zeros((2, 8), dtype=np.float32), np.array([3, 2])
     s[0, :2] = [2, 1]
     labels, obj = np.zeros(3, dtype=np.int64), np.ones(3)
-    hbow.clustering._repair_empty(hbow.clustering._Rows(codes, 3), s, n, labels, obj)
+    hbow.clustering._repair_empty(hbow.clustering._Rows(codes, "test", 3), s, n, labels, obj)
     assert labels.tolist() == [0, 1, 0] and obj.tolist() == [1.0, 0.0, 1.0]
     assert s[1].tolist() == [1, 1, 1, 0, 0, 0, 0, 0] and n.tolist() == [3, 1]
 
@@ -478,7 +480,7 @@ def test_repair_steals_the_farthest_member_by_exact_distance(monkeypatch):
         dtype = hbow.clustering._row_dtype(8 * octets, int(n.max()))
         monkeypatch.setattr(hbow.clustering, "_RELAXED_BLOCK_BYTES",
                             block_rows * 8 * octets * np.dtype(dtype).itemsize)
-        relaxed = hbow.clustering._Rows(codes, int(n.max()))
+        relaxed = hbow.clustering._Rows(codes, "test", int(n.max()))
         sums = np.floor(rng.random((k, 8 * octets)) * (n[:, None] + 1))
         labels = rng.integers(int(rng.integers(1, k + 1)), size=rows)
         obj = rng.random(rows)
@@ -506,7 +508,7 @@ def test_packed_assignment_equals_the_gemm_kernel_where_every_n_is_1():
         x1 = x.sum(axis=1).astype(np.int64)
         s, n = realize_matrix(cents, np.float32), np.ones(cents.shape[0], dtype=np.int64)
         want = hbow.clustering._assign(x, x1, s, n)
-        got = hbow.clustering._nearest(hbow.clustering._Rows(codes, 1), s, n)
+        got = hbow.clustering._nearest(hbow.clustering._Rows(codes, "test", 1), s, n)
         assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype == np.float64
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         return got

@@ -91,6 +91,36 @@ def test_descriptor_round_trip_is_byte_identical(tmp_path):
     assert np.array_equal(back.group_ends, ds.group_ends)
 
 
+def test_descriptor_write_does_not_copy_the_payload(tmp_path):
+    # the payload goes to the file from the codes' own buffer: a writer that
+    # copies it first (`tobytes`) peaks at the payload's 3.2 MB
+    ds = _random_set(100_000, 32, seed=3, groups=[40_000, 100_000])
+    path = tmp_path / "big.hbdc"
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        write_descriptors(path, ds)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    raw = HEADER.pack(b"HBDC", 1, 256, 100_000, 2) + ds.codes.tobytes() \
+        + np.array([40_000, 100_000], dtype="<u8").tobytes()
+    assert path.read_bytes() == raw
+    # the in-place path for pipes writes the same bytes
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    write_descriptors(pipe, ds)
+    reader.join(timeout=10)
+    assert got == [raw]
+
+
 def test_descriptor_missing_group_table_means_one_group(tmp_path):
     ds = _random_set(5, 4, seed=2)
     header = HEADER.pack(b"HBDC", 1, 32, 5, 0)
